@@ -2,14 +2,13 @@
 
 Real-valued features become spike times through overlapping Gaussian
 receptive fields; one output neuron per class accumulates kernel
-responses weighted by synapse efficacies that are themselves functions
-of time, and the earliest neuron to reach its threshold names the class.
+responses weighted by synaptic weights that are themselves functions of
+time, and the earliest neuron to reach its threshold names the class.
 """
 
 from .config import NetworkConfig
-from .dynamics import (EfficacyFunction, Network, OutputNeuron, SimulationConfig,
-                       epsilon, fire_time, load_model, potential, sample_weight,
-                       save_model)
+from .dynamics import (Network, OutputNeuron, SimulationConfig, epsilon, fire_time,
+                       load_model, potential, save_model)
 from .encoding import EncoderConfig, SpikePattern, encode, encode_dataset, fit_ranges
 from .errors import ConfigError, DataError, InputError, SefmError
 from .learning import NoEligibleSpikes
@@ -18,9 +17,9 @@ from .training import TrainResult, predict, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "DataError", "EfficacyFunction", "EncoderConfig", "InputError",
-    "Network", "NetworkConfig", "NoEligibleSpikes", "OutputNeuron", "SefmError",
+    "ConfigError", "DataError", "EncoderConfig", "InputError", "Network",
+    "NetworkConfig", "NoEligibleSpikes", "OutputNeuron", "SefmError",
     "SimulationConfig", "SpikePattern", "TrainResult", "encode", "encode_dataset",
     "epsilon", "fire_time", "fit_ranges", "load_model", "potential",
-    "sample_weight", "save_model", "predict", "train", "__version__",
+    "save_model", "predict", "train", "__version__",
 ]

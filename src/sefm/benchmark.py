@@ -139,6 +139,15 @@ class BenchmarkResult:
         }
 
 
+def _map(fn, units: list, jobs: int) -> list:
+    """fn over units in order, fanned out over ``jobs`` processes when jobs > 1."""
+    if jobs <= 1:
+        return [fn(u) for u in units]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, units))
+
+
 def _split_for_run(dataset: TabularDataset, train_size: int, run_seed: int):
     return stratified_split(dataset.labels, train_size, derive_seed(run_seed, 0))
 
@@ -163,12 +172,7 @@ def benchmark(dataset: TabularDataset, cfg: NetworkConfig, *, train_size: int,
         raise DataError(f"train_size {train_size} invalid for {dataset.sample_count} samples")
     cfg.validate()
     units = [(dataset, cfg, train_size, seed, run) for run in range(run_count)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_benchmark_unit, units))
-    else:
-        outcomes = [_benchmark_unit(u) for u in units]
+    outcomes = _map(_benchmark_unit, units, jobs)
     runs = [o.result for o in outcomes]
     wall = sum(o.wall_seconds for o in outcomes)
     arch = f"{outcomes[-1].encoder.neuron_count}-{dataset.class_count}" if outcomes else ""
@@ -270,12 +274,7 @@ def grid_search(dataset: TabularDataset, cfg: NetworkConfig, sigmas, reference_r
     for sigma, rate in grid:
         cell_cfg = cfg.with_overrides(sigma=sigma, reference_rate=rate)
         units.extend((dataset, cell_cfg, fit, val, ts) for fit, val, ts in plans)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            scores = list(pool.map(_grid_unit, units))
-    else:
-        scores = [_grid_unit(u) for u in units]
+    scores = _map(_grid_unit, units, jobs)
     cells = []
     for c, (sigma, rate) in enumerate(grid):
         mean, sd = summarize(scores[c * run_count:(c + 1) * run_count])

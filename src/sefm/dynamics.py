@@ -1,11 +1,12 @@
-"""Time-varying synaptic efficacies, postsynaptic potentials, firing times.
+"""Time-varying synaptic weights, postsynaptic potentials, firing times.
 
 A synapse's weight is a function of time: a sum of Gaussians of shared
 width sigma, each centered at a presynaptic spike time that once carried
 a weight update.  Sampling is exact evaluation of that sum.  An output
-neuron owns one efficacy function per input neuron plus a firing
-threshold; it fires at the first grid time where its potential reaches
-the threshold (time-to-first-spike, at most one spike per pattern).
+neuron is a firing threshold plus the parallel (input, center,
+amplitude) arrays of all its terms; it fires at the first grid time
+where its potential reaches the threshold (time-to-first-spike, at most
+one spike per pattern).
 """
 
 from __future__ import annotations
@@ -66,140 +67,75 @@ def epsilon(t, tau: float):
     return out
 
 
-class EfficacyFunction:
-    """One synapse's time-varying weight: sum of amplitude-scaled Gaussians.
-
-    Terms are keyed by center snapped to the encoding time grid, so
-    repeated updates at the same presynaptic spike time merge into one
-    amplitude instead of growing the term list every epoch.  Amplitudes
-    may be positive or negative.
-    """
-
-    __slots__ = ("sigma", "_terms", "_centers", "_amps")
-
-    def __init__(self, sigma: float):
-        if sigma <= 0:
-            raise ConfigError("sigma must be positive")
-        self.sigma = float(sigma)
-        self._terms: dict[int, float] = {}
-        self._centers: Optional[np.ndarray] = None
-        self._amps: Optional[np.ndarray] = None
-
-    @property
-    def term_count(self) -> int:
-        return len(self._terms)
-
-    def terms(self) -> list[tuple[float, float]]:
-        """(center, amplitude) pairs sorted by center."""
-        return [(k * TIME_QUANTUM, a) for k, a in sorted(self._terms.items())]
-
-    def add_term(self, center: float, amplitude: float) -> None:
-        key = int(round(center / TIME_QUANTUM))
-        self._terms[key] = self._terms.get(key, 0.0) + float(amplitude)
-        self._centers = None
-        self._amps = None
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._centers is None:
-            keys = sorted(self._terms)
-            self._centers = np.array([k * TIME_QUANTUM for k in keys], dtype=np.float64)
-            self._amps = np.array([self._terms[k] for k in keys], dtype=np.float64)
-        return self._centers, self._amps
-
-    def sample(self, t: float) -> float:
-        """Exact Gaussian-sum value at time t; 0 with no terms."""
-        centers, amps = self.arrays()
-        if centers.size == 0:
-            return 0.0
-        d = (t - centers) / self.sigma
-        return float(amps @ np.exp(-0.5 * d * d))
-
-
-def sample_weight(efficacy: EfficacyFunction, t: float, spike_interval: float) -> float:
-    """Momentary weight w(t); t must lie in the presynaptic window [0, T]."""
-    if not 0.0 <= t <= spike_interval:
-        raise InputError(f"sample time {t} outside [0, {spike_interval}]")
-    return efficacy.sample(t)
-
-
 class OutputNeuron:
-    """One class's output neuron: threshold plus per-input efficacy functions.
+    """One class's output neuron: a threshold plus sorted Gaussian term arrays.
 
-    ``version`` increments on every mutation so callers can cache sampled
-    weights safely.
+    Term k adds ``amplitudes[k] * exp(-(t - centers[k])^2 / (2 sigma^2))``
+    to the weight of input neuron ``inputs[k]``.  The three arrays are
+    parallel and sorted by (input, center); centers lie on the encoding
+    time grid, so repeated updates at one presynaptic spike time merge
+    into one amplitude instead of growing the arrays every epoch.
+    Amplitudes may be positive or negative.
     """
 
-    __slots__ = ("class_label", "threshold", "efficacies", "version",
-                 "_flat_centers", "_flat_amps", "_offsets")
+    __slots__ = ("class_label", "input_count", "sigma", "threshold",
+                 "inputs", "centers", "amplitudes")
 
     def __init__(self, class_label: int, input_count: int, sigma: float, threshold: float = 0.0):
+        if not sigma > 0:
+            raise ConfigError("sigma must be positive")
         self.class_label = int(class_label)
+        self.input_count = int(input_count)
+        self.sigma = float(sigma)
         self.threshold = float(threshold)
-        self.efficacies = [EfficacyFunction(sigma) for _ in range(input_count)]
-        self.version = 0
-        self._flat_centers: Optional[np.ndarray] = None
-        self._flat_amps: Optional[np.ndarray] = None
-        self._offsets: Optional[np.ndarray] = None
-
-    @property
-    def input_count(self) -> int:
-        return len(self.efficacies)
-
-    @property
-    def sigma(self) -> float:
-        return self.efficacies[0].sigma if self.efficacies else 0.0
+        self.inputs = np.zeros(0, dtype=np.int64)
+        self.centers = np.zeros(0)
+        self.amplitudes = np.zeros(0)
 
     def set_threshold(self, value: float) -> None:
         self.threshold = float(value)
-        self.version += 1
+
+    def synapses(self) -> list[list[list[float]]]:
+        """Per input neuron, its [center, amplitude] pairs sorted by center."""
+        pairs = [[c, a] for c, a in zip(self.centers.tolist(), self.amplitudes.tolist())]
+        bounds = np.searchsorted(self.inputs, np.arange(self.input_count + 1)).tolist()
+        return [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def add_terms(self, neuron_ids: Sequence[int], centers: Sequence[float],
                   amplitudes: Sequence[float]) -> None:
-        """Add one Gaussian term per (input neuron, center, amplitude) triple."""
-        for i, c, a in zip(neuron_ids, centers, amplitudes):
-            self.efficacies[int(i)].add_term(float(c), float(a))
-        self.version += 1
-        self._flat_centers = None
+        """Add one Gaussian term per (input neuron, center, amplitude) triple.
 
-    def _flatten(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._flat_centers is None:
-            per_syn = [eff.arrays() for eff in self.efficacies]
-            counts = np.array([c.size for c, _ in per_syn], dtype=np.int64)
-            offsets = np.zeros(len(per_syn) + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            if offsets[-1]:
-                self._flat_centers = np.concatenate([c for c, _ in per_syn])
-                self._flat_amps = np.concatenate([a for _, a in per_syn])
-            else:
-                self._flat_centers = np.zeros(0)
-                self._flat_amps = np.zeros(0)
-            self._offsets = offsets
-        return self._flat_centers, self._flat_amps, self._offsets
+        A center is snapped to the time grid; a term whose (input, center)
+        key is already present adds its amplitude to the stored one, in
+        arrival order.
+        """
+        ids = np.asarray(neuron_ids, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= self.input_count):
+            raise InputError(f"input neuron outside [0, {self.input_count})")
+        inputs = np.concatenate([self.inputs, ids])
+        ticks = np.rint(np.concatenate([self.centers, np.asarray(centers, dtype=np.float64)])
+                        / TIME_QUANTUM).astype(np.int64)
+        # one int64 key per term, ordered like (input, tick) for |tick| < 2**31
+        keys, first, slot = np.unique((inputs << 32) + ticks, return_index=True,
+                                      return_inverse=True)
+        self.inputs = inputs[first]
+        self.centers = ticks[first] * TIME_QUANTUM
+        self.amplitudes = np.bincount(slot, minlength=keys.size, weights=np.concatenate(
+            [self.amplitudes, np.asarray(amplitudes, dtype=np.float64)]))
 
     def sample_weights(self, neuron_ids: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Momentary weight of each (input neuron, time) spike, vectorized.
+        """Momentary weight of each (input neuron, time) spike.
 
-        One pass over all Gaussian terms of all addressed synapses; the
-        ragged synapse->terms mapping is expanded with repeat/cumsum
-        instead of a per-spike Python loop.
+        Input ids must be distinct, as in a SpikePattern.  One gather puts
+        each term next to its input's spike time (NaN for a silent input),
+        one bincount sums the terms per input.
         """
-        centers, amps, offsets = self._flatten()
-        n = len(neuron_ids)
-        if n == 0 or centers.size == 0:
-            return np.zeros(n)
         ids = np.asarray(neuron_ids, dtype=np.int64)
-        starts = offsets[ids]
-        counts = offsets[ids + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.zeros(n)
-        spike_of_term = np.repeat(np.arange(n), counts)
-        ends = np.cumsum(counts)
-        term_idx = np.arange(total) - np.repeat(ends - counts, counts) + np.repeat(starts, counts)
-        d = (np.repeat(np.asarray(times, dtype=np.float64), counts) - centers[term_idx])
-        sigma = self.efficacies[0].sigma
-        vals = amps[term_idx] * np.exp(-0.5 * (d / sigma) ** 2)
-        return np.bincount(spike_of_term, weights=vals, minlength=n)
+        spike_time = np.full(self.input_count, np.nan)
+        spike_time[ids] = times
+        d = spike_time[self.inputs] - self.centers
+        vals = self.amplitudes * np.exp(-0.5 * (d / self.sigma) ** 2)
+        return np.bincount(self.inputs, weights=vals, minlength=self.input_count)[ids]
 
 
 def response_matrix(pattern: SpikePattern, sim: SimulationConfig,
@@ -261,35 +197,38 @@ class Network:
         self.spike_interval = float(spike_interval)
         self.neurons: list[Optional[OutputNeuron]] = [None] * class_count
 
-    def initialized(self, label: Optional[int] = None) -> bool:
-        if label is None:
-            return all(n is not None for n in self.neurons)
-        return self.neurons[label] is not None
+    def sample_weights(self, pattern: SpikePattern) -> np.ndarray:
+        """(classes, spikes) momentary weights; zero rows for uninitialized neurons."""
+        weights = np.zeros((self.class_count, pattern.spike_count))
+        for j, neuron in enumerate(self.neurons):
+            if neuron is not None:
+                weights[j] = neuron.sample_weights(pattern.neuron_ids, pattern.times)
+        return weights
 
-    def evaluate_pattern(self, pattern: SpikePattern, *,
-                         eps_matrix: Optional[np.ndarray] = None,
-                         weight_rows: Optional[Sequence[Optional[np.ndarray]]] = None,
-                         ) -> PatternActivity:
+    def evaluate_pattern(self, pattern: SpikePattern, weights: Optional[np.ndarray] = None,
+                         *, eps_matrix: Optional[np.ndarray] = None) -> PatternActivity:
         """Fire times and peak potentials of every initialized neuron.
 
-        eps_matrix / weight_rows let a training loop substitute cached
-        pieces; results are identical to the uncached path.
+        The one activity kernel of training and inference: potentials are
+        the (classes, spikes) weights times the (spikes, grid) kernel
+        responses, and each row's first threshold crossing is its fire
+        time.  ``weights`` and ``eps_matrix`` default to fresh sampling
+        and a fresh response matrix.
         """
-        if eps_matrix is None:
-            eps_matrix = response_matrix(pattern, self.sim)
-        n_grid = eps_matrix.shape[1]
+        live = np.array([n is not None for n in self.neurons])
         fire_times = np.full(self.class_count, np.nan)
         peaks = np.full(self.class_count, -np.inf)
-        for j, neuron in enumerate(self.neurons):
-            if neuron is None:
-                continue
-            w = weight_rows[j] if weight_rows is not None and weight_rows[j] is not None \
-                else neuron.sample_weights(pattern.neuron_ids, pattern.times)
-            v = w @ eps_matrix if pattern.spike_count else np.zeros(n_grid)
-            peaks[j] = v.max()
-            hit = v >= neuron.threshold
-            if hit.any():
-                fire_times[j] = float(np.argmax(hit) * self.sim.dt)
+        if weights is None:
+            weights = self.sample_weights(pattern)
+        if eps_matrix is None:
+            eps_matrix = response_matrix(pattern, self.sim)
+        thresholds = np.array([n.threshold for n in self.neurons if n is not None])
+        v = weights[live] @ eps_matrix
+        peaks[live] = v.max(axis=1)
+        hit = v >= thresholds[:, None]
+        first = np.argmax(hit, axis=1)
+        fired = hit[np.arange(first.size), first]
+        fire_times[live] = np.where(fired, first * self.sim.dt, np.nan)
         return PatternActivity(fire_times=fire_times, peaks=peaks)
 
 
@@ -306,7 +245,7 @@ def model_to_dict(net: Network, encoder: Optional[EncoderConfig] = None) -> dict
         neurons.append({
             "class_label": neuron.class_label,
             "threshold": neuron.threshold,
-            "synapses": [[[c, a] for c, a in eff.terms()] for eff in neuron.efficacies],
+            "synapses": neuron.synapses(),
         })
     doc = {
         "format": MODEL_FORMAT,
@@ -328,31 +267,62 @@ def model_to_dict(net: Network, encoder: Optional[EncoderConfig] = None) -> dict
 
 
 def model_from_dict(doc: dict) -> tuple[Network, Optional[EncoderConfig]]:
-    if doc.get("format") != MODEL_FORMAT:
-        raise InputError(f"unsupported model format: {doc.get('format')!r}")
-    sim = SimulationConfig(**doc["simulation"])
-    net = Network(doc["class_count"], doc["input_count"], doc["sigma"], sim,
-                  doc["spike_interval"])
-    for j, entry in enumerate(doc["neurons"]):
-        if entry is None:
-            continue
-        neuron = OutputNeuron(entry["class_label"], doc["input_count"], doc["sigma"],
-                              threshold=entry["threshold"])
-        for i, terms in enumerate(entry["synapses"]):
-            for c, a in terms:
-                neuron.efficacies[i].add_term(c, a)
-        net.neurons[j] = neuron
-    enc = None
-    if doc.get("encoder") is not None:
+    """Rebuild a network from its checkpoint, rejecting any inconsistency.
+
+    A missing key, a neuron or synapse count that disagrees with the
+    declared shape, a neuron stored under another position, a non-finite
+    threshold, center or amplitude, and a center outside the spike window
+    all raise InputError.
+    """
+    try:
+        if doc.get("format") != MODEL_FORMAT:
+            raise InputError(f"unsupported model format: {doc.get('format')!r}")
+        s = doc["simulation"]
+        sim = SimulationConfig(tau=s["tau"], t_max=s["t_max"], dt=s["dt"])
+        net = Network(doc["class_count"], doc["input_count"], doc["sigma"], sim,
+                      doc["spike_interval"])
+        if len(doc["neurons"]) != net.class_count:
+            raise InputError(f"model has {len(doc['neurons'])} neurons for "
+                             f"{net.class_count} classes")
+        for j, entry in enumerate(doc["neurons"]):
+            if entry is not None:
+                net.neurons[j] = _neuron_from_dict(j, entry, net)
+        enc = None
         e = doc["encoder"]
-        enc = EncoderConfig(
-            receptive_field_count=e["receptive_field_count"],
-            overlap=e["overlap"],
-            spike_interval=e["spike_interval"],
-            response_cutoff=e["response_cutoff"],
-            feature_ranges=tuple((float(lo), float(hi)) for lo, hi in e["feature_ranges"]),
-        )
+        if e is not None:
+            enc = EncoderConfig(
+                receptive_field_count=e["receptive_field_count"],
+                overlap=e["overlap"],
+                spike_interval=e["spike_interval"],
+                response_cutoff=e["response_cutoff"],
+                feature_ranges=tuple((float(lo), float(hi)) for lo, hi in e["feature_ranges"]),
+            )
+    except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise InputError(f"malformed model checkpoint: {type(exc).__name__} {exc}") from exc
     return net, enc
+
+
+def _neuron_from_dict(j: int, entry: dict, net: Network) -> OutputNeuron:
+    if entry["class_label"] != j:
+        raise InputError(f"neuron {j} is labeled {entry['class_label']!r}")
+    synapses = entry["synapses"]
+    if len(synapses) != net.input_count:
+        raise InputError(f"neuron {j} has {len(synapses)} synapses for "
+                         f"{net.input_count} inputs")
+    threshold = float(entry["threshold"])
+    pairs = [pair for terms in synapses for pair in terms]
+    flat = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+    if len(flat) != len(pairs):
+        raise InputError(f"neuron {j} has a term that is not a (center, amplitude) pair")
+    if not (np.isfinite(threshold) and np.isfinite(flat).all()):
+        raise InputError(f"neuron {j} has a non-finite threshold, center or amplitude")
+    centers, amplitudes = flat[:, 0], flat[:, 1]
+    if np.any((centers < 0.0) | (centers > net.spike_interval)):
+        raise InputError(f"neuron {j} has a center outside [0, {net.spike_interval}]")
+    neuron = OutputNeuron(j, net.input_count, net.sigma, threshold=threshold)
+    neuron.add_terms(np.repeat(np.arange(net.input_count), [len(t) for t in synapses]),
+                     centers, amplitudes)
+    return neuron
 
 
 def model_to_json_bytes(net: Network, encoder: Optional[EncoderConfig] = None) -> bytes:

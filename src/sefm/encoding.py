@@ -16,8 +16,8 @@ import numpy as np
 from .errors import ConfigError, InputError
 
 # Firing times are snapped to this grid (ms) so encoded patterns are
-# bit-identical across platforms and efficacy-function centers can be
-# merged by exact key.
+# bit-identical across platforms and weight-term centers can be merged
+# by exact key.
 TIME_QUANTUM = 0.001
 
 
@@ -59,9 +59,9 @@ class EncoderConfig:
 class SpikePattern:
     """Presynaptic spike times of one encoded sample.
 
-    Spikes are stored flat, sorted by (neuron, time); ``neuron_ids[k]``
-    fires at ``times[k]``.  A neuron may appear zero or more times, all
-    times lie in [0, T].
+    ``neuron_ids[k]`` fires at ``times[k]``, ids ascending.  Each input
+    neuron fires at most once (the encoder never emits a second spike),
+    all times lie in [0, T].
     """
 
     neuron_count: int
@@ -73,36 +73,21 @@ class SpikePattern:
         ts = np.asarray(self.times, dtype=np.float64)
         if ids.shape != ts.shape or ids.ndim != 1:
             raise InputError("neuron_ids and times must be 1-d arrays of equal length")
-        order = np.lexsort((ts, ids))
+        order = np.argsort(ids, kind="stable")
         ids = ids[order]
         ts = ts[order]
+        if ids.size and (ids[0] < 0 or ids[-1] >= self.neuron_count):
+            raise InputError("neuron id outside [0, neuron_count)")
+        if np.any(ids[1:] == ids[:-1]):
+            raise InputError("a neuron id repeats; each input neuron fires at most once")
         ids.setflags(write=False)
         ts.setflags(write=False)
         object.__setattr__(self, "neuron_ids", ids)
         object.__setattr__(self, "times", ts)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.neuron_count):
-            raise InputError("neuron id outside [0, neuron_count)")
 
     @property
     def spike_count(self) -> int:
         return int(self.times.size)
-
-    def times_by_neuron(self) -> list[list[float]]:
-        """Per-neuron ascending spike-time lists (empty list = silent)."""
-        out: list[list[float]] = [[] for _ in range(self.neuron_count)]
-        for i, t in zip(self.neuron_ids, self.times):
-            out[i].append(float(t))
-        return out
-
-    def spike_keys(self) -> list[tuple[int, int]]:
-        """(neuron, within-neuron order) key for each flat spike index."""
-        keys = []
-        seen: dict[int, int] = {}
-        for i in self.neuron_ids:
-            k = seen.get(int(i), 0)
-            keys.append((int(i), k))
-            seen[int(i)] = k + 1
-        return keys
 
 
 def quantize_time(t: float) -> float:

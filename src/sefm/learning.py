@@ -11,6 +11,10 @@ Initialization works on the first pattern a neuron sees: the momentary
 weights are set to the normalized kernel responses at the desired firing
 time and the threshold is set to the potential this produces, so the
 neuron starts out firing precisely on schedule for that pattern.
+
+A training loop may pass a SampledWeights array to ``initialize`` and
+``apply_update``; every term they add to the neuron is then also added,
+sampled, to that array, which therefore always equals fresh sampling.
 """
 
 from __future__ import annotations
@@ -20,17 +24,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import OutputNeuron, SimulationConfig, epsilon
-from .encoding import SpikePattern
+from .encoding import TIME_QUANTUM, SpikePattern
 from .errors import SefmError
-
-# The update shifts weight toward spikes whose normalized response
-# exceeds the current momentary weight; spikes at or below it get a
-# floor contribution of this value (and end up with zero excess).
-EXCESS_FLOOR = 0.0
 
 
 class NoEligibleSpikes(SefmError):
     """No presynaptic spike lies strictly before the reference time."""
+
+
+class SampledWeights:
+    """Momentary weight of every training spike under every class's neuron.
+
+    ``values[c, p, i]`` is neuron c's weight of input i sampled at
+    ``spike_times[p, i]``, the time pattern p's input i fires; a silent
+    input (NaN time) has weight 0.  A term added through ``add`` changes
+    only the column ``values[c, :, i]`` of its own neuron and input.
+    """
+
+    def __init__(self, patterns: list[SpikePattern], class_count: int):
+        self.spike_times = np.full((len(patterns), patterns[0].neuron_count), np.nan)
+        for p, pattern in enumerate(patterns):
+            self.spike_times[p, pattern.neuron_ids] = pattern.times
+        self.values = np.zeros((class_count, *self.spike_times.shape))
+
+    def add(self, neuron: OutputNeuron, neuron_ids: np.ndarray, centers: np.ndarray,
+            amplitudes: np.ndarray) -> None:
+        """Add the Gaussians of terms just added to ``neuron`` (distinct inputs)."""
+        centers = np.rint(centers / TIME_QUANTUM) * TIME_QUANTUM
+        d = self.spike_times[:, neuron_ids] - centers
+        gauss = amplitudes * np.exp(-0.5 * (d / neuron.sigma) ** 2)
+        gauss[np.isnan(gauss)] = 0.0
+        self.values[neuron.class_label][:, neuron_ids] += gauss
 
 
 def delta_v(threshold: float, v: float) -> float:
@@ -53,7 +77,7 @@ def normalized_psp(times: np.ndarray, t_hat: float, tau: float) -> np.ndarray:
 
 def excess(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Positive part of (normalized response - momentary weight), per spike."""
-    return np.where(u > w, u - w, EXCESS_FLOOR)
+    return np.where(u > w, u - w, 0.0)
 
 
 def modulation_factors(z: np.ndarray, eps_vals: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -106,9 +130,8 @@ def compute_update(neuron: OutputNeuron, pattern: SpikePattern, t_hat: float,
                    weights: np.ndarray | None = None) -> UpdateStep:
     """Work out the per-spike deltas that move v(t_hat) onto the threshold.
 
-    ``weights`` may pass in cached momentary weights (as returned by
-    neuron.sample_weights for this pattern); otherwise they are sampled
-    here.
+    ``weights`` may pass in the pattern's momentary weights (as
+    neuron.sample_weights returns them); otherwise they are sampled here.
     """
     times = pattern.times
     u = normalized_psp(times, t_hat, sim.tau)
@@ -128,23 +151,31 @@ def compute_update(neuron: OutputNeuron, pattern: SpikePattern, t_hat: float,
                       used_fallback=used_fallback)
 
 
-def apply_update(neuron: OutputNeuron, step: UpdateStep, learning_rate: float) -> int:
+def _add_terms(neuron: OutputNeuron, sampled: SampledWeights | None, neuron_ids: np.ndarray,
+               centers: np.ndarray, amplitudes: np.ndarray) -> None:
+    neuron.add_terms(neuron_ids, centers, amplitudes)
+    if sampled is not None:
+        sampled.add(neuron, neuron_ids, centers, amplitudes)
+
+
+def apply_update(neuron: OutputNeuron, step: UpdateStep, learning_rate: float,
+                 sampled: SampledWeights | None = None) -> int:
     """Add the scaled Gaussian terms to the neuron; returns terms added.
 
     Zero deltas are skipped outright: they would add terms that change
     nothing while bloating the model.  A step whose deltas are all zero
-    leaves the neuron untouched (version included).
+    leaves the neuron untouched.
     """
     scaled = learning_rate * step.deltas
     keep = scaled != 0.0
     if not keep.any():
         return 0
-    neuron.add_terms(step.neuron_ids[keep], step.times[keep], scaled[keep])
+    _add_terms(neuron, sampled, step.neuron_ids[keep], step.times[keep], scaled[keep])
     return int(keep.sum())
 
 
 def initialize(neuron: OutputNeuron, pattern: SpikePattern, t_hat: float,
-               sim: SimulationConfig) -> None:
+               sim: SimulationConfig, sampled: SampledWeights | None = None) -> None:
     """First-pattern setup: weights from normalized responses, threshold to match.
 
     The full normalized response (not scaled by the learning rate) lands
@@ -154,5 +185,5 @@ def initialize(neuron: OutputNeuron, pattern: SpikePattern, t_hat: float,
     u = normalized_psp(pattern.times, t_hat, sim.tau)
     eps_vals = epsilon(t_hat - pattern.times, sim.tau)
     keep = u != 0.0
-    neuron.add_terms(pattern.neuron_ids[keep], pattern.times[keep], u[keep])
+    _add_terms(neuron, sampled, pattern.neuron_ids[keep], pattern.times[keep], u[keep])
     neuron.set_threshold(float(u @ eps_vals))

@@ -76,30 +76,15 @@ class SampleResult:
     predicted: int | None = None
 
 
-class _WeightCache:
-    """Sampled momentary weights per (sample, neuron), version-checked."""
-
-    def __init__(self):
-        self._store: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
-
-    def get(self, sample_idx: int, neuron: OutputNeuron, label: int,
-            pattern: SpikePattern) -> np.ndarray:
-        hit = self._store.get((sample_idx, label))
-        if hit is not None and hit[0] == neuron.version:
-            return hit[1]
-        w = neuron.sample_weights(pattern.neuron_ids, pattern.times)
-        self._store[(sample_idx, label)] = (neuron.version, w)
-        return w
-
-
 def process_sample(net: Network, pattern: SpikePattern, label: int,
-                   cfg: NetworkConfig, *, sample_idx: int = -1,
-                   eps_matrix: np.ndarray | None = None,
-                   cache: _WeightCache | None = None) -> SampleResult:
+                   cfg: NetworkConfig, *, eps_matrix: np.ndarray | None = None,
+                   sampled: learning.SampledWeights | None = None,
+                   sample_idx: int = -1) -> SampleResult:
     """Run one pattern through the decision procedure, mutating the network.
 
-    eps_matrix and cache are optional reuse hooks for the epoch loop; the
-    result is identical without them.
+    The epoch loop passes the pattern's response matrix and its training
+    SampledWeights with the pattern's row ``sample_idx``; without them
+    the weights are sampled afresh and the result is the same.
     """
     if not 0 <= label < net.class_count:
         raise InputError(f"label {label} outside 0..{net.class_count - 1}")
@@ -110,20 +95,18 @@ def process_sample(net: Network, pattern: SpikePattern, label: int,
     if net.neurons[label] is None:
         neuron = OutputNeuron(label, net.input_count, net.sigma)
         try:
-            learning.initialize(neuron, pattern, cfg.desired_time, sim)
+            learning.initialize(neuron, pattern, cfg.desired_time, sim, sampled)
         except learning.NoEligibleSpikes:
             # nothing precedes the desired time; wait for a friendlier pattern
             return SampleResult(Outcome.SKIPPED, ineligible_classes=(label,))
         net.neurons[label] = neuron
         return SampleResult(Outcome.INITIALIZED, updated_classes=(label,))
 
-    if cache is None:
-        cache = _WeightCache()
-    rows: list[np.ndarray | None] = [None] * net.class_count
-    for j, nrn in enumerate(net.neurons):
-        if nrn is not None:
-            rows[j] = cache.get(sample_idx, nrn, j, pattern)
-    activity = net.evaluate_pattern(pattern, eps_matrix=eps_matrix, weight_rows=rows)
+    if sampled is None:
+        weights = net.sample_weights(pattern)
+    else:
+        weights = sampled.values[:, sample_idx, pattern.neuron_ids]
+    activity = net.evaluate_pattern(pattern, weights, eps_matrix=eps_matrix)
     actual = np.where(np.isnan(activity.fire_times), sim.t_max, activity.fire_times)
     raced = np.where(np.isnan(activity.fire_times), np.inf, activity.fire_times)
     winner = int(np.argmin(raced))
@@ -140,13 +123,11 @@ def process_sample(net: Network, pattern: SpikePattern, label: int,
     def correct_at(j: int, t_ref: float) -> None:
         neuron = net.neurons[j]
         try:
-            step = learning.compute_update(
-                neuron, pattern, t_ref, sim,
-                weights=cache.get(sample_idx, neuron, j, pattern))
+            step = learning.compute_update(neuron, pattern, t_ref, sim, weights=weights[j])
         except learning.NoEligibleSpikes:
             ineligible.append(j)
             return
-        if learning.apply_update(neuron, step, cfg.learning_rate):
+        if learning.apply_update(neuron, step, cfg.learning_rate, sampled):
             updated.append(j)
 
     if actual[label] <= deadline:
@@ -229,12 +210,14 @@ def build_network(cfg: NetworkConfig, class_count: int, input_count: int) -> Net
 
 
 def train(patterns: list[SpikePattern], labels: np.ndarray, cfg: NetworkConfig,
-          class_count: int, seed: int = 0,
-          net: Network | None = None) -> TrainResult:
+          class_count: int, seed: int = 0) -> TrainResult:
     """Fit a network on encoded patterns.
 
     Runs up to cfg.max_epochs passes in a seed-derived shuffled order per
-    epoch, stopping early after a pass that changes nothing.
+    epoch, stopping early after a pass that changes nothing.  The weight
+    of every training spike under every neuron lives in one
+    (classes, patterns, inputs) SampledWeights array that each added
+    term updates in place, so no pattern is ever resampled.
     """
     if len(patterns) == 0:
         raise InputError("cannot train on an empty pattern list")
@@ -245,11 +228,10 @@ def train(patterns: list[SpikePattern], labels: np.ndarray, cfg: NetworkConfig,
     if absent:
         raise ConfigError(f"training data has no sample of class(es) {absent}")
     started = time.perf_counter()
-    if net is None:
-        net = build_network(cfg, class_count, patterns[0].neuron_count)
+    net = build_network(cfg, class_count, patterns[0].neuron_count)
     sim = net.sim
     eps_matrices = [response_matrix(p, sim) for p in patterns]
-    cache = _WeightCache()
+    sampled = learning.SampledWeights(patterns, class_count)
     stats_log: list[EpochStats] = []
     converged = False
     epochs_run = 0
@@ -260,8 +242,8 @@ def train(patterns: list[SpikePattern], labels: np.ndarray, cfg: NetworkConfig,
         for s in epoch_order(seed, epoch, len(patterns)):
             label = int(labels[s])
             result = process_sample(net, patterns[s], label, cfg,
-                                    sample_idx=s, eps_matrix=eps_matrices[s],
-                                    cache=cache)
+                                    eps_matrix=eps_matrices[s], sampled=sampled,
+                                    sample_idx=s)
             if result.outcome is Outcome.NO_SPIKES:
                 stats.no_spikes += 1
                 if s not in warned_empty:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,12 @@ def rng():
 
 
 def random_pattern(rng, neuron_count=12, spike_interval=3.0, max_spikes=8,
-                   allow_repeats=True) -> SpikePattern:
-    """Random spike pattern on the encoding time grid; may be empty."""
+                   allow_repeats=False) -> SpikePattern:
+    """Random spike pattern on the encoding time grid; may be empty.
+
+    With allow_repeats a neuron may be drawn twice, which SpikePattern
+    rejects.
+    """
     n = int(rng.integers(0, max_spikes + 1))
     if allow_repeats:
         ids = rng.integers(0, neuron_count, size=n)
@@ -39,6 +45,27 @@ def random_neuron(rng, input_count=12, sigma=0.5, class_label=0,
     if ids:
         neuron.add_terms(ids, centers, amps)
     return neuron
+
+
+def scalar_weight(neuron, i, t) -> float:
+    """Oracle for sampling: input i's weight at time t, one term at a time."""
+    total = 0.0
+    for inp, c, a in zip(neuron.inputs.tolist(), neuron.centers.tolist(),
+                         neuron.amplitudes.tolist()):
+        if inp == i:
+            total += a * math.exp(-0.5 * ((t - c) / neuron.sigma) ** 2)
+    return total
+
+
+def all_terms(neuron) -> list[tuple[int, float, float]]:
+    """Every (input, center, amplitude) term of a neuron, in stored order."""
+    return list(zip(neuron.inputs.tolist(), neuron.centers.tolist(),
+                    neuron.amplitudes.tolist()))
+
+
+def terms_of(neuron, i) -> list[tuple[float, float]]:
+    """(center, amplitude) pairs of input i, in stored order."""
+    return [(c, a) for inp, c, a in all_terms(neuron) if inp == i]
 
 
 def blobs_dataset(rng, classes=3, per_class=30, features=4, spread=0.12):

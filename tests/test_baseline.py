@@ -69,7 +69,8 @@ def test_wide_gaussian_limit_matches_constant_path_smoke():
 
     for j, neuron in enumerate(fit.network.neurons):
         assert neuron is not None and const.initialized[j]
-        summed = np.array([sum(a for _, a in eff.terms()) for eff in neuron.efficacies])
+        summed = np.bincount(neuron.inputs, weights=neuron.amplitudes,
+                             minlength=neuron.input_count)
         assert np.allclose(summed, const.weights[j], rtol=0, atol=1e-6)
         assert neuron.threshold == pytest.approx(const.thresholds[j], abs=1e-9)
 

@@ -1,13 +1,13 @@
-"""Kernel, efficacy sampling, potentials, firing, model serialization."""
+"""Kernel, weight sampling, potentials, firing, model serialization."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sefm.dynamics import (
-    EfficacyFunction,
     Network,
     OutputNeuron,
     SimulationConfig,
@@ -19,13 +19,12 @@ from sefm.dynamics import (
     model_to_json_bytes,
     potential,
     response_matrix,
-    sample_weight,
     save_model,
 )
 from sefm.encoding import SpikePattern, fit_ranges
 from sefm.errors import ConfigError, InputError
 
-from conftest import random_neuron, random_pattern
+from conftest import all_terms, random_neuron, random_pattern, scalar_weight, terms_of
 
 
 # --- spike response kernel --------------------------------------------------
@@ -64,75 +63,85 @@ def test_epsilon_rejects_bad_tau():
         epsilon(1.0, 0.0)
 
 
-# --- efficacy functions -----------------------------------------------------
+# --- output neuron terms and sampling ---------------------------------------
+
+def sample_at(neuron, i, t):
+    return float(neuron.sample_weights(np.array([i]), np.array([t]))[0])
+
 
 def test_single_term_sample_closed_form():
-    eff = EfficacyFunction(sigma=0.5)
-    eff.add_term(1.0, 0.5)
+    neuron = OutputNeuron(0, 2, sigma=0.5)
+    neuron.add_terms([1], [1.0], [0.5])
     # one width from center: amplitude * exp(-1/2)
-    assert eff.sample(1.5) == pytest.approx(0.5 * math.exp(-0.5), rel=1e-12)
-    assert eff.sample(1.5) == pytest.approx(0.303265, abs=5e-7)
-    assert eff.sample(1.0) == pytest.approx(0.5, rel=1e-15)
+    assert sample_at(neuron, 1, 1.5) == pytest.approx(0.5 * math.exp(-0.5), rel=1e-12)
+    assert sample_at(neuron, 1, 1.5) == pytest.approx(0.303265, abs=5e-7)
+    assert sample_at(neuron, 1, 1.0) == pytest.approx(0.5, rel=1e-15)
+    assert sample_at(neuron, 0, 1.0) == 0.0
 
 
 def test_empty_efficacy_samples_zero():
-    eff = EfficacyFunction(sigma=1.0)
-    assert eff.sample(1.7) == 0.0
-    assert eff.term_count == 0
+    neuron = OutputNeuron(0, 3, sigma=1.0)
+    assert sample_at(neuron, 2, 1.7) == 0.0
+    assert neuron.amplitudes.size == 0
+    assert terms_of(neuron, 2) == []
 
 
 def test_terms_merge_at_same_quantized_center():
-    eff = EfficacyFunction(sigma=1.0)
-    eff.add_term(0.25, 0.4)
-    eff.add_term(0.25, 0.1)
-    eff.add_term(0.2504, -0.2)  # snaps to the 0.250 grid key
-    assert eff.term_count == 1
-    assert eff.terms() == [(0.25, pytest.approx(0.3))]
+    neuron = OutputNeuron(0, 2, sigma=1.0)
+    neuron.add_terms([0], [0.25], [0.4])
+    neuron.add_terms([0, 0], [0.25, 0.2504], [0.1, -0.2])  # 0.2504 snaps to 0.250
+    assert neuron.amplitudes.size == 1
+    assert terms_of(neuron, 0) == [(0.25, pytest.approx(0.3))]
+    # merged in arrival order, exactly as sequential float additions
+    assert neuron.amplitudes[0] == (0.4 + 0.1) + -0.2
+
+
+def test_terms_sorted_by_input_then_center(rng):
+    neuron = OutputNeuron(0, 5, sigma=1.0)
+    for _ in range(6):
+        k = int(rng.integers(1, 6))
+        neuron.add_terms(rng.integers(0, 5, size=k), rng.integers(0, 3001, size=k) * 0.001,
+                         rng.normal(size=k))
+    keys = list(zip(neuron.inputs.tolist(), neuron.centers.tolist()))
+    assert keys == sorted(set(keys))
+
+
+def test_add_terms_rejects_unknown_input():
+    neuron = OutputNeuron(0, 2, sigma=1.0)
+    with pytest.raises(InputError):
+        neuron.add_terms([2], [0.5], [1.0])
 
 
 def test_sample_is_sum_of_gaussians(rng):
-    eff = EfficacyFunction(sigma=0.8)
-    terms = [(float(rng.uniform(0, 3)), float(rng.normal())) for _ in range(6)]
-    for c, a in terms:
-        eff.add_term(c, a)
-    merged = eff.terms()
+    neuron = OutputNeuron(0, 1, sigma=0.8)
+    for _ in range(6):
+        neuron.add_terms([0], [float(rng.uniform(0, 3))], [float(rng.normal())])
+    merged = terms_of(neuron, 0)
     for t in rng.uniform(-1, 4, size=20):
         brute = sum(a * math.exp(-0.5 * ((t - c) / 0.8) ** 2) for c, a in merged)
-        assert eff.sample(float(t)) == pytest.approx(brute, rel=1e-12, abs=1e-15)
+        assert sample_at(neuron, 0, float(t)) == pytest.approx(brute, rel=1e-12, abs=1e-15)
 
 
 def test_sigma_must_be_positive():
     with pytest.raises(ConfigError):
-        EfficacyFunction(sigma=0.0)
-
-
-def test_sample_weight_window_guard():
-    eff = EfficacyFunction(sigma=1.0)
-    eff.add_term(1.0, 1.0)
-    assert sample_weight(eff, 0.0, 3.0) == pytest.approx(math.exp(-0.5))
-    with pytest.raises(InputError):
-        sample_weight(eff, -0.01, 3.0)
-    with pytest.raises(InputError):
-        sample_weight(eff, 3.01, 3.0)
+        OutputNeuron(0, 3, sigma=0.0)
 
 
 def test_huge_sigma_gives_constant_weight(rng):
-    eff = EfficacyFunction(sigma=1e6)
+    neuron = OutputNeuron(0, 1, sigma=1e6)
     for _ in range(5):
-        eff.add_term(float(rng.uniform(0, 3)), float(rng.normal()))
-    vals = np.array([eff.sample(t) for t in np.linspace(0, 3, 61)])
+        neuron.add_terms([0], [float(rng.uniform(0, 3))], [float(rng.normal())])
+    vals = np.array([sample_at(neuron, 0, t) for t in np.linspace(0, 3, 61)])
     scale = max(abs(vals).max(), 1e-30)
     assert np.ptp(vals) <= 1e-9 * scale
 
-
-# --- output neuron sampling --------------------------------------------------
 
 def test_vectorized_sampling_matches_scalar_loop(rng):
     for _ in range(30):
         neuron = random_neuron(rng)
         pattern = random_pattern(rng, neuron_count=neuron.input_count)
         fast = neuron.sample_weights(pattern.neuron_ids, pattern.times)
-        slow = [neuron.efficacies[i].sample(float(t))
+        slow = [scalar_weight(neuron, i, float(t))
                 for i, t in zip(pattern.neuron_ids, pattern.times)]
         assert np.allclose(fast, slow, rtol=1e-12, atol=1e-15)
 
@@ -144,15 +153,6 @@ def test_sampling_empty_inputs():
     assert np.array_equal(out, np.zeros(2))
 
 
-def test_add_terms_bumps_version():
-    neuron = OutputNeuron(0, 3, sigma=1.0)
-    v0 = neuron.version
-    neuron.add_terms([0], [1.0], [0.5])
-    assert neuron.version == v0 + 1
-    neuron.set_threshold(0.7)
-    assert neuron.version == v0 + 2
-
-
 # --- postsynaptic potential and firing ---------------------------------------
 
 def sim():
@@ -162,7 +162,7 @@ def sim():
 def brute_potential(neuron, pattern, t, tau):
     total = 0.0
     for i, tk in zip(pattern.neuron_ids, pattern.times):
-        w = neuron.efficacies[i].sample(float(tk))
+        w = scalar_weight(neuron, i, float(tk))
         dt = t - float(tk)
         if dt > 0:
             total += w * (dt / tau) * math.exp(1.0 - dt / tau)
@@ -322,15 +322,16 @@ def test_evaluate_pattern_uninitialized_slots(rng):
     assert activity.peaks[1] == -math.inf
 
 
-def test_evaluate_pattern_cached_pieces_identical(rng):
+def test_evaluate_pattern_given_weights_match_fresh(rng):
     net = make_network(rng)
-    pattern = random_pattern(rng, neuron_count=net.input_count, max_spikes=6)
-    plain = net.evaluate_pattern(pattern)
-    eps = response_matrix(pattern, net.sim)
-    rows = [n.sample_weights(pattern.neuron_ids, pattern.times) for n in net.neurons]
-    cached = net.evaluate_pattern(pattern, eps_matrix=eps, weight_rows=rows)
-    assert np.array_equal(plain.peaks, cached.peaks, equal_nan=True)
-    assert np.array_equal(plain.fire_times, cached.fire_times, equal_nan=True)
+    net.neurons[0] = None
+    for _ in range(10):
+        pattern = random_pattern(rng, neuron_count=net.input_count, max_spikes=6)
+        plain = net.evaluate_pattern(pattern)
+        given = net.evaluate_pattern(pattern, net.sample_weights(pattern),
+                                     eps_matrix=response_matrix(pattern, net.sim))
+        assert np.array_equal(plain.peaks, given.peaks, equal_nan=True)
+        assert np.array_equal(plain.fire_times, given.fire_times, equal_nan=True)
 
 
 # --- serialization -------------------------------------------------------------
@@ -348,8 +349,7 @@ def test_model_round_trip_exact(rng, tmp_path):
     for j in (0, 1):
         a, b = net.neurons[j], loaded.neurons[j]
         assert b.threshold == a.threshold
-        for ea, eb in zip(a.efficacies, b.efficacies):
-            assert ea.terms() == eb.terms()
+        assert all_terms(b) == all_terms(a)
 
 
 def test_model_bytes_deterministic(rng):
@@ -373,3 +373,88 @@ def test_model_bytes_are_valid_ascii_json(rng):
     doc = json.loads(raw.decode("ascii"))
     assert doc["format"] == "sefm-model/1"
     assert doc["class_count"] == 3
+
+
+# --- checkpoint validation -------------------------------------------------------
+
+DATA = Path(__file__).parent / "data"
+
+# Written by the dict-per-synapse implementation from blobs_dataset(rng(7),
+# classes=3, per_class=10, features=2, spread=0.2), sigma 0.5, 6 epochs, seed 2;
+# these are its predictions on those 30 rows.
+V1_PREDICTIONS = [2, 1, 2, 1, 1, 1, 2, 2, 2, 2, 2, 0, 0, 1, 0,
+                  0, 1, 1, 2, 2, 0, 1, 2, 2, 1, 1, 0, 0, 2, 0]
+
+
+def test_v1_checkpoint_loads_predicts_and_reserializes_identically():
+    from sefm.encoding import encode_dataset
+    from sefm.training import predict
+    from conftest import blobs_dataset
+    raw = (DATA / "model-v1.json").read_bytes()
+    net, encoder = load_model(DATA / "model-v1.json")
+    assert model_to_json_bytes(net, encoder) == raw
+    x, _ = blobs_dataset(np.random.default_rng(7), classes=3, per_class=10,
+                         features=2, spread=0.2)
+    assert predict(net, encode_dataset(x, encoder)).tolist() == V1_PREDICTIONS
+
+
+def _first_terms(doc):
+    neuron = doc["neurons"][0]
+    return next(terms for terms in neuron["synapses"] if terms)
+
+
+def _drop_key(doc, rng):
+    holders = [doc, doc["simulation"], doc["encoder"], doc["neurons"][0]]
+    holder = holders[int(rng.integers(len(holders)))]
+    del holder[sorted(holder)[int(rng.integers(len(holder)))]]
+
+
+def _extra_synapse(doc, rng):
+    doc["neurons"][int(rng.integers(3))]["synapses"].append([])
+
+
+def _missing_synapse(doc, rng):
+    doc["neurons"][int(rng.integers(3))]["synapses"].pop()
+
+
+def _extra_neuron(doc, rng):
+    doc["neurons"].append(None)
+
+
+def _missing_neuron(doc, rng):
+    doc["neurons"].pop(int(rng.integers(3)))
+
+
+def _relabeled_neuron(doc, rng):
+    j = int(rng.integers(3))
+    doc["neurons"][j]["class_label"] = (j + int(rng.integers(1, 3))) % 3
+
+
+def _non_finite_value(doc, rng):
+    bad = float(rng.choice([np.nan, np.inf, -np.inf]))
+    terms = _first_terms(doc)
+    target = int(rng.integers(3))
+    if target == 0:
+        doc["neurons"][0]["threshold"] = bad
+    else:
+        terms[int(rng.integers(len(terms)))][target - 1] = bad
+
+
+def _center_outside_window(doc, rng):
+    terms = _first_terms(doc)
+    terms[int(rng.integers(len(terms)))][0] = float(rng.choice([-0.001, 3.001, 50.0]))
+
+
+@pytest.mark.parametrize("mutate", [
+    _drop_key, _extra_synapse, _missing_synapse, _extra_neuron, _missing_neuron,
+    _relabeled_neuron, _non_finite_value, _center_outside_window,
+])
+def test_load_model_rejects_mutated_checkpoint(mutate, rng, tmp_path):
+    original = json.loads((DATA / "model-v1.json").read_text())
+    for trial in range(5):
+        doc = json.loads(json.dumps(original))
+        mutate(doc, rng)
+        path = tmp_path / f"model-{trial}.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError):
+            load_model(path)

@@ -29,6 +29,12 @@ def unit_config(m=6, overlap=0.7, cutoff=0.1):
     )
 
 
+def time_of(pattern, neuron):
+    """Spike time of one input neuron; it must have fired."""
+    (k,) = np.flatnonzero(pattern.neuron_ids == neuron)
+    return float(pattern.times[k])
+
+
 # --- field geometry -------------------------------------------------------
 
 def test_centers_and_width_closed_form():
@@ -120,15 +126,14 @@ def test_encode_value_at_center_fires_at_zero():
     cfg = unit_config()
     centers, _ = field_centers_widths(cfg, 0)
     pattern = encode([float(centers[2])], cfg)
-    by_neuron = pattern.times_by_neuron()
-    assert by_neuron[2] == [0.0]
+    assert time_of(pattern, 2) == 0.0
 
 
 def test_encode_closer_to_center_fires_earlier():
     cfg = unit_config()
     centers, _ = field_centers_widths(cfg, 0)
-    near = encode([float(centers[2] + 0.01)], cfg).times_by_neuron()[2][0]
-    far = encode([float(centers[2] + 0.20)], cfg).times_by_neuron()[2][0]
+    near = time_of(encode([float(centers[2] + 0.01)], cfg), 2)
+    far = time_of(encode([float(centers[2] + 0.20)], cfg), 2)
     assert near < far
 
 
@@ -137,7 +142,7 @@ def test_encode_neuron_ids_offset_per_feature():
     centers, _ = field_centers_widths(cfg, 1)
     pattern = encode([0.5, float(centers[3])], cfg)
     # field 4 of feature 1 is neuron 1*6 + 3 = 9 and fires at t = 0
-    assert pattern.times_by_neuron()[9] == [0.0]
+    assert time_of(pattern, 9) == 0.0
     assert all(0 <= i < 12 for i in pattern.neuron_ids)
 
 
@@ -189,9 +194,9 @@ def test_encode_is_deterministic():
 # --- spike pattern container ----------------------------------------------
 
 def test_pattern_sorts_by_neuron_then_time():
-    p = SpikePattern(neuron_count=5, neuron_ids=[3, 1, 3], times=[0.5, 2.0, 0.25])
-    assert list(p.neuron_ids) == [1, 3, 3]
-    assert list(p.times) == [2.0, 0.25, 0.5]
+    p = SpikePattern(neuron_count=5, neuron_ids=[3, 1, 4], times=[0.5, 2.0, 0.25])
+    assert list(p.neuron_ids) == [1, 3, 4]
+    assert list(p.times) == [2.0, 0.5, 0.25]
 
 
 def test_pattern_arrays_read_only():
@@ -207,9 +212,19 @@ def test_pattern_rejects_bad_ids_and_shapes():
         SpikePattern(neuron_count=2, neuron_ids=[0, 1], times=[0.1])
 
 
-def test_pattern_spike_keys_number_repeats():
-    p = SpikePattern(neuron_count=4, neuron_ids=[2, 0, 2], times=[1.0, 0.5, 2.0])
-    assert p.spike_keys() == [(0, 0), (2, 0), (2, 1)]
+def test_pattern_rejects_repeated_neuron():
+    with pytest.raises(InputError):
+        SpikePattern(neuron_count=4, neuron_ids=[2, 0, 2], times=[1.0, 0.5, 2.0])
+    with pytest.raises(InputError):
+        SpikePattern(neuron_count=4, neuron_ids=[1, 1], times=[1.0, 1.0])
+
+
+def test_encode_never_repeats_a_neuron():
+    cfg = fit_ranges(np.array([[0.0, -3.0, 5.0], [1.0, 7.0, 5.0]]), response_cutoff=0.0)
+    rng = np.random.default_rng(3)
+    for row in rng.uniform([-0.5, -5.0, 4.0], [1.5, 9.0, 6.0], size=(200, 3)):
+        ids = encode(row, cfg).neuron_ids
+        assert np.array_equal(ids, np.unique(ids))
 
 
 def test_quantize_time():

@@ -9,6 +9,7 @@ from sefm.dynamics import OutputNeuron, SimulationConfig, epsilon, fire_time, po
 from sefm.encoding import SpikePattern
 from sefm.learning import (
     NoEligibleSpikes,
+    SampledWeights,
     apply_update,
     compute_update,
     delta_v,
@@ -19,7 +20,7 @@ from sefm.learning import (
     normalized_psp,
 )
 
-from conftest import random_neuron, random_pattern
+from conftest import all_terms, random_neuron, random_pattern, scalar_weight, terms_of
 
 SIM = SimulationConfig(tau=3.0, t_max=8.0, dt=0.01)
 
@@ -211,7 +212,7 @@ def test_fallback_flag_set_when_weights_cover_responses():
 def test_apply_adds_scaled_gaussians_at_spike_centers(rng):
     neuron = random_neuron(rng, sigma=0.4)
     pattern = pattern_of([2, 5, 7], [0.25, 0.75, 1.25], n=neuron.input_count)
-    before = [eff.terms() for eff in neuron.efficacies]
+    before = [terms_of(neuron, i) for i in range(neuron.input_count)]
     step = compute_update(neuron, pattern, 2.0, SIM)
     added = apply_update(neuron, step, learning_rate=0.1)
     assert added == int(np.count_nonzero(0.1 * step.deltas))
@@ -222,7 +223,7 @@ def test_apply_adds_scaled_gaussians_at_spike_centers(rng):
             old = sum(a * math.exp(-0.5 * ((t - cc) / 0.4) ** 2) for cc, a in base)
             gauss = math.exp(-0.5 * ((t - c) / 0.4) ** 2)
             expected = old + 0.1 * step.deltas[k] * gauss
-            assert neuron.efficacies[i].sample(float(t)) == pytest.approx(
+            assert scalar_weight(neuron, i, float(t)) == pytest.approx(
                 expected, rel=1e-12, abs=1e-12)
 
 
@@ -231,11 +232,11 @@ def test_apply_zero_step_leaves_neuron_untouched(rng):
     pattern = pattern_of([0, 1], [0.5, 1.0], n=neuron.input_count)
     step = compute_update(neuron, pattern, 2.0, SIM)
     step.deltas[:] = 0.0
-    v0 = neuron.version
-    terms0 = [eff.terms() for eff in neuron.efficacies]
+    terms0 = all_terms(neuron)
+    threshold0 = neuron.threshold
     assert apply_update(neuron, step, 0.1) == 0
-    assert neuron.version == v0
-    assert [eff.terms() for eff in neuron.efficacies] == terms0
+    assert all_terms(neuron) == terms0
+    assert neuron.threshold == threshold0
 
 
 def test_apply_full_rate_closes_gap_when_spikes_are_far_apart():
@@ -250,6 +251,27 @@ def test_apply_full_rate_closes_gap_when_spikes_are_far_apart():
     assert potential(neuron, pattern, t_hat, SIM) == pytest.approx(0.9, abs=1e-9)
 
 
+def test_sampled_weights_follow_every_added_term(rng):
+    patterns = [random_pattern(rng, neuron_count=12) for _ in range(20)]
+    sampled = SampledWeights(patterns, class_count=2)
+    neuron = OutputNeuron(1, 12, sigma=0.4)
+    initialize(neuron, pattern_of([3, 7], [0.5, 1.25]), 2.0, SIM, sampled)
+    for pattern in patterns:
+        try:
+            step = compute_update(neuron, pattern, 1.5, SIM)
+        except NoEligibleSpikes:
+            continue
+        apply_update(neuron, step, 0.3, sampled)
+    assert neuron.amplitudes.size > 2
+    assert not sampled.values[0].any()
+    for p, pattern in enumerate(patterns):
+        fresh = neuron.sample_weights(pattern.neuron_ids, pattern.times)
+        assert np.allclose(sampled.values[1, p, pattern.neuron_ids], fresh,
+                           rtol=0, atol=1e-12)
+        silent = np.setdiff1d(np.arange(12), pattern.neuron_ids)
+        assert not sampled.values[1, p, silent].any()
+
+
 # --- initialization ----------------------------------------------------------------
 
 def test_initialize_threshold_equals_response_weighted_sum():
@@ -260,15 +282,15 @@ def test_initialize_threshold_equals_response_weighted_sum():
     e2 = (1.0 / 3.0) * math.exp(2.0 / 3.0)
     u1, u2 = e1 / (e1 + e2), e2 / (e1 + e2)
     assert neuron.threshold == pytest.approx(u1 * e1 + u2 * e2, rel=1e-14)
-    assert neuron.efficacies[0].terms() == [(0.5, pytest.approx(u1, rel=1e-14))]
-    assert neuron.efficacies[3].terms() == [(1.0, pytest.approx(u2, rel=1e-14))]
+    assert terms_of(neuron, 0) == [(0.5, pytest.approx(u1, rel=1e-14))]
+    assert terms_of(neuron, 3) == [(1.0, pytest.approx(u2, rel=1e-14))]
 
 
 def test_initialize_single_spike():
     neuron = OutputNeuron(1, 2, sigma=0.5)
     pattern = pattern_of([1], [0.4], n=2)
     initialize(neuron, pattern, 2.0, SIM)
-    assert neuron.efficacies[1].terms() == [(0.4, 1.0)]
+    assert terms_of(neuron, 1) == [(0.4, 1.0)]
     assert neuron.threshold == pytest.approx(float(epsilon(1.6, 3.0)), rel=1e-14)
 
 
@@ -305,8 +327,8 @@ def test_initialize_ignores_ineligible_and_skips_zero_terms():
     neuron = OutputNeuron(0, 4, sigma=0.5)
     pattern = pattern_of([0, 2], [0.5, 2.5], n=4)
     initialize(neuron, pattern, 2.0, SIM)
-    assert neuron.efficacies[0].terms() == [(0.5, 1.0)]
-    assert neuron.efficacies[2].term_count == 0
+    assert terms_of(neuron, 0) == [(0.5, 1.0)]
+    assert terms_of(neuron, 2) == []
 
 
 def test_initialize_without_eligible_spikes_raises():

@@ -9,6 +9,7 @@ from sefm.config import NetworkConfig
 from sefm.dynamics import model_to_json_bytes, response_matrix
 from sefm.encoding import SpikePattern, encode_dataset, fit_ranges
 from sefm.errors import ConfigError, InputError
+from sefm import learning
 from sefm.training import (
     Outcome,
     build_network,
@@ -24,7 +25,7 @@ from sefm.training import (
     train,
 )
 
-from conftest import blobs_dataset
+from conftest import all_terms, blobs_dataset
 
 
 CFG = NetworkConfig(sigma=0.5)
@@ -135,15 +136,15 @@ def test_on_time_branch_pushes_crowding_rival_only():
     net, a, _ = two_class_net()
     # give the rival strong weight on class 0's inputs so it fires early
     net.neurons[1].add_terms([0, 1], [0.3, 0.6], [2.0, 2.0])
-    correct_terms = [eff.terms() for eff in net.neurons[0].efficacies]
+    correct_terms = all_terms(net.neurons[0])
     correct_threshold = net.neurons[0].threshold
-    rival_terms = [eff.terms() for eff in net.neurons[1].efficacies]
+    rival_terms = all_terms(net.neurons[1])
     res = process_sample(net, a, 0, CFG)
     assert res.outcome is Outcome.ON_TIME
     assert res.updated_classes == (1,)
     # rival got pushed back, labeled class untouched
-    assert [eff.terms() for eff in net.neurons[1].efficacies] != rival_terms
-    assert [eff.terms() for eff in net.neurons[0].efficacies] == correct_terms
+    assert all_terms(net.neurons[1]) != rival_terms
+    assert all_terms(net.neurons[0]) == correct_terms
     assert net.neurons[0].threshold == correct_threshold
 
 
@@ -174,7 +175,7 @@ def test_exactly_one_outcome_and_untouched_model_when_no_updates(rng):
     net, a, b = two_class_net(cfg)
     for _ in range(200):
         n_spk = int(rng.integers(0, 5))
-        ids = rng.integers(0, 4, size=n_spk)
+        ids = rng.permutation(4)[:n_spk]
         times = rng.integers(0, 3001, size=n_spk) * 0.001
         pattern = pattern_of(ids, times)
         label = int(rng.integers(0, 2))
@@ -255,14 +256,45 @@ def test_train_matches_uncached_manual_loop(rng):
     fast = train(patterns, labels, cfg, 2, seed=11)
 
     slow = build_network(cfg, 2, patterns[0].neuron_count)
+    slow_stats = []
     for epoch in range(cfg.max_epochs):
         changed = 0
+        outcomes = []
         for s in epoch_order(11, epoch, len(patterns)):
             res = process_sample(slow, patterns[s], int(labels[s]), cfg)
+            outcomes.append(res.outcome)
             changed += len(res.updated_classes)
+        slow_stats.append(({o: outcomes.count(o) for o in Outcome}, changed))
         if changed == 0:
             break
-    assert model_to_json_bytes(fast.network) == model_to_json_bytes(slow)
+    assert [({Outcome.NO_SPIKES: st.no_spikes, Outcome.INITIALIZED: st.initialized,
+              Outcome.SKIPPED: st.skipped, Outcome.ON_TIME: st.on_time,
+              Outcome.LATE: st.late}, st.neuron_updates)
+            for st in fast.epoch_stats] == slow_stats
+    assert np.array_equal(predict(fast.network, patterns), predict(slow, patterns))
+    assert ([n.amplitudes.size for n in fast.network.neurons]
+            == [n.amplitudes.size for n in slow.neurons])
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1e6])
+def test_incremental_weights_match_fresh_sampling_after_training(sigma, rng, monkeypatch):
+    captured = []
+
+    class Recorded(learning.SampledWeights):
+        def __init__(self, *args):
+            super().__init__(*args)
+            captured.append(self)
+
+    monkeypatch.setattr(learning, "SampledWeights", Recorded)
+    patterns, labels = encoded_blobs(rng)
+    fit = train(patterns, labels, CFG.with_overrides(sigma=sigma, max_epochs=30), 3, seed=4)
+    assert fit.epoch_stats[0].neuron_updates > 0
+    (sampled,) = captured
+    for j, neuron in enumerate(fit.network.neurons):
+        for p, pattern in enumerate(patterns):
+            fresh = neuron.sample_weights(pattern.neuron_ids, pattern.times)
+            assert np.allclose(sampled.values[j, p, pattern.neuron_ids], fresh,
+                               rtol=0, atol=1e-9)
 
 
 def test_epoch_order_is_pure_seeded_permutation():
