@@ -57,13 +57,25 @@ def epsilon(t, tau: float):
     """
     if tau <= 0:
         raise InputError("tau must be positive")
-    arr = np.asarray(t, dtype=np.float64)
-    out = np.zeros_like(arr)
-    mask = arr > 0
-    scaled = arr[mask] / tau
-    out[mask] = scaled * np.exp(1.0 - scaled)
+    out = _epsilon_consuming(np.array(t, dtype=np.float64, ndmin=1), tau)
     if np.ndim(t) == 0:
-        return float(out)
+        return float(out[0])
+    return out
+
+
+def _epsilon_consuming(t: np.ndarray, tau: float) -> np.ndarray:
+    """``epsilon`` of a float64 array that it overwrites with t / tau.
+
+    Two full-size buffers and no masked gather or scatter: the response
+    is computed everywhere and the t <= 0 (and NaN) entries are zeroed.
+    """
+    scaled = np.divide(t, tau, out=t)
+    out = 1.0 - scaled
+    # exp overflows only where t is far below 0, which the gate zeroes
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out *= scaled
+    np.copyto(out, 0.0, where=~(scaled > 0))
     return out
 
 
@@ -126,16 +138,33 @@ class OutputNeuron:
     def sample_weights(self, neuron_ids: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Momentary weight of each (input neuron, time) spike.
 
-        Input ids must be distinct, as in a SpikePattern.  One gather puts
-        each term next to its input's spike time (NaN for a silent input),
-        one bincount sums the terms per input.
+        Input ids must be distinct, as in a SpikePattern.
         """
         ids = np.asarray(neuron_ids, dtype=np.int64)
-        spike_time = np.full(self.input_count, np.nan)
-        spike_time[ids] = times
-        d = spike_time[self.inputs] - self.centers
-        vals = self.amplitudes * np.exp(-0.5 * (d / self.sigma) ** 2)
-        return np.bincount(self.inputs, weights=vals, minlength=self.input_count)[ids]
+        spike_times = np.full((1, self.input_count), np.nan)
+        spike_times[0, ids] = times
+        return self.sample_rows(spike_times)[0, ids]
+
+    def sample_rows(self, spike_times: np.ndarray) -> np.ndarray:
+        """Momentary weights for a (patterns, inputs) spike-time matrix.
+
+        One gather puts each term next to its input's spike time (NaN for
+        a silent input), one bincount offset by row sums the terms per
+        (pattern, input) bin in term order, so every row equals
+        ``sample_weights`` of its pattern bit for bit.  Silent inputs
+        read NaN, or 0 when they have no term.
+        """
+        rows = spike_times.shape[0]
+        vals = np.take(spike_times, self.inputs, axis=1)
+        vals -= self.centers
+        vals /= self.sigma
+        np.square(vals, out=vals)
+        vals *= -0.5
+        np.exp(vals, out=vals)
+        vals *= self.amplitudes
+        bins = np.arange(0, rows * self.input_count, self.input_count)[:, None] + self.inputs
+        return np.bincount(bins.ravel(), weights=vals.ravel(),
+                           minlength=rows * self.input_count).reshape(rows, self.input_count)
 
 
 def response_matrix(pattern: SpikePattern, sim: SimulationConfig,
@@ -143,7 +172,7 @@ def response_matrix(pattern: SpikePattern, sim: SimulationConfig,
     """Kernel response of each spike at each grid time: (spikes, grid)."""
     if grid is None:
         grid = sim.grid()
-    return epsilon(grid[None, :] - pattern.times[:, None], sim.tau)
+    return _epsilon_consuming(grid[None, :] - pattern.times[:, None], sim.tau)
 
 
 def potential(neuron: OutputNeuron, pattern: SpikePattern, t: float,
@@ -170,7 +199,7 @@ def fire_time(neuron: OutputNeuron, pattern: SpikePattern,
 
 @dataclass
 class PatternActivity:
-    """Per-class firing summary of one pattern.
+    """Per-class firing summary of one pattern, or of a batch along a first axis.
 
     fire_times holds NaN for silent (or uninitialized) neurons; peaks
     holds -inf for uninitialized ones so the silent-fallback argmax can
@@ -179,6 +208,15 @@ class PatternActivity:
 
     fire_times: np.ndarray
     peaks: np.ndarray
+
+    def winners(self) -> np.ndarray:
+        """Earliest-firing class; where every neuron is silent, the highest peak.
+
+        Ties break toward the lowest class index either way.
+        """
+        times = np.where(np.isnan(self.fire_times), np.inf, self.fire_times)
+        return np.where(np.isfinite(times.min(axis=-1)), times.argmin(axis=-1),
+                        self.peaks.argmax(axis=-1))
 
 
 class Network:
@@ -211,24 +249,32 @@ class Network:
 
         The one activity kernel of training and inference: potentials are
         the (classes, spikes) weights times the (spikes, grid) kernel
-        responses, and each row's first threshold crossing is its fire
-        time.  ``weights`` and ``eps_matrix`` default to fresh sampling
-        and a fresh response matrix.
+        responses, and ``crossings`` finds each row's first threshold
+        crossing.  ``weights`` and ``eps_matrix`` default to fresh
+        sampling and a fresh response matrix.
         """
-        live = np.array([n is not None for n in self.neurons])
-        fire_times = np.full(self.class_count, np.nan)
-        peaks = np.full(self.class_count, -np.inf)
         if weights is None:
             weights = self.sample_weights(pattern)
         if eps_matrix is None:
             eps_matrix = response_matrix(pattern, self.sim)
+        live = np.array([n is not None for n in self.neurons])
+        return self.crossings(weights[live] @ eps_matrix, live)
+
+    def crossings(self, v: np.ndarray, live: np.ndarray) -> PatternActivity:
+        """Activity from potentials ``v`` of shape (..., live neurons, grid).
+
+        ``live`` masks the initialized neurons, the rows of ``v``.  Each
+        one's fire time is its first grid time at or above its threshold
+        (NaN if none; a row reaches it iff its peak does) and its peak the
+        maximum of its row.  Leading axes, if any, index patterns.
+        """
         thresholds = np.array([n.threshold for n in self.neurons if n is not None])
-        v = weights[live] @ eps_matrix
-        peaks[live] = v.max(axis=1)
-        hit = v >= thresholds[:, None]
-        first = np.argmax(hit, axis=1)
-        fired = hit[np.arange(first.size), first]
-        fire_times[live] = np.where(fired, first * self.sim.dt, np.nan)
+        top = v.max(axis=-1)
+        fire_times = np.full(top.shape[:-1] + live.shape, np.nan)
+        peaks = np.full(fire_times.shape, -np.inf)
+        first = (v >= thresholds[:, None]).argmax(axis=-1)
+        fire_times[..., live] = np.where(top >= thresholds, first * self.sim.dt, np.nan)
+        peaks[..., live] = top
         return PatternActivity(fire_times=fire_times, peaks=peaks)
 
 

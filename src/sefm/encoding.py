@@ -149,13 +149,17 @@ def field_centers_widths(cfg: EncoderConfig, feature: int) -> tuple[np.ndarray, 
     The outermost centers fall slightly outside [lo, hi] so the boundary
     values are still covered by a strong response.
     """
-    lo, hi = cfg.feature_ranges[feature]
-    m = cfg.receptive_field_count
-    span = (hi - lo) / (m - 2)
-    h = np.arange(1, m + 1, dtype=np.float64)
-    centers = lo + (2.0 * h - 3.0) / 2.0 * span
-    width = span / cfg.overlap
-    return centers, width
+    centers, widths = _field_geometry(cfg)
+    return centers[feature], float(widths[feature])
+
+
+def _field_geometry(cfg: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(features, fields) centers and (features,) widths of every field."""
+    lo, hi = np.array(cfg.feature_ranges, dtype=np.float64).reshape(-1, 2).T
+    span = (hi - lo) / (cfg.receptive_field_count - 2)
+    h = np.arange(1, cfg.receptive_field_count + 1, dtype=np.float64)
+    centers = lo[:, None] + (2.0 * h - 3.0) / 2.0 * span[:, None]
+    return centers, span / cfg.overlap
 
 
 def receptive_field_response(x: float, feature: int, field_index: int, cfg: EncoderConfig) -> float:
@@ -186,25 +190,32 @@ def encode(features, cfg: EncoderConfig) -> SpikePattern:
         raise InputError(
             f"expected {cfg.feature_count} features, got shape {x.shape}"
         )
-    m = cfg.receptive_field_count
-    ids = []
-    times = []
-    for f in range(cfg.feature_count):
-        centers, width = field_centers_widths(cfg, f)
-        d = (x[f] - centers) / width
-        resp = np.exp(-0.5 * d * d)
-        fired = resp >= cfg.response_cutoff
-        t = np.rint(cfg.spike_interval * (1.0 - resp[fired]) / TIME_QUANTUM) * TIME_QUANTUM
-        ids.append(np.flatnonzero(fired) + f * m)
-        times.append(t)
-    return SpikePattern(
-        neuron_count=cfg.neuron_count,
-        neuron_ids=np.concatenate(ids) if ids else np.zeros(0, dtype=np.int64),
-        times=np.concatenate(times) if times else np.zeros(0),
-    )
+    return encode_dataset(x[None, :], cfg)[0]
 
 
 def encode_dataset(features_matrix, cfg: EncoderConfig) -> list[SpikePattern]:
-    """Encode every row of a feature matrix."""
+    """Encode every row of a (rows, features) matrix, as ``encode`` does one.
+
+    All (row, feature, field) responses come from one broadcast.  A NaN
+    feature leaves its fields silent.
+    """
     x = np.asarray(features_matrix, dtype=np.float64)
-    return [encode(row, cfg) for row in x]
+    if x.ndim != 2 or x.shape[1] != cfg.feature_count:
+        raise InputError(
+            f"expected rows of {cfg.feature_count} features, got shape {x.shape}"
+        )
+    centers, widths = _field_geometry(cfg)
+    d = (x[:, :, None] - centers) / widths[:, None]
+    resp = np.exp(-0.5 * d * d).reshape(len(x), cfg.neuron_count)
+    fired = resp >= cfg.response_cutoff
+    times = np.rint(cfg.spike_interval * (1.0 - resp) / TIME_QUANTUM) * TIME_QUANTUM
+    return [SpikePattern(neuron_count=cfg.neuron_count, neuron_ids=np.flatnonzero(f),
+                         times=t[f]) for f, t in zip(fired, times)]
+
+
+def spike_time_matrix(patterns: list[SpikePattern], neuron_count: int) -> np.ndarray:
+    """(patterns, neuron_count) spike times, NaN where an input stays silent."""
+    out = np.full((len(patterns), neuron_count), np.nan)
+    for p, pattern in enumerate(patterns):
+        out[p, pattern.neuron_ids] = pattern.times
+    return out

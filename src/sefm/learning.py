@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import OutputNeuron, SimulationConfig, epsilon
-from .encoding import TIME_QUANTUM, SpikePattern
+from .encoding import TIME_QUANTUM, SpikePattern, spike_time_matrix
 from .errors import SefmError
 
 
@@ -42,9 +42,7 @@ class SampledWeights:
     """
 
     def __init__(self, patterns: list[SpikePattern], class_count: int):
-        self.spike_times = np.full((len(patterns), patterns[0].neuron_count), np.nan)
-        for p, pattern in enumerate(patterns):
-            self.spike_times[p, pattern.neuron_ids] = pattern.times
+        self.spike_times = spike_time_matrix(patterns, patterns[0].neuron_count)
         self.values = np.zeros((class_count, *self.spike_times.shape))
 
     def add(self, neuron: OutputNeuron, neuron_ids: np.ndarray, centers: np.ndarray,
@@ -68,7 +66,10 @@ def normalized_psp(times: np.ndarray, t_hat: float, tau: float) -> np.ndarray:
     Spikes at or after t_hat contribute zero (they cannot influence the
     potential at t_hat).  Raises NoEligibleSpikes when nothing remains.
     """
-    eps = epsilon(t_hat - np.asarray(times, dtype=np.float64), tau)
+    return _normalized(epsilon(t_hat - np.asarray(times, dtype=np.float64), tau), t_hat)
+
+
+def _normalized(eps: np.ndarray, t_hat: float) -> np.ndarray:
     total = eps.sum()
     if total <= 0.0:
         raise NoEligibleSpikes(f"no spike precedes reference time {t_hat}")
@@ -134,8 +135,8 @@ def compute_update(neuron: OutputNeuron, pattern: SpikePattern, t_hat: float,
     neuron.sample_weights returns them); otherwise they are sampled here.
     """
     times = pattern.times
-    u = normalized_psp(times, t_hat, sim.tau)
     eps_vals = epsilon(t_hat - times, sim.tau)
+    u = _normalized(eps_vals, t_hat)
     if weights is None:
         weights = neuron.sample_weights(pattern.neuron_ids, times)
     v = float(weights @ eps_vals)
@@ -182,8 +183,8 @@ def initialize(neuron: OutputNeuron, pattern: SpikePattern, t_hat: float,
     on each spike; the threshold becomes the resulting potential at
     t_hat, so this pattern fires exactly at t_hat.
     """
-    u = normalized_psp(pattern.times, t_hat, sim.tau)
     eps_vals = epsilon(t_hat - pattern.times, sim.tau)
+    u = _normalized(eps_vals, t_hat)
     keep = u != 0.0
     _add_terms(neuron, sampled, pattern.neuron_ids[keep], pattern.times[keep], u[keep])
     neuron.set_threshold(float(u @ eps_vals))

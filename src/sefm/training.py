@@ -20,12 +20,17 @@ import numpy as np
 
 from .config import NetworkConfig
 from .dynamics import Network, OutputNeuron, response_matrix
-from .encoding import SpikePattern
+from .encoding import SpikePattern, spike_time_matrix
 from .errors import ConfigError, InputError
 from . import learning
 from .rng import SplitMix64, derive_seed
 
 log = logging.getLogger(__name__)
+
+# Patterns per batched predict step.  The largest temporaries, each
+# neuron's (chunk, terms) sampling arrays and the (chunk, classes, grid)
+# potentials, stay near 1 MB for models of a few thousand terms.
+PREDICT_CHUNK = 32
 
 
 # -- scheduling ------------------------------------------------------------
@@ -108,6 +113,8 @@ def process_sample(net: Network, pattern: SpikePattern, label: int,
         weights = sampled.values[:, sample_idx, pattern.neuron_ids]
     activity = net.evaluate_pattern(pattern, weights, eps_matrix=eps_matrix)
     actual = np.where(np.isnan(activity.fire_times), sim.t_max, activity.fire_times)
+    # PatternActivity.winners for one pattern, in scalar form: its array
+    # form costs about 4 us more, on every sample of every epoch
     raced = np.where(np.isnan(activity.fire_times), np.inf, activity.fire_times)
     winner = int(np.argmin(raced))
     predicted = winner if np.isfinite(raced[winner]) else int(np.argmax(activity.peaks))
@@ -277,20 +284,36 @@ def train(patterns: list[SpikePattern], labels: np.ndarray, cfg: NetworkConfig,
 # -- inference ---------------------------------------------------------------
 
 def predict_one(net: Network, pattern: SpikePattern) -> int:
-    """Earliest-firing class; if every neuron is silent, highest peak potential.
-
-    Ties break toward the lowest class index either way.
-    """
-    activity = net.evaluate_pattern(pattern)
-    times = np.where(np.isnan(activity.fire_times), np.inf, activity.fire_times)
-    best = int(np.argmin(times))
-    if np.isfinite(times[best]):
-        return best
-    return int(np.argmax(activity.peaks))
+    """Class of one pattern, as ``predict`` gives it."""
+    return int(predict(net, [pattern])[0])
 
 
 def predict(net: Network, patterns: list[SpikePattern]) -> np.ndarray:
-    return np.array([predict_one(net, p) for p in patterns], dtype=np.int64)
+    """Earliest-firing class per pattern; if every neuron is silent, highest peak.
+
+    Ties break toward the lowest class index either way.  Patterns go
+    through PREDICT_CHUNK at a time: one spike-time matrix and one weight
+    sampling per neuron for the chunk, each pattern's (live, spikes) @
+    (spikes, grid) potentials, then ``Network.crossings`` over the whole
+    chunk.  Every step keeps the arithmetic of ``Network.evaluate_pattern``,
+    so labels, fire times and peaks equal one-at-a-time evaluation bit
+    for bit.
+    """
+    live = np.array([n is not None for n in net.neurons])
+    neurons = [n for n in net.neurons if n is not None]
+    grid = net.sim.grid()
+    labels = np.zeros(len(patterns), dtype=np.int64)
+    for start in range(0, len(patterns), PREDICT_CHUNK):
+        chunk = patterns[start:start + PREDICT_CHUNK]
+        spike_times = spike_time_matrix(chunk, net.input_count)
+        weights = np.empty((len(chunk), len(neurons), net.input_count))
+        for j, neuron in enumerate(neurons):
+            weights[:, j] = neuron.sample_rows(spike_times)
+        v = np.empty((len(chunk), len(neurons), grid.size))
+        for r, pattern in enumerate(chunk):
+            v[r] = weights[r][:, pattern.neuron_ids] @ response_matrix(pattern, net.sim, grid)
+        labels[start:start + len(chunk)] = net.crossings(v, live).winners()
+    return labels
 
 
 def accuracy_score(predictions: np.ndarray, labels: np.ndarray) -> float:

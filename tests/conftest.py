@@ -79,3 +79,28 @@ def blobs_dataset(rng, classes=3, per_class=30, features=4, spread=0.12):
     y = np.concatenate(labels).astype(np.int64)
     order = rng.permutation(len(y))
     return x[order], y[order]
+
+
+def loop_encode(features, cfg) -> SpikePattern:
+    """Oracle for encoding: one feature at a time, fields from the closed form."""
+    x = np.asarray(features, dtype=np.float64)
+    m = cfg.receptive_field_count
+    ids = []
+    times = []
+    for f in range(cfg.feature_count):
+        lo, hi = cfg.feature_ranges[f]
+        span = (hi - lo) / (m - 2)
+        h = np.arange(1, m + 1, dtype=np.float64)
+        centers = lo + (2.0 * h - 3.0) / 2.0 * span
+        width = span / cfg.overlap
+        d = (x[f] - centers) / width
+        resp = np.exp(-0.5 * d * d)
+        fired = resp >= cfg.response_cutoff
+        t = np.rint(cfg.spike_interval * (1.0 - resp[fired]) / TIME_QUANTUM) * TIME_QUANTUM
+        ids.append(np.flatnonzero(fired) + f * m)
+        times.append(t)
+    return SpikePattern(
+        neuron_count=cfg.neuron_count,
+        neuron_ids=np.concatenate(ids) if ids else np.zeros(0, dtype=np.int64),
+        times=np.concatenate(times) if times else np.zeros(0),
+    )

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from sefm.dynamics import (
     response_matrix,
     save_model,
 )
-from sefm.encoding import SpikePattern, fit_ranges
+from sefm.encoding import SpikePattern, fit_ranges, spike_time_matrix
 from sefm.errors import ConfigError, InputError
 
 from conftest import all_terms, random_neuron, random_pattern, scalar_weight, terms_of
@@ -56,6 +57,24 @@ def test_epsilon_vector_matches_scalar():
     vec = epsilon(t, 2.5)
     for ti, vi in zip(t, vec):
         assert vi == epsilon(float(ti), 2.5)
+
+
+def test_epsilon_equals_masked_form_bitwise(rng):
+    t = np.concatenate([rng.uniform(-10.0, 30.0, 5000), [0.0, -0.0, 1e-300, 3.0]])
+    masked = np.zeros_like(t)
+    positive = t > 0
+    scaled = t[positive] / 3.0
+    masked[positive] = scaled * np.exp(1.0 - scaled)
+    assert epsilon(t, 3.0).tobytes() == masked.tobytes()
+    grid = t[:4000].reshape(50, 80)
+    assert epsilon(grid, 3.0).tobytes() == masked[:4000].reshape(50, 80).tobytes()
+
+
+def test_epsilon_far_below_zero_is_zero_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = epsilon(np.array([-1e6, -1e300, -np.inf, np.nan, 1.0]), 3.0)
+    assert out.tolist() == [0.0, 0.0, 0.0, 0.0, epsilon(1.0, 3.0)]
 
 
 def test_epsilon_rejects_bad_tau():
@@ -144,6 +163,15 @@ def test_vectorized_sampling_matches_scalar_loop(rng):
         slow = [scalar_weight(neuron, i, float(t))
                 for i, t in zip(pattern.neuron_ids, pattern.times)]
         assert np.allclose(fast, slow, rtol=1e-12, atol=1e-15)
+
+
+def test_sample_rows_equal_per_pattern_sampling(rng):
+    neuron = random_neuron(rng, max_terms=6)
+    patterns = [random_pattern(rng, neuron_count=neuron.input_count) for _ in range(40)]
+    rows = neuron.sample_rows(spike_time_matrix(patterns, neuron.input_count))
+    for row, pattern in zip(rows, patterns):
+        alone = neuron.sample_weights(pattern.neuron_ids, pattern.times)
+        assert row[pattern.neuron_ids].tobytes() == alone.tobytes()
 
 
 def test_sampling_empty_inputs():

@@ -18,6 +18,8 @@ from sefm.encoding import (
 )
 from sefm.errors import ConfigError, InputError
 
+from conftest import loop_encode
+
 
 def unit_config(m=6, overlap=0.7, cutoff=0.1):
     return EncoderConfig(
@@ -174,13 +176,31 @@ def test_encode_rejects_wrong_feature_count():
 
 
 def test_encode_dataset_matches_rowwise_encode():
+    rng = np.random.default_rng(17)
+    for m, cutoff in ((3, 0.0), (6, 0.1), (9, 0.5)):
+        fitted = rng.uniform(-2.0, 5.0, size=(40, 5))
+        fitted[:, 4] = 1.0  # a constant feature gets a widened range
+        cfg = fit_ranges(fitted, receptive_field_count=m, response_cutoff=cutoff)
+        rows = rng.uniform(-6.0, 9.0, size=(60, 5))  # partly outside the fitted ranges
+        rows[rng.random(rows.shape) < 0.1] = np.nan
+        rows[7] = np.nan
+        batch = encode_dataset(rows, cfg)
+        assert len(batch) == len(rows)
+        assert batch[7].spike_count == 0
+        for row, pattern in zip(rows, batch):
+            oracle = loop_encode(row, cfg)
+            for got in (pattern, encode(row, cfg)):
+                assert np.array_equal(got.neuron_ids, oracle.neuron_ids)
+                assert got.times.tobytes() == oracle.times.tobytes()
+
+
+def test_encode_dataset_shapes():
     cfg = fit_ranges(np.array([[0.0, 0.0], [1.0, 2.0]]))
-    rows = np.array([[0.2, 1.1], [0.9, 0.3]])
-    batch = encode_dataset(rows, cfg)
-    for row, pattern in zip(rows, batch):
-        single = encode(row, cfg)
-        assert np.array_equal(pattern.neuron_ids, single.neuron_ids)
-        assert np.array_equal(pattern.times, single.times)
+    assert encode_dataset(np.zeros((0, 2)), cfg) == []
+    with pytest.raises(InputError):
+        encode_dataset(np.array([0.2, 1.1]), cfg)
+    with pytest.raises(InputError):
+        encode_dataset(np.zeros((3, 3)), cfg)
 
 
 def test_encode_is_deterministic():

@@ -21,11 +21,12 @@ from sefm.training import (
     predict_one,
     process_sample,
     ref_time_correct,
+    PREDICT_CHUNK,
     ref_time_wrong,
     train,
 )
 
-from conftest import all_terms, blobs_dataset
+from conftest import all_terms, blobs_dataset, random_neuron, random_pattern
 
 
 CFG = NetworkConfig(sigma=0.5)
@@ -335,3 +336,61 @@ def test_predict_silent_fallback_uses_peak():
 def test_predict_empty_pattern_defaults_to_first_class():
     net, _, _ = two_class_net()
     assert predict_one(net, empty_pattern()) == 0
+
+
+def one_at_a_time(net, pattern):
+    """Oracle for batched inference: label, fire times and peaks of one pattern.
+
+    The potentials keep the kernel's (live, spikes) @ (spikes, grid)
+    product, whose last bits a 1-d product as in ``fire_time`` does not
+    reproduce; the first crossing, the peak and the silent fallback are
+    scalar loops.
+    """
+    count = net.class_count
+    live = [j for j, neuron in enumerate(net.neurons) if neuron is not None]
+    weights = np.array([net.neurons[j].sample_weights(pattern.neuron_ids, pattern.times)
+                        for j in live]).reshape(len(live), pattern.spike_count)
+    v = weights @ response_matrix(pattern, net.sim)
+    fire, peaks = [math.nan] * count, [-math.inf] * count
+    for j, row in zip(live, v.tolist()):
+        peaks[j] = max(row)
+        for k, value in enumerate(row):
+            if value >= net.neurons[j].threshold:
+                fire[j] = k * net.sim.dt
+                break
+    fired = [j for j in range(count) if not math.isnan(fire[j])]
+    if fired:
+        label = min(fired, key=lambda j: (fire[j], j))
+    else:
+        label = max(range(count), key=lambda j: (peaks[j], -j))
+    return label, np.array(fire), np.array(peaks)
+
+
+def test_batched_predict_matches_one_at_a_time(rng):
+    net = build_network(CFG, class_count=4, input_count=12)
+    for j in (0, 1, 3):  # class 2 stays uninitialized
+        net.neurons[j] = random_neuron(rng, input_count=12, sigma=CFG.sigma, class_label=j)
+    # longer than two chunks, not a multiple of one, an empty pattern mid-chunk
+    patterns = [random_pattern(rng, neuron_count=12, max_spikes=10)
+                for _ in range(2 * PREDICT_CHUNK + 5)]
+    patterns[PREDICT_CHUNK + 3] = empty_pattern(12)
+    captured = []
+    crossings = net.crossings
+    net.crossings = lambda v, live: captured.append(crossings(v, live)) or captured[-1]
+    labels = predict(net, patterns)
+    del net.crossings
+    assert [len(a.fire_times) for a in captured] == [PREDICT_CHUNK, PREDICT_CHUNK, 5]
+    fire = np.concatenate([a.fire_times for a in captured])
+    peaks = np.concatenate([a.peaks for a in captured])
+    silent = np.isnan(fire).all(axis=1)
+    assert silent.any() and not silent.all()  # both the race and the fallback decide
+    for p, pattern in enumerate(patterns):
+        label, oracle_fire, oracle_peaks = one_at_a_time(net, pattern)
+        assert labels[p] == label
+        assert fire[p].tobytes() == oracle_fire.tobytes()
+        assert peaks[p].tobytes() == oracle_peaks.tobytes()
+        alone = net.evaluate_pattern(pattern)
+        assert alone.fire_times.tobytes() == oracle_fire.tobytes()
+        assert alone.peaks.tobytes() == oracle_peaks.tobytes()
+    assert predict(net, []).shape == (0,)
+
