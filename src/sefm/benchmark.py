@@ -65,7 +65,7 @@ class RunResult:
 @dataclass
 class SplitOutcome:
     result: RunResult
-    network: Network
+    network: Network | None  # None where a benchmark did not keep it
     encoder: EncoderConfig
     wall_seconds: float
 
@@ -153,11 +153,14 @@ def _split_for_run(dataset: TabularDataset, train_size: int, run_seed: int):
 
 
 def _benchmark_unit(args) -> SplitOutcome:
-    dataset, cfg, train_size, seed, run = args
+    dataset, cfg, train_size, seed, run, keep_network = args
     run_seed = derive_seed(seed, run)
     train_idx, test_idx = _split_for_run(dataset, train_size, run_seed)
-    return run_split(dataset, train_idx, test_idx, cfg,
-                     seed=derive_seed(run_seed, 1), run=run)
+    outcome = run_split(dataset, train_idx, test_idx, cfg,
+                        seed=derive_seed(run_seed, 1), run=run)
+    if not keep_network:
+        outcome.network = None  # neither held nor pickled back from a worker
+    return outcome
 
 
 def benchmark(dataset: TabularDataset, cfg: NetworkConfig, *, train_size: int,
@@ -171,7 +174,8 @@ def benchmark(dataset: TabularDataset, cfg: NetworkConfig, *, train_size: int,
     if not 0 < train_size < dataset.sample_count:
         raise DataError(f"train_size {train_size} invalid for {dataset.sample_count} samples")
     cfg.validate()
-    units = [(dataset, cfg, train_size, seed, run) for run in range(run_count)]
+    units = [(dataset, cfg, train_size, seed, run, keep_last and run == run_count - 1)
+             for run in range(run_count)]
     outcomes = _map(_benchmark_unit, units, jobs)
     runs = [o.result for o in outcomes]
     wall = sum(o.wall_seconds for o in outcomes)

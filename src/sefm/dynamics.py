@@ -12,6 +12,7 @@ one spike per pattern).
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -167,12 +168,89 @@ class OutputNeuron:
                            minlength=rows * self.input_count).reshape(rows, self.input_count)
 
 
-def response_matrix(pattern: SpikePattern, sim: SimulationConfig,
-                    grid: Optional[np.ndarray] = None) -> np.ndarray:
-    """Kernel response of each spike at each grid time: (spikes, grid)."""
-    if grid is None:
-        grid = sim.grid()
-    return _epsilon_consuming(grid[None, :] - pattern.times[:, None], sim.tau)
+class ResponseTable:
+    """Kernel responses over ``sim.grid()``, one row per spike-time tick seen.
+
+    A spike at t responds ``epsilon(grid - t)`` across the grid, an
+    elementwise function of t alone, and spike times sit on the
+    TIME_QUANTUM ticks of [0, t_max].  Each tick's row is computed the
+    first time a spike lands on it and only gathered after that; the
+    arithmetic is that of computing ``grid[None, :] - times[:, None]``
+    directly, so a gathered matrix equals the direct one bit for bit.
+    Rows are only appended: growing copies the earlier rows to the same
+    indices, so an index, once handed out, reads the same row for the
+    life of the table.  At most ``round(t_max / TIME_QUANTUM) + 1`` rows
+    exist.  Filling holds a lock; reading does not.
+    """
+
+    def __init__(self, sim: SimulationConfig):
+        self.sim = sim
+        self._grid = sim.grid()
+        self._last_tick = int(round(sim.t_max / TIME_QUANTUM))
+        self._index = np.full(self._last_tick + 1, -1, dtype=np.int64)
+        self._rows = np.empty((0, self._grid.size))
+        self._count = 0
+        self._lock = threading.Lock()
+
+    def indices(self, times: np.ndarray) -> np.ndarray:
+        """Row index of each spike time (ms, on the tick grid, at least 0)."""
+        ticks = np.rint(np.asarray(times, dtype=np.float64) / TIME_QUANTUM)
+        if ticks.size and ticks.max() > self._last_tick:
+            raise InputError(f"a spike time exceeds t_max = {self.sim.t_max} ms")
+        ticks = ticks.astype(np.int64)
+        rows = self._index[ticks]
+        if rows.size and rows.min() < 0:
+            with self._lock:
+                self._fill(ticks)
+            rows = self._index[ticks]
+        return rows
+
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """(len(rows), grid) responses of rows that ``indices`` returned."""
+        return self._rows[rows]
+
+    def matrix(self, times: np.ndarray) -> np.ndarray:
+        """(spikes, grid) responses of the given spike times."""
+        return self.gather(self.indices(times))
+
+    def _fill(self, ticks: np.ndarray) -> None:
+        new = np.unique(ticks[self._index[ticks] < 0])
+        if not new.size:
+            return
+        end = self._count + new.size
+        if end > len(self._rows):
+            grown = np.empty((min(max(end, 2 * len(self._rows)), self._last_tick + 1),
+                              self._grid.size))
+            grown[:self._count] = self._rows[:self._count]
+            self._rows = grown
+        self._rows[self._count:end] = _epsilon_consuming(
+            self._grid[None, :] - (new * TIME_QUANTUM)[:, None], self.sim.tau)
+        # publish the indices last: a reader that sees them sees the rows
+        self._index[new] = np.arange(self._count, end)
+        self._count = end
+
+
+# One table per simulation setting, shared by every inference call in the
+# process: a row depends on nothing but the frozen SimulationConfig.
+_TABLES: dict[SimulationConfig, ResponseTable] = {}
+_TABLES_LOCK = threading.Lock()
+
+
+def _shared_table(sim: SimulationConfig) -> ResponseTable:
+    table = _TABLES.get(sim)
+    if table is None:
+        with _TABLES_LOCK:
+            table = _TABLES.setdefault(sim, ResponseTable(sim))
+    return table
+
+
+def response_matrix(pattern: SpikePattern, sim: SimulationConfig) -> np.ndarray:
+    """Kernel response of each spike at each grid time: (spikes, grid).
+
+    Rows come from the process's ResponseTable for ``sim``; a spike
+    after ``sim.t_max`` raises InputError.
+    """
+    return _shared_table(sim).matrix(pattern.times)
 
 
 def potential(neuron: OutputNeuron, pattern: SpikePattern, t: float,
@@ -251,7 +329,7 @@ class Network:
         the (classes, spikes) weights times the (spikes, grid) kernel
         responses, and ``crossings`` finds each row's first threshold
         crossing.  ``weights`` and ``eps_matrix`` default to fresh
-        sampling and a fresh response matrix.
+        sampling and ``response_matrix``.
         """
         if weights is None:
             weights = self.sample_weights(pattern)
@@ -270,10 +348,13 @@ class Network:
         """
         thresholds = np.array([n.threshold for n in self.neurons if n is not None])
         top = v.max(axis=-1)
+        first = (v >= thresholds[:, None]).argmax(axis=-1)
+        crossed = np.where(top >= thresholds, first * self.sim.dt, np.nan)
+        if live.all():
+            return PatternActivity(fire_times=crossed, peaks=top)
         fire_times = np.full(top.shape[:-1] + live.shape, np.nan)
         peaks = np.full(fire_times.shape, -np.inf)
-        first = (v >= thresholds[:, None]).argmax(axis=-1)
-        fire_times[..., live] = np.where(top >= thresholds, first * self.sim.dt, np.nan)
+        fire_times[..., live] = crossed
         peaks[..., live] = top
         return PatternActivity(fire_times=fire_times, peaks=peaks)
 

@@ -60,8 +60,9 @@ class SpikePattern:
     """Presynaptic spike times of one encoded sample.
 
     ``neuron_ids[k]`` fires at ``times[k]``, ids ascending.  Each input
-    neuron fires at most once (the encoder never emits a second spike),
-    all times lie in [0, T].
+    neuron fires at most once (the encoder never emits a second spike).
+    Times are snapped to the TIME_QUANTUM grid; a NaN, infinite or
+    negative time raises InputError.
     """
 
     neuron_count: int
@@ -80,6 +81,12 @@ class SpikePattern:
             raise InputError("neuron id outside [0, neuron_count)")
         if np.any(ids[1:] == ids[:-1]):
             raise InputError("a neuron id repeats; each input neuron fires at most once")
+        # a time too large to count in ticks counts as infinite
+        if ts.size and not (ts.min() >= 0.0 and float(ts.max()) / TIME_QUANTUM < np.inf):
+            raise InputError("spike times must be finite and non-negative")
+        ts /= TIME_QUANTUM  # snapped in place: ts[order] is a copy
+        np.rint(ts, out=ts)
+        ts *= TIME_QUANTUM
         ids.setflags(write=False)
         ts.setflags(write=False)
         object.__setattr__(self, "neuron_ids", ids)
@@ -208,7 +215,7 @@ def encode_dataset(features_matrix, cfg: EncoderConfig) -> list[SpikePattern]:
     d = (x[:, :, None] - centers) / widths[:, None]
     resp = np.exp(-0.5 * d * d).reshape(len(x), cfg.neuron_count)
     fired = resp >= cfg.response_cutoff
-    times = np.rint(cfg.spike_interval * (1.0 - resp) / TIME_QUANTUM) * TIME_QUANTUM
+    times = cfg.spike_interval * (1.0 - resp)  # SpikePattern snaps them to the grid
     return [SpikePattern(neuron_count=cfg.neuron_count, neuron_ids=np.flatnonzero(f),
                          times=t[f]) for f, t in zip(fired, times)]
 

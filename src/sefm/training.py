@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import NetworkConfig
-from .dynamics import Network, OutputNeuron, response_matrix
+from .dynamics import Network, OutputNeuron, ResponseTable, response_matrix
 from .encoding import SpikePattern, spike_time_matrix
 from .errors import ConfigError, InputError
 from . import learning
@@ -236,8 +236,10 @@ def train(patterns: list[SpikePattern], labels: np.ndarray, cfg: NetworkConfig,
         raise ConfigError(f"training data has no sample of class(es) {absent}")
     started = time.perf_counter()
     net = build_network(cfg, class_count, patterns[0].neuron_count)
-    sim = net.sim
-    eps_matrices = [response_matrix(p, sim) for p in patterns]
+    # a table of this call's own, so its rows go when training ends
+    table = ResponseTable(net.sim)
+    rows = np.split(table.indices(np.concatenate([p.times for p in patterns])),
+                    np.cumsum([p.spike_count for p in patterns])[:-1])
     sampled = learning.SampledWeights(patterns, class_count)
     stats_log: list[EpochStats] = []
     converged = False
@@ -249,7 +251,7 @@ def train(patterns: list[SpikePattern], labels: np.ndarray, cfg: NetworkConfig,
         for s in epoch_order(seed, epoch, len(patterns)):
             label = int(labels[s])
             result = process_sample(net, patterns[s], label, cfg,
-                                    eps_matrix=eps_matrices[s], sampled=sampled,
+                                    eps_matrix=table.gather(rows[s]), sampled=sampled,
                                     sample_idx=s)
             if result.outcome is Outcome.NO_SPIKES:
                 stats.no_spikes += 1
@@ -294,14 +296,14 @@ def predict(net: Network, patterns: list[SpikePattern]) -> np.ndarray:
     Ties break toward the lowest class index either way.  Patterns go
     through PREDICT_CHUNK at a time: one spike-time matrix and one weight
     sampling per neuron for the chunk, each pattern's (live, spikes) @
-    (spikes, grid) potentials, then ``Network.crossings`` over the whole
-    chunk.  Every step keeps the arithmetic of ``Network.evaluate_pattern``,
-    so labels, fire times and peaks equal one-at-a-time evaluation bit
-    for bit.
+    (spikes, grid) potentials over rows gathered by ``response_matrix``,
+    then ``Network.crossings`` over the whole chunk.  Every step keeps the
+    arithmetic of ``Network.evaluate_pattern``, so labels, fire times and
+    peaks equal one-at-a-time evaluation bit for bit.
     """
     live = np.array([n is not None for n in net.neurons])
     neurons = [n for n in net.neurons if n is not None]
-    grid = net.sim.grid()
+    grid_size = net.sim.grid().size
     labels = np.zeros(len(patterns), dtype=np.int64)
     for start in range(0, len(patterns), PREDICT_CHUNK):
         chunk = patterns[start:start + PREDICT_CHUNK]
@@ -309,9 +311,9 @@ def predict(net: Network, patterns: list[SpikePattern]) -> np.ndarray:
         weights = np.empty((len(chunk), len(neurons), net.input_count))
         for j, neuron in enumerate(neurons):
             weights[:, j] = neuron.sample_rows(spike_times)
-        v = np.empty((len(chunk), len(neurons), grid.size))
+        v = np.empty((len(chunk), len(neurons), grid_size))
         for r, pattern in enumerate(chunk):
-            v[r] = weights[r][:, pattern.neuron_ids] @ response_matrix(pattern, net.sim, grid)
+            v[r] = weights[r][:, pattern.neuron_ids] @ response_matrix(pattern, net.sim)
         labels[start:start + len(chunk)] = net.crossings(v, live).winners()
     return labels
 

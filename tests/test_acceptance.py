@@ -22,8 +22,8 @@ from sefm.data import DATASETS, load_dataset
 from sefm.dynamics import (
     OutputNeuron,
     SimulationConfig,
+    epsilon,
     model_to_json_bytes,
-    response_matrix,
 )
 from sefm.encoding import SpikePattern, encode_dataset, fit_ranges
 from sefm.errors import DataError
@@ -157,7 +157,7 @@ def test_criterion_06_update_identity(rng):
         if checked % 5 == 0 and pattern.spike_count:
             # engineered dv = 0: set the threshold to the momentary potential
             w = neuron.sample_weights(pattern.neuron_ids, pattern.times)
-            eps = response_matrix(pattern, SIM, np.array([t_hat]))[:, 0]
+            eps = epsilon(t_hat - pattern.times, SIM.tau)
             neuron.set_threshold(float(w @ eps))
         try:
             step = compute_update(neuron, pattern, t_hat, SIM)

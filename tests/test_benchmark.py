@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import sefm.benchmark as bench
 from sefm.benchmark import (
     REPORT_FORMAT,
     benchmark,
@@ -14,6 +15,7 @@ from sefm.benchmark import (
 )
 from sefm.config import NetworkConfig
 from sefm.data import TabularDataset, stratified_split
+from sefm.dynamics import model_to_json_bytes
 from sefm.errors import DataError
 
 from conftest import blobs_dataset
@@ -88,6 +90,20 @@ def test_benchmark_keep_last_exposes_model(blobs):
     assert res.last_outcome is not None
     assert res.last_outcome.network.class_count == 3
     assert res.last_outcome.encoder.neuron_count == 24
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_benchmark_keeps_only_the_last_network(blobs, monkeypatch, jobs):
+    returned = []
+    real_map = bench._map
+    monkeypatch.setattr(bench, "_map", lambda fn, units, jobs: returned.extend(
+        real_map(fn, units, jobs)) or returned)
+    res = bench.benchmark(blobs, CFG, train_size=30, run_count=3, seed=1,
+                          keep_last=True, jobs=jobs)
+    assert [o.network is None for o in returned] == [True, True, False]
+    assert res.last_outcome is returned[-1]
+    alone = bench._benchmark_unit((blobs, CFG, 30, 1, 2, True))
+    assert model_to_json_bytes(res.last_outcome.network) == model_to_json_bytes(alone.network)
 
 
 def test_benchmark_rejects_bad_train_size(blobs):

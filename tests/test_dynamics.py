@@ -2,16 +2,21 @@
 
 import json
 import math
+import sys
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sefm.dynamics as dynamics
 from sefm.dynamics import (
     Network,
     OutputNeuron,
+    ResponseTable,
     SimulationConfig,
+    _epsilon_consuming,
     epsilon,
     fire_time,
     load_model,
@@ -22,7 +27,7 @@ from sefm.dynamics import (
     response_matrix,
     save_model,
 )
-from sefm.encoding import SpikePattern, fit_ranges, spike_time_matrix
+from sefm.encoding import TIME_QUANTUM, SpikePattern, fit_ranges, spike_time_matrix
 from sefm.errors import ConfigError, InputError
 
 from conftest import all_terms, random_neuron, random_pattern, scalar_weight, terms_of
@@ -295,6 +300,91 @@ def test_response_matrix_shape_and_content(rng):
     if pattern.spike_count:
         k = pattern.spike_count - 1
         assert m[k, -1] == pytest.approx(float(epsilon(grid[-1] - pattern.times[k], s.tau)))
+
+
+def direct_response(times, s):
+    """Oracle for the table: the kernel of every (spike, grid time) pair at once."""
+    times = np.asarray(times, dtype=np.float64)
+    return _epsilon_consuming(s.grid()[None, :] - times[:, None], s.tau)
+
+
+def test_response_table_rows_equal_direct_kernel_across_fills_and_growth(rng):
+    s = sim()
+    last = round(s.t_max / TIME_QUANTUM)
+    ticks = np.concatenate([[0, last], rng.integers(0, last + 1, size=700)])
+    forward, backward = ResponseTable(s), ResponseTable(s)
+    handed_out = {}
+    for part in np.array_split(ticks, 9):  # uneven calls, repeats inside and across
+        times = part * TIME_QUANTUM
+        rows = forward.indices(times)
+        assert forward.gather(rows).tobytes() == direct_response(times, s).tobytes()
+        for tick, row in zip(part.tolist(), rows.tolist()):
+            assert handed_out.setdefault(tick, row) == row
+    for part in np.array_split(ticks[::-1], 4):
+        backward.matrix(part * TIME_QUANTUM)
+    seen = np.array(sorted(handed_out))
+    assert forward.matrix(seen * TIME_QUANTUM).tobytes() == \
+        backward.matrix(seen * TIME_QUANTUM).tobytes() == \
+        direct_response(seen * TIME_QUANTUM, s).tobytes()
+    # rows never move: every index handed out before the growth still reads its tick
+    assert forward.indices(seen * TIME_QUANTUM).tolist() == [handed_out[t] for t in seen]
+    assert forward.gather(np.arange(len(seen))).shape == (len(seen), s.grid().size)
+
+
+def test_response_table_stores_each_tick_once_up_to_t_max():
+    s = SimulationConfig(tau=0.3, t_max=0.5, dt=0.01)
+    table = ResponseTable(s)
+    every = np.arange(round(s.t_max / TIME_QUANTUM) + 1) * TIME_QUANTUM
+    for part in (every[::3], every, every[::-1]):
+        table.matrix(part)
+    assert len(table._rows) == table._count == every.size
+    assert table.matrix(every).tobytes() == direct_response(every, s).tobytes()
+    with pytest.raises(InputError, match="t_max"):
+        table.indices(np.array([0.2, s.t_max + TIME_QUANTUM]))
+    assert table.matrix(np.zeros(0)).shape == (0, s.grid().size)
+
+
+def test_response_matrix_rejects_a_spike_after_t_max():
+    s = sim()
+    late = SpikePattern(neuron_count=2, neuron_ids=[0, 1], times=[1.0, s.t_max + 0.5])
+    with pytest.raises(InputError, match="t_max"):
+        response_matrix(late, s)
+    at_end = SpikePattern(neuron_count=1, neuron_ids=[0], times=[s.t_max])
+    assert response_matrix(at_end, s).tobytes() == direct_response([s.t_max], s).tobytes()
+
+
+def test_threads_predicting_on_a_cold_table_get_the_serial_labels(rng, monkeypatch):
+    from sefm.training import predict
+    net = Network(3, 12, 0.5, sim(), 3.0)
+    for j in range(3):
+        net.neurons[j] = random_neuron(rng, input_count=12, class_label=j)
+    patterns = [random_pattern(rng, neuron_count=12, max_spikes=12) for _ in range(150)]
+    monkeypatch.setattr(dynamics, "_TABLES", {})
+    serial = predict(net, patterns).tolist()
+    monkeypatch.setattr(dynamics, "_TABLES", {})
+    orders = [rng.permutation(len(patterns)) for _ in range(4)]  # more threads than cores
+    labels = [[None] * len(patterns) for _ in orders]
+
+    def work(k):
+        for p in orders[k]:
+            labels[k][p] = int(predict(net, [patterns[p]])[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(orders))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(got == serial for got in labels)
+    table = dynamics._TABLES[net.sim]
+    times = np.unique(np.concatenate([p.times for p in patterns]))
+    assert table._count == times.size
+    assert table.matrix(times).tobytes() == direct_response(times, net.sim).tobytes()
 
 
 def test_simulation_grid_endpoints():

@@ -239,6 +239,32 @@ def test_pattern_rejects_repeated_neuron():
         SpikePattern(neuron_count=4, neuron_ids=[1, 1], times=[1.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.001, -1e-9, 1e306])
+def test_pattern_rejects_non_finite_and_negative_times(bad):
+    with pytest.raises(InputError, match="finite and non-negative"):
+        SpikePattern(neuron_count=3, neuron_ids=[0, 2], times=[1.0, bad])
+
+
+def test_pattern_snaps_times_to_the_grid():
+    # each literal is one ulp off its grid point n * TIME_QUANTUM
+    literals = [1.4, 0.7, 2.3]
+    assert all(t != round(t / TIME_QUANTUM) * TIME_QUANTUM for t in literals)
+    p = SpikePattern(neuron_count=3, neuron_ids=[0, 1, 2], times=literals)
+    assert p.times.tolist() == [1400 * TIME_QUANTUM, 700 * TIME_QUANTUM, 2300 * TIME_QUANTUM]
+    assert SpikePattern(neuron_count=1, neuron_ids=[0], times=[0.0004]).times.tolist() == [0.0]
+
+
+def test_encoder_output_is_unchanged_by_snapping():
+    cfg = fit_ranges(np.array([[0.0, -3.0], [1.0, 7.0]]))
+    rows = np.random.default_rng(11).uniform([-0.2, -4.0], [1.2, 8.0], size=(300, 2))
+    for pattern in encode_dataset(rows, cfg):
+        again = SpikePattern(neuron_count=pattern.neuron_count,
+                             neuron_ids=pattern.neuron_ids, times=pattern.times)
+        assert again.times.tobytes() == pattern.times.tobytes()
+        ticks = np.rint(pattern.times / TIME_QUANTUM)
+        assert (ticks * TIME_QUANTUM).tobytes() == pattern.times.tobytes()
+
+
 def test_encode_never_repeats_a_neuron():
     cfg = fit_ranges(np.array([[0.0, -3.0, 5.0], [1.0, 7.0, 5.0]]), response_cutoff=0.0)
     rng = np.random.default_rng(3)

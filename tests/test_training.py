@@ -1,12 +1,14 @@
 """Scheduling, per-sample branching, epoch loop, convergence, inference."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sefm.config import NetworkConfig
-from sefm.dynamics import model_to_json_bytes, response_matrix
+from sefm.dynamics import epsilon, model_to_json_bytes
 from sefm.encoding import SpikePattern, encode_dataset, fit_ranges
 from sefm.errors import ConfigError, InputError
 from sefm import learning
@@ -350,7 +352,8 @@ def one_at_a_time(net, pattern):
     live = [j for j, neuron in enumerate(net.neurons) if neuron is not None]
     weights = np.array([net.neurons[j].sample_weights(pattern.neuron_ids, pattern.times)
                         for j in live]).reshape(len(live), pattern.spike_count)
-    v = weights @ response_matrix(pattern, net.sim)
+    grid = net.sim.grid()
+    v = weights @ epsilon(grid[None, :] - pattern.times[:, None], net.sim.tau)
     fire, peaks = [math.nan] * count, [-math.inf] * count
     for j, row in zip(live, v.tolist()):
         peaks[j] = max(row)
@@ -394,3 +397,33 @@ def test_batched_predict_matches_one_at_a_time(rng):
         assert alone.peaks.tobytes() == oracle_peaks.tobytes()
     assert predict(net, []).shape == (0,)
 
+
+
+def test_predict_with_every_neuron_live_matches_one_at_a_time(rng):
+    net = build_network(CFG, class_count=3, input_count=12)
+    for j in range(3):
+        net.neurons[j] = random_neuron(rng, input_count=12, sigma=CFG.sigma, class_label=j)
+    patterns = [random_pattern(rng, neuron_count=12, max_spikes=10)
+                for _ in range(PREDICT_CHUNK + 7)]
+    labels = predict(net, patterns)
+    for p, pattern in enumerate(patterns):
+        label, oracle_fire, oracle_peaks = one_at_a_time(net, pattern)
+        assert labels[p] == label
+        alone = net.evaluate_pattern(pattern)
+        assert alone.fire_times.tobytes() == oracle_fire.tobytes()
+        assert alone.peaks.tobytes() == oracle_peaks.tobytes()
+
+def test_training_reproduces_the_recorded_fit():
+    """data/train-v1.json holds the canonical model document, the epoch count
+    and the predictions on all 60 rows of this fit, written while every
+    pattern's response matrix was computed directly."""
+    recorded = json.loads((Path(__file__).parent / "data" / "train-v1.json").read_text())
+    x, y = blobs_dataset(np.random.default_rng(7), classes=3, per_class=20,
+                         features=4, spread=0.25)
+    encoder = fit_ranges(x[:45])
+    fit = train(encode_dataset(x[:45], encoder), y[:45],
+                NetworkConfig(sigma=0.5, max_epochs=15), 3, seed=11)
+    assert fit.epochs_run == recorded["epochs_run"]
+    assert model_to_json_bytes(fit.network, encoder) == json.dumps(
+        recorded["model"], sort_keys=True, separators=(",", ":")).encode("ascii")
+    assert predict(fit.network, encode_dataset(x, encoder)).tolist() == recorded["labels"]
