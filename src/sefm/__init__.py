@@ -7,8 +7,7 @@ time, and the earliest neuron to reach its threshold names the class.
 """
 
 from .config import NetworkConfig
-from .dynamics import (Network, OutputNeuron, SimulationConfig, epsilon, fire_time,
-                       load_model, potential, save_model)
+from .dynamics import Network, OutputNeuron, SimulationConfig, epsilon, load_model, save_model
 from .encoding import EncoderConfig, SpikePattern, encode, encode_dataset, fit_ranges
 from .errors import ConfigError, DataError, InputError, SefmError
 from .learning import NoEligibleSpikes
@@ -20,6 +19,6 @@ __all__ = [
     "ConfigError", "DataError", "EncoderConfig", "InputError", "Network",
     "NetworkConfig", "NoEligibleSpikes", "OutputNeuron", "SefmError",
     "SimulationConfig", "SpikePattern", "TrainResult", "encode", "encode_dataset",
-    "epsilon", "fire_time", "fit_ranges", "load_model", "potential",
-    "save_model", "predict", "train", "__version__",
+    "epsilon", "fit_ranges", "load_model", "save_model", "predict", "train",
+    "__version__",
 ]

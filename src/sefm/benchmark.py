@@ -17,7 +17,7 @@ from .config import NetworkConfig
 from .data import TabularDataset, confusion_matrix, impute_median, stratified_split
 from .dynamics import Network
 from .encoding import EncoderConfig, encode_dataset, fit_ranges
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .rng import derive_seed
 
 REPORT_FORMAT = "sefm-report/1"
@@ -171,6 +171,8 @@ def benchmark(dataset: TabularDataset, cfg: NetworkConfig, *, train_size: int,
     Runs share nothing, so jobs > 1 fans them out over processes; the
     results (and their order) are the same either way.
     """
+    if run_count < 1:
+        raise ConfigError(f"run_count must be >= 1, got {run_count}")
     if not 0 < train_size < dataset.sample_count:
         raise DataError(f"train_size {train_size} invalid for {dataset.sample_count} samples")
     cfg.validate()
@@ -179,10 +181,10 @@ def benchmark(dataset: TabularDataset, cfg: NetworkConfig, *, train_size: int,
     outcomes = _map(_benchmark_unit, units, jobs)
     runs = [o.result for o in outcomes]
     wall = sum(o.wall_seconds for o in outcomes)
-    arch = f"{outcomes[-1].encoder.neuron_count}-{dataset.class_count}" if outcomes else ""
+    arch = f"{outcomes[-1].encoder.neuron_count}-{dataset.class_count}"
     return BenchmarkResult(dataset=dataset.name, architecture=arch,
                            config=cfg, seed=seed, runs=runs, wall_seconds=wall,
-                           last_outcome=outcomes[-1] if keep_last and outcomes else None)
+                           last_outcome=outcomes[-1] if keep_last else None)
 
 
 # -- sigma sweep ---------------------------------------------------------------
@@ -259,6 +261,8 @@ def grid_search(dataset: TabularDataset, cfg: NetworkConfig, sigmas, reference_r
     side of every split stays untouched.  Ties prefer the smaller sigma,
     then the smaller reference_rate.
     """
+    if run_count < 1:
+        raise ConfigError(f"run_count must be >= 1, got {run_count}")
     if not 0.0 < val_fraction < 1.0:
         raise DataError("val_fraction must lie in (0, 1)")
     if not sigmas or not reference_rates:

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DataError
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64
 
 DEFAULT_MISSING = ("", "?", "NA", "NaN", "nan")
 
@@ -72,13 +72,9 @@ class TabularDataset:
     def class_count(self) -> int:
         return len(self.label_names)
 
-    @property
-    def missing_count(self) -> int:
-        return int(np.isnan(self.features).sum())
-
 
 def _parse_cell(token: str, missing: Sequence[str]) -> float:
-    """Missing or unparseable cells become NaN; the dataset counts them."""
+    """Missing or unparseable cells become NaN."""
     token = token.strip()
     if token in missing:
         return math.nan
@@ -200,19 +196,6 @@ def stratified_split(labels: np.ndarray, train_size: int,
         else:
             test.append(idx)
     return np.array(sorted(train), dtype=np.int64), np.array(sorted(test), dtype=np.int64)
-
-
-def make_folds(labels: np.ndarray, train_size: int, fold_count: int = 10,
-               seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Independent stratified random splits (the repeated-holdout protocol).
-
-    Each fold is a fresh draw at the same train/test sizes, not a
-    partition; fold k depends only on (seed, k).
-    """
-    if fold_count < 1:
-        raise DataError("fold_count must be >= 1")
-    return [stratified_split(labels, train_size, derive_seed(derive_seed(seed, k), 0))
-            for k in range(fold_count)]
 
 
 def impute_median(train: np.ndarray, test: np.ndarray

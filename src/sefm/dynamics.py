@@ -105,9 +105,6 @@ class OutputNeuron:
         self.centers = np.zeros(0)
         self.amplitudes = np.zeros(0)
 
-    def set_threshold(self, value: float) -> None:
-        self.threshold = float(value)
-
     def synapses(self) -> list[list[list[float]]]:
         """Per input neuron, its [center, amplitude] pairs sorted by center."""
         pairs = [[c, a] for c, a in zip(self.centers.tolist(), self.amplitudes.tolist())]
@@ -253,28 +250,6 @@ def response_matrix(pattern: SpikePattern, sim: SimulationConfig) -> np.ndarray:
     return _shared_table(sim).matrix(pattern.times)
 
 
-def potential(neuron: OutputNeuron, pattern: SpikePattern, t: float,
-              sim: SimulationConfig) -> float:
-    """Postsynaptic potential v(t) = sum over spikes of w(t_k) * eps(t - t_k)."""
-    if pattern.spike_count == 0:
-        return 0.0
-    w = neuron.sample_weights(pattern.neuron_ids, pattern.times)
-    return float(w @ epsilon(t - pattern.times, sim.tau))
-
-
-def fire_time(neuron: OutputNeuron, pattern: SpikePattern,
-              sim: SimulationConfig) -> Optional[float]:
-    """Earliest grid time with v(t) >= threshold, or None if never crossed."""
-    if pattern.spike_count == 0:
-        return None
-    w = neuron.sample_weights(pattern.neuron_ids, pattern.times)
-    v = w @ response_matrix(pattern, sim)
-    hit = v >= neuron.threshold
-    if not hit.any():
-        return None
-    return float(np.argmax(hit) * sim.dt)
-
-
 @dataclass
 class PatternActivity:
     """Per-class firing summary of one pattern, or of a batch along a first axis.
@@ -304,6 +279,8 @@ class Network:
                  sim: SimulationConfig, spike_interval: float):
         if class_count < 1:
             raise ConfigError("class_count must be >= 1")
+        if input_count < 1:
+            raise ConfigError("input_count must be >= 1")
         if sim.t_max <= spike_interval:
             raise ConfigError("t_max must exceed the presynaptic interval")
         self.class_count = class_count
@@ -398,8 +375,9 @@ def model_from_dict(doc: dict) -> tuple[Network, Optional[EncoderConfig]]:
 
     A missing key, a neuron or synapse count that disagrees with the
     declared shape, a neuron stored under another position, a non-finite
-    threshold, center or amplitude, and a center outside the spike window
-    all raise InputError.
+    threshold, center or amplitude, a center outside the spike window, and
+    an encoder that is invalid or does not feed the network's inputs over
+    its spike interval all raise InputError.
     """
     try:
         if doc.get("format") != MODEL_FORMAT:
@@ -424,6 +402,10 @@ def model_from_dict(doc: dict) -> tuple[Network, Optional[EncoderConfig]]:
                 response_cutoff=e["response_cutoff"],
                 feature_ranges=tuple((float(lo), float(hi)) for lo, hi in e["feature_ranges"]),
             )
+            if enc.neuron_count != net.input_count or enc.spike_interval != net.spike_interval:
+                raise InputError(f"encoder feeds {enc.neuron_count} inputs over "
+                                 f"{enc.spike_interval} ms; the network has "
+                                 f"{net.input_count} over {net.spike_interval} ms")
     except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
         raise InputError(f"malformed model checkpoint: {type(exc).__name__} {exc}") from exc
     return net, enc

@@ -31,11 +31,11 @@ class EncoderConfig:
         Fields per feature (M).  Must be >= 3: center/width formulas
         divide by M - 2.
     overlap : float
-        Overlap constant gamma controlling field width.
+        Overlap constant gamma controlling field width; positive.
     spike_interval : float
-        Presynaptic spike window T in ms; all spikes land in [0, T].
+        Presynaptic spike window T in ms, positive; all spikes land in [0, T].
     response_cutoff : float
-        Responses below this value emit no spike.
+        Responses below this value, in [0, 1), emit no spike.
     feature_ranges : tuple[tuple[float, float], ...]
         Per-feature (min, max) taken from training data.
     """
@@ -45,6 +45,20 @@ class EncoderConfig:
     spike_interval: float
     response_cutoff: float
     feature_ranges: tuple[tuple[float, float], ...]
+
+    def __post_init__(self):
+        if self.receptive_field_count < 3:
+            raise ConfigError("receptive_field_count must be >= 3 (width formula divides by M-2)")
+        if not self.overlap > 0:
+            raise ConfigError("overlap must be positive")
+        if not 0.0 <= self.response_cutoff < 1.0:
+            raise ConfigError("response_cutoff must lie in [0, 1)")
+        if not self.spike_interval > 0:
+            raise ConfigError("spike_interval must be positive")
+        bad = [f for f, (lo, hi) in enumerate(self.feature_ranges)
+               if not -np.inf < lo < hi < np.inf]
+        if bad:
+            raise ConfigError(f"feature range(s) {bad} must be finite with lo < hi")
 
     @property
     def feature_count(self) -> int:
@@ -97,11 +111,6 @@ class SpikePattern:
         return int(self.times.size)
 
 
-def quantize_time(t: float) -> float:
-    """Snap a time (ms) to the encoding grid."""
-    return float(np.rint(t / TIME_QUANTUM)) * TIME_QUANTUM
-
-
 def fit_ranges(
     dataset,
     receptive_field_count: int = 6,
@@ -118,14 +127,6 @@ def fit_ranges(
     x = np.asarray(dataset, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ConfigError("fit_ranges needs a non-empty 2-d dataset")
-    if receptive_field_count < 3:
-        raise ConfigError("receptive_field_count must be >= 3 (width formula divides by M-2)")
-    if overlap <= 0:
-        raise ConfigError("overlap must be positive")
-    if not 0.0 <= response_cutoff < 1.0:
-        raise ConfigError("response_cutoff must lie in [0, 1)")
-    if spike_interval <= 0:
-        raise ConfigError("spike_interval must be positive")
     ranges = []
     for f in range(x.shape[1]):
         col = x[:, f]
@@ -145,10 +146,10 @@ def fit_ranges(
     )
 
 
-def field_centers_widths(cfg: EncoderConfig, feature: int) -> tuple[np.ndarray, float]:
-    """Centers mu_h and shared width s of one feature's receptive fields.
+def field_geometry(cfg: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(features, fields) centers mu_h and (features,) widths s of every field.
 
-    For fields h = 1..M over range [lo, hi]:
+    For fields h = 1..M over a feature's range [lo, hi]:
 
         mu_h = lo + (2h - 3)/2 * (hi - lo)/(M - 2)
         s    = (1/gamma) * (hi - lo)/(M - 2)
@@ -156,32 +157,11 @@ def field_centers_widths(cfg: EncoderConfig, feature: int) -> tuple[np.ndarray, 
     The outermost centers fall slightly outside [lo, hi] so the boundary
     values are still covered by a strong response.
     """
-    centers, widths = _field_geometry(cfg)
-    return centers[feature], float(widths[feature])
-
-
-def _field_geometry(cfg: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(features, fields) centers and (features,) widths of every field."""
     lo, hi = np.array(cfg.feature_ranges, dtype=np.float64).reshape(-1, 2).T
     span = (hi - lo) / (cfg.receptive_field_count - 2)
     h = np.arange(1, cfg.receptive_field_count + 1, dtype=np.float64)
     centers = lo[:, None] + (2.0 * h - 3.0) / 2.0 * span[:, None]
     return centers, span / cfg.overlap
-
-
-def receptive_field_response(x: float, feature: int, field_index: int, cfg: EncoderConfig) -> float:
-    """Response in [0, 1] of field ``field_index`` (1-based) to value ``x``.
-
-    Plain Gaussian exp(-(x - mu)^2 / (2 s^2)): exactly 1 at the center,
-    exp(-1/2) one width away.  Values outside the fitted range are used
-    as-is; the response just decays smoothly.
-    """
-    if not 1 <= field_index <= cfg.receptive_field_count:
-        raise InputError(f"field_index {field_index} outside 1..{cfg.receptive_field_count}")
-    centers, width = field_centers_widths(cfg, feature)
-    mu = centers[field_index - 1]
-    d = (x - mu) / width
-    return float(np.exp(-0.5 * d * d))
 
 
 def encode(features, cfg: EncoderConfig) -> SpikePattern:
@@ -211,7 +191,7 @@ def encode_dataset(features_matrix, cfg: EncoderConfig) -> list[SpikePattern]:
         raise InputError(
             f"expected rows of {cfg.feature_count} features, got shape {x.shape}"
         )
-    centers, widths = _field_geometry(cfg)
+    centers, widths = field_geometry(cfg)
     d = (x[:, :, None] - centers) / widths[:, None]
     resp = np.exp(-0.5 * d * d).reshape(len(x), cfg.neuron_count)
     fired = resp >= cfg.response_cutoff

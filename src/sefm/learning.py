@@ -60,16 +60,12 @@ def delta_v(threshold: float, v: float) -> float:
     return threshold - v
 
 
-def normalized_psp(times: np.ndarray, t_hat: float, tau: float) -> np.ndarray:
-    """Kernel responses at t_hat over eligible spikes, normalized to sum 1.
+def _normalized(eps: np.ndarray, t_hat: float) -> np.ndarray:
+    """Kernel responses at t_hat normalized to sum 1.
 
-    Spikes at or after t_hat contribute zero (they cannot influence the
+    Spikes at or after t_hat respond zero (they cannot influence the
     potential at t_hat).  Raises NoEligibleSpikes when nothing remains.
     """
-    return _normalized(epsilon(t_hat - np.asarray(times, dtype=np.float64), tau), t_hat)
-
-
-def _normalized(eps: np.ndarray, t_hat: float) -> np.ndarray:
     total = eps.sum()
     if total <= 0.0:
         raise NoEligibleSpikes(f"no spike precedes reference time {t_hat}")
@@ -120,10 +116,6 @@ class UpdateStep:
     deltas: np.ndarray
     dv: float
     used_fallback: bool
-
-    def induced_change(self) -> float:
-        """Potential change at the reference time this step will cause."""
-        return float(self.deltas @ self.eps_vals)
 
 
 def compute_update(neuron: OutputNeuron, pattern: SpikePattern, t_hat: float,
@@ -187,4 +179,4 @@ def initialize(neuron: OutputNeuron, pattern: SpikePattern, t_hat: float,
     u = _normalized(eps_vals, t_hat)
     keep = u != 0.0
     _add_terms(neuron, sampled, pattern.neuron_ids[keep], pattern.times[keep], u[keep])
-    neuron.set_threshold(float(u @ eps_vals))
+    neuron.threshold = float(u @ eps_vals)

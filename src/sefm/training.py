@@ -174,10 +174,6 @@ class EpochStats:
     online_correct: int = 0
 
     @property
-    def neuron_updates(self) -> int:
-        return self.updates_correct + self.updates_wrong
-
-    @property
     def train_accuracy(self) -> float:
         """Accuracy of the pre-update answer on the samples seen this epoch."""
         return self.online_correct / self.evaluated if self.evaluated else 0.0
@@ -285,11 +281,6 @@ def train(patterns: list[SpikePattern], labels: np.ndarray, cfg: NetworkConfig,
 
 # -- inference ---------------------------------------------------------------
 
-def predict_one(net: Network, pattern: SpikePattern) -> int:
-    """Class of one pattern, as ``predict`` gives it."""
-    return int(predict(net, [pattern])[0])
-
-
 def predict(net: Network, patterns: list[SpikePattern]) -> np.ndarray:
     """Earliest-firing class per pattern; if every neuron is silent, highest peak.
 
@@ -322,12 +313,3 @@ def accuracy_score(predictions: np.ndarray, labels: np.ndarray) -> float:
     if len(predictions) == 0:
         raise InputError("no predictions to score")
     return float(np.mean(np.asarray(predictions) == np.asarray(labels)))
-
-
-def evaluate(net: Network, patterns: list[SpikePattern], labels: np.ndarray,
-             ) -> tuple[float, np.ndarray]:
-    """Accuracy and [true, predicted] confusion counts on a labeled set."""
-    from .data import confusion_matrix
-    preds = predict(net, patterns)
-    return (accuracy_score(preds, labels),
-            confusion_matrix(labels, preds, net.class_count))

@@ -1,24 +1,56 @@
-"""Reference classifier with plain scalar weights (no time variation).
+"""Reference implementations the tests check the package against.
 
-Same architecture, same correction schedule, but each synapse carries a
-single number instead of a function of time.  Kept deliberately separate
-from the main implementation — simple arrays and explicit arithmetic —
-so the two can be compared against each other: with a very wide Gaussian
-the main model should degenerate to exactly this.
+The constant-weight classifier has the same architecture and correction
+schedule as the main model, but each synapse carries a single number
+instead of a function of time.  It is kept deliberately separate from
+the main implementation, with simple arrays and explicit arithmetic, so
+the two can be compared against each other: with a very wide Gaussian
+the main model should degenerate to exactly this (criterion 8).
+
+``potential`` and ``fire_time`` evaluate one neuron on one pattern with a
+1-d ``w @ eps`` product.  They are a per-neuron oracle for the shared
+activity kernel, ``Network.evaluate_pattern``, whose (neurons, spikes)
+product may differ from them in the last bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
-from .config import NetworkConfig
-from .encoding import SpikePattern
-from .errors import InputError
-from .training import (epoch_order, margin_window, on_time_deadline,
-                       ref_time_correct, ref_time_wrong)
+from sefm.config import NetworkConfig
+from sefm.dynamics import OutputNeuron, SimulationConfig, epsilon, response_matrix
+from sefm.encoding import SpikePattern
+from sefm.errors import InputError
+from sefm.training import (epoch_order, margin_window, on_time_deadline,
+                           ref_time_correct, ref_time_wrong)
 
+
+def potential(neuron: OutputNeuron, pattern: SpikePattern, t: float,
+              sim: SimulationConfig) -> float:
+    """Postsynaptic potential v(t) = sum over spikes of w(t_k) * eps(t - t_k)."""
+    if pattern.spike_count == 0:
+        return 0.0
+    w = neuron.sample_weights(pattern.neuron_ids, pattern.times)
+    return float(w @ epsilon(t - pattern.times, sim.tau))
+
+
+def fire_time(neuron: OutputNeuron, pattern: SpikePattern,
+              sim: SimulationConfig) -> Optional[float]:
+    """Earliest grid time with v(t) >= threshold, or None if never crossed."""
+    if pattern.spike_count == 0:
+        return None
+    w = neuron.sample_weights(pattern.neuron_ids, pattern.times)
+    v = w @ response_matrix(pattern, sim)
+    hit = v >= neuron.threshold
+    if not hit.any():
+        return None
+    return float(np.argmax(hit) * sim.dt)
+
+
+# -- constant-weight classifier ------------------------------------------------
 
 def _kernel(t: np.ndarray, tau: float) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)

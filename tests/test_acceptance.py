@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from sefm.baseline import predict_constant, train_constant
 from sefm.benchmark import benchmark, sigma_sweep
 from sefm.cli import main
 from sefm.config import NetworkConfig
@@ -31,6 +30,7 @@ from sefm.learning import NoEligibleSpikes, compute_update
 from sefm.training import Outcome, predict, process_sample, train
 
 from conftest import random_neuron, random_pattern
+from oracles import predict_constant, train_constant
 
 SEED = 0
 RUNS = 10
@@ -158,12 +158,12 @@ def test_criterion_06_update_identity(rng):
             # engineered dv = 0: set the threshold to the momentary potential
             w = neuron.sample_weights(pattern.neuron_ids, pattern.times)
             eps = epsilon(t_hat - pattern.times, SIM.tau)
-            neuron.set_threshold(float(w @ eps))
+            neuron.threshold = float(w @ eps)
         try:
             step = compute_update(neuron, pattern, t_hat, SIM)
         except NoEligibleSpikes:
             continue
-        err = abs(step.induced_change() - step.dv)
+        err = abs(float(step.deltas @ step.eps_vals) - step.dv)
         bound = 1e-9 * abs(step.dv) if step.dv != 0.0 else 1e-12
         worst = max(worst, err - bound)
         assert err <= bound, (step.dv, err)

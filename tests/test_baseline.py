@@ -4,13 +4,13 @@ Gaussian limit of the main model."""
 import numpy as np
 import pytest
 
-from sefm.baseline import ConstantModel, _kernel, predict_constant, train_constant
 from sefm.config import NetworkConfig
 from sefm.dynamics import epsilon
 from sefm.encoding import SpikePattern, encode_dataset, fit_ranges
 from sefm.training import accuracy_score, predict, train
 
 from conftest import blobs_dataset
+from oracles import ConstantModel, _kernel, predict_constant, train_constant
 
 
 def encoded_blobs(seed=2024, classes=3, per_class=20):

@@ -17,6 +17,7 @@ from sefm.config import NetworkConfig
 from sefm.data import TabularDataset, stratified_split
 from sefm.dynamics import model_to_json_bytes
 from sefm.errors import DataError
+from sefm.rng import derive_seed
 
 from conftest import blobs_dataset
 
@@ -104,6 +105,25 @@ def test_benchmark_keeps_only_the_last_network(blobs, monkeypatch, jobs):
     assert res.last_outcome is returned[-1]
     alone = bench._benchmark_unit((blobs, CFG, 30, 1, 2, True))
     assert model_to_json_bytes(res.last_outcome.network) == model_to_json_bytes(alone.network)
+
+
+def test_split_for_run_fold_seed_chain(blobs, monkeypatch):
+    """Run k of a benchmark with root seed s splits with
+    derive_seed(derive_seed(s, k), 0), independently of every other run."""
+    labels = np.array([0, 1] * 20)
+    alternating = TabularDataset(name="alt", features=np.zeros((40, 1)), labels=labels,
+                                 label_names=["a", "b"])
+    split = bench._split_for_run(alternating, 10, derive_seed(77, 2))
+    manual = stratified_split(labels, 10, derive_seed(derive_seed(77, 2), 0))
+    assert np.array_equal(split[0], manual[0]) and np.array_equal(split[1], manual[1])
+
+    seeds = []
+    real = bench.stratified_split
+    monkeypatch.setattr(bench, "stratified_split",
+                        lambda labels, size, seed: seeds.append(seed) or real(labels, size, seed))
+    benchmark(blobs, CFG.with_overrides(max_epochs=1), train_size=30, run_count=3, seed=77)
+    assert seeds == [derive_seed(derive_seed(77, k), 0) for k in range(3)]
+    assert len({tuple(real(blobs.labels, 30, s)[0]) for s in seeds}) == 3
 
 
 def test_benchmark_rejects_bad_train_size(blobs):

@@ -186,6 +186,19 @@ def test_grid_search_report(blobs_csv, tmp_path, capsys):
     assert doc["best"]["sigma"] in (0.5, 1.0)
 
 
+@pytest.mark.parametrize("argv", [
+    ["benchmark", "--runs", "0"],
+    ["benchmark", "--runs", "-2"],
+    ["sigma-sweep", "--sigmas", "0.5", "--runs", "0"],
+    ["grid-search", "--sigmas", "0.5", "--reference-rates", "0.1", "--runs", "0"],
+], ids=["benchmark", "benchmark-negative", "sigma-sweep", "grid-search"])
+def test_runs_below_one_exits_2_and_writes_nothing(blobs_csv, tmp_path, argv):
+    out = tmp_path / "out"
+    code = main([*argv, "--csv", blobs_csv, "--train-size", "30", "--output-dir", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_prepare_data_bundled(capsys):
     assert main(["prepare-data", "iris", "wine"]) == EXIT_OK
     out = capsys.readouterr().out

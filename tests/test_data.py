@@ -1,4 +1,4 @@
-"""CSV loading, stratified splits, folds, imputation, dataset registry."""
+"""CSV loading, stratified splits, imputation, dataset registry."""
 
 from pathlib import Path
 
@@ -12,12 +12,10 @@ from sefm.data import (
     impute_median,
     load_csv,
     load_dataset,
-    make_folds,
     prepare_dataset,
     stratified_split,
 )
 from sefm.errors import DataError
-from sefm.rng import derive_seed
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -34,7 +32,7 @@ def test_dataset_validation_and_counters():
     assert ds.sample_count == 2
     assert ds.feature_count == 2
     assert ds.class_count == 2
-    assert ds.missing_count == 1
+    assert np.isnan(ds.features).sum() == 1
     assert ds.feature_names == ["f0", "f1"]
     with pytest.raises(DataError):
         TabularDataset(name="t", features=[[1.0]], labels=[0, 1], label_names=["a", "b"])
@@ -76,7 +74,7 @@ def test_load_csv_text_labels_sort_lexically(tmp_path):
 def test_load_csv_missing_and_junk_become_nan(tmp_path):
     path = write(tmp_path, "1.0,?,a\n,2.0,a\nthree,3.0,b\n")
     ds = load_csv(path)
-    assert ds.missing_count == 3
+    assert np.isnan(ds.features).sum() == 3
     assert np.isnan(ds.features[0, 1])
     assert np.isnan(ds.features[1, 0])
     assert np.isnan(ds.features[2, 0])
@@ -87,7 +85,7 @@ def test_load_csv_drop_missing_rows(tmp_path):
     ds = load_csv(path, drop_missing_rows=True)
     assert ds.sample_count == 2
     assert ds.dropped_rows == 1
-    assert ds.missing_count == 0
+    assert not np.isnan(ds.features).any()
 
 
 def test_load_csv_explicit_label_map_and_columns(tmp_path):
@@ -173,32 +171,6 @@ def test_stratified_split_rejects_starved_class():
     # keeping every sample of class 1 on the training side is also refused
     with pytest.raises(DataError):
         stratified_split(labels, 41, seed=2)
-
-
-def test_make_folds_independent_repeated_splits():
-    labels = np.array([0] * 30 + [1] * 30)
-    folds = make_folds(labels, train_size=30, fold_count=10, seed=5)
-    assert len(folds) == 10
-    distinct = {tuple(tr) for tr, _ in folds}
-    assert len(distinct) > 1  # fresh draw per fold, not the same split
-    for tr, te in folds:
-        assert len(tr) == 30 and len(te) == 30
-        assert np.bincount(labels[tr])[0] == 15
-    again = make_folds(labels, train_size=30, fold_count=10, seed=5)
-    for (a, b), (c, d) in zip(folds, again):
-        assert np.array_equal(a, c) and np.array_equal(b, d)
-
-
-def test_make_folds_fold_seed_chain():
-    labels = np.array([0, 1] * 20)
-    folds = make_folds(labels, train_size=10, fold_count=3, seed=77)
-    manual = stratified_split(labels, 10, derive_seed(derive_seed(77, 2), 0))
-    assert np.array_equal(folds[2][0], manual[0])
-
-
-def test_make_folds_rejects_zero_folds():
-    with pytest.raises(DataError):
-        make_folds(np.array([0, 1]), 1, fold_count=0)
 
 
 # --- imputation ------------------------------------------------------------------

@@ -18,12 +18,10 @@ from sefm.dynamics import (
     SimulationConfig,
     _epsilon_consuming,
     epsilon,
-    fire_time,
     load_model,
     model_from_dict,
     model_to_dict,
     model_to_json_bytes,
-    potential,
     response_matrix,
     save_model,
 )
@@ -31,6 +29,7 @@ from sefm.encoding import TIME_QUANTUM, SpikePattern, fit_ranges, spike_time_mat
 from sefm.errors import ConfigError, InputError
 
 from conftest import all_terms, random_neuron, random_pattern, scalar_weight, terms_of
+from oracles import fire_time, potential
 
 
 # --- spike response kernel --------------------------------------------------
@@ -283,9 +282,9 @@ def test_fire_time_monotone_in_threshold(rng):
         neuron = random_neuron(rng)
         pattern = random_pattern(rng, neuron_count=neuron.input_count)
         lo, hi = sorted(rng.uniform(0.05, 1.2, size=2))
-        neuron.set_threshold(lo)
+        neuron.threshold = lo
         t_lo = fire_time(neuron, pattern, s)
-        neuron.set_threshold(hi)
+        neuron.threshold = hi
         t_hi = fire_time(neuron, pattern, s)
         if t_hi is not None:
             assert t_lo is not None and t_lo <= t_hi
@@ -414,6 +413,8 @@ def make_network(rng, classes=3, inputs=10, sigma=0.6):
 def test_network_validation():
     with pytest.raises(ConfigError):
         Network(0, 4, 1.0, sim(), spike_interval=3.0)
+    with pytest.raises(ConfigError):
+        Network(2, 0, 1.0, sim(), spike_interval=3.0)
     with pytest.raises(ConfigError):
         Network(2, 4, 1.0, SimulationConfig(t_max=3.0), spike_interval=3.0)
 
@@ -576,3 +577,29 @@ def test_load_model_rejects_mutated_checkpoint(mutate, rng, tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(InputError):
             load_model(path)
+
+
+# model-v1.json has 2 features x 6 fields = 12 inputs over a 3 ms interval.
+@pytest.mark.parametrize("changes", [
+    {"encoder": {"receptive_field_count": 5}},
+    {"encoder": {"receptive_field_count": 7}},
+    {"encoder": {"receptive_field_count": 2, "overlap": -1.0}},
+    {"encoder": {"overlap": 0.0}},
+    {"encoder": {"response_cutoff": 1.0}},
+    {"encoder": {"spike_interval": 2.5}},
+    {"encoder": {"feature_ranges": [[0.5, 0.5], [0.0, 1.0]]}},
+    # with no neuron and no encoder to disagree, only the count itself is left
+    {"input_count": -1, "neurons": [None, None, None], "encoder": None},
+], ids=["fewer_fields", "more_fields", "two_fields_negative_overlap", "zero_overlap",
+        "cutoff_one", "other_spike_interval", "empty_feature_range", "negative_inputs"])
+def test_load_model_rejects_encoder_block_that_does_not_fit(changes, tmp_path):
+    doc = json.loads((DATA / "model-v1.json").read_text())
+    for key, value in changes.items():
+        if isinstance(value, dict):
+            doc[key].update(value)
+        else:
+            doc[key] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError):
+        load_model(path)

@@ -11,10 +11,8 @@ from sefm.encoding import (
     SpikePattern,
     encode,
     encode_dataset,
-    field_centers_widths,
+    field_geometry,
     fit_ranges,
-    quantize_time,
-    receptive_field_response,
 )
 from sefm.errors import ConfigError, InputError
 
@@ -37,12 +35,18 @@ def time_of(pattern, neuron):
     return float(pattern.times[k])
 
 
+def fields_of(cfg, feature):
+    """Centers and shared width of one feature's fields."""
+    centers, widths = field_geometry(cfg)
+    return centers[feature], float(widths[feature])
+
+
 # --- field geometry -------------------------------------------------------
 
 def test_centers_and_width_closed_form():
     # M = 6 fields over [0, 1]: span (hi-lo)/(M-2) = 0.25, so
     # mu_h = (2h-3)/2 * 0.25 and s = 0.25 / 0.7.
-    centers, width = field_centers_widths(unit_config(), 0)
+    centers, width = fields_of(unit_config(), 0)
     expected = [(2 * h - 3) / 2 * 0.25 for h in range(1, 7)]
     assert np.allclose(centers, expected, rtol=0, atol=1e-15)
     assert centers[0] == pytest.approx(-0.125, abs=1e-15)
@@ -50,33 +54,29 @@ def test_centers_and_width_closed_form():
 
 
 def test_outermost_centers_straddle_range():
-    centers, _ = field_centers_widths(unit_config(), 0)
+    centers, _ = fields_of(unit_config(), 0)
     assert centers[0] < 0.0 < centers[-1]
     assert centers[-1] > 1.0
 
 
+# A field's response r shows in its spike time t = T(1 - r), on the grid.
+
 def test_response_at_center_is_one_and_decays():
     cfg = unit_config()
-    centers, width = field_centers_widths(cfg, 0)
-    assert receptive_field_response(float(centers[2]), 0, 3, cfg) == pytest.approx(1.0)
-    one_width = receptive_field_response(float(centers[2] + width), 0, 3, cfg)
-    assert one_width == pytest.approx(math.exp(-0.5), rel=1e-12)
+    centers, width = fields_of(cfg, 0)
+    at_center, one_width = encode_dataset(np.array([[centers[2]], [centers[2] + width]]), cfg)
+    assert time_of(at_center, 2) == 0.0
+    assert time_of(one_width, 2) == pytest.approx(3.0 * (1.0 - math.exp(-0.5)),
+                                                  abs=TIME_QUANTUM)
 
 
 def test_response_example_first_field_at_zero():
-    # d = (0 - (-0.125)) / (0.25/0.7) = 0.35, response exp(-0.5 * 0.35^2).
-    cfg = unit_config()
+    # d = (0 - (-0.125)) / (0.25/0.7) = 0.35, response exp(-0.5 * 0.35^2),
+    # so field 1 fires at 3 (1 - 0.94059) = 0.17824 ms, snapped to 0.178.
     expected = math.exp(-0.06125)
-    assert receptive_field_response(0.0, 0, 1, cfg) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(0.9405880634, abs=1e-9)
-
-
-def test_response_rejects_bad_field_index():
-    cfg = unit_config()
-    with pytest.raises(InputError):
-        receptive_field_response(0.0, 0, 0, cfg)
-    with pytest.raises(InputError):
-        receptive_field_response(0.0, 0, 7, cfg)
+    (pattern,) = encode_dataset(np.array([[0.0]]), unit_config())
+    assert time_of(pattern, 0) == 178 * TIME_QUANTUM
 
 
 # --- range fitting --------------------------------------------------------
@@ -109,6 +109,17 @@ def test_fit_ranges_validation():
         fit_ranges(np.ones((3, 2)), response_cutoff=1.0)
 
 
+def test_encoder_config_validates_its_fields():
+    # the checks guard fitted and checkpoint-loaded encoders alike
+    for bad in ({"m": 2}, {"overlap": 0.0}, {"cutoff": 1.0}, {"cutoff": -0.1}):
+        with pytest.raises(ConfigError):
+            unit_config(**bad)
+    for interval, ranges in ((0.0, ((0.0, 1.0),)), (3.0, ((1.0, 1.0),)),
+                             (3.0, ((2.0, 1.0),)), (3.0, ((0.0, np.inf),))):
+        with pytest.raises(ConfigError):
+            EncoderConfig(6, 0.7, interval, 0.1, ranges)
+
+
 # --- latency mapping ------------------------------------------------------
 
 def test_encode_latency_is_interval_times_one_minus_response():
@@ -117,7 +128,7 @@ def test_encode_latency_is_interval_times_one_minus_response():
     # At x = 0 fields 1..4 respond at or above the 0.1 cutoff, 5..6 stay
     # silent; each spike time is T(1 - r) snapped to the 0.001 ms grid.
     assert list(pattern.neuron_ids) == [0, 1, 2, 3]
-    centers, width = field_centers_widths(cfg, 0)
+    centers, width = fields_of(cfg, 0)
     for nid, t in zip(pattern.neuron_ids, pattern.times):
         r = math.exp(-0.5 * ((0.0 - centers[nid]) / width) ** 2)
         expected = float(np.rint(3.0 * (1.0 - r) / TIME_QUANTUM)) * TIME_QUANTUM
@@ -126,14 +137,14 @@ def test_encode_latency_is_interval_times_one_minus_response():
 
 def test_encode_value_at_center_fires_at_zero():
     cfg = unit_config()
-    centers, _ = field_centers_widths(cfg, 0)
+    centers, _ = fields_of(cfg, 0)
     pattern = encode([float(centers[2])], cfg)
     assert time_of(pattern, 2) == 0.0
 
 
 def test_encode_closer_to_center_fires_earlier():
     cfg = unit_config()
-    centers, _ = field_centers_widths(cfg, 0)
+    centers, _ = fields_of(cfg, 0)
     near = time_of(encode([float(centers[2] + 0.01)], cfg), 2)
     far = time_of(encode([float(centers[2] + 0.20)], cfg), 2)
     assert near < far
@@ -141,7 +152,7 @@ def test_encode_closer_to_center_fires_earlier():
 
 def test_encode_neuron_ids_offset_per_feature():
     cfg = fit_ranges(np.array([[0.0, 0.0], [1.0, 1.0]]))
-    centers, _ = field_centers_widths(cfg, 1)
+    centers, _ = fields_of(cfg, 1)
     pattern = encode([0.5, float(centers[3])], cfg)
     # field 4 of feature 1 is neuron 1*6 + 3 = 9 and fires at t = 0
     assert time_of(pattern, 9) == 0.0
@@ -274,6 +285,6 @@ def test_encode_never_repeats_a_neuron():
 
 
 def test_quantize_time():
-    assert quantize_time(0.0004) == 0.0
-    assert quantize_time(0.0016) == pytest.approx(0.002)
-    assert quantize_time(1.2341) == pytest.approx(1.234, abs=1e-12)
+    # SpikePattern rounds each time to the nearest TIME_QUANTUM tick
+    p = SpikePattern(neuron_count=3, neuron_ids=[0, 1, 2], times=[0.0004, 0.0016, 1.2341])
+    assert p.times.tolist() == [0.0, 2 * TIME_QUANTUM, 1234 * TIME_QUANTUM]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sefm.dynamics import OutputNeuron, SimulationConfig, epsilon, fire_time, potential
+from sefm.dynamics import OutputNeuron, SimulationConfig, epsilon
 from sefm.encoding import SpikePattern
 from sefm.learning import (
     NoEligibleSpikes,
@@ -17,16 +17,23 @@ from sefm.learning import (
     initialize,
     modulation_factors,
     momentary_deltas,
-    normalized_psp,
 )
 
 from conftest import all_terms, random_neuron, random_pattern, scalar_weight, terms_of
+from oracles import fire_time, potential
 
 SIM = SimulationConfig(tau=3.0, t_max=8.0, dt=0.01)
 
 
 def pattern_of(ids, times, n=12):
     return SpikePattern(neuron_count=n, neuron_ids=ids, times=times)
+
+
+def normalized_psp(times, t_hat):
+    """Normalized responses u at t_hat of spikes at ``times``, one per input,
+    as training computes them: ``compute_update(...).normalized``."""
+    pattern = pattern_of(np.arange(len(times)), times)
+    return compute_update(OutputNeuron(0, 12, sigma=0.5), pattern, t_hat, SIM).normalized
 
 
 # --- normalized kernel responses -------------------------------------------
@@ -36,7 +43,7 @@ def test_normalized_psp_frozen_two_spike_example():
     # eps(1.5) = 0.5 e^0.5, eps(1.0) = (1/3) e^(2/3); u is their share.
     e1 = 0.5 * math.exp(0.5)
     e2 = (1.0 / 3.0) * math.exp(2.0 / 3.0)
-    u = normalized_psp(np.array([0.5, 1.0]), 2.0, 3.0)
+    u = normalized_psp([0.5, 1.0], 2.0)
     assert u[0] == pytest.approx(e1 / (e1 + e2), rel=1e-14)
     assert u[1] == pytest.approx(e2 / (e1 + e2), rel=1e-14)
     assert u[0] == pytest.approx(0.559418, abs=5e-7)
@@ -44,36 +51,36 @@ def test_normalized_psp_frozen_two_spike_example():
 
 
 def test_normalized_psp_single_spike_is_one():
-    u = normalized_psp(np.array([0.25]), 2.0, 3.0)
+    u = normalized_psp([0.25], 2.0)
     assert u[0] == 1.0
 
 
 def test_normalized_psp_equal_times_split_evenly():
-    u = normalized_psp(np.array([0.75, 0.75]), 2.0, 3.0)
+    u = normalized_psp([0.75, 0.75], 2.0)
     assert np.allclose(u, [0.5, 0.5], rtol=0, atol=1e-15)
 
 
 def test_normalized_psp_ineligible_spikes_get_zero():
-    u = normalized_psp(np.array([0.5, 2.0, 2.5]), 2.0, 3.0)
+    u = normalized_psp([0.5, 2.0, 2.5], 2.0)
     assert u[0] == 1.0
     assert u[1] == 0.0 and u[2] == 0.0
 
 
 def test_normalized_psp_no_eligible_raises():
     with pytest.raises(NoEligibleSpikes):
-        normalized_psp(np.array([2.0, 3.0]), 2.0, 3.0)
+        normalized_psp([2.0, 3.0], 2.0)
     with pytest.raises(NoEligibleSpikes):
-        normalized_psp(np.zeros(0), 2.0, 3.0)
+        normalized_psp([], 2.0)
 
 
 def test_normalized_psp_sums_to_one_fuzz(rng):
     for _ in range(300):
         n = int(rng.integers(1, 12))
-        times = rng.uniform(0.0, 3.0, size=n)
+        times = np.round(rng.uniform(0.0, 3.0, size=n), 3)  # on the spike-time grid
         t_hat = float(rng.uniform(0.0, 8.0))
         if not (times < t_hat).any():
             continue
-        u = normalized_psp(times, t_hat, 3.0)
+        u = normalized_psp(times, t_hat)
         assert abs(u.sum() - 1.0) <= 1e-12
         assert (u >= 0).all()
 
@@ -174,7 +181,7 @@ def test_compute_update_identity_and_shapes(rng):
             continue
         step = compute_update(neuron, pattern, eligible_before, SIM)
         assert step.deltas.shape == pattern.times.shape
-        assert step.induced_change() == pytest.approx(step.dv, rel=1e-9, abs=1e-12)
+        assert float(step.deltas @ step.eps_vals) == pytest.approx(step.dv, rel=1e-9, abs=1e-12)
         assert abs(step.normalized.sum() - 1.0) <= 1e-12
         assert abs(step.shares.sum() - 1.0) <= 1e-12
 
@@ -204,7 +211,7 @@ def test_fallback_flag_set_when_weights_cover_responses():
     step = compute_update(neuron, pattern, 2.0, SIM)
     assert step.used_fallback
     assert np.array_equal(step.shares, step.normalized)
-    assert step.induced_change() == pytest.approx(step.dv, rel=1e-9)
+    assert float(step.deltas @ step.eps_vals) == pytest.approx(step.dv, rel=1e-9)
 
 
 # --- apply_update ----------------------------------------------------------------

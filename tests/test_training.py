@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sefm.config import NetworkConfig
+from sefm.data import confusion_matrix
 from sefm.dynamics import epsilon, model_to_json_bytes
 from sefm.encoding import SpikePattern, encode_dataset, fit_ranges
 from sefm.errors import ConfigError, InputError
@@ -15,12 +16,11 @@ from sefm import learning
 from sefm.training import (
     Outcome,
     build_network,
+    accuracy_score,
     epoch_order,
-    evaluate,
     margin_window,
     on_time_deadline,
     predict,
-    predict_one,
     process_sample,
     ref_time_correct,
     PREDICT_CHUNK,
@@ -154,7 +154,7 @@ def test_on_time_branch_pushes_crowding_rival_only():
 def test_late_branch_corrects_labeled_class():
     net, a, _ = two_class_net()
     # make class 0's neuron unreachable on pattern a -> silent -> late
-    net.neurons[0].set_threshold(50.0)
+    net.neurons[0].threshold = 50.0
     res = process_sample(net, a, 0, CFG)
     assert res.outcome is Outcome.LATE
     assert 0 in res.updated_classes
@@ -164,7 +164,7 @@ def test_late_branch_corrects_labeled_class():
 
 def test_late_branch_also_pushes_crowding_rival():
     net, a, _ = two_class_net()
-    net.neurons[0].set_threshold(50.0)          # silent -> actual 8.0, anchor 7.6
+    net.neurons[0].threshold = 50.0          # silent -> actual 8.0, anchor 7.6
     net.neurons[1].add_terms([0, 1], [0.3, 0.6], [0.9, 0.9])
     t1 = net.evaluate_pattern(a).fire_times[1]
     assert not math.isnan(t1) and t1 - 7.6 < 0.3
@@ -224,9 +224,10 @@ def test_train_converges_on_separable_blobs(rng):
     assert result.converged
     assert result.epochs_run <= 50
     last = result.epoch_stats[-1]
-    assert last.neuron_updates == 0
-    acc, confusion = evaluate(result.network, patterns, labels)
-    assert acc >= 0.95
+    assert last.updates_correct + last.updates_wrong == 0
+    preds = predict(result.network, patterns)
+    confusion = confusion_matrix(labels, preds, 3)
+    assert accuracy_score(preds, labels) >= 0.95
     assert confusion.sum() == len(labels)
     assert np.array_equal(confusion.sum(axis=1), np.bincount(labels, minlength=3))
 
@@ -272,7 +273,7 @@ def test_train_matches_uncached_manual_loop(rng):
             break
     assert [({Outcome.NO_SPIKES: st.no_spikes, Outcome.INITIALIZED: st.initialized,
               Outcome.SKIPPED: st.skipped, Outcome.ON_TIME: st.on_time,
-              Outcome.LATE: st.late}, st.neuron_updates)
+              Outcome.LATE: st.late}, st.updates_correct + st.updates_wrong)
             for st in fast.epoch_stats] == slow_stats
     assert np.array_equal(predict(fast.network, patterns), predict(slow, patterns))
     assert ([n.amplitudes.size for n in fast.network.neurons]
@@ -291,7 +292,7 @@ def test_incremental_weights_match_fresh_sampling_after_training(sigma, rng, mon
     monkeypatch.setattr(learning, "SampledWeights", Recorded)
     patterns, labels = encoded_blobs(rng)
     fit = train(patterns, labels, CFG.with_overrides(sigma=sigma, max_epochs=30), 3, seed=4)
-    assert fit.epoch_stats[0].neuron_updates > 0
+    assert fit.epoch_stats[0].updates_correct + fit.epoch_stats[0].updates_wrong > 0
     (sampled,) = captured
     for j, neuron in enumerate(fit.network.neurons):
         for p, pattern in enumerate(patterns):
@@ -312,8 +313,8 @@ def test_epoch_order_is_pure_seeded_permutation():
 
 def test_predict_earliest_firing_class_wins():
     net, a, b = two_class_net()
-    assert predict_one(net, a) == 0
-    assert predict_one(net, b) == 1
+    assert predict(net, [a])[0] == 0
+    assert predict(net, [b])[0] == 1
     out = predict(net, [a, b, a])
     assert list(out) == [0, 1, 0]
 
@@ -324,28 +325,28 @@ def test_predict_tie_breaks_to_lowest_class():
     a = pattern_of([0, 1], [0.3, 0.6])
     process_sample(net, a, 0, cfg)
     process_sample(net, a, 1, cfg)  # identical initialization for class 1
-    assert predict_one(net, a) == 0
+    assert predict(net, [a])[0] == 0
 
 
 def test_predict_silent_fallback_uses_peak():
     net, a, _ = two_class_net()
-    net.neurons[0].set_threshold(99.0)
-    net.neurons[1].set_threshold(99.0)
+    net.neurons[0].threshold = 99.0
+    net.neurons[1].threshold = 99.0
     # class 0 still has all the weight for inputs {0,1}
-    assert predict_one(net, a) == 0
+    assert predict(net, [a])[0] == 0
 
 
 def test_predict_empty_pattern_defaults_to_first_class():
     net, _, _ = two_class_net()
-    assert predict_one(net, empty_pattern()) == 0
+    assert predict(net, [empty_pattern()])[0] == 0
 
 
 def one_at_a_time(net, pattern):
     """Oracle for batched inference: label, fire times and peaks of one pattern.
 
     The potentials keep the kernel's (live, spikes) @ (spikes, grid)
-    product, whose last bits a 1-d product as in ``fire_time`` does not
-    reproduce; the first crossing, the peak and the silent fallback are
+    product, whose last bits a 1-d product as in the ``fire_time`` oracle
+    does not reproduce; the first crossing, the peak and the silent fallback are
     scalar loops.
     """
     count = net.class_count
