@@ -8,7 +8,7 @@ across parameter values, which pairs the comparisons sample-for-sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,6 +34,12 @@ def format_mean_sd(mean: float, sd: float, decimals: int = 1) -> str:
     return f"{mean:.{decimals}f}({sd:.{decimals}f})"
 
 
+def report(kind: str, dataset: str, seed: int, cfg: NetworkConfig, **body) -> dict:
+    """A report document: what produced it, then the verb's own fields."""
+    return {"format": REPORT_FORMAT, "kind": kind, "dataset": dataset, "seed": seed,
+            "config": cfg.to_dict(), **body}
+
+
 @dataclass
 class RunResult:
     run: int
@@ -48,18 +54,10 @@ class RunResult:
     epoch_stats: list[dict]
 
     def to_dict(self) -> dict:
-        return {
-            "run": self.run,
-            "seed": self.seed,
-            "train_accuracy": self.train_accuracy,
-            "test_accuracy": self.test_accuracy,
-            "epochs_run": self.epochs_run,
-            "converged": self.converged,
-            "confusion": self.confusion.tolist(),
-            "train_size": self.train_size,
-            "test_size": self.test_size,
-            "epochs": self.epoch_stats,
-        }
+        doc = asdict(self)
+        doc["confusion"] = self.confusion.tolist()
+        doc["epochs"] = doc.pop("epoch_stats")
+        return doc
 
 
 @dataclass
@@ -121,22 +119,13 @@ class BenchmarkResult:
         return summarize([100.0 * r.test_accuracy for r in self.runs])
 
     def to_dict(self) -> dict:
-        train_mean, train_sd = self.train_stats
-        test_mean, test_sd = self.test_stats
-        return {
-            "format": REPORT_FORMAT,
-            "kind": "benchmark",
-            "dataset": self.dataset,
-            "architecture": self.architecture,
-            "seed": self.seed,
-            "run_count": len(self.runs),
-            "config": self.config.to_dict(),
-            "train_accuracy_percent": {"mean": train_mean, "sd": train_sd,
-                                       "display": format_mean_sd(train_mean, train_sd)},
-            "test_accuracy_percent": {"mean": test_mean, "sd": test_sd,
-                                      "display": format_mean_sd(test_mean, test_sd)},
-            "runs": [r.to_dict() for r in self.runs],
-        }
+        percents = {f"{side}_accuracy_percent": {"mean": mean, "sd": sd,
+                                                 "display": format_mean_sd(mean, sd)}
+                    for side, (mean, sd) in (("train", self.train_stats),
+                                             ("test", self.test_stats))}
+        return report("benchmark", self.dataset, self.seed, self.config,
+                      architecture=self.architecture, run_count=len(self.runs),
+                      runs=[r.to_dict() for r in self.runs], **percents)
 
 
 def _map(fn, units: list, jobs: int) -> list:
@@ -199,10 +188,7 @@ class SweepRow:
     epochs_mean: float
 
     def to_dict(self) -> dict:
-        return {"sigma": self.sigma,
-                "test_mean": self.test_mean, "test_sd": self.test_sd,
-                "train_mean": self.train_mean, "train_sd": self.train_sd,
-                "epochs_mean": self.epochs_mean}
+        return asdict(self)
 
 
 def sigma_sweep(dataset: TabularDataset, cfg: NetworkConfig, sigmas, *,
@@ -232,8 +218,7 @@ class GridCell:
     val_sd: float
 
     def to_dict(self) -> dict:
-        return {"sigma": self.sigma, "reference_rate": self.reference_rate,
-                "val_mean": self.val_mean, "val_sd": self.val_sd}
+        return asdict(self)
 
 
 @dataclass
@@ -242,8 +227,7 @@ class GridSearchResult:
     best: GridCell
 
     def to_dict(self) -> dict:
-        return {"best": self.best.to_dict(),
-                "cells": [c.to_dict() for c in self.cells]}
+        return asdict(self)
 
 
 def _grid_unit(args) -> float:

@@ -112,14 +112,8 @@ def _cmd_train(args) -> int:
         save_model(model_out, outcome.network, outcome.encoder)
     report_out = _out_path(args, args.report_out, "report.json")
     if report_out:
-        _write_json(report_out, {
-            "format": bench.REPORT_FORMAT,
-            "kind": "train",
-            "dataset": dataset.name,
-            "seed": args.seed,
-            "config": cfg.to_dict(),
-            "result": res.to_dict(),
-        })
+        _write_json(report_out, bench.report("train", dataset.name, args.seed, cfg,
+                                             result=res.to_dict()))
     _write_timing(_out_path(args, args.timing_out, "timing.json"), outcome.wall_seconds)
     print(f"{dataset.name}: train {100 * res.train_accuracy:.1f}%  "
           f"test {100 * res.test_accuracy:.1f}%  "
@@ -185,14 +179,8 @@ def _cmd_grid_search(args) -> int:
                                run_count=args.runs, seed=args.seed, jobs=args.jobs)
     report_out = _out_path(args, args.report_out, "report.json")
     if report_out:
-        _write_json(report_out, {
-            "format": bench.REPORT_FORMAT,
-            "kind": "grid-search",
-            "dataset": dataset.name,
-            "seed": args.seed,
-            "config": cfg.to_dict(),
-            **result.to_dict(),
-        })
+        _write_json(report_out, bench.report("grid-search", dataset.name, args.seed, cfg,
+                                             **result.to_dict()))
     best = result.best
     print(f"best: sigma {best.sigma:g}, reference_rate {best.reference_rate:g} "
           f"(val {bench.format_mean_sd(best.val_mean, best.val_sd)})")

@@ -4,6 +4,7 @@ learning and scheduling knobs, with validation that names every bad field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .dynamics import SimulationConfig
@@ -35,23 +36,25 @@ class NetworkConfig:
     max_epochs: int = 100
 
     def validate(self) -> None:
-        """Raise ConfigError naming every field out of range."""
+        """Raise ConfigError naming every field out of range.
+
+        Each check is written so that NaN fails it.
+        """
         bad = []
-        for name in ("sigma", "spike_interval", "t_max", "tau", "dt", "learning_rate"):
-            if getattr(self, name) <= 0:
-                bad.append(f"{name} must be positive")
+        for name in ("sigma", "spike_interval", "t_max", "tau", "dt", "learning_rate",
+                     "overlap"):
+            if not 0 < getattr(self, name) < math.inf:
+                bad.append(f"{name} must be positive and finite")
         for name in ("reference_rate", "margin_rate", "deadline_rate"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 bad.append(f"{name} must lie in (0, 1)")
         if not 0.0 < self.desired_time < self.spike_interval:
             bad.append("desired_time must lie in (0, spike_interval)")
-        if self.t_max <= self.spike_interval:
+        if not self.t_max > self.spike_interval:
             bad.append("t_max must exceed spike_interval")
         if self.receptive_field_count < 3:
             bad.append("receptive_field_count must be >= 3")
-        if self.overlap <= 0:
-            bad.append("overlap must be positive")
         if not 0.0 <= self.response_cutoff < 1.0:
             bad.append("response_cutoff must lie in [0, 1)")
         if self.max_epochs < 0:
@@ -67,7 +70,8 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NetworkConfig":
-        """Build from a JSON-style dict; unknown keys are an error."""
+        """Build from a JSON-style dict; unknown keys, values that are not
+        numbers and fractional counts are errors."""
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(doc) - known)
         if unknown:
@@ -75,7 +79,13 @@ class NetworkConfig:
         ints = {"receptive_field_count", "max_epochs"}
         kwargs = {}
         for key, value in doc.items():
-            kwargs[key] = int(value) if key in ints else float(value)
+            try:
+                number = float(value)
+                if key in ints and not number.is_integer():
+                    raise ValueError(f"{number} is not a whole number")
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config key {key!r}: bad value {value!r}") from exc
+            kwargs[key] = int(number) if key in ints else number
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg

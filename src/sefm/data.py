@@ -73,10 +73,10 @@ class TabularDataset:
         return len(self.label_names)
 
 
-def _parse_cell(token: str, missing: Sequence[str]) -> float:
+def _parse_cell(token: str) -> float:
     """Missing or unparseable cells become NaN."""
     token = token.strip()
-    if token in missing:
+    if token in DEFAULT_MISSING:
         return math.nan
     try:
         return float(token)
@@ -84,23 +84,24 @@ def _parse_cell(token: str, missing: Sequence[str]) -> float:
         return math.nan
 
 
-def load_csv(path, *, label_column: int = -1, delimiter: str = ",",
-             missing: Sequence[str] = DEFAULT_MISSING,
+def load_csv(path, *, label_column: int = -1,
              feature_columns: Optional[Sequence[int]] = None,
              label_map: Optional[dict[str, int]] = None,
              label_names: Optional[list[str]] = None,
              drop_missing_rows: bool = False,
              name: Optional[str] = None) -> TabularDataset:
-    """Read a delimited numeric table with one label column.
+    """Read a comma-separated numeric table with one label column.
 
     A header row is detected by trying to parse the first row's feature
-    cells.  Unmapped labels are assigned by sorted order (numeric if all
-    labels parse as numbers) so the encoding is reproducible.
+    cells.  Cells in DEFAULT_MISSING or not numbers read as NaN; an
+    infinite cell is a DataError.  Unmapped labels are assigned by sorted
+    order (numeric if all labels parse as numbers) so the encoding is
+    reproducible.
     """
     path = Path(path)
     try:
         with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh, delimiter=delimiter) if r and any(c.strip() for c in r)]
+            rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not rows:
@@ -120,7 +121,7 @@ def load_csv(path, *, label_column: int = -1, delimiter: str = ",",
     first = rows[0]
     for i in fcols:
         cell = first[i].strip()
-        if cell not in missing:
+        if cell not in DEFAULT_MISSING:
             try:
                 float(cell)
             except ValueError:
@@ -134,7 +135,10 @@ def load_csv(path, *, label_column: int = -1, delimiter: str = ",",
         if len(row) != width:
             raise DataError(f"{path} row {r + 1}: expected {width} cells, got {len(row)}")
         for c, i in enumerate(fcols):
-            feats[r, c] = _parse_cell(row[i], missing)
+            feats[r, c] = _parse_cell(row[i])
+            if math.isinf(feats[r, c]):
+                raise DataError(f"{path} row {r + 1} column {i}: {row[i].strip()!r} "
+                                "is not a finite number")
         raw_labels.append(row[lcol].strip())
 
     if label_map is None:
@@ -295,7 +299,7 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def prepare_dataset(name: str, directory=None, timeout: float = 60.0) -> dict:
+def prepare_dataset(name: str, directory=None) -> dict:
     """Make a benchmark dataset locally available; returns a status record
     whose ``where`` says where the data is read from.
 
@@ -319,7 +323,7 @@ def prepare_dataset(name: str, directory=None, timeout: float = 60.0) -> dict:
     if not path.exists():
         tmp = path.with_suffix(".part")
         try:
-            with urllib.request.urlopen(spec.source, timeout=timeout) as resp, \
+            with urllib.request.urlopen(spec.source, timeout=60.0) as resp, \
                     open(tmp, "wb") as out:
                 out.write(resp.read())
         except OSError as exc:

@@ -12,6 +12,7 @@ one spike per pattern).
 from __future__ import annotations
 
 import json
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -37,12 +38,9 @@ class SimulationConfig:
     dt: float = 0.01
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigError("tau must be positive")
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
-        if self.t_max <= 0:
-            raise ConfigError("t_max must be positive")
+        for name in ("tau", "t_max", "dt"):
+            if not 0 < getattr(self, name) < np.inf:  # NaN fails too
+                raise ConfigError(f"{name} must be positive and finite")
 
     def grid(self) -> np.ndarray:
         """Search grid {0, dt, 2dt, ..., t_max}."""
@@ -281,8 +279,10 @@ class Network:
             raise ConfigError("class_count must be >= 1")
         if input_count < 1:
             raise ConfigError("input_count must be >= 1")
-        if sim.t_max <= spike_interval:
-            raise ConfigError("t_max must exceed the presynaptic interval")
+        if not 0 < sigma < np.inf:
+            raise ConfigError("sigma must be positive and finite")
+        if not 0 < spike_interval < sim.t_max:
+            raise ConfigError("the presynaptic interval must lie in (0, t_max)")
         self.class_count = class_count
         self.input_count = input_count
         self.sigma = float(sigma)
@@ -373,19 +373,20 @@ def model_to_dict(net: Network, encoder: Optional[EncoderConfig] = None) -> dict
 def model_from_dict(doc: dict) -> tuple[Network, Optional[EncoderConfig]]:
     """Rebuild a network from its checkpoint, rejecting any inconsistency.
 
-    A missing key, a neuron or synapse count that disagrees with the
-    declared shape, a neuron stored under another position, a non-finite
-    threshold, center or amplitude, a center outside the spike window, and
-    an encoder that is invalid or does not feed the network's inputs over
-    its spike interval all raise InputError.
+    A missing key, a count that is not an integer, a neuron or synapse
+    count that disagrees with the declared shape, a neuron stored under
+    another position, a non-finite setting, threshold, center or
+    amplitude, a center outside the spike window, and an encoder that is
+    invalid or does not feed the network's inputs over its spike interval
+    all raise InputError.
     """
     try:
         if doc.get("format") != MODEL_FORMAT:
             raise InputError(f"unsupported model format: {doc.get('format')!r}")
         s = doc["simulation"]
         sim = SimulationConfig(tau=s["tau"], t_max=s["t_max"], dt=s["dt"])
-        net = Network(doc["class_count"], doc["input_count"], doc["sigma"], sim,
-                      doc["spike_interval"])
+        net = Network(operator.index(doc["class_count"]), operator.index(doc["input_count"]),
+                      doc["sigma"], sim, doc["spike_interval"])
         if len(doc["neurons"]) != net.class_count:
             raise InputError(f"model has {len(doc['neurons'])} neurons for "
                              f"{net.class_count} classes")
@@ -396,7 +397,7 @@ def model_from_dict(doc: dict) -> tuple[Network, Optional[EncoderConfig]]:
         e = doc["encoder"]
         if e is not None:
             enc = EncoderConfig(
-                receptive_field_count=e["receptive_field_count"],
+                receptive_field_count=operator.index(e["receptive_field_count"]),
                 overlap=e["overlap"],
                 spike_interval=e["spike_interval"],
                 response_cutoff=e["response_cutoff"],
@@ -412,7 +413,7 @@ def model_from_dict(doc: dict) -> tuple[Network, Optional[EncoderConfig]]:
 
 
 def _neuron_from_dict(j: int, entry: dict, net: Network) -> OutputNeuron:
-    if entry["class_label"] != j:
+    if operator.index(entry["class_label"]) != j:
         raise InputError(f"neuron {j} is labeled {entry['class_label']!r}")
     synapses = entry["synapses"]
     if len(synapses) != net.input_count:

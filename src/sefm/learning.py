@@ -111,7 +111,6 @@ class UpdateStep:
     times: np.ndarray
     eps_vals: np.ndarray
     normalized: np.ndarray
-    momentary_weights: np.ndarray
     shares: np.ndarray
     deltas: np.ndarray
     dv: float
@@ -138,9 +137,7 @@ def compute_update(neuron: OutputNeuron, pattern: SpikePattern, t_hat: float,
     m = modulation_factors(z, eps_vals, u)
     deltas = momentary_deltas(m, dv, eps_vals)
     return UpdateStep(neuron_ids=pattern.neuron_ids, times=times,
-                      eps_vals=eps_vals, normalized=u,
-                      momentary_weights=np.asarray(weights, dtype=np.float64),
-                      shares=m, deltas=deltas, dv=dv,
+                      eps_vals=eps_vals, normalized=u, shares=m, deltas=deltas, dv=dv,
                       used_fallback=used_fallback)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -121,40 +121,32 @@ def process_sample(net: Network, pattern: SpikePattern, label: int,
 
     deadline = on_time_deadline(cfg.desired_time, cfg.deadline_rate, cfg.spike_interval)
     margin = margin_window(cfg.desired_time, cfg.margin_rate, cfg.spike_interval)
-    rivals = [j for j in range(net.class_count)
-              if j != label and net.neurons[j] is not None]
+    # the margin is held from the correct neuron's time, or from its
+    # target when it fires late; rivals inside the margin are pushed past it
+    punctual = actual[label] <= deadline
+    anchor = (actual[label] if punctual
+              else ref_time_correct(actual[label], cfg.reference_rate, cfg.desired_time))
+    t_wrong = ref_time_wrong(anchor, margin, sim.t_max)
+    targets = [(j, t_wrong) for j in range(net.class_count)
+               if j != label and net.neurons[j] is not None and actual[j] - anchor < margin]
+    if not punctual:
+        targets.insert(0, (label, anchor))
+    elif not targets:
+        return SampleResult(Outcome.SKIPPED, predicted=predicted)
 
     updated: list[int] = []
     ineligible: list[int] = []
-
-    def correct_at(j: int, t_ref: float) -> None:
+    for j, t_ref in targets:
         neuron = net.neurons[j]
         try:
             step = learning.compute_update(neuron, pattern, t_ref, sim, weights=weights[j])
         except learning.NoEligibleSpikes:
             ineligible.append(j)
-            return
+            continue
         if learning.apply_update(neuron, step, cfg.learning_rate, sampled):
             updated.append(j)
-
-    if actual[label] <= deadline:
-        targets = [j for j in rivals if actual[j] - actual[label] < margin]
-        if not targets:
-            return SampleResult(Outcome.SKIPPED, predicted=predicted)
-        t_wrong = ref_time_wrong(actual[label], margin, sim.t_max)
-        for j in targets:
-            correct_at(j, t_wrong)
-        return SampleResult(Outcome.ON_TIME, tuple(updated), tuple(ineligible),
-                            predicted=predicted)
-
-    t_corr = ref_time_correct(actual[label], cfg.reference_rate, cfg.desired_time)
-    correct_at(label, t_corr)
-    t_wrong = ref_time_wrong(t_corr, margin, sim.t_max)
-    for j in rivals:
-        if actual[j] - t_corr < margin:
-            correct_at(j, t_wrong)
-    return SampleResult(Outcome.LATE, tuple(updated), tuple(ineligible),
-                        predicted=predicted)
+    return SampleResult(Outcome.ON_TIME if punctual else Outcome.LATE, tuple(updated),
+                        tuple(ineligible), predicted=predicted)
 
 
 # -- epoch loop --------------------------------------------------------------
@@ -162,6 +154,7 @@ def process_sample(net: Network, pattern: SpikePattern, label: int,
 @dataclass
 class EpochStats:
     epoch: int
+    # one count per Outcome, named by its value
     initialized: int = 0
     on_time: int = 0
     late: int = 0
@@ -173,24 +166,27 @@ class EpochStats:
     evaluated: int = 0
     online_correct: int = 0
 
+    def count(self, result: SampleResult, label: int) -> None:
+        """Tally one sample: its branch, updates, dropped corrections and answer."""
+        branch = result.outcome.value
+        setattr(self, branch, getattr(self, branch) + 1)
+        corrected = int(label in result.updated_classes)
+        self.updates_correct += corrected
+        self.updates_wrong += len(result.updated_classes) - corrected
+        self.ineligible_updates += len(result.ineligible_classes)
+        if result.predicted is not None:
+            self.evaluated += 1
+            self.online_correct += int(result.predicted == label)
+
     @property
     def train_accuracy(self) -> float:
         """Accuracy of the pre-update answer on the samples seen this epoch."""
         return self.online_correct / self.evaluated if self.evaluated else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "initialized": self.initialized,
-            "on_time": self.on_time,
-            "late": self.late,
-            "skipped": self.skipped,
-            "no_spikes": self.no_spikes,
-            "updates_correct": self.updates_correct,
-            "updates_wrong": self.updates_wrong,
-            "ineligible_updates": self.ineligible_updates,
-            "train_accuracy": self.train_accuracy,
-        }
+        doc = asdict(self)
+        del doc["evaluated"], doc["online_correct"]
+        return {**doc, "train_accuracy": self.train_accuracy}
 
 
 @dataclass
@@ -239,42 +235,23 @@ def train(patterns: list[SpikePattern], labels: np.ndarray, cfg: NetworkConfig,
     sampled = learning.SampledWeights(patterns, class_count)
     stats_log: list[EpochStats] = []
     converged = False
-    epochs_run = 0
     warned_empty: set[int] = set()
     for epoch in range(cfg.max_epochs):
         stats = EpochStats(epoch=epoch)
-        changed = 0
         for s in epoch_order(seed, epoch, len(patterns)):
             label = int(labels[s])
             result = process_sample(net, patterns[s], label, cfg,
                                     eps_matrix=table.gather(rows[s]), sampled=sampled,
                                     sample_idx=s)
-            if result.outcome is Outcome.NO_SPIKES:
-                stats.no_spikes += 1
-                if s not in warned_empty:
-                    warned_empty.add(s)
-                    log.warning("sample %d encodes to zero spikes; it is skipped", s)
-            elif result.outcome is Outcome.INITIALIZED:
-                stats.initialized += 1
-            elif result.outcome is Outcome.SKIPPED:
-                stats.skipped += 1
-            elif result.outcome is Outcome.ON_TIME:
-                stats.on_time += 1
-            else:
-                stats.late += 1
-            if result.predicted is not None:
-                stats.evaluated += 1
-                stats.online_correct += int(result.predicted == label)
-            stats.updates_correct += int(label in result.updated_classes)
-            stats.updates_wrong += sum(1 for j in result.updated_classes if j != label)
-            stats.ineligible_updates += len(result.ineligible_classes)
-            changed += len(result.updated_classes)
+            stats.count(result, label)
+            if result.outcome is Outcome.NO_SPIKES and s not in warned_empty:
+                warned_empty.add(s)
+                log.warning("sample %d encodes to zero spikes; it is skipped", s)
         stats_log.append(stats)
-        epochs_run = epoch + 1
-        if changed == 0:
-            converged = True
+        converged = stats.updates_correct + stats.updates_wrong == 0
+        if converged:
             break
-    return TrainResult(network=net, epochs_run=epochs_run, converged=converged,
+    return TrainResult(network=net, epochs_run=len(stats_log), converged=converged,
                        epoch_stats=stats_log,
                        wall_seconds=time.perf_counter() - started)
 

@@ -1,6 +1,9 @@
 """The public API is pinned, so any growth or shrinkage is deliberate."""
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import sefm
@@ -48,3 +51,22 @@ def test_package_ships_no_test_only_function():
                 owner = f"{module}.{node.name}" if node is not fn else module
                 unused.append(f"{owner}.{name}")
     assert not unused, "only tests reach: " + ", ".join(unused)
+
+
+def test_perfbench_hook_targets_resolve(monkeypatch):
+    """Every module attribute perfbench/spans.py wraps still exists, so a
+    traced benchmark run times every layer instead of counting hooks absent."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    # its frozen dataclass resolves annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    absent = []
+    for hook in spans.HOOKS:
+        owner = importlib.import_module(hook.module)
+        for part in hook.attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            absent.append(f"{hook.module}.{hook.attr}")
+    assert spans.HOOKS and absent == []

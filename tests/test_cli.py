@@ -100,6 +100,41 @@ def test_bad_config_value_exits_2(blobs_csv):
     assert main(["train", *base_args(blobs_csv), "--learning-rate", "-1"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("flags, doc", [
+    (["--learning-rate", "nan"], None),
+    (["--sigma", "inf"], None),
+    ([], {"tau": float("nan")}),
+    ([], {"dt": float("nan")}),
+    ([], {"t_max": float("inf")}),
+    ([], {"sigma": "abc"}),
+    ([], {"max_epochs": 2.7}),
+], ids=["learning-rate-nan", "sigma-inf", "tau-nan", "dt-nan", "t-max-inf",
+        "sigma-text", "fractional-epochs"])
+def test_non_finite_or_malformed_setting_exits_2_and_writes_nothing(blobs_csv, tmp_path,
+                                                                     flags, doc):
+    out = tmp_path / "out"
+    if doc is not None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))  # json writes NaN and Infinity
+        flags = ["--config", str(config)]
+    code = main(["train", "--csv", blobs_csv, "--train-size", "30", "--seed", "3",
+                 *flags, "--output-dir", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_infinite_csv_cell_exits_3_and_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "inf.csv"
+    path.write_text("1.0,2.0,0\n1.5,inf,0\n2.0,2.5,0\n"
+                    "5.0,6.0,1\n5.5,6.5,1\n6.0,7.0,1\n")
+    out = tmp_path / "out"
+    code = main(["train", "--csv", str(path), "--train-size", "4", "--seed", "1",
+                 "--output-dir", str(out)])
+    assert code == EXIT_DATA
+    assert "row 2 column 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_2(blobs_csv, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"sgima": 1.0}))

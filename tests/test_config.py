@@ -43,6 +43,24 @@ def test_validate_names_every_bad_field():
     {"response_cutoff": -0.2},
     {"max_epochs": -1},
     {"overlap": 0.0},
+    # non-finite values: NaN fails every comparison, so each check must be
+    # written to reject it; inf is out of range for every float setting
+    {"sigma": float("nan")},
+    {"sigma": float("inf")},
+    {"learning_rate": float("nan")},
+    {"tau": float("nan")},
+    {"tau": float("inf")},
+    {"dt": float("nan")},
+    {"t_max": float("nan")},
+    {"t_max": float("inf")},
+    {"spike_interval": float("nan")},
+    {"overlap": float("nan")},
+    {"overlap": float("inf")},
+    {"reference_rate": float("nan")},
+    {"margin_rate": float("nan")},
+    {"deadline_rate": float("nan")},
+    {"desired_time": float("nan")},
+    {"response_cutoff": float("nan")},
 ])
 def test_validate_rejects_out_of_range(bad):
     with pytest.raises(ConfigError):
@@ -68,6 +86,24 @@ def test_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError) as err:
         NetworkConfig.from_dict({"sigma": 1.0, "bandwidth": 2.0})
     assert "bandwidth" in str(err.value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sigma", "abc"),
+    ("tau", None),
+    ("dt", [0.01]),
+    ("max_epochs", 2.7),
+    ("max_epochs", "2.5"),
+    ("receptive_field_count", float("inf")),
+])
+def test_from_dict_rejects_values_that_do_not_convert(key, value):
+    with pytest.raises(ConfigError) as err:
+        NetworkConfig.from_dict({key: value})
+    assert key in str(err.value)
+
+
+def test_from_dict_accepts_a_huge_finite_sigma():
+    assert NetworkConfig.from_dict({"sigma": 1e6}).sigma == 1e6
 
 
 def test_from_dict_validates():

@@ -1,5 +1,6 @@
 """CSV loading, stratified splits, imputation, dataset registry."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,15 @@ def test_load_csv_missing_and_junk_become_nan(tmp_path):
     assert np.isnan(ds.features[0, 1])
     assert np.isnan(ds.features[1, 0])
     assert np.isnan(ds.features[2, 0])
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "Infinity", "1e999"])
+def test_load_csv_infinite_cell_is_error(tmp_path, token):
+    path = write(tmp_path, f"x,y,label\n1.0,2.0,a\n3.0,{token},b\n")
+    with pytest.raises(DataError) as err:
+        load_csv(path)
+    assert str(path) in str(err.value)
+    assert "row 2 column 1" in str(err.value)
 
 
 def test_load_csv_drop_missing_rows(tmp_path):
@@ -210,6 +220,17 @@ def test_registry_entries_consistent():
         assert int(outputs) == spec.class_count
         assert spec.train_size + spec.test_size > 0
         assert spec.sigma > 0
+
+
+def test_tuned_config_files_equal_registry():
+    """The CLI takes sigma and reference_rate from DATASETS; configs/<name>.json
+    hold the same values for --config users and the benchmark harness."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    files = {path.stem: json.loads(path.read_text()) for path in configs.glob("*.json")}
+    assert sorted(files) == sorted(DATASETS)
+    for name, doc in files.items():
+        spec = DATASETS[name]
+        assert doc == {"sigma": spec.sigma, "reference_rate": spec.reference_rate}, name
 
 
 def test_registry_table_sizes():

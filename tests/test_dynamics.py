@@ -559,6 +559,11 @@ def _non_finite_value(doc, rng):
         terms[int(rng.integers(len(terms)))][target - 1] = bad
 
 
+def _float_class_label(doc, rng):
+    j = int(rng.integers(3))
+    doc["neurons"][j]["class_label"] = float(j)
+
+
 def _center_outside_window(doc, rng):
     terms = _first_terms(doc)
     terms[int(rng.integers(len(terms)))][0] = float(rng.choice([-0.001, 3.001, 50.0]))
@@ -566,7 +571,7 @@ def _center_outside_window(doc, rng):
 
 @pytest.mark.parametrize("mutate", [
     _drop_key, _extra_synapse, _missing_synapse, _extra_neuron, _missing_neuron,
-    _relabeled_neuron, _non_finite_value, _center_outside_window,
+    _relabeled_neuron, _float_class_label, _non_finite_value, _center_outside_window,
 ])
 def test_load_model_rejects_mutated_checkpoint(mutate, rng, tmp_path):
     original = json.loads((DATA / "model-v1.json").read_text())
@@ -590,8 +595,25 @@ def test_load_model_rejects_mutated_checkpoint(mutate, rng, tmp_path):
     {"encoder": {"feature_ranges": [[0.5, 0.5], [0.0, 1.0]]}},
     # with no neuron and no encoder to disagree, only the count itself is left
     {"input_count": -1, "neurons": [None, None, None], "encoder": None},
+    # a float count loads but cannot index arrays; a NaN setting passed
+    # every "<= 0" check.  json writes NaN and Infinity and reads them back
+    {"encoder": {"receptive_field_count": 6.0}},
+    {"input_count": 12.0},
+    {"class_count": 3.0},
+    {"simulation": {"tau": math.nan}},
+    {"simulation": {"tau": math.inf}},
+    {"simulation": {"dt": math.nan}},
+    {"simulation": {"dt": math.inf}},
+    {"simulation": {"t_max": math.nan}},
+    {"simulation": {"t_max": math.inf}},
+    {"sigma": math.inf},
+    {"sigma": math.inf, "neurons": [None, None, None]},
+    {"spike_interval": math.nan, "encoder": None},
 ], ids=["fewer_fields", "more_fields", "two_fields_negative_overlap", "zero_overlap",
-        "cutoff_one", "other_spike_interval", "empty_feature_range", "negative_inputs"])
+        "cutoff_one", "other_spike_interval", "empty_feature_range", "negative_inputs",
+        "float_field_count", "float_input_count", "float_class_count", "nan_tau", "inf_tau",
+        "nan_dt", "inf_dt", "nan_t_max", "inf_t_max", "inf_sigma", "inf_sigma_no_neurons",
+        "nan_spike_interval"])
 def test_load_model_rejects_encoder_block_that_does_not_fit(changes, tmp_path):
     doc = json.loads((DATA / "model-v1.json").read_text())
     for key, value in changes.items():
