@@ -21,6 +21,7 @@ from .errors import ConfigError, DataError
 from .rng import derive_seed
 
 REPORT_FORMAT = "sefm-report/1"
+VAL_FRACTION = 0.25  # share of each run's training side grid search validates on
 
 
 def summarize(values) -> tuple[float, float]:
@@ -30,8 +31,8 @@ def summarize(values) -> tuple[float, float]:
     return float(arr.mean()), sd
 
 
-def format_mean_sd(mean: float, sd: float, decimals: int = 1) -> str:
-    return f"{mean:.{decimals}f}({sd:.{decimals}f})"
+def format_mean_sd(mean: float, sd: float) -> str:
+    return f"{mean:.1f}({sd:.1f})"
 
 
 def report(kind: str, dataset: str, seed: int, cfg: NetworkConfig, **body) -> dict:
@@ -130,23 +131,34 @@ class BenchmarkResult:
 
 def _map(fn, units: list, jobs: int) -> list:
     """fn over units in order, fanned out over ``jobs`` processes when jobs > 1."""
-    if jobs <= 1:
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1:
         return [fn(u) for u in units]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, units))
 
 
-def _split_for_run(dataset: TabularDataset, train_size: int, run_seed: int):
-    return stratified_split(dataset.labels, train_size, derive_seed(run_seed, 0))
+def _plan(dataset: TabularDataset, train_size: int, run_count: int, seed: int) -> list:
+    """(train_idx, test_idx, training seed, validation seed) for each run.
+
+    Run k's seed is derive_seed(seed, k); its indices 0, 1 and 2 seed the
+    split, the training shuffles and grid search's validation split.
+    """
+    if run_count < 1:
+        raise ConfigError(f"run_count must be >= 1, got {run_count}")
+    plan = []
+    for run_seed in (derive_seed(seed, run) for run in range(run_count)):
+        train_idx, test_idx = stratified_split(dataset.labels, train_size,
+                                               derive_seed(run_seed, 0))
+        plan.append((train_idx, test_idx, derive_seed(run_seed, 1), derive_seed(run_seed, 2)))
+    return plan
 
 
-def _benchmark_unit(args) -> SplitOutcome:
-    dataset, cfg, train_size, seed, run, keep_network = args
-    run_seed = derive_seed(seed, run)
-    train_idx, test_idx = _split_for_run(dataset, train_size, run_seed)
-    outcome = run_split(dataset, train_idx, test_idx, cfg,
-                        seed=derive_seed(run_seed, 1), run=run)
+def _run_unit(args) -> SplitOutcome:
+    dataset, cfg, train_idx, test_idx, train_seed, run, keep_network = args
+    outcome = run_split(dataset, train_idx, test_idx, cfg, seed=train_seed, run=run)
     if not keep_network:
         outcome.network = None  # neither held nor pickled back from a worker
     return outcome
@@ -160,14 +172,12 @@ def benchmark(dataset: TabularDataset, cfg: NetworkConfig, *, train_size: int,
     Runs share nothing, so jobs > 1 fans them out over processes; the
     results (and their order) are the same either way.
     """
-    if run_count < 1:
-        raise ConfigError(f"run_count must be >= 1, got {run_count}")
-    if not 0 < train_size < dataset.sample_count:
-        raise DataError(f"train_size {train_size} invalid for {dataset.sample_count} samples")
+    plan = _plan(dataset, train_size, run_count, seed)
     cfg.validate()
-    units = [(dataset, cfg, train_size, seed, run, keep_last and run == run_count - 1)
-             for run in range(run_count)]
-    outcomes = _map(_benchmark_unit, units, jobs)
+    units = [(dataset, cfg, train_idx, test_idx, train_seed, run,
+              keep_last and run == run_count - 1)
+             for run, (train_idx, test_idx, train_seed, _) in enumerate(plan)]
+    outcomes = _map(_run_unit, units, jobs)
     runs = [o.result for o in outcomes]
     wall = sum(o.wall_seconds for o in outcomes)
     arch = f"{outcomes[-1].encoder.neuron_count}-{dataset.class_count}"
@@ -230,43 +240,28 @@ class GridSearchResult:
         return asdict(self)
 
 
-def _grid_unit(args) -> float:
-    dataset, cfg, fit_idx, val_idx, train_seed = args
-    outcome = run_split(dataset, fit_idx, val_idx, cfg, seed=train_seed)
-    return 100.0 * outcome.result.test_accuracy
-
-
 def grid_search(dataset: TabularDataset, cfg: NetworkConfig, sigmas, reference_rates,
                 *, train_size: int, run_count: int = 3, seed: int = 0,
-                val_fraction: float = 0.25, jobs: int = 1) -> GridSearchResult:
+                jobs: int = 1) -> GridSearchResult:
     """Pick (sigma, reference_rate) by validation accuracy.
 
-    Validation sets are carved out of each run's training side; the test
+    Each run validates on VAL_FRACTION of its training side; the test
     side of every split stays untouched.  Ties prefer the smaller sigma,
     then the smaller reference_rate.
     """
-    if run_count < 1:
-        raise ConfigError(f"run_count must be >= 1, got {run_count}")
-    if not 0.0 < val_fraction < 1.0:
-        raise DataError("val_fraction must lie in (0, 1)")
+    plan = _plan(dataset, train_size, run_count, seed)
     if not sigmas or not reference_rates:
         raise DataError("grid axes must be non-empty")
-    plans = []
-    for run in range(run_count):
-        run_seed = derive_seed(seed, run)
-        train_idx, _ = _split_for_run(dataset, train_size, run_seed)
-        val_size = max(1, int(round(val_fraction * len(train_idx))))
+    folds = []
+    for train_idx, _, train_seed, val_seed in plan:
+        val_size = max(1, int(round(VAL_FRACTION * len(train_idx))))
         fit_rel, val_rel = stratified_split(dataset.labels[train_idx],
-                                            len(train_idx) - val_size,
-                                            derive_seed(run_seed, 2))
-        plans.append((train_idx[fit_rel], train_idx[val_rel],
-                      derive_seed(run_seed, 1)))
+                                            len(train_idx) - val_size, val_seed)
+        folds.append((train_idx[fit_rel], train_idx[val_rel], train_seed))
     grid = [(float(s), float(r)) for s in sigmas for r in reference_rates]
-    units = []
-    for sigma, rate in grid:
-        cell_cfg = cfg.with_overrides(sigma=sigma, reference_rate=rate)
-        units.extend((dataset, cell_cfg, fit, val, ts) for fit, val, ts in plans)
-    scores = _map(_grid_unit, units, jobs)
+    units = [(dataset, cfg.with_overrides(sigma=sigma, reference_rate=rate), *fold, run, False)
+             for sigma, rate in grid for run, fold in enumerate(folds)]
+    scores = [100.0 * o.result.test_accuracy for o in _map(_run_unit, units, jobs)]
     cells = []
     for c, (sigma, rate) in enumerate(grid):
         mean, sd = summarize(scores[c * run_count:(c + 1) * run_count])

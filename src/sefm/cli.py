@@ -36,12 +36,11 @@ _OVERRIDE_KEYS = ("sigma", "reference_rate", "learning_rate", "max_epochs",
 def _resolve_config(args) -> NetworkConfig:
     """Defaults <- dataset registry <- --config file <- explicit flags."""
     doc: dict = {}
-    name = getattr(args, "dataset", None)
-    if name and name in datamod.DATASETS:
-        spec = datamod.DATASETS[name]
+    spec = datamod.DATASETS.get(args.dataset)
+    if spec is not None:
         doc["sigma"] = spec.sigma
         doc["reference_rate"] = spec.reference_rate
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         try:
             loaded = json.loads(path.read_text())
@@ -60,15 +59,16 @@ def _resolve_config(args) -> NetworkConfig:
 
 
 def _load_dataset(args) -> datamod.TabularDataset:
-    if getattr(args, "csv", None):
+    if args.csv:
         return datamod.load_csv(args.csv, label_column=args.label_column)
-    if not getattr(args, "dataset", None):
+    if not args.dataset:
         raise ConfigError("either --dataset or --csv is required")
     return datamod.load_dataset(args.dataset, directory=args.data_dir)
 
 
 def _train_size(args, dataset) -> int:
-    if getattr(args, "train_size", None):
+    """--train-size as given, else the registry's, else half the rows."""
+    if args.train_size is not None:
         return args.train_size
     spec = datamod.DATASETS.get(dataset.name)
     if spec is not None:
@@ -92,17 +92,14 @@ def _out_path(args, explicit, default_name):
     """Explicit flag wins; else a default filename under --output-dir."""
     if explicit:
         return explicit
-    if getattr(args, "output_dir", None):
+    if args.output_dir:
         return str(Path(args.output_dir) / default_name)
     return None
 
 
 # -- verbs -------------------------------------------------------------------
 
-def _cmd_train(args) -> int:
-    cfg = _resolve_config(args)
-    dataset = _load_dataset(args)
-    train_size = _train_size(args, dataset)
+def _cmd_train(args, cfg, dataset, train_size) -> int:
     train_idx, test_idx = datamod.stratified_split(dataset.labels, train_size, args.seed)
     outcome = bench.run_split(dataset, train_idx, test_idx, cfg, seed=args.seed)
     res = outcome.result
@@ -121,10 +118,8 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _cmd_benchmark(args) -> int:
-    cfg = _resolve_config(args)
-    dataset = _load_dataset(args)
-    result = bench.benchmark(dataset, cfg, train_size=_train_size(args, dataset),
+def _cmd_benchmark(args, cfg, dataset, train_size) -> int:
+    result = bench.benchmark(dataset, cfg, train_size=train_size,
                              run_count=args.runs, seed=args.seed, jobs=args.jobs)
     report_out = _out_path(args, args.report_out, "report.json")
     if report_out:
@@ -148,13 +143,10 @@ def _parse_floats(text: str, what: str) -> list[float]:
     return values
 
 
-def _cmd_sigma_sweep(args) -> int:
-    cfg = _resolve_config(args)
-    dataset = _load_dataset(args)
-    sigmas = _parse_floats(args.sigmas, "sigma")
-    rows = bench.sigma_sweep(dataset, cfg, sigmas,
-                             train_size=_train_size(args, dataset),
-                             run_count=args.runs, seed=args.seed, jobs=args.jobs)
+def _cmd_sigma_sweep(args, cfg, dataset, train_size) -> int:
+    rows = bench.sigma_sweep(dataset, cfg, _parse_floats(args.sigmas, "sigma"),
+                             train_size=train_size, run_count=args.runs,
+                             seed=args.seed, jobs=args.jobs)
     csv_out = _out_path(args, args.csv_out, "sweep.csv")
     if csv_out:
         Path(csv_out).parent.mkdir(parents=True, exist_ok=True)
@@ -169,14 +161,12 @@ def _cmd_sigma_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_grid_search(args) -> int:
-    cfg = _resolve_config(args)
-    dataset = _load_dataset(args)
+def _cmd_grid_search(args, cfg, dataset, train_size) -> int:
     result = bench.grid_search(dataset, cfg,
                                _parse_floats(args.sigmas, "sigma"),
                                _parse_floats(args.reference_rates, "reference rate"),
-                               train_size=_train_size(args, dataset),
-                               run_count=args.runs, seed=args.seed, jobs=args.jobs)
+                               train_size=train_size, run_count=args.runs,
+                               seed=args.seed, jobs=args.jobs)
     report_out = _out_path(args, args.report_out, "report.json")
     if report_out:
         _write_json(report_out, bench.report("grid-search", dataset.name, args.seed, cfg,
@@ -266,7 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if args.verb == "prepare-data":
+            return _cmd_prepare_data(args)
+        cfg = _resolve_config(args)
+        dataset = _load_dataset(args)
+        return args.fn(args, cfg, dataset, _train_size(args, dataset))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -80,10 +80,12 @@ class NetworkConfig:
         kwargs = {}
         for key, value in doc.items():
             try:
+                if isinstance(value, (bool, str)):
+                    raise TypeError("not a JSON number")
                 number = float(value)
                 if key in ints and not number.is_integer():
                     raise ValueError(f"{number} is not a whole number")
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"config key {key!r}: bad value {value!r}") from exc
             kwargs[key] = int(number) if key in ints else number
         cfg = cls(**kwargs)

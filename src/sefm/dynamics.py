@@ -54,8 +54,8 @@ def epsilon(t, tau: float):
     Unit peak exactly at t = tau.  The gate is strict: a contribution at
     its own spike instant (t = 0) is zero.  Accepts scalars or arrays.
     """
-    if tau <= 0:
-        raise InputError("tau must be positive")
+    if not 0 < tau < np.inf:  # NaN fails too
+        raise InputError("tau must be positive and finite")
     out = _epsilon_consuming(np.array(t, dtype=np.float64, ndmin=1), tau)
     if np.ndim(t) == 0:
         return float(out[0])

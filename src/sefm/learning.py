@@ -55,11 +55,6 @@ class SampledWeights:
         self.values[neuron.class_label][:, neuron_ids] += gauss
 
 
-def delta_v(threshold: float, v: float) -> float:
-    """Potential gap the update must close at the reference time."""
-    return threshold - v
-
-
 def _normalized(eps: np.ndarray, t_hat: float) -> np.ndarray:
     """Kernel responses at t_hat normalized to sum 1.
 
@@ -131,7 +126,7 @@ def compute_update(neuron: OutputNeuron, pattern: SpikePattern, t_hat: float,
     if weights is None:
         weights = neuron.sample_weights(pattern.neuron_ids, times)
     v = float(weights @ eps_vals)
-    dv = delta_v(neuron.threshold, v)
+    dv = neuron.threshold - v  # potential gap the update must close at t_hat
     z = excess(u, weights)
     used_fallback = float((z * eps_vals).sum()) <= 0.0
     m = modulation_factors(z, eps_vals, u)

@@ -70,3 +70,45 @@ def test_perfbench_hook_targets_resolve(monkeypatch):
         if owner is None:
             absent.append(f"{hook.module}.{hook.attr}")
     assert spans.HOOKS and absent == []
+
+
+def test_every_defaulted_parameter_has_a_caller_that_passes_it():
+    """A parameter with a default that no call in the package or in
+    perfbench/ passes is a knob without a caller: make it a constant.
+    Public API functions and classes and ``cli.main`` are exempt.  A call
+    matches a def by name (``__init__`` by its class name); it passes a
+    parameter by keyword, by position, or through ``*args``/``**kwargs``."""
+    root = Path(__file__).resolve().parents[1]
+    package = Path(sefm.__file__).parent
+    calls = [node for path in [*package.glob("*.py"), *(root / "perfbench").rglob("*.py")]
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)]
+    passed: dict[str, set] = {}  # callee name -> keywords, positions, or "*"
+    for call in calls:
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        got = passed.setdefault(name, set())
+        got.update(k.arg or "*" for k in call.keywords)
+        got.update(range(len(call.args)))
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            got.add("*")
+    idle = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {fn: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body}
+        for fn in ast.walk(tree):
+            if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or {fn.name, owner.get(fn)} & set(sefm.__all__)
+                    or f"{path.stem}.{fn.name}" == "cli.main"):
+                continue
+            callee = owner[fn] if fn.name == "__init__" else fn.name
+            got = passed.get(callee, set())
+            positional = fn.args.posonlyargs + fn.args.args
+            offset = 1 if fn in owner else 0  # self or cls is never passed
+            defaulted = [(a.arg, i - offset) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(fn.args.defaults)]
+            defaulted += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs,
+                                                        fn.args.kw_defaults) if d is not None]
+            idle += [f"{path.stem}.{fn.name}({arg})" for arg, pos in defaulted
+                     if "*" not in got and arg not in got and pos not in got]
+    assert not idle, "defaulted parameters no caller passes: " + ", ".join(idle)

@@ -16,7 +16,7 @@ from sefm.benchmark import (
 from sefm.config import NetworkConfig
 from sefm.data import TabularDataset, stratified_split
 from sefm.dynamics import model_to_json_bytes
-from sefm.errors import DataError
+from sefm.errors import ConfigError, DataError
 from sefm.rng import derive_seed
 
 from conftest import blobs_dataset
@@ -43,7 +43,6 @@ def test_summarize_mean_and_sample_sd():
 def test_format_mean_sd_display():
     assert format_mean_sd(97.61, 1.49) == "97.6(1.5)"
     assert format_mean_sd(100.0, 0.0) == "100.0(0.0)"
-    assert format_mean_sd(66.6249, 3.05, decimals=2) == "66.62(3.05)"
 
 
 def test_run_split_scores_both_sides(blobs):
@@ -103,19 +102,23 @@ def test_benchmark_keeps_only_the_last_network(blobs, monkeypatch, jobs):
                           keep_last=True, jobs=jobs)
     assert [o.network is None for o in returned] == [True, True, False]
     assert res.last_outcome is returned[-1]
-    alone = bench._benchmark_unit((blobs, CFG, 30, 1, 2, True))
+    train_idx, test_idx, train_seed, _ = bench._plan(blobs, 30, 3, 1)[2]
+    alone = bench._run_unit((blobs, CFG, train_idx, test_idx, train_seed, 2, True))
     assert model_to_json_bytes(res.last_outcome.network) == model_to_json_bytes(alone.network)
 
 
-def test_split_for_run_fold_seed_chain(blobs, monkeypatch):
+def test_plan_fold_seed_chain(blobs, monkeypatch):
     """Run k of a benchmark with root seed s splits with
-    derive_seed(derive_seed(s, k), 0), independently of every other run."""
+    derive_seed(derive_seed(s, k), 0), independently of every other run;
+    indices 1 and 2 of the run seed seed its training and validation."""
     labels = np.array([0, 1] * 20)
     alternating = TabularDataset(name="alt", features=np.zeros((40, 1)), labels=labels,
                                  label_names=["a", "b"])
-    split = bench._split_for_run(alternating, 10, derive_seed(77, 2))
+    train_idx, test_idx, train_seed, val_seed = bench._plan(alternating, 10, 3, 77)[2]
     manual = stratified_split(labels, 10, derive_seed(derive_seed(77, 2), 0))
-    assert np.array_equal(split[0], manual[0]) and np.array_equal(split[1], manual[1])
+    assert np.array_equal(train_idx, manual[0]) and np.array_equal(test_idx, manual[1])
+    assert train_seed == derive_seed(derive_seed(77, 2), 1)
+    assert val_seed == derive_seed(derive_seed(77, 2), 2)
 
     seeds = []
     real = bench.stratified_split
@@ -131,6 +134,16 @@ def test_benchmark_rejects_bad_train_size(blobs):
         benchmark(blobs, CFG, train_size=0, run_count=1)
     with pytest.raises(DataError):
         benchmark(blobs, CFG, train_size=60, run_count=1)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_protocols_reject_jobs_below_one(blobs, jobs):
+    with pytest.raises(ConfigError):
+        benchmark(blobs, CFG, train_size=30, run_count=1, jobs=jobs)
+    with pytest.raises(ConfigError):
+        sigma_sweep(blobs, CFG, [0.5], train_size=30, run_count=1, jobs=jobs)
+    with pytest.raises(ConfigError):
+        grid_search(blobs, CFG, [0.5], [0.05], train_size=30, run_count=1, jobs=jobs)
 
 
 def test_sigma_sweep_pairs_runs_across_widths(blobs):
@@ -177,5 +190,3 @@ def test_grid_search_rejects_empty_axes(blobs):
         grid_search(blobs, CFG, [], [0.05], train_size=30)
     with pytest.raises(DataError):
         grid_search(blobs, CFG, [1.0], [], train_size=30)
-    with pytest.raises(DataError):
-        grid_search(blobs, CFG, [1.0], [0.05], train_size=30, val_fraction=0.0)

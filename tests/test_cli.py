@@ -108,8 +108,12 @@ def test_bad_config_value_exits_2(blobs_csv):
     ([], {"t_max": float("inf")}),
     ([], {"sigma": "abc"}),
     ([], {"max_epochs": 2.7}),
+    ([], {"max_epochs": True}),
+    ([], {"sigma": "0.5"}),
+    ([], {"sigma": 10 ** 400}),
 ], ids=["learning-rate-nan", "sigma-inf", "tau-nan", "dt-nan", "t-max-inf",
-        "sigma-text", "fractional-epochs"])
+        "sigma-text", "fractional-epochs", "bool-epochs", "numeric-text-sigma",
+        "huge-int-sigma"])
 def test_non_finite_or_malformed_setting_exits_2_and_writes_nothing(blobs_csv, tmp_path,
                                                                      flags, doc):
     out = tmp_path / "out"
@@ -230,6 +234,37 @@ def test_grid_search_report(blobs_csv, tmp_path, capsys):
 def test_runs_below_one_exits_2_and_writes_nothing(blobs_csv, tmp_path, argv):
     out = tmp_path / "out"
     code = main([*argv, "--csv", blobs_csv, "--train-size", "30", "--output-dir", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train"],
+    ["benchmark", "--runs", "2"],
+    ["sigma-sweep", "--sigmas", "0.5", "--runs", "2"],
+    ["grid-search", "--sigmas", "0.5", "--reference-rates", "0.1", "--runs", "2"],
+], ids=["train", "benchmark", "sigma-sweep", "grid-search"])
+def test_train_size_zero_exits_3_and_writes_nothing(tmp_path, capsys, argv):
+    """An explicit --train-size 0 reaches stratified_split instead of
+    falling back to the registry's size."""
+    out = tmp_path / "out"
+    code = main([*argv, "--dataset", "iris", "--train-size", "0", "--max-epochs", "1",
+                 "--output-dir", str(out)])
+    assert code == EXIT_DATA
+    assert "train_size 0 must lie in 1..149" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["benchmark"],
+    ["sigma-sweep", "--sigmas", "0.5"],
+    ["grid-search", "--sigmas", "0.5", "--reference-rates", "0.1"],
+], ids=["benchmark", "sigma-sweep", "grid-search"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2_and_writes_nothing(blobs_csv, tmp_path, argv, jobs):
+    out = tmp_path / "out"
+    code = main([*argv, "--runs", "1", "--jobs", jobs, "--csv", blobs_csv,
+                 "--train-size", "30", "--max-epochs", "1", "--output-dir", str(out)])
     assert code == EXIT_CONFIG
     assert not out.exists()
 

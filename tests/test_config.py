@@ -75,8 +75,8 @@ def test_dict_round_trip():
 
 
 def test_from_dict_partial_and_coercion():
-    cfg = NetworkConfig.from_dict({"sigma": "0.25", "max_epochs": "9"})
-    assert cfg.sigma == 0.25
+    cfg = NetworkConfig.from_dict({"sigma": 1, "max_epochs": 9.0})
+    assert cfg.sigma == 1.0 and isinstance(cfg.sigma, float)
     assert cfg.max_epochs == 9
     assert isinstance(cfg.max_epochs, int)
     assert cfg.tau == 3.0  # untouched default
@@ -95,6 +95,9 @@ def test_from_dict_rejects_unknown_keys():
     ("max_epochs", 2.7),
     ("max_epochs", "2.5"),
     ("receptive_field_count", float("inf")),
+    ("max_epochs", True),
+    ("sigma", "0.5"),
+    pytest.param("sigma", 10 ** 400, id="sigma-huge-int"),
 ])
 def test_from_dict_rejects_values_that_do_not_convert(key, value):
     with pytest.raises(ConfigError) as err:

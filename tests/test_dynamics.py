@@ -82,8 +82,9 @@ def test_epsilon_far_below_zero_is_zero_without_warning():
 
 
 def test_epsilon_rejects_bad_tau():
-    with pytest.raises(InputError):
-        epsilon(1.0, 0.0)
+    for tau in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InputError):
+            epsilon(1.0, tau)
 
 
 # --- output neuron terms and sampling ---------------------------------------

@@ -12,7 +12,6 @@ from sefm.learning import (
     SampledWeights,
     apply_update,
     compute_update,
-    delta_v,
     excess,
     initialize,
     modulation_factors,
@@ -165,11 +164,6 @@ def test_delta_sign_follows_gap(rng):
         assert (down <= 0).all()
 
 
-def test_delta_v_is_plain_gap():
-    assert delta_v(1.0, 0.25) == 0.75
-    assert delta_v(0.5, 0.9) == pytest.approx(-0.4)
-
-
 # --- compute_update -------------------------------------------------------------
 
 def test_compute_update_identity_and_shapes(rng):
@@ -312,7 +306,7 @@ def test_initialize_gap_is_zero_at_desired_time(rng):
         pattern = pattern_of(ids, times, n=12)
         initialize(neuron, pattern, 2.0, SIM)
         v = potential(neuron, pattern, 2.0, SIM)
-        assert delta_v(neuron.threshold, v) == pytest.approx(0.0, abs=1e-12)
+        assert neuron.threshold - v == pytest.approx(0.0, abs=1e-12)
 
 
 def test_initialize_fires_at_desired_time(rng):
