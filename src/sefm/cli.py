@@ -28,9 +28,9 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
-# flags that override config-file values when given
-_OVERRIDE_KEYS = ("sigma", "reference_rate", "learning_rate", "max_epochs",
-                  "receptive_field_count", "response_cutoff")
+# flags that override config-file values when given, with their types
+_OVERRIDES = {"sigma": float, "reference_rate": float, "learning_rate": float,
+              "max_epochs": int, "receptive_field_count": int, "response_cutoff": float}
 
 
 def _resolve_config(args) -> NetworkConfig:
@@ -51,7 +51,7 @@ def _resolve_config(args) -> NetworkConfig:
         if not isinstance(loaded, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
         doc.update(loaded)
-    for key in _OVERRIDE_KEYS:
+    for key in _OVERRIDES:
         value = getattr(args, key, None)
         if value is not None:
             doc[key] = value
@@ -167,11 +167,12 @@ def _cmd_grid_search(args, cfg, dataset, train_size) -> int:
                                _parse_floats(args.reference_rates, "reference rate"),
                                train_size=train_size, run_count=args.runs,
                                seed=args.seed, jobs=args.jobs)
+    best = result.best
     report_out = _out_path(args, args.report_out, "report.json")
     if report_out:
-        _write_json(report_out, bench.report("grid-search", dataset.name, args.seed, cfg,
+        tuned = cfg.with_overrides(sigma=best.sigma, reference_rate=best.reference_rate)
+        _write_json(report_out, bench.report("grid-search", dataset.name, args.seed, tuned,
                                              **result.to_dict()))
-    best = result.best
     print(f"best: sigma {best.sigma:g}, reference_rate {best.reference_rate:g} "
           f"(val {bench.format_mean_sd(best.val_mean, best.val_sd)})")
     return EXIT_OK
@@ -187,7 +188,10 @@ def _cmd_prepare_data(args) -> int:
 
 # -- wiring --------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, sweep: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, *, jobs: bool = False,
+                swept: tuple[str, ...] = ()) -> None:
+    """Flags every verb but prepare-data takes; a verb that sweeps a setting
+    has no flag for it, and only the protocol verbs run worker processes."""
     p.add_argument("--dataset", help="registered dataset name")
     p.add_argument("--csv", help="train on an arbitrary CSV instead")
     p.add_argument("--label-column", type=int, default=-1,
@@ -196,20 +200,17 @@ def _add_common(p: argparse.ArgumentParser, sweep: bool = False) -> None:
                    help="where prepared datasets live (default: $SEFM_DATA_DIR or ./data)")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for independent runs/cells")
+    if jobs:
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for independent runs/cells")
     p.add_argument("--train-size", type=int, default=None,
                    help="training samples per split (default: registry value)")
     p.add_argument("--output-dir", default=None,
                    help="directory for default-named artifacts")
     p.add_argument("--timing-out", default=None, help="write wall time JSON here")
-    p.add_argument("--reference-rate", type=float, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--max-epochs", type=int, default=None)
-    p.add_argument("--receptive-field-count", type=int, default=None)
-    p.add_argument("--response-cutoff", type=float, default=None)
-    if not sweep:
-        p.add_argument("--sigma", type=float, default=None)
+    for key, kind in _OVERRIDES.items():
+        if key not in swept:
+            p.add_argument("--" + key.replace("_", "-"), type=kind, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,34 +219,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spiking classifier with time-varying synaptic weights")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("train", help="train on one split and save the model")
+    def verb(name: str, summary: str) -> argparse.ArgumentParser:
+        # no prefix matching: a sweep verb's --sigmas must not take --sigma
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
+
+    p = verb("train", "train on one split and save the model")
     _add_common(p)
     p.add_argument("--model-out", default=None, help="write the model JSON here")
     p.add_argument("--report-out", default=None)
     p.set_defaults(fn=_cmd_train)
 
-    p = sub.add_parser("benchmark", help="repeated random splits, aggregate accuracy")
-    _add_common(p)
+    p = verb("benchmark", "repeated random splits, aggregate accuracy")
+    _add_common(p, jobs=True)
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--report-out", default=None)
     p.set_defaults(fn=_cmd_benchmark)
 
-    p = sub.add_parser("sigma-sweep", help="benchmark across Gaussian widths")
-    _add_common(p, sweep=True)
+    p = verb("sigma-sweep", "benchmark across Gaussian widths")
+    _add_common(p, jobs=True, swept=("sigma",))
     p.add_argument("--sigmas", required=True, help="comma-separated widths")
     p.add_argument("--runs", type=int, default=5)
     p.add_argument("--csv-out", default=None)
     p.set_defaults(fn=_cmd_sigma_sweep)
 
-    p = sub.add_parser("grid-search", help="tune sigma and reference rate")
-    _add_common(p, sweep=True)
+    p = verb("grid-search", "tune sigma and reference rate")
+    _add_common(p, jobs=True, swept=("sigma", "reference_rate"))
     p.add_argument("--sigmas", required=True)
     p.add_argument("--reference-rates", required=True)
     p.add_argument("--runs", type=int, default=3)
     p.add_argument("--report-out", default=None)
     p.set_defaults(fn=_cmd_grid_search)
 
-    p = sub.add_parser("prepare-data", help="download/verify datasets")
+    p = verb("prepare-data", "download/verify datasets")
     p.add_argument("names", nargs="*", help="dataset names (default: all)")
     p.add_argument("--data-dir", default=None)
     p.set_defaults(fn=_cmd_prepare_data)

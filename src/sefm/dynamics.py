@@ -115,21 +115,44 @@ class OutputNeuron:
 
         A center is snapped to the time grid; a term whose (input, center)
         key is already present adds its amplitude to the stored one, in
-        arrival order.
+        arrival order.  A new key is inserted once, its amplitude summed
+        as ``0.0 + a1 + a2 ...`` in arrival order, so no stored amplitude
+        is ever -0.0 and adding to one is adding to ``0.0 + stored``.
+        Stored terms are found by binary search and left where they are.
         """
         ids = np.asarray(neuron_ids, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.input_count):
             raise InputError(f"input neuron outside [0, {self.input_count})")
-        inputs = np.concatenate([self.inputs, ids])
-        ticks = np.rint(np.concatenate([self.centers, np.asarray(centers, dtype=np.float64)])
-                        / TIME_QUANTUM).astype(np.int64)
+        ticks = np.rint(np.asarray(centers, dtype=np.float64) / TIME_QUANTUM).astype(np.int64)
+        amplitudes = np.asarray(amplitudes, dtype=np.float64)
         # one int64 key per term, ordered like (input, tick) for |tick| < 2**31
-        keys, first, slot = np.unique((inputs << 32) + ticks, return_index=True,
-                                      return_inverse=True)
-        self.inputs = inputs[first]
-        self.centers = ticks[first] * TIME_QUANTUM
-        self.amplitudes = np.bincount(slot, minlength=keys.size, weights=np.concatenate(
-            [self.amplitudes, np.asarray(amplitudes, dtype=np.float64)]))
+        keys = (ids << 32) + ticks
+        stored = (self.inputs << 32) + np.rint(self.centers / TIME_QUANTUM).astype(np.int64)
+        if stored.size:
+            at = np.searchsorted(stored, keys)
+            found = stored[np.minimum(at, stored.size - 1)] == keys
+            np.add.at(self.amplitudes, at[found], amplitudes[found])
+            new = ~found
+            ids, ticks, amplitudes, keys = ids[new], ticks[new], amplitudes[new], keys[new]
+        if not keys.size:
+            return
+        # a stable sort keeps arrival order within a key and is linear on
+        # the already sorted keys of a checkpoint
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        head = np.ones(keys.size, dtype=bool)
+        head[1:] = keys[1:] != keys[:-1]
+        first = order[head]  # the first arrival of each new key
+        columns = (ids[first], ticks[first] * TIME_QUANTUM,
+                   np.bincount(np.cumsum(head) - 1, weights=amplitudes[order]))
+        if stored.size:
+            # new key k lands after the k new keys before it
+            dest = np.searchsorted(stored, keys[head]) + np.arange(first.size)
+            kept = np.ones(stored.size + first.size, dtype=bool)
+            kept[dest] = False
+            columns = [_merged(old, kept, dest, new) for old, new in
+                       zip((self.inputs, self.centers, self.amplitudes), columns)]
+        self.inputs, self.centers, self.amplitudes = columns
 
     def sample_weights(self, neuron_ids: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Momentary weight of each (input neuron, time) spike.
@@ -161,6 +184,15 @@ class OutputNeuron:
         bins = np.arange(0, rows * self.input_count, self.input_count)[:, None] + self.inputs
         return np.bincount(bins.ravel(), weights=vals.ravel(),
                            minlength=rows * self.input_count).reshape(rows, self.input_count)
+
+
+def _merged(old: np.ndarray, kept: np.ndarray, dest: np.ndarray,
+            new: np.ndarray) -> np.ndarray:
+    """``old`` at the ``kept`` positions and ``new`` at ``dest``, in one array."""
+    out = np.empty(kept.size, dtype=old.dtype)
+    out[kept] = old
+    out[dest] = new
+    return out
 
 
 class ResponseTable:

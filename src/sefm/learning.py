@@ -35,24 +35,31 @@ class NoEligibleSpikes(SefmError):
 class SampledWeights:
     """Momentary weight of every training spike under every class's neuron.
 
-    ``values[c, p, i]`` is neuron c's weight of input i sampled at
-    ``spike_times[p, i]``, the time pattern p's input i fires; a silent
-    input (NaN time) has weight 0.  A term added through ``add`` changes
-    only the column ``values[c, :, i]`` of its own neuron and input.
+    ``values[c, i, p]`` is neuron c's weight of input i sampled at
+    ``spike_times[i, p]``, the time pattern p's input i fires; a silent
+    input (NaN time) has weight 0.  Both arrays are input-major, so a
+    term added through ``add`` changes only the contiguous row
+    ``values[c, i]`` of its own neuron and input.
     """
 
     def __init__(self, patterns: list[SpikePattern], class_count: int):
-        self.spike_times = spike_time_matrix(patterns, patterns[0].neuron_count)
+        self.spike_times = np.ascontiguousarray(
+            spike_time_matrix(patterns, patterns[0].neuron_count).T)
         self.values = np.zeros((class_count, *self.spike_times.shape))
 
     def add(self, neuron: OutputNeuron, neuron_ids: np.ndarray, centers: np.ndarray,
             amplitudes: np.ndarray) -> None:
         """Add the Gaussians of terms just added to ``neuron`` (distinct inputs)."""
         centers = np.rint(centers / TIME_QUANTUM) * TIME_QUANTUM
-        d = self.spike_times[:, neuron_ids] - centers
-        gauss = amplitudes * np.exp(-0.5 * (d / neuron.sigma) ** 2)
-        gauss[np.isnan(gauss)] = 0.0
-        self.values[neuron.class_label][:, neuron_ids] += gauss
+        gauss = self.spike_times[neuron_ids]
+        gauss -= centers[:, None]
+        gauss /= neuron.sigma
+        np.square(gauss, out=gauss)
+        gauss *= -0.5
+        np.exp(gauss, out=gauss)
+        gauss *= amplitudes[:, None]
+        np.copyto(gauss, 0.0, where=np.isnan(gauss))
+        self.values[neuron.class_label, neuron_ids] += gauss
 
 
 def _normalized(eps: np.ndarray, t_hat: float) -> np.ndarray:

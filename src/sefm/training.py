@@ -110,7 +110,7 @@ def process_sample(net: Network, pattern: SpikePattern, label: int,
     if sampled is None:
         weights = net.sample_weights(pattern)
     else:
-        weights = sampled.values[:, sample_idx, pattern.neuron_ids]
+        weights = sampled.values[:, pattern.neuron_ids, sample_idx]
     activity = net.evaluate_pattern(pattern, weights, eps_matrix=eps_matrix)
     actual = np.where(np.isnan(activity.fire_times), sim.t_max, activity.fire_times)
     # PatternActivity.winners for one pattern, in scalar form: its array
@@ -215,7 +215,7 @@ def train(patterns: list[SpikePattern], labels: np.ndarray, cfg: NetworkConfig,
     Runs up to cfg.max_epochs passes in a seed-derived shuffled order per
     epoch, stopping early after a pass that changes nothing.  The weight
     of every training spike under every neuron lives in one
-    (classes, patterns, inputs) SampledWeights array that each added
+    (classes, inputs, patterns) SampledWeights array that each added
     term updates in place, so no pattern is ever resampled.
     """
     if len(patterns) == 0:

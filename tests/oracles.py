@@ -11,6 +11,13 @@ the main model should degenerate to exactly this (criterion 8).
 1-d ``w @ eps`` product.  They are a per-neuron oracle for the shared
 activity kernel, ``Network.evaluate_pattern``, whose (neurons, spikes)
 product may differ from them in the last bits.
+
+``add_terms`` merges terms into a neuron by one ``unique`` + ``bincount``
+over every stored and new term, and ``PatternMajorSampledWeights`` keeps
+the training weights as (classes, patterns, inputs) with column updates.
+Both are the straightforward forms of what ``OutputNeuron.add_terms`` and
+``learning.SampledWeights`` do by binary search and contiguous rows, and
+must agree with them bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 
 from sefm.config import NetworkConfig
 from sefm.dynamics import OutputNeuron, SimulationConfig, epsilon, response_matrix
-from sefm.encoding import SpikePattern
+from sefm.encoding import TIME_QUANTUM, SpikePattern, spike_time_matrix
 from sefm.errors import InputError
 from sefm.training import (epoch_order, margin_window, on_time_deadline,
                            ref_time_correct, ref_time_wrong)
@@ -48,6 +55,50 @@ def fire_time(neuron: OutputNeuron, pattern: SpikePattern,
     if not hit.any():
         return None
     return float(np.argmax(hit) * sim.dt)
+
+
+# -- term merging and sampled training weights -----------------------------------
+
+def add_terms(neuron: OutputNeuron, neuron_ids, centers, amplitudes) -> None:
+    """``neuron.add_terms`` by sorting every stored and new key together.
+
+    Each distinct (input, tick) key keeps its first term's input and
+    center; its amplitude is ``0.0 + a1 + a2 ...`` over the stored and
+    new amplitudes in that order.
+    """
+    ids = np.asarray(neuron_ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= neuron.input_count):
+        raise InputError(f"input neuron outside [0, {neuron.input_count})")
+    inputs = np.concatenate([neuron.inputs, ids])
+    ticks = np.rint(np.concatenate([neuron.centers, np.asarray(centers, dtype=np.float64)])
+                    / TIME_QUANTUM).astype(np.int64)
+    keys, first, slot = np.unique((inputs << 32) + ticks, return_index=True,
+                                  return_inverse=True)
+    neuron.inputs = inputs[first]
+    neuron.centers = ticks[first] * TIME_QUANTUM
+    neuron.amplitudes = np.bincount(slot, minlength=keys.size, weights=np.concatenate(
+        [neuron.amplitudes, np.asarray(amplitudes, dtype=np.float64)]))
+
+
+class PatternMajorSampledWeights:
+    """``learning.SampledWeights`` laid out as (classes, patterns, inputs).
+
+    ``add`` takes the class, the width and the terms one
+    ``SampledWeights.add`` call received, and adds their Gaussians to the
+    columns of their inputs.
+    """
+
+    def __init__(self, patterns: list[SpikePattern], class_count: int):
+        self.spike_times = spike_time_matrix(patterns, patterns[0].neuron_count)
+        self.values = np.zeros((class_count, *self.spike_times.shape))
+
+    def add(self, class_label: int, sigma: float, neuron_ids: np.ndarray,
+            centers: np.ndarray, amplitudes: np.ndarray) -> None:
+        centers = np.rint(centers / TIME_QUANTUM) * TIME_QUANTUM
+        d = self.spike_times[:, neuron_ids] - centers
+        gauss = amplitudes * np.exp(-0.5 * (d / sigma) ** 2)
+        gauss[np.isnan(gauss)] = 0.0
+        self.values[class_label][:, neuron_ids] += gauss
 
 
 # -- constant-weight classifier ------------------------------------------------

@@ -269,6 +269,37 @@ def test_jobs_below_one_exits_2_and_writes_nothing(blobs_csv, tmp_path, argv, jo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--jobs", "2"],
+    ["train", "--jobs", "-3"],
+    ["grid-search", "--sigmas", "0.5", "--reference-rates", "0.1", "--reference-rate", "0.7"],
+    ["grid-search", "--sigmas", "0.5", "--reference-rates", "0.1", "--sigma", "0.7"],
+], ids=["train-jobs", "train-negative-jobs", "grid-reference-rate", "grid-sigma"])
+def test_flag_the_verb_would_ignore_is_a_usage_error(tmp_path, argv):
+    """train runs one split in-process, and grid-search trains every cell at
+    its own sigma and reference rate, so these flags would have no effect."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--dataset", "iris", "--max-epochs", "1", "--output-dir", str(out)])
+    assert err.value.code == 2
+    assert not out.exists()
+
+
+def test_grid_search_config_block_names_the_best_trained_cell(blobs_csv, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"sigma": 7.0, "reference_rate": 0.7, "max_epochs": 8}))
+    report_path = tmp_path / "grid.json"
+    code = main(["grid-search", "--csv", blobs_csv, "--train-size", "30", "--seed", "2",
+                 "--runs", "1", "--config", str(config), "--sigmas", "0.5,1.0",
+                 "--reference-rates", "0.05,0.2", "--report-out", str(report_path)])
+    assert code == EXIT_OK
+    doc = json.loads(report_path.read_text())
+    recorded = (doc["config"]["sigma"], doc["config"]["reference_rate"])
+    assert recorded == (doc["best"]["sigma"], doc["best"]["reference_rate"])
+    assert recorded in [(c["sigma"], c["reference_rate"]) for c in doc["cells"]]
+    assert doc["config"]["max_epochs"] == 8
+
+
 def test_prepare_data_bundled(capsys):
     assert main(["prepare-data", "iris", "wine"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -29,6 +29,7 @@ from sefm.encoding import TIME_QUANTUM, SpikePattern, fit_ranges, spike_time_mat
 from sefm.errors import ConfigError, InputError
 
 from conftest import all_terms, random_neuron, random_pattern, scalar_weight, terms_of
+from oracles import add_terms as reference_add_terms
 from oracles import fire_time, potential
 
 
@@ -134,6 +135,64 @@ def test_add_terms_rejects_unknown_input():
     neuron = OutputNeuron(0, 2, sigma=1.0)
     with pytest.raises(InputError):
         neuron.add_terms([2], [0.5], [1.0])
+
+
+def _term_bytes(neuron) -> tuple[bytes, bytes, bytes]:
+    return neuron.inputs.tobytes(), neuron.centers.tobytes(), neuron.amplitudes.tobytes()
+
+
+def test_add_terms_equals_the_sort_everything_reference_bitwise(rng):
+    """Random call sequences leave the same inputs, centers and amplitude bits.
+
+    Keys come from a small (input, tick) space, so calls repeat keys
+    within themselves and hit stored ones; some terms cancel a stored
+    amplitude or each other to 0, some amplitudes are -0.0, some calls
+    are empty, and half the sequences open with a checkpoint-shaped load
+    of sorted distinct keys.
+    """
+    seen = dict(repeat=0, present=0, cancel=0, negzero=0, empty=0, load=0)
+    for _ in range(80):
+        n = int(rng.integers(1, 5))
+        fast, slow = OutputNeuron(0, n, sigma=1.0), OutputNeuron(0, n, sigma=1.0)
+        calls = []
+        if rng.random() < 0.5:
+            keys = sorted(set(zip(rng.integers(0, n, 12).tolist(),
+                                  rng.integers(0, 30, 12).tolist())))
+            amps = rng.normal(size=len(keys))
+            amps[rng.integers(0, len(keys))] = -0.0
+            calls.append(([i for i, _ in keys], [t * TIME_QUANTUM for _, t in keys], amps))
+            seen["load"] += 1
+        for _ in range(int(rng.integers(3, 9))):
+            k = int(rng.integers(0, 6))
+            ids = rng.integers(0, n, k).tolist()
+            ticks = rng.integers(0, 30, k).tolist()
+            amps = rng.normal(size=k).tolist()
+            if k and rng.random() < 0.3:  # cancels within the call
+                ids.append(ids[0])
+                ticks.append(ticks[0])
+                amps.append(-amps[0])
+            if fast.amplitudes.size and rng.random() < 0.3:  # cancels a stored term
+                t = int(rng.integers(0, fast.amplitudes.size))
+                ids.append(int(fast.inputs[t]))
+                ticks.append(int(round(fast.centers[t] / TIME_QUANTUM)))
+                amps.append(-float(fast.amplitudes[t]))
+            if ids and rng.random() < 0.3:
+                amps[int(rng.integers(0, len(amps)))] = -0.0
+            calls.append((ids, [t * TIME_QUANTUM for t in ticks], amps))
+            stored = set(zip(fast.inputs.tolist(),
+                             np.rint(fast.centers / TIME_QUANTUM).astype(int).tolist()))
+            keys = list(zip(ids, ticks))
+            seen["repeat"] += len(set(keys)) < len(keys)
+            seen["present"] += any(key in stored for key in keys)
+            seen["empty"] += not keys
+            for ids, centers, amps in calls:
+                fast.add_terms(ids, centers, amps)
+                reference_add_terms(slow, ids, centers, amps)
+                assert _term_bytes(fast) == _term_bytes(slow)
+                seen["negzero"] += any(math.copysign(1.0, a) < 0 and a == 0 for a in amps)
+            seen["cancel"] += int((fast.amplitudes == 0.0).sum())
+            calls = []
+    assert all(seen.values()), seen
 
 
 def test_sample_is_sum_of_gaussians(rng):

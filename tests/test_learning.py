@@ -267,10 +267,10 @@ def test_sampled_weights_follow_every_added_term(rng):
     assert not sampled.values[0].any()
     for p, pattern in enumerate(patterns):
         fresh = neuron.sample_weights(pattern.neuron_ids, pattern.times)
-        assert np.allclose(sampled.values[1, p, pattern.neuron_ids], fresh,
+        assert np.allclose(sampled.values[1, pattern.neuron_ids, p], fresh,
                            rtol=0, atol=1e-12)
         silent = np.setdiff1d(np.arange(12), pattern.neuron_ids)
-        assert not sampled.values[1, p, silent].any()
+        assert not sampled.values[1, silent, p].any()
 
 
 # --- initialization ----------------------------------------------------------------

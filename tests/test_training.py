@@ -29,6 +29,7 @@ from sefm.training import (
 )
 
 from conftest import all_terms, blobs_dataset, random_neuron, random_pattern
+from oracles import PatternMajorSampledWeights
 
 
 CFG = NetworkConfig(sigma=0.5)
@@ -297,8 +298,35 @@ def test_incremental_weights_match_fresh_sampling_after_training(sigma, rng, mon
     for j, neuron in enumerate(fit.network.neurons):
         for p, pattern in enumerate(patterns):
             fresh = neuron.sample_weights(pattern.neuron_ids, pattern.times)
-            assert np.allclose(sampled.values[j, p, pattern.neuron_ids], fresh,
+            assert np.allclose(sampled.values[j, pattern.neuron_ids, p], fresh,
                                rtol=0, atol=1e-9)
+
+
+def test_sampled_weights_equal_a_pattern_major_replay_bitwise(rng, monkeypatch):
+    """Every add of a training run, replayed on (classes, patterns, inputs) columns."""
+    captured, adds = [], []
+
+    class Recorded(learning.SampledWeights):
+        def __init__(self, *args):
+            super().__init__(*args)
+            captured.append(self)
+
+        def add(self, neuron, neuron_ids, centers, amplitudes):
+            adds.append((neuron.class_label, neuron.sigma, neuron_ids.copy(),
+                         centers.copy(), amplitudes.copy()))
+            super().add(neuron, neuron_ids, centers, amplitudes)
+
+    monkeypatch.setattr(learning, "SampledWeights", Recorded)
+    x, y = blobs_dataset(rng)
+    patterns = encode_dataset(x, fit_ranges(x))
+    train(patterns, y, CFG.with_overrides(sigma=0.3, max_epochs=20), 3, seed=2)
+    (sampled,) = captured
+    replay = PatternMajorSampledWeights(patterns, 3)
+    for args in adds:
+        replay.add(*args)
+    assert len(adds) > 100
+    assert sampled.spike_times.tobytes() == replay.spike_times.T.tobytes()
+    assert sampled.values.tobytes() == replay.values.transpose(0, 2, 1).tobytes()
 
 
 def test_epoch_order_is_pure_seeded_permutation():
