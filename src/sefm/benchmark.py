@@ -66,7 +66,6 @@ class SplitOutcome:
     result: RunResult
     network: Network | None  # None where a benchmark did not keep it
     encoder: EncoderConfig
-    wall_seconds: float
 
 
 def run_split(dataset: TabularDataset, train_idx: np.ndarray, test_idx: np.ndarray,
@@ -97,8 +96,7 @@ def run_split(dataset: TabularDataset, train_idx: np.ndarray, test_idx: np.ndarr
                        confusion=confusion_matrix(test_y, test_pred, dataset.class_count),
                        train_size=len(train_idx), test_size=len(test_idx),
                        epoch_stats=[s.to_dict() for s in fit.epoch_stats])
-    return SplitOutcome(result=result, network=fit.network, encoder=encoder,
-                        wall_seconds=fit.wall_seconds)
+    return SplitOutcome(result=result, network=fit.network, encoder=encoder)
 
 
 @dataclass
@@ -108,7 +106,6 @@ class BenchmarkResult:
     config: NetworkConfig
     seed: int
     runs: list[RunResult]
-    wall_seconds: float = 0.0
     last_outcome: SplitOutcome | None = None
 
     @property
@@ -179,10 +176,9 @@ def benchmark(dataset: TabularDataset, cfg: NetworkConfig, *, train_size: int,
              for run, (train_idx, test_idx, train_seed, _) in enumerate(plan)]
     outcomes = _map(_run_unit, units, jobs)
     runs = [o.result for o in outcomes]
-    wall = sum(o.wall_seconds for o in outcomes)
     arch = f"{outcomes[-1].encoder.neuron_count}-{dataset.class_count}"
     return BenchmarkResult(dataset=dataset.name, architecture=arch,
-                           config=cfg, seed=seed, runs=runs, wall_seconds=wall,
+                           config=cfg, seed=seed, runs=runs,
                            last_outcome=outcomes[-1] if keep_last else None)
 
 

@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from pathlib import Path
 
 from . import benchmark as bench
@@ -83,11 +84,6 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def _write_timing(path, seconds: float) -> None:
-    if path:
-        _write_json(path, {"wall_seconds": seconds})
-
-
 def _out_path(args, explicit, default_name):
     """Explicit flag wins; else a default filename under --output-dir."""
     if explicit:
@@ -111,7 +107,6 @@ def _cmd_train(args, cfg, dataset, train_size) -> int:
     if report_out:
         _write_json(report_out, bench.report("train", dataset.name, args.seed, cfg,
                                              result=res.to_dict()))
-    _write_timing(_out_path(args, args.timing_out, "timing.json"), outcome.wall_seconds)
     print(f"{dataset.name}: train {100 * res.train_accuracy:.1f}%  "
           f"test {100 * res.test_accuracy:.1f}%  "
           f"epochs {res.epochs_run}{' (converged)' if res.converged else ''}")
@@ -124,7 +119,6 @@ def _cmd_benchmark(args, cfg, dataset, train_size) -> int:
     report_out = _out_path(args, args.report_out, "report.json")
     if report_out:
         _write_json(report_out, result.to_dict())
-    _write_timing(_out_path(args, args.timing_out, "timing.json"), result.wall_seconds)
     train_mean, train_sd = result.train_stats
     test_mean, test_sd = result.test_stats
     print(f"{dataset.name} [{result.architecture}] over {args.runs} runs: "
@@ -192,8 +186,9 @@ def _add_common(p: argparse.ArgumentParser, *, jobs: bool = False,
                 swept: tuple[str, ...] = ()) -> None:
     """Flags every verb but prepare-data takes; a verb that sweeps a setting
     has no flag for it, and only the protocol verbs run worker processes."""
-    p.add_argument("--dataset", help="registered dataset name")
-    p.add_argument("--csv", help="train on an arbitrary CSV instead")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--dataset", help="registered dataset name")
+    source.add_argument("--csv", help="train on an arbitrary CSV instead")
     p.add_argument("--label-column", type=int, default=-1,
                    help="label column index for --csv (default: last)")
     p.add_argument("--data-dir", default=None,
@@ -265,7 +260,12 @@ def main(argv=None) -> int:
             return _cmd_prepare_data(args)
         cfg = _resolve_config(args)
         dataset = _load_dataset(args)
-        return args.fn(args, cfg, dataset, _train_size(args, dataset))
+        started = time.perf_counter()
+        code = args.fn(args, cfg, dataset, _train_size(args, dataset))
+        timing_out = _out_path(args, args.timing_out, "timing.json")
+        if timing_out:
+            _write_json(timing_out, {"wall_seconds": time.perf_counter() - started})
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .encoding import TIME_QUANTUM, EncoderConfig, SpikePattern
+from .encoding import TIME_QUANTUM, EncoderConfig, SpikePattern, spike_time_matrix
 from .errors import ConfigError, InputError
 
 MODEL_FORMAT = "sefm-model/1"
@@ -119,12 +119,16 @@ class OutputNeuron:
         as ``0.0 + a1 + a2 ...`` in arrival order, so no stored amplitude
         is ever -0.0 and adding to one is adding to ``0.0 + stored``.
         Stored terms are found by binary search and left where they are.
+        A non-finite term, or a center of 2**31 or more ticks, raises InputError.
         """
         ids = np.asarray(neuron_ids, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.input_count):
             raise InputError(f"input neuron outside [0, {self.input_count})")
-        ticks = np.rint(np.asarray(centers, dtype=np.float64) / TIME_QUANTUM).astype(np.int64)
+        ticks = np.rint(np.asarray(centers, dtype=np.float64) / TIME_QUANTUM)
         amplitudes = np.asarray(amplitudes, dtype=np.float64)
+        if not ((abs(ticks) < 2**31).all() and np.isfinite(amplitudes).all()):
+            raise InputError("a term needs a finite amplitude and a center within 2**31 ticks")
+        ticks = ticks.astype(np.int64)
         # one int64 key per term, ordered like (input, tick) for |tick| < 2**31
         keys = (ids << 32) + ticks
         stored = (self.inputs << 32) + np.rint(self.centers / TIME_QUANTUM).astype(np.int64)
@@ -174,16 +178,23 @@ class OutputNeuron:
         read NaN, or 0 when they have no term.
         """
         rows = spike_times.shape[0]
-        vals = np.take(spike_times, self.inputs, axis=1)
-        vals -= self.centers
-        vals /= self.sigma
-        np.square(vals, out=vals)
-        vals *= -0.5
-        np.exp(vals, out=vals)
-        vals *= self.amplitudes
+        vals = efficacy(np.take(spike_times, self.inputs, axis=1), self.centers,
+                        self.amplitudes, self.sigma)
         bins = np.arange(0, rows * self.input_count, self.input_count)[:, None] + self.inputs
         return np.bincount(bins.ravel(), weights=vals.ravel(),
                            minlength=rows * self.input_count).reshape(rows, self.input_count)
+
+
+def efficacy(t: np.ndarray, centers, amplitudes, sigma: float) -> np.ndarray:
+    """Weight terms ``amplitudes * exp(-(t - centers)^2 / (2 sigma^2))``, written
+    over the float64 array ``t``; no other code computes a term."""
+    t -= centers
+    t /= sigma
+    np.square(t, out=t)
+    t *= -0.5
+    np.exp(t, out=t)
+    t *= amplitudes
+    return t
 
 
 def _merged(old: np.ndarray, kept: np.ndarray, dest: np.ndarray,
@@ -324,10 +335,16 @@ class Network:
 
     def sample_weights(self, pattern: SpikePattern) -> np.ndarray:
         """(classes, spikes) momentary weights; zero rows for uninitialized neurons."""
-        weights = np.zeros((self.class_count, pattern.spike_count))
+        weights = self.sample_rows(spike_time_matrix([pattern], self.input_count))
+        return weights[0][:, pattern.neuron_ids]
+
+    def sample_rows(self, spike_times: np.ndarray) -> np.ndarray:
+        """(patterns, classes, inputs) weights of (patterns, inputs) spike
+        times; zero rows for uninitialized neurons."""
+        weights = np.zeros((spike_times.shape[0], self.class_count, self.input_count))
         for j, neuron in enumerate(self.neurons):
             if neuron is not None:
-                weights[j] = neuron.sample_weights(pattern.neuron_ids, pattern.times)
+                weights[:, j] = neuron.sample_rows(spike_times)
         return weights
 
     def evaluate_pattern(self, pattern: SpikePattern, weights: Optional[np.ndarray] = None,

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import OutputNeuron, SimulationConfig, epsilon
-from .encoding import TIME_QUANTUM, SpikePattern, spike_time_matrix
+from .dynamics import OutputNeuron, SimulationConfig, efficacy, epsilon
+from .encoding import SpikePattern, spike_time_matrix
 from .errors import SefmError
 
 
@@ -49,15 +49,10 @@ class SampledWeights:
 
     def add(self, neuron: OutputNeuron, neuron_ids: np.ndarray, centers: np.ndarray,
             amplitudes: np.ndarray) -> None:
-        """Add the Gaussians of terms just added to ``neuron`` (distinct inputs)."""
-        centers = np.rint(centers / TIME_QUANTUM) * TIME_QUANTUM
-        gauss = self.spike_times[neuron_ids]
-        gauss -= centers[:, None]
-        gauss /= neuron.sigma
-        np.square(gauss, out=gauss)
-        gauss *= -0.5
-        np.exp(gauss, out=gauss)
-        gauss *= amplitudes[:, None]
+        """Add the Gaussians of terms just added to ``neuron`` (distinct inputs,
+        SpikePattern times as centers, so already on the grid)."""
+        gauss = efficacy(self.spike_times[neuron_ids], centers[:, None],
+                         amplitudes[:, None], neuron.sigma)
         np.copyto(gauss, 0.0, where=np.isnan(gauss))
         self.values[neuron.class_label, neuron_ids] += gauss
 

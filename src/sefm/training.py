@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import logging
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -195,7 +194,6 @@ class TrainResult:
     epochs_run: int
     converged: bool
     epoch_stats: list[EpochStats] = field(default_factory=list)
-    wall_seconds: float = 0.0
 
 
 def epoch_order(seed: int, epoch: int, n: int) -> list[int]:
@@ -226,7 +224,6 @@ def train(patterns: list[SpikePattern], labels: np.ndarray, cfg: NetworkConfig,
     absent = sorted(set(range(class_count)) - present)
     if absent:
         raise ConfigError(f"training data has no sample of class(es) {absent}")
-    started = time.perf_counter()
     net = build_network(cfg, class_count, patterns[0].neuron_count)
     # a table of this call's own, so its rows go when training ends
     table = ResponseTable(net.sim)
@@ -252,8 +249,7 @@ def train(patterns: list[SpikePattern], labels: np.ndarray, cfg: NetworkConfig,
         if converged:
             break
     return TrainResult(network=net, epochs_run=len(stats_log), converged=converged,
-                       epoch_stats=stats_log,
-                       wall_seconds=time.perf_counter() - started)
+                       epoch_stats=stats_log)
 
 
 # -- inference ---------------------------------------------------------------
@@ -262,24 +258,20 @@ def predict(net: Network, patterns: list[SpikePattern]) -> np.ndarray:
     """Earliest-firing class per pattern; if every neuron is silent, highest peak.
 
     Ties break toward the lowest class index either way.  Patterns go
-    through PREDICT_CHUNK at a time: one spike-time matrix and one weight
-    sampling per neuron for the chunk, each pattern's (live, spikes) @
+    through PREDICT_CHUNK at a time: one spike-time matrix and one
+    ``Network.sample_rows`` for the chunk, each pattern's (live, spikes) @
     (spikes, grid) potentials over rows gathered by ``response_matrix``,
     then ``Network.crossings`` over the whole chunk.  Every step keeps the
     arithmetic of ``Network.evaluate_pattern``, so labels, fire times and
     peaks equal one-at-a-time evaluation bit for bit.
     """
     live = np.array([n is not None for n in net.neurons])
-    neurons = [n for n in net.neurons if n is not None]
     grid_size = net.sim.grid().size
     labels = np.zeros(len(patterns), dtype=np.int64)
     for start in range(0, len(patterns), PREDICT_CHUNK):
         chunk = patterns[start:start + PREDICT_CHUNK]
-        spike_times = spike_time_matrix(chunk, net.input_count)
-        weights = np.empty((len(chunk), len(neurons), net.input_count))
-        for j, neuron in enumerate(neurons):
-            weights[:, j] = neuron.sample_rows(spike_times)
-        v = np.empty((len(chunk), len(neurons), grid_size))
+        weights = net.sample_rows(spike_time_matrix(chunk, net.input_count))[:, live]
+        v = np.empty((*weights.shape[:2], grid_size))
         for r, pattern in enumerate(chunk):
             v[r] = weights[r][:, pattern.neuron_ids] @ response_matrix(pattern, net.sim)
         labels[start:start + len(chunk)] = net.crossings(v, live).winners()

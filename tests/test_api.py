@@ -112,3 +112,46 @@ def test_every_defaulted_parameter_has_a_caller_that_passes_it():
             idle += [f"{path.stem}.{fn.name}({arg})" for arg, pos in defaulted
                      if "*" not in got and arg not in got and pos not in got]
     assert not idle, "defaulted parameters no caller passes: " + ", ".join(idle)
+
+
+def test_every_verb_reads_every_flag_it_accepts():
+    """Each subparser option's dest is read in ``main``, in the verb's
+    ``fn``, or in a ``cli`` def they call: as ``args.<dest>``, or as
+    ``getattr(args, key)`` in the loop over ``_OVERRIDES``.  A flag that
+    nothing reads is accepted and silently ignored."""
+    import argparse
+
+    from sefm import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    defs = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+
+    def reads(fn: ast.FunctionDef) -> set:
+        got = {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        for loop in ast.walk(fn):
+            if (isinstance(loop, ast.For) and ast.unparse(loop.iter) == "_OVERRIDES"
+                    and f"getattr(args, {ast.unparse(loop.target)}" in ast.unparse(loop)):
+                got |= set(cli._OVERRIDES)
+        return got
+
+    def reached(names: list) -> set:
+        seen, todo = set(), list(names)
+        while todo:
+            name = todo.pop()
+            if name in seen or name not in defs:
+                continue
+            seen.add(name)
+            todo += [node.func.id for node in ast.walk(defs[name])
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+        return seen
+
+    verbs = next(a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    unread = []
+    for verb, parser in verbs.items():
+        read = set().union(*(reads(defs[n])
+                             for n in reached(["main", parser.get_default("fn").__name__])))
+        unread += [f"{verb}: {a.dest}" for a in parser._actions
+                   if not isinstance(a, argparse._HelpAction) and a.dest not in read]
+    assert not unread, "flags no code reads: " + ", ".join(unread)

@@ -53,6 +53,22 @@ def test_train_writes_model_report_timing(blobs_csv, tmp_path, capsys):
     assert timing["wall_seconds"] > 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["train"],
+    ["benchmark", "--runs", "1"],
+    ["sigma-sweep", "--sigmas", "0.5", "--runs", "1"],
+    ["grid-search", "--sigmas", "0.5", "--reference-rates", "0.1", "--runs", "1"],
+], ids=["train", "benchmark", "sigma-sweep", "grid-search"])
+def test_every_verb_writes_its_wall_time(blobs_csv, tmp_path, argv):
+    """timing.json holds the wall time of the whole verb, for every verb
+    that takes --timing-out."""
+    out = tmp_path / "out"
+    code = main([*argv, "--csv", blobs_csv, "--train-size", "30", "--max-epochs", "2",
+                 "--output-dir", str(out)])
+    assert code == EXIT_OK
+    assert json.loads((out / "timing.json").read_text())["wall_seconds"] > 0
+
+
 def test_train_explicit_out_paths_beat_output_dir(blobs_csv, tmp_path):
     out = tmp_path / "d"
     model = tmp_path / "elsewhere" / "m.json"
@@ -274,10 +290,14 @@ def test_jobs_below_one_exits_2_and_writes_nothing(blobs_csv, tmp_path, argv, jo
     ["train", "--jobs", "-3"],
     ["grid-search", "--sigmas", "0.5", "--reference-rates", "0.1", "--reference-rate", "0.7"],
     ["grid-search", "--sigmas", "0.5", "--reference-rates", "0.1", "--sigma", "0.7"],
-], ids=["train-jobs", "train-negative-jobs", "grid-reference-rate", "grid-sigma"])
+    ["train", "--csv", "b.csv"],
+], ids=["train-jobs", "train-negative-jobs", "grid-reference-rate", "grid-sigma",
+        "train-csv-and-dataset"])
 def test_flag_the_verb_would_ignore_is_a_usage_error(tmp_path, argv):
     """train runs one split in-process, and grid-search trains every cell at
-    its own sigma and reference rate, so these flags would have no effect."""
+    its own sigma and reference rate, so these flags would have no effect.
+    --csv beside --dataset would train the CSV under the registered
+    dataset's tuned settings."""
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as err:
         main([*argv, "--dataset", "iris", "--max-epochs", "1", "--output-dir", str(out)])

@@ -137,6 +137,19 @@ def test_add_terms_rejects_unknown_input():
         neuron.add_terms([2], [0.5], [1.0])
 
 
+@pytest.mark.parametrize("center, amplitude", [(np.nan, 1.0), (5e6, 1.0), (0.5, np.inf)],
+                         ids=["nan-center", "center-past-31-bits", "inf-amplitude"])
+def test_add_terms_rejects_a_term_its_key_cannot_hold(center, amplitude):
+    """A NaN center would be stored at about -9.2e15 ms, and a 5e6 ms center
+    on input 0 (tick 5e9 >= 2**31) would sort after input 1's terms, so
+    ``synapses()`` would file input 1's term under input 0."""
+    neuron = OutputNeuron(0, 2, sigma=1.0)
+    neuron.add_terms([1], [0.5], [0.25])
+    with pytest.raises(InputError):
+        neuron.add_terms([0], [center], [amplitude])
+    assert neuron.synapses() == [[], [[0.5, 0.25]]]
+
+
 def _term_bytes(neuron) -> tuple[bytes, bytes, bytes]:
     return neuron.inputs.tobytes(), neuron.centers.tobytes(), neuron.amplitudes.tobytes()
 
