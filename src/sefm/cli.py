@@ -60,18 +60,24 @@ def _resolve_config(args) -> NetworkConfig:
 
 
 def _load_dataset(args) -> datamod.TabularDataset:
+    """The --csv or --dataset source; a flag only the other one reads is an error."""
     if args.csv:
-        return datamod.load_csv(args.csv, label_column=args.label_column)
+        if args.data_dir is not None:
+            raise ConfigError("--data-dir applies to --dataset, not --csv")
+        column = -1 if args.label_column is None else args.label_column
+        return datamod.load_csv(args.csv, label_column=column)
     if not args.dataset:
         raise ConfigError("either --dataset or --csv is required")
+    if args.label_column is not None:
+        raise ConfigError("--label-column applies to --csv, not --dataset")
     return datamod.load_dataset(args.dataset, directory=args.data_dir)
 
 
 def _train_size(args, dataset) -> int:
-    """--train-size as given, else the registry's, else half the rows."""
+    """--train-size as given, else the --dataset's registry value, else half the rows."""
     if args.train_size is not None:
         return args.train_size
-    spec = datamod.DATASETS.get(dataset.name)
+    spec = datamod.DATASETS.get(args.dataset)
     if spec is not None:
         return spec.train_size
     return max(1, int(round(0.5 * dataset.sample_count)))
@@ -189,10 +195,10 @@ def _add_common(p: argparse.ArgumentParser, *, jobs: bool = False,
     source = p.add_mutually_exclusive_group()
     source.add_argument("--dataset", help="registered dataset name")
     source.add_argument("--csv", help="train on an arbitrary CSV instead")
-    p.add_argument("--label-column", type=int, default=-1,
+    p.add_argument("--label-column", type=int, default=None,
                    help="label column index for --csv (default: last)")
     p.add_argument("--data-dir", default=None,
-                   help="where prepared datasets live (default: $SEFM_DATA_DIR or ./data)")
+                   help="where --dataset's files live (default: $SEFM_DATA_DIR or ./data)")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, default=0)
     if jobs:

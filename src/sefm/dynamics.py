@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .encoding import TIME_QUANTUM, EncoderConfig, SpikePattern, spike_time_matrix
+from .encoding import TIME_QUANTUM, EncoderConfig, SpikePattern
 from .errors import ConfigError, InputError
 
 MODEL_FORMAT = "sefm-model/1"
@@ -293,21 +293,15 @@ def response_matrix(pattern: SpikePattern, sim: SimulationConfig) -> np.ndarray:
 
 @dataclass
 class PatternActivity:
-    """Per-class firing summary of one pattern, or of a batch along a first axis.
-
-    fire_times holds NaN for silent (or uninitialized) neurons; peaks
-    holds -inf for uninitialized ones so the silent-fallback argmax can
-    never pick them.
-    """
+    """Per-class firing summary of one pattern, or of a batch along a first axis:
+    NaN fire times for silent (or uninitialized) neurons, -inf peaks for
+    uninitialized ones so the silent-fallback argmax never picks them."""
 
     fire_times: np.ndarray
     peaks: np.ndarray
 
     def winners(self) -> np.ndarray:
-        """Earliest-firing class; where every neuron is silent, the highest peak.
-
-        Ties break toward the lowest class index either way.
-        """
+        """Earliest-firing class, else the highest peak; ties go to the lowest class."""
         times = np.where(np.isnan(self.fire_times), np.inf, self.fire_times)
         return np.where(np.isfinite(times.min(axis=-1)), times.argmin(axis=-1),
                         self.peaks.argmax(axis=-1))
@@ -333,11 +327,6 @@ class Network:
         self.spike_interval = float(spike_interval)
         self.neurons: list[Optional[OutputNeuron]] = [None] * class_count
 
-    def sample_weights(self, pattern: SpikePattern) -> np.ndarray:
-        """(classes, spikes) momentary weights; zero rows for uninitialized neurons."""
-        weights = self.sample_rows(spike_time_matrix([pattern], self.input_count))
-        return weights[0][:, pattern.neuron_ids]
-
     def sample_rows(self, spike_times: np.ndarray) -> np.ndarray:
         """(patterns, classes, inputs) weights of (patterns, inputs) spike
         times; zero rows for uninitialized neurons."""
@@ -347,34 +336,20 @@ class Network:
                 weights[:, j] = neuron.sample_rows(spike_times)
         return weights
 
-    def evaluate_pattern(self, pattern: SpikePattern, weights: Optional[np.ndarray] = None,
-                         *, eps_matrix: Optional[np.ndarray] = None) -> PatternActivity:
-        """Fire times and peak potentials of every initialized neuron.
-
-        The one activity kernel of training and inference: potentials are
-        the (classes, spikes) weights times the (spikes, grid) kernel
-        responses, and ``crossings`` finds each row's first threshold
-        crossing.  ``weights`` and ``eps_matrix`` default to fresh
-        sampling and ``response_matrix``.
-        """
-        if weights is None:
-            weights = self.sample_weights(pattern)
-        if eps_matrix is None:
-            eps_matrix = response_matrix(pattern, self.sim)
-        live = np.array([n is not None for n in self.neurons])
-        return self.crossings(weights[live] @ eps_matrix, live)
+    def evaluate_pattern(self, weights: np.ndarray, eps_matrix: np.ndarray,
+                         thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``first_crossings`` of one pattern's (live, spikes) weights times its
+        (spikes, grid) responses: training's kernel.  ``predict`` forms the
+        same product per pattern and passes a chunk to ``crossings``."""
+        return first_crossings(weights @ eps_matrix, thresholds)
 
     def crossings(self, v: np.ndarray, live: np.ndarray) -> PatternActivity:
-        """Activity from potentials ``v`` of shape (..., live neurons, grid).
-
-        ``live`` masks the initialized neurons, the rows of ``v``.  Each
-        one's fire time is its first grid time at or above its threshold
-        (NaN if none; a row reaches it iff its peak does) and its peak the
-        maximum of its row.  Leading axes, if any, index patterns.
-        """
+        """Activity from potentials ``v`` of shape (..., live neurons, grid),
+        ``live`` masking the initialized neurons: a neuron fires at its
+        ``first_crossings`` index times dt iff its peak reaches its threshold.
+        Leading axes, if any, index patterns."""
         thresholds = np.array([n.threshold for n in self.neurons if n is not None])
-        top = v.max(axis=-1)
-        first = (v >= thresholds[:, None]).argmax(axis=-1)
+        first, top = first_crossings(v, thresholds)
         crossed = np.where(top >= thresholds, first * self.sim.dt, np.nan)
         if live.all():
             return PatternActivity(fire_times=crossed, peaks=top)
@@ -383,6 +358,12 @@ class Network:
         fire_times[..., live] = crossed
         peaks[..., live] = top
         return PatternActivity(fire_times=fire_times, peaks=peaks)
+
+
+def first_crossings(v: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First grid index at or above the neuron's threshold (0 if none; a row
+    reaches it iff its peak does) and peak of each (..., neurons, grid) row."""
+    return (v >= thresholds[:, None]).argmax(axis=-1), v.max(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -80,21 +80,41 @@ class SampleResult:
     predicted: int | None = None
 
 
-def process_sample(net: Network, pattern: SpikePattern, label: int,
-                   cfg: NetworkConfig, *, eps_matrix: np.ndarray | None = None,
-                   sampled: learning.SampledWeights | None = None,
-                   sample_idx: int = -1) -> SampleResult:
-    """Run one pattern through the decision procedure, mutating the network.
+class TrainingState:
+    """The network, each pattern's rows in a ResponseTable of the fit's own,
+    the SampledWeights, and the live class ids and their thresholds: these
+    change only when ``learning.initialize`` adds a neuron, after which
+    ``refresh`` re-reads them (``apply_update`` never moves a threshold)."""
 
-    The epoch loop passes the pattern's response matrix and its training
-    SampledWeights with the pattern's row ``sample_idx``; without them
-    the weights are sampled afresh and the result is the same.
+    def __init__(self, net: Network, patterns: list[SpikePattern], cfg: NetworkConfig):
+        self.net = net
+        self.patterns = patterns
+        self.cfg = cfg
+        self.table = ResponseTable(net.sim)
+        self.rows = np.split(self.table.indices(np.concatenate([p.times for p in patterns])),
+                             np.cumsum([p.spike_count for p in patterns])[:-1])
+        self.sampled = learning.SampledWeights(patterns, net.class_count)
+        self.deadline = on_time_deadline(cfg.desired_time, cfg.deadline_rate, cfg.spike_interval)
+        self.margin = margin_window(cfg.desired_time, cfg.margin_rate, cfg.spike_interval)
+        self.refresh()
+
+    def refresh(self) -> None:
+        self.live = [j for j, n in enumerate(self.net.neurons) if n is not None]
+        self.thresholds = np.array([self.net.neurons[j].threshold for j in self.live])
+
+
+def process_sample(state: TrainingState, s: int, label: int) -> SampleResult:
+    """Present training pattern ``s`` of class ``label`` once, mutating the network.
+
+    ``Network.evaluate_pattern`` gives each live neuron's first index at or
+    above its threshold and its peak; it fires iff the peak reaches the
+    threshold, at index times dt.  The race (earliest, then lowest class;
+    highest peak if all are silent) and the targets use Python floats.
     """
-    if not 0 <= label < net.class_count:
-        raise InputError(f"label {label} outside 0..{net.class_count - 1}")
+    pattern = state.patterns[s]
     if pattern.spike_count == 0:
         return SampleResult(Outcome.NO_SPIKES)
-    sim = net.sim
+    net, cfg, sampled, sim = state.net, state.cfg, state.sampled, state.net.sim
 
     if net.neurons[label] is None:
         neuron = OutputNeuron(label, net.input_count, net.sigma)
@@ -104,37 +124,37 @@ def process_sample(net: Network, pattern: SpikePattern, label: int,
             # nothing precedes the desired time; wait for a friendlier pattern
             return SampleResult(Outcome.SKIPPED, ineligible_classes=(label,))
         net.neurons[label] = neuron
+        state.refresh()
         return SampleResult(Outcome.INITIALIZED, updated_classes=(label,))
 
-    if sampled is None:
-        weights = net.sample_weights(pattern)
-    else:
-        weights = sampled.values[:, pattern.neuron_ids, sample_idx]
-    activity = net.evaluate_pattern(pattern, weights, eps_matrix=eps_matrix)
-    actual = np.where(np.isnan(activity.fire_times), sim.t_max, activity.fire_times)
-    # PatternActivity.winners for one pattern, in scalar form: its array
-    # form costs about 4 us more, on every sample of every epoch
-    raced = np.where(np.isnan(activity.fire_times), np.inf, activity.fire_times)
-    winner = int(np.argmin(raced))
-    predicted = winner if np.isfinite(raced[winner]) else int(np.argmax(activity.peaks))
+    live = state.live
+    weights = sampled.values[:, pattern.neuron_ids, s]
+    first, top = net.evaluate_pattern(weights if len(live) == net.class_count else weights[live],
+                                      state.table.gather(state.rows[s]), state.thresholds)
+    peaks = top.tolist()
+    dt, t_max = sim.dt, sim.t_max
+    # fire time of each live neuron that fires, in class order
+    fired = {j: k * dt for j, k, peak, threshold
+             in zip(live, first.tolist(), peaks, state.thresholds.tolist())
+             if peak >= threshold}
+    predicted = (min(fired, key=fired.__getitem__) if fired
+                 else live[peaks.index(max(peaks))])
 
-    deadline = on_time_deadline(cfg.desired_time, cfg.deadline_rate, cfg.spike_interval)
-    margin = margin_window(cfg.desired_time, cfg.margin_rate, cfg.spike_interval)
     # the margin is held from the correct neuron's time, or from its
     # target when it fires late; rivals inside the margin are pushed past it
-    punctual = actual[label] <= deadline
-    anchor = (actual[label] if punctual
-              else ref_time_correct(actual[label], cfg.reference_rate, cfg.desired_time))
-    t_wrong = ref_time_wrong(anchor, margin, sim.t_max)
-    targets = [(j, t_wrong) for j in range(net.class_count)
-               if j != label and net.neurons[j] is not None and actual[j] - anchor < margin]
+    actual = fired.get(label, t_max)
+    punctual = actual <= state.deadline
+    anchor = (actual if punctual
+              else ref_time_correct(actual, cfg.reference_rate, cfg.desired_time))
+    t_wrong = ref_time_wrong(anchor, state.margin, t_max)
+    targets = [(j, t_wrong) for j in live
+               if j != label and fired.get(j, t_max) - anchor < state.margin]
     if not punctual:
         targets.insert(0, (label, anchor))
     elif not targets:
         return SampleResult(Outcome.SKIPPED, predicted=predicted)
 
-    updated: list[int] = []
-    ineligible: list[int] = []
+    updated, ineligible = [], []
     for j, t_ref in targets:
         neuron = net.neurons[j]
         try:
@@ -211,25 +231,19 @@ def train(patterns: list[SpikePattern], labels: np.ndarray, cfg: NetworkConfig,
     """Fit a network on encoded patterns.
 
     Runs up to cfg.max_epochs passes in a seed-derived shuffled order per
-    epoch, stopping early after a pass that changes nothing.  The weight
-    of every training spike under every neuron lives in one
-    (classes, inputs, patterns) SampledWeights array that each added
-    term updates in place, so no pattern is ever resampled.
+    epoch, stopping early after a pass that changes nothing.  Every
+    ``process_sample`` reads one TrainingState, whose SampledWeights each
+    added term updates in place, so no pattern is ever resampled.
     """
     if len(patterns) == 0:
         raise InputError("cannot train on an empty pattern list")
     if len(patterns) != len(labels):
         raise InputError("patterns and labels differ in length")
-    present = set(int(v) for v in np.unique(np.asarray(labels)))
-    absent = sorted(set(range(class_count)) - present)
-    if absent:
-        raise ConfigError(f"training data has no sample of class(es) {absent}")
-    net = build_network(cfg, class_count, patterns[0].neuron_count)
-    # a table of this call's own, so its rows go when training ends
-    table = ResponseTable(net.sim)
-    rows = np.split(table.indices(np.concatenate([p.times for p in patterns])),
-                    np.cumsum([p.spike_count for p in patterns])[:-1])
-    sampled = learning.SampledWeights(patterns, class_count)
+    present = np.unique(np.asarray(labels)).tolist()
+    if present != list(range(class_count)):
+        raise ConfigError(f"training labels {present} are not exactly 0..{class_count - 1}")
+    state = TrainingState(build_network(cfg, class_count, patterns[0].neuron_count),
+                          patterns, cfg)
     stats_log: list[EpochStats] = []
     converged = False
     warned_empty: set[int] = set()
@@ -237,9 +251,7 @@ def train(patterns: list[SpikePattern], labels: np.ndarray, cfg: NetworkConfig,
         stats = EpochStats(epoch=epoch)
         for s in epoch_order(seed, epoch, len(patterns)):
             label = int(labels[s])
-            result = process_sample(net, patterns[s], label, cfg,
-                                    eps_matrix=table.gather(rows[s]), sampled=sampled,
-                                    sample_idx=s)
+            result = process_sample(state, s, label)
             stats.count(result, label)
             if result.outcome is Outcome.NO_SPIKES and s not in warned_empty:
                 warned_empty.add(s)
@@ -248,7 +260,7 @@ def train(patterns: list[SpikePattern], labels: np.ndarray, cfg: NetworkConfig,
         converged = stats.updates_correct + stats.updates_wrong == 0
         if converged:
             break
-    return TrainResult(network=net, epochs_run=len(stats_log), converged=converged,
+    return TrainResult(network=state.net, epochs_run=len(stats_log), converged=converged,
                        epoch_stats=stats_log)
 
 
@@ -260,10 +272,9 @@ def predict(net: Network, patterns: list[SpikePattern]) -> np.ndarray:
     Ties break toward the lowest class index either way.  Patterns go
     through PREDICT_CHUNK at a time: one spike-time matrix and one
     ``Network.sample_rows`` for the chunk, each pattern's (live, spikes) @
-    (spikes, grid) potentials over rows gathered by ``response_matrix``,
-    then ``Network.crossings`` over the whole chunk.  Every step keeps the
-    arithmetic of ``Network.evaluate_pattern``, so labels, fire times and
-    peaks equal one-at-a-time evaluation bit for bit.
+    (spikes, grid) potentials, as training's ``Network.evaluate_pattern``
+    forms them, then ``Network.crossings`` over the whole chunk, so labels,
+    fire times and peaks equal one-at-a-time evaluation bit for bit.
     """
     live = np.array([n is not None for n in net.neurons])
     grid_size = net.sim.grid().size

@@ -12,6 +12,14 @@ the main model should degenerate to exactly this (criterion 8).
 activity kernel, ``Network.evaluate_pattern``, whose (neurons, spikes)
 product may differ from them in the last bits.
 
+``process_sample`` is the training step with every weight sampled afresh
+from the network (``sample_weights``) and every activity computed by
+``evaluate_pattern`` from fresh responses: the reference that
+``training.train``'s cached step, which reads its weights, responses,
+live classes and thresholds from one training state, must reproduce bit
+for bit.  It works on any network, so the per-branch tests drive it on
+hand-built ones.
+
 ``add_terms`` merges terms into a neuron by one ``unique`` + ``bincount``
 over every stored and new term, and ``PatternMajorSampledWeights`` keeps
 the training weights as (classes, patterns, inputs) with column updates.
@@ -27,12 +35,14 @@ from typing import Optional
 
 import numpy as np
 
+from sefm import learning
 from sefm.config import NetworkConfig
-from sefm.dynamics import OutputNeuron, SimulationConfig, epsilon, response_matrix
+from sefm.dynamics import (Network, OutputNeuron, PatternActivity, SimulationConfig, epsilon,
+                           response_matrix)
 from sefm.encoding import TIME_QUANTUM, SpikePattern, spike_time_matrix
 from sefm.errors import InputError
-from sefm.training import (epoch_order, margin_window, on_time_deadline,
-                           ref_time_correct, ref_time_wrong)
+from sefm.training import (Outcome, SampleResult, epoch_order, margin_window,
+                           on_time_deadline, ref_time_correct, ref_time_wrong)
 
 
 def potential(neuron: OutputNeuron, pattern: SpikePattern, t: float,
@@ -55,6 +65,78 @@ def fire_time(neuron: OutputNeuron, pattern: SpikePattern,
     if not hit.any():
         return None
     return float(np.argmax(hit) * sim.dt)
+
+
+# -- the fresh-sampling training step ------------------------------------------
+
+def sample_weights(net: Network, pattern: SpikePattern) -> np.ndarray:
+    """(classes, spikes) momentary weights sampled afresh; zero rows for
+    uninitialized neurons."""
+    weights = net.sample_rows(spike_time_matrix([pattern], net.input_count))
+    return weights[0][:, pattern.neuron_ids]
+
+
+def evaluate_pattern(net: Network, pattern: SpikePattern,
+                     weights: Optional[np.ndarray] = None,
+                     eps_matrix: Optional[np.ndarray] = None) -> PatternActivity:
+    """Fire times and peaks of every initialized neuron: the (live, spikes)
+    weights times the (spikes, grid) responses, through ``Network.crossings``.
+    ``weights`` and ``eps_matrix`` default to ``sample_weights`` and
+    ``response_matrix``."""
+    if weights is None:
+        weights = sample_weights(net, pattern)
+    if eps_matrix is None:
+        eps_matrix = response_matrix(pattern, net.sim)
+    live = np.array([n is not None for n in net.neurons])
+    return net.crossings(weights[live] @ eps_matrix, live)
+
+
+def process_sample(net: Network, pattern: SpikePattern, label: int,
+                   cfg: NetworkConfig) -> SampleResult:
+    """One presentation of ``pattern`` with label ``label``, mutating ``net``,
+    with fresh weights and array arithmetic throughout."""
+    if not 0 <= label < net.class_count:
+        raise InputError(f"label {label} outside 0..{net.class_count - 1}")
+    if pattern.spike_count == 0:
+        return SampleResult(Outcome.NO_SPIKES)
+    sim = net.sim
+    if net.neurons[label] is None:
+        neuron = OutputNeuron(label, net.input_count, net.sigma)
+        try:
+            learning.initialize(neuron, pattern, cfg.desired_time, sim)
+        except learning.NoEligibleSpikes:
+            return SampleResult(Outcome.SKIPPED, ineligible_classes=(label,))
+        net.neurons[label] = neuron
+        return SampleResult(Outcome.INITIALIZED, updated_classes=(label,))
+
+    weights = sample_weights(net, pattern)
+    activity = evaluate_pattern(net, pattern, weights)
+    actual = np.where(np.isnan(activity.fire_times), sim.t_max, activity.fire_times)
+    predicted = int(activity.winners())
+    deadline = on_time_deadline(cfg.desired_time, cfg.deadline_rate, cfg.spike_interval)
+    margin = margin_window(cfg.desired_time, cfg.margin_rate, cfg.spike_interval)
+    punctual = actual[label] <= deadline
+    anchor = (actual[label] if punctual
+              else ref_time_correct(actual[label], cfg.reference_rate, cfg.desired_time))
+    t_wrong = ref_time_wrong(anchor, margin, sim.t_max)
+    targets = [(j, t_wrong) for j in range(net.class_count)
+               if j != label and net.neurons[j] is not None and actual[j] - anchor < margin]
+    if not punctual:
+        targets.insert(0, (label, anchor))
+    elif not targets:
+        return SampleResult(Outcome.SKIPPED, predicted=predicted)
+    updated, ineligible = [], []
+    for j, t_ref in targets:
+        neuron = net.neurons[j]
+        try:
+            step = learning.compute_update(neuron, pattern, t_ref, sim, weights=weights[j])
+        except learning.NoEligibleSpikes:
+            ineligible.append(j)
+            continue
+        if learning.apply_update(neuron, step, cfg.learning_rate):
+            updated.append(j)
+    return SampleResult(Outcome.ON_TIME if punctual else Outcome.LATE, tuple(updated),
+                        tuple(ineligible), predicted=predicted)
 
 
 # -- term merging and sampled training weights -----------------------------------

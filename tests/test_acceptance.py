@@ -27,10 +27,10 @@ from sefm.dynamics import (
 from sefm.encoding import SpikePattern, encode_dataset, fit_ranges
 from sefm.errors import DataError
 from sefm.learning import NoEligibleSpikes, compute_update
-from sefm.training import Outcome, predict, process_sample, train
+from sefm.training import Outcome, predict, train
 
 from conftest import random_neuron, random_pattern
-from oracles import predict_constant, train_constant
+from oracles import predict_constant, process_sample, train_constant
 
 SEED = 0
 RUNS = 10

@@ -5,10 +5,12 @@ import importlib.metadata
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sefm
 from sefm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from sefm.dynamics import load_model
 
@@ -303,6 +305,37 @@ def test_flag_the_verb_would_ignore_is_a_usage_error(tmp_path, argv):
         main([*argv, "--dataset", "iris", "--max-epochs", "1", "--output-dir", str(out)])
     assert err.value.code == 2
     assert not out.exists()
+
+
+IRIS_CSV = str(Path(sefm.__file__).parent / "iris.csv")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--dataset", "iris", "--label-column", "2"],
+    ["--csv", IRIS_CSV, "--data-dir", "/nonexistent"],
+], ids=["dataset-label-column", "csv-data-dir"])
+def test_flag_the_chosen_source_never_reads_exits_2(tmp_path, argv):
+    """--label-column is read only for --csv, --data-dir only for --dataset."""
+    out = tmp_path / "out"
+    assert main(["train", *argv, "--max-epochs", "1", "--output-dir", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_data_dir_from_the_environment_is_no_flag(tmp_path, monkeypatch):
+    monkeypatch.setenv("SEFM_DATA_DIR", str(tmp_path / "nonexistent"))
+    for source in (["--csv", IRIS_CSV], ["--dataset", "iris"]):
+        assert main(["train", *source, "--max-epochs", "1"]) == EXIT_OK
+
+
+def test_csv_named_like_a_registered_dataset_splits_by_its_own_rows(tmp_path):
+    """The registry's split size belongs to --dataset; a CSV keeps half its rows."""
+    liver = tmp_path / "liver.csv"
+    shutil.copy(IRIS_CSV, liver)
+    out = tmp_path / "out"
+    assert main(["train", "--csv", str(liver), "--max-epochs", "1",
+                 "--output-dir", str(out)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["result"]["train_size"] == 75
 
 
 def test_grid_search_config_block_names_the_best_trained_cell(blobs_csv, tmp_path):

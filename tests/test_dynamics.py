@@ -30,7 +30,7 @@ from sefm.errors import ConfigError, InputError
 
 from conftest import all_terms, random_neuron, random_pattern, scalar_weight, terms_of
 from oracles import add_terms as reference_add_terms
-from oracles import fire_time, potential
+from oracles import evaluate_pattern, fire_time, potential, sample_weights
 
 
 # --- spike response kernel --------------------------------------------------
@@ -496,7 +496,7 @@ def test_evaluate_pattern_agrees_with_fire_time(rng):
     net = make_network(rng)
     for _ in range(15):
         pattern = random_pattern(rng, neuron_count=net.input_count)
-        activity = net.evaluate_pattern(pattern)
+        activity = evaluate_pattern(net, pattern)
         for j, neuron in enumerate(net.neurons):
             expected = fire_time(neuron, pattern, net.sim)
             if expected is None:
@@ -509,9 +509,32 @@ def test_evaluate_pattern_uninitialized_slots(rng):
     net = make_network(rng)
     net.neurons[1] = None
     pattern = random_pattern(rng, neuron_count=net.input_count, max_spikes=5)
-    activity = net.evaluate_pattern(pattern)
+    activity = evaluate_pattern(net, pattern)
     assert math.isnan(activity.fire_times[1])
     assert activity.peaks[1] == -math.inf
+
+
+def test_evaluate_pattern_kernel_matches_crossings(rng):
+    """Training's one-pattern kernel returns each live neuron's first index
+    at or above its threshold and its peak; firing iff the peak reaches the
+    threshold, at index times dt, gives ``crossings``' activity bit for bit."""
+    net = make_network(rng)
+    net.neurons[1] = None
+    live = np.array([n is not None for n in net.neurons])
+    thresholds = np.array([n.threshold for n in net.neurons if n is not None])
+    fired_any = []
+    for _ in range(20):
+        pattern = random_pattern(rng, neuron_count=net.input_count, max_spikes=6)
+        weights = sample_weights(net, pattern)[live]
+        first, top = net.evaluate_pattern(weights, response_matrix(pattern, net.sim), thresholds)
+        fired = top >= thresholds
+        activity = evaluate_pattern(net, pattern)
+        assert activity.peaks[live].tobytes() == top.tobytes()
+        assert (activity.fire_times[live].tobytes()
+                == np.where(fired, first * net.sim.dt, np.nan).tobytes())
+        assert (first[~fired] == 0).all()
+        fired_any.append(fired.any())
+    assert any(fired_any) and not all(fired_any)
 
 
 def test_evaluate_pattern_given_weights_match_fresh(rng):
@@ -519,9 +542,9 @@ def test_evaluate_pattern_given_weights_match_fresh(rng):
     net.neurons[0] = None
     for _ in range(10):
         pattern = random_pattern(rng, neuron_count=net.input_count, max_spikes=6)
-        plain = net.evaluate_pattern(pattern)
-        given = net.evaluate_pattern(pattern, net.sample_weights(pattern),
-                                     eps_matrix=response_matrix(pattern, net.sim))
+        plain = evaluate_pattern(net, pattern)
+        given = evaluate_pattern(net, pattern, sample_weights(net, pattern),
+                                 eps_matrix=response_matrix(pattern, net.sim))
         assert np.array_equal(plain.peaks, given.peaks, equal_nan=True)
         assert np.array_equal(plain.fire_times, given.fire_times, equal_nan=True)
 

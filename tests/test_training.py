@@ -12,7 +12,7 @@ from sefm.data import confusion_matrix
 from sefm.dynamics import epsilon, model_to_json_bytes
 from sefm.encoding import SpikePattern, encode_dataset, fit_ranges
 from sefm.errors import ConfigError, InputError
-from sefm import learning
+from sefm import learning, training
 from sefm.training import (
     Outcome,
     build_network,
@@ -21,7 +21,6 @@ from sefm.training import (
     margin_window,
     on_time_deadline,
     predict,
-    process_sample,
     ref_time_correct,
     PREDICT_CHUNK,
     ref_time_wrong,
@@ -29,7 +28,7 @@ from sefm.training import (
 )
 
 from conftest import all_terms, blobs_dataset, random_neuron, random_pattern
-from oracles import PatternMajorSampledWeights
+from oracles import PatternMajorSampledWeights, evaluate_pattern, process_sample
 
 
 CFG = NetworkConfig(sigma=0.5)
@@ -88,11 +87,10 @@ def test_ref_time_wrong_capped_at_t_max():
 # --- per-sample branches ------------------------------------------------------
 
 def test_label_out_of_range_rejected():
-    net, a, _ = two_class_net()
-    with pytest.raises(InputError):
-        process_sample(net, a, 2, CFG)
-    with pytest.raises(InputError):
-        process_sample(net, a, -1, CFG)
+    _, a, b = two_class_net()
+    for bad in (2, -1):
+        with pytest.raises(ConfigError):
+            train([a, b, a], np.array([0, 1, bad]), CFG, 2)
 
 
 def test_empty_pattern_is_no_spikes_and_no_mutation():
@@ -107,7 +105,7 @@ def test_empty_pattern_is_no_spikes_and_no_mutation():
 
 def test_initialization_fires_at_desired_time():
     net, a, _ = two_class_net()
-    activity = net.evaluate_pattern(a)
+    activity = evaluate_pattern(net, a)
     assert activity.fire_times[0] == pytest.approx(CFG.desired_time, abs=CFG.dt + 1e-9)
 
 
@@ -167,7 +165,7 @@ def test_late_branch_also_pushes_crowding_rival():
     net, a, _ = two_class_net()
     net.neurons[0].threshold = 50.0          # silent -> actual 8.0, anchor 7.6
     net.neurons[1].add_terms([0, 1], [0.3, 0.6], [0.9, 0.9])
-    t1 = net.evaluate_pattern(a).fire_times[1]
+    t1 = evaluate_pattern(net, a).fire_times[1]
     assert not math.isnan(t1) and t1 - 7.6 < 0.3
     res = process_sample(net, a, 0, CFG)
     assert res.outcome is Outcome.LATE
@@ -279,6 +277,56 @@ def test_train_matches_uncached_manual_loop(rng):
     assert np.array_equal(predict(fast.network, patterns), predict(slow, patterns))
     assert ([n.amplitudes.size for n in fast.network.neurons]
             == [n.amplitudes.size for n in slow.neurons])
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1e6])
+def test_every_presentation_matches_the_fresh_sampling_step(sigma, monkeypatch):
+    """train's cached step and the oracle's fresh-sampling step give the same
+    outcome, answer, updated and ineligible classes on every presentation.
+
+    Random patterns over classes 0-2 give empty patterns and silent races.
+    Class 3 starts only from its one spike just before the desired time;
+    that input's late spike cannot start it, and makes its neuron fire so
+    soon after the spike that the late correction has no eligible spike.
+    Its initialization mid-epoch refreshes the cached live classes.
+    """
+    rng = np.random.default_rng(20240817)
+    patterns = [random_pattern(rng, neuron_count=12) for _ in range(40)]
+    labels = rng.integers(0, 3, size=40).tolist()
+    late = pattern_of([0], [2.9], n=12)
+    patterns += [pattern_of([0], [1.99], n=12), late, late]
+    labels += [3, 3, 3]
+    cfg = CFG.with_overrides(sigma=sigma, max_epochs=6)
+
+    seen = []
+    step = training.process_sample
+
+    def recorded(state, s, label):
+        seen.append((s, step(state, s, label)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(training, "process_sample", recorded)
+    fit = train(patterns, np.array(labels), cfg, 4, seed=0)
+
+    net = build_network(cfg, 4, 12)
+    expected, silent = [], 0
+    for epoch in range(cfg.max_epochs):
+        for s in epoch_order(0, epoch, len(patterns)):
+            pattern, label = patterns[s], labels[s]
+            if pattern.spike_count and net.neurons[label] is not None:
+                silent += bool(np.isnan(evaluate_pattern(net, pattern).fire_times).all())
+            expected.append((s, process_sample(net, pattern, label, cfg)))
+        if not any(r.updated_classes for _, r in expected[-len(patterns):]):
+            break
+    assert seen == expected
+    assert len(seen) == fit.epochs_run * len(patterns)
+    assert np.array_equal(predict(fit.network, patterns), predict(net, patterns))
+    results = [r for _, r in seen]
+    first_answer = next(i for i, r in enumerate(results) if r.predicted is not None)
+    assert any(r.outcome is Outcome.INITIALIZED for r in results[first_answer:])
+    assert silent > 0
+    assert any(r.ineligible_classes for r in results
+               if r.outcome in (Outcome.ON_TIME, Outcome.LATE))
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1e6])
@@ -421,7 +469,7 @@ def test_batched_predict_matches_one_at_a_time(rng):
         assert labels[p] == label
         assert fire[p].tobytes() == oracle_fire.tobytes()
         assert peaks[p].tobytes() == oracle_peaks.tobytes()
-        alone = net.evaluate_pattern(pattern)
+        alone = evaluate_pattern(net, pattern)
         assert alone.fire_times.tobytes() == oracle_fire.tobytes()
         assert alone.peaks.tobytes() == oracle_peaks.tobytes()
     assert predict(net, []).shape == (0,)
@@ -438,7 +486,7 @@ def test_predict_with_every_neuron_live_matches_one_at_a_time(rng):
     for p, pattern in enumerate(patterns):
         label, oracle_fire, oracle_peaks = one_at_a_time(net, pattern)
         assert labels[p] == label
-        alone = net.evaluate_pattern(pattern)
+        alone = evaluate_pattern(net, pattern)
         assert alone.fire_times.tobytes() == oracle_fire.tobytes()
         assert alone.peaks.tobytes() == oracle_peaks.tobytes()
 
