@@ -44,11 +44,11 @@ def _resolve_config(args) -> NetworkConfig:
     if args.config:
         path = Path(args.config)
         try:
-            loaded = json.loads(path.read_text())
+            loaded = json.loads(path.read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise ConfigError(f"config {path} is not UTF-8 JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
         doc.update(loaded)

@@ -100,10 +100,12 @@ def load_csv(path, *, label_column: int = -1,
     """
     path = Path(path)
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
     if not rows:
         raise DataError(f"{path} contains no data rows")
 

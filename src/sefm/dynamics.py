@@ -291,22 +291,6 @@ def response_matrix(pattern: SpikePattern, sim: SimulationConfig) -> np.ndarray:
     return _shared_table(sim).matrix(pattern.times)
 
 
-@dataclass
-class PatternActivity:
-    """Per-class firing summary of one pattern, or of a batch along a first axis:
-    NaN fire times for silent (or uninitialized) neurons, -inf peaks for
-    uninitialized ones so the silent-fallback argmax never picks them."""
-
-    fire_times: np.ndarray
-    peaks: np.ndarray
-
-    def winners(self) -> np.ndarray:
-        """Earliest-firing class, else the highest peak; ties go to the lowest class."""
-        times = np.where(np.isnan(self.fire_times), np.inf, self.fire_times)
-        return np.where(np.isfinite(times.min(axis=-1)), times.argmin(axis=-1),
-                        self.peaks.argmax(axis=-1))
-
-
 class Network:
     """Ordered bank of output neurons, one per class label 0..p-1."""
 
@@ -336,34 +320,36 @@ class Network:
                 weights[:, j] = neuron.sample_rows(spike_times)
         return weights
 
-    def evaluate_pattern(self, weights: np.ndarray, eps_matrix: np.ndarray,
-                         thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``first_crossings`` of one pattern's (live, spikes) weights times its
-        (spikes, grid) responses: training's kernel.  ``predict`` forms the
-        same product per pattern and passes a chunk to ``crossings``."""
-        return first_crossings(weights @ eps_matrix, thresholds)
+    def live(self) -> tuple[list[int], np.ndarray]:
+        """Class ids of the initialized neurons and their thresholds, in class order."""
+        live = [j for j, n in enumerate(self.neurons) if n is not None]
+        return live, np.array([self.neurons[j].threshold for j in live])
 
-    def crossings(self, v: np.ndarray, live: np.ndarray) -> PatternActivity:
-        """Activity from potentials ``v`` of shape (..., live neurons, grid),
-        ``live`` masking the initialized neurons: a neuron fires at its
-        ``first_crossings`` index times dt iff its peak reaches its threshold.
-        Leading axes, if any, index patterns."""
-        thresholds = np.array([n.threshold for n in self.neurons if n is not None])
-        first, top = first_crossings(v, thresholds)
-        crossed = np.where(top >= thresholds, first * self.sim.dt, np.nan)
-        if live.all():
-            return PatternActivity(fire_times=crossed, peaks=top)
-        fire_times = np.full(top.shape[:-1] + live.shape, np.nan)
-        peaks = np.full(fire_times.shape, -np.inf)
-        fire_times[..., live] = crossed
-        peaks[..., live] = top
-        return PatternActivity(fire_times=fire_times, peaks=peaks)
+    def evaluate_pattern(self, weights: np.ndarray, eps_matrix: np.ndarray, live: list[int],
+                         thresholds: np.ndarray) -> tuple[dict[int, float], int]:
+        """The activity kernel of training and ``predict``: one pattern's fire
+        times and winning class.
 
-
-def first_crossings(v: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First grid index at or above the neuron's threshold (0 if none; a row
-    reaches it iff its peak does) and peak of each (..., neurons, grid) row."""
-    return (v >= thresholds[:, None]).argmax(axis=-1), v.max(axis=-1)
+        ``weights`` are the (live, spikes) weights of the ``live`` classes,
+        ``eps_matrix`` the (spikes, grid) responses.  A neuron fires at the
+        first grid index where its potential reaches its threshold, times
+        dt.  The earliest firing class wins, ties going to the lowest; if
+        none fires, the highest peak does, and with no live class, class 0.
+        Returns the fire time of each class that fires, in class order, and
+        the winner.
+        """
+        v = weights @ eps_matrix
+        hit = v >= thresholds[:, None]
+        first = hit.argmax(axis=1).tolist()
+        # argmax answers 0 for a row without a hit too, so index 0 must be one
+        fired = {j: k * self.sim.dt for j, k, at_zero
+                 in zip(live, first, hit[:, 0].tolist()) if k or at_zero}
+        if fired:
+            return fired, min(fired, key=fired.__getitem__)
+        if not live:
+            return fired, 0
+        peaks = v.max(axis=1).tolist()
+        return fired, live[peaks.index(max(peaks))]
 
 
 # ---------------------------------------------------------------------------
@@ -477,5 +463,11 @@ def save_model(path, net: Network, encoder: Optional[EncoderConfig] = None) -> N
 
 
 def load_model(path) -> tuple[Network, Optional[EncoderConfig]]:
-    with open(path, "r", encoding="ascii") as fh:
-        return model_from_dict(json.load(fh))
+    """Read a checkpoint; a file that is not ASCII JSON raises InputError,
+    as does any inconsistency ``model_from_dict`` rejects."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"model checkpoint is not ASCII JSON: {type(exc).__name__} {exc}") from exc
+    return model_from_dict(doc)

@@ -27,8 +27,8 @@ from .rng import SplitMix64, derive_seed
 log = logging.getLogger(__name__)
 
 # Patterns per batched predict step.  The largest temporaries, each
-# neuron's (chunk, terms) sampling arrays and the (chunk, classes, grid)
-# potentials, stay near 1 MB for models of a few thousand terms.
+# neuron's (chunk, terms) sampling arrays, stay near 1 MB for models of a
+# few thousand terms.
 PREDICT_CHUNK = 32
 
 
@@ -99,17 +99,15 @@ class TrainingState:
         self.refresh()
 
     def refresh(self) -> None:
-        self.live = [j for j, n in enumerate(self.net.neurons) if n is not None]
-        self.thresholds = np.array([self.net.neurons[j].threshold for j in self.live])
+        self.live, self.thresholds = self.net.live()
 
 
 def process_sample(state: TrainingState, s: int, label: int) -> SampleResult:
     """Present training pattern ``s`` of class ``label`` once, mutating the network.
 
-    ``Network.evaluate_pattern`` gives each live neuron's first index at or
-    above its threshold and its peak; it fires iff the peak reaches the
-    threshold, at index times dt.  The race (earliest, then lowest class;
-    highest peak if all are silent) and the targets use Python floats.
+    ``Network.evaluate_pattern`` races the live neurons on the pattern's
+    cached weights and responses; what is left here is the margin test
+    and the correction targets, on Python floats.
     """
     pattern = state.patterns[s]
     if pattern.spike_count == 0:
@@ -127,18 +125,11 @@ def process_sample(state: TrainingState, s: int, label: int) -> SampleResult:
         state.refresh()
         return SampleResult(Outcome.INITIALIZED, updated_classes=(label,))
 
-    live = state.live
+    live, t_max = state.live, sim.t_max
     weights = sampled.values[:, pattern.neuron_ids, s]
-    first, top = net.evaluate_pattern(weights if len(live) == net.class_count else weights[live],
-                                      state.table.gather(state.rows[s]), state.thresholds)
-    peaks = top.tolist()
-    dt, t_max = sim.dt, sim.t_max
-    # fire time of each live neuron that fires, in class order
-    fired = {j: k * dt for j, k, peak, threshold
-             in zip(live, first.tolist(), peaks, state.thresholds.tolist())
-             if peak >= threshold}
-    predicted = (min(fired, key=fired.__getitem__) if fired
-                 else live[peaks.index(max(peaks))])
+    fired, predicted = net.evaluate_pattern(
+        weights if len(live) == net.class_count else weights[live],
+        state.table.gather(state.rows[s]), live, state.thresholds)
 
     # the margin is held from the correct neuron's time, or from its
     # target when it fires late; rivals inside the margin are pushed past it
@@ -267,25 +258,23 @@ def train(patterns: list[SpikePattern], labels: np.ndarray, cfg: NetworkConfig,
 # -- inference ---------------------------------------------------------------
 
 def predict(net: Network, patterns: list[SpikePattern]) -> np.ndarray:
-    """Earliest-firing class per pattern; if every neuron is silent, highest peak.
+    """Winning class per pattern, by ``Network.evaluate_pattern``: the
+    earliest-firing class, else the highest peak, ties to the lowest class.
 
-    Ties break toward the lowest class index either way.  Patterns go
-    through PREDICT_CHUNK at a time: one spike-time matrix and one
-    ``Network.sample_rows`` for the chunk, each pattern's (live, spikes) @
-    (spikes, grid) potentials, as training's ``Network.evaluate_pattern``
-    forms them, then ``Network.crossings`` over the whole chunk, so labels,
-    fire times and peaks equal one-at-a-time evaluation bit for bit.
+    Patterns go through PREDICT_CHUNK at a time: one spike-time matrix and
+    one ``Network.sample_rows`` for the chunk, then one kernel call per
+    pattern on its (live, spikes) weights and (spikes, grid) responses, so
+    each label equals one-at-a-time evaluation bit for bit.
     """
-    live = np.array([n is not None for n in net.neurons])
-    grid_size = net.sim.grid().size
+    live, thresholds = net.live()
     labels = np.zeros(len(patterns), dtype=np.int64)
     for start in range(0, len(patterns), PREDICT_CHUNK):
         chunk = patterns[start:start + PREDICT_CHUNK]
         weights = net.sample_rows(spike_time_matrix(chunk, net.input_count))[:, live]
-        v = np.empty((*weights.shape[:2], grid_size))
         for r, pattern in enumerate(chunk):
-            v[r] = weights[r][:, pattern.neuron_ids] @ response_matrix(pattern, net.sim)
-        labels[start:start + len(chunk)] = net.crossings(v, live).winners()
+            labels[start + r] = net.evaluate_pattern(
+                weights[r][:, pattern.neuron_ids], response_matrix(pattern, net.sim),
+                live, thresholds)[1]
     return labels
 
 

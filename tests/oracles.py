@@ -12,6 +12,13 @@ the main model should degenerate to exactly this (criterion 8).
 activity kernel, ``Network.evaluate_pattern``, whose (neurons, spikes)
 product may differ from them in the last bits.
 
+``crossings`` and ``PatternActivity`` are that kernel's race in numpy
+form: NaN fire times and -inf peaks for the neurons that do not fire or
+do not exist, an argmin over times and an argmax over peaks, over any
+number of leading pattern axes.  ``evaluate_pattern`` runs them on the
+kernel's (live, spikes) @ (spikes, grid) product; the kernel's fire
+times and winner must equal theirs bit for bit.
+
 ``process_sample`` is the training step with every weight sampled afresh
 from the network (``sample_weights``) and every activity computed by
 ``evaluate_pattern`` from fresh responses: the reference that
@@ -37,8 +44,7 @@ import numpy as np
 
 from sefm import learning
 from sefm.config import NetworkConfig
-from sefm.dynamics import (Network, OutputNeuron, PatternActivity, SimulationConfig, epsilon,
-                           response_matrix)
+from sefm.dynamics import Network, OutputNeuron, SimulationConfig, epsilon, response_matrix
 from sefm.encoding import TIME_QUANTUM, SpikePattern, spike_time_matrix
 from sefm.errors import InputError
 from sefm.training import (Outcome, SampleResult, epoch_order, margin_window,
@@ -76,11 +82,42 @@ def sample_weights(net: Network, pattern: SpikePattern) -> np.ndarray:
     return weights[0][:, pattern.neuron_ids]
 
 
+@dataclass
+class PatternActivity:
+    """Per-class firing summary of one pattern, or of a batch along a first axis:
+    NaN fire times for silent (or uninitialized) neurons, -inf peaks for
+    uninitialized ones so the silent-fallback argmax never picks them."""
+
+    fire_times: np.ndarray
+    peaks: np.ndarray
+
+    def winners(self) -> np.ndarray:
+        """Earliest-firing class, else the highest peak; ties go to the lowest class."""
+        times = np.where(np.isnan(self.fire_times), np.inf, self.fire_times)
+        return np.where(np.isfinite(times.min(axis=-1)), times.argmin(axis=-1),
+                        self.peaks.argmax(axis=-1))
+
+
+def crossings(net: Network, v: np.ndarray, live: np.ndarray) -> PatternActivity:
+    """Activity from potentials ``v`` of shape (..., live neurons, grid),
+    ``live`` masking the initialized neurons: a neuron fires at its first
+    index at or above its threshold times dt iff its peak reaches the
+    threshold.  Leading axes, if any, index patterns."""
+    thresholds = np.array([n.threshold for n in net.neurons if n is not None])
+    first = (v >= thresholds[:, None]).argmax(axis=-1)
+    top = v.max(axis=-1)
+    fire_times = np.full(top.shape[:-1] + live.shape, np.nan)
+    peaks = np.full(fire_times.shape, -np.inf)
+    fire_times[..., live] = np.where(top >= thresholds, first * net.sim.dt, np.nan)
+    peaks[..., live] = top
+    return PatternActivity(fire_times=fire_times, peaks=peaks)
+
+
 def evaluate_pattern(net: Network, pattern: SpikePattern,
                      weights: Optional[np.ndarray] = None,
                      eps_matrix: Optional[np.ndarray] = None) -> PatternActivity:
     """Fire times and peaks of every initialized neuron: the (live, spikes)
-    weights times the (spikes, grid) responses, through ``Network.crossings``.
+    weights times the (spikes, grid) responses, through ``crossings``.
     ``weights`` and ``eps_matrix`` default to ``sample_weights`` and
     ``response_matrix``."""
     if weights is None:
@@ -88,7 +125,7 @@ def evaluate_pattern(net: Network, pattern: SpikePattern,
     if eps_matrix is None:
         eps_matrix = response_matrix(pattern, net.sim)
     live = np.array([n is not None for n in net.neurons])
-    return net.crossings(weights[live] @ eps_matrix, live)
+    return crossings(net, weights[live] @ eps_matrix, live)
 
 
 def process_sample(net: Network, pattern: SpikePattern, label: int,

@@ -169,6 +169,26 @@ def test_malformed_config_file_exits_2(blobs_csv, tmp_path):
     assert main(["train", "--csv", blobs_csv, "--config", str(bad)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("content", [b'{"sigma": 0.5, "\xff": 1}', b"[" * 100_000],
+                         ids=["non_utf8_byte", "deeply_nested"])
+def test_config_file_that_is_not_utf8_json_exits_2(content, blobs_csv, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["train", "--csv", blobs_csv, "--config", str(bad)]) == EXIT_CONFIG
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_csv_that_is_not_utf8_exits_3_and_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"1.0,2.0,0\n1.5,2.5,0\n5.0,6.0,1\xff\n5.5,6.5,1\n")
+    out = tmp_path / "out"
+    code = main(["train", "--csv", str(path), "--train-size", "2", "--seed", "1",
+                 "--output-dir", str(out)])
+    assert code == EXIT_DATA
+    assert "not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_source_exits_2():
     assert main(["train", "--seed", "1"]) == EXIT_CONFIG
 

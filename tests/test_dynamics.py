@@ -515,26 +515,47 @@ def test_evaluate_pattern_uninitialized_slots(rng):
 
 
 def test_evaluate_pattern_kernel_matches_crossings(rng):
-    """Training's one-pattern kernel returns each live neuron's first index
-    at or above its threshold and its peak; firing iff the peak reaches the
-    threshold, at index times dt, gives ``crossings``' activity bit for bit."""
+    """The activity kernel's fire times (first index at or above the threshold,
+    times dt) and winner equal the oracle's numpy ``crossings`` bit for bit."""
     net = make_network(rng)
     net.neurons[1] = None
-    live = np.array([n is not None for n in net.neurons])
-    thresholds = np.array([n.threshold for n in net.neurons if n is not None])
+    live, thresholds = net.live()
+    assert live == [0, 2] and thresholds.tolist() == [net.neurons[0].threshold,
+                                                      net.neurons[2].threshold]
     fired_any = []
     for _ in range(20):
         pattern = random_pattern(rng, neuron_count=net.input_count, max_spikes=6)
         weights = sample_weights(net, pattern)[live]
-        first, top = net.evaluate_pattern(weights, response_matrix(pattern, net.sim), thresholds)
-        fired = top >= thresholds
+        fired, winner = net.evaluate_pattern(weights, response_matrix(pattern, net.sim),
+                                             live, thresholds)
         activity = evaluate_pattern(net, pattern)
-        assert activity.peaks[live].tobytes() == top.tobytes()
-        assert (activity.fire_times[live].tobytes()
-                == np.where(fired, first * net.sim.dt, np.nan).tobytes())
-        assert (first[~fired] == 0).all()
-        fired_any.append(fired.any())
+        assert list(fired.items()) == [(j, t) for j, t in enumerate(activity.fire_times.tolist())
+                                       if not math.isnan(t)]
+        assert winner == int(activity.winners())
+        fired_any.append(bool(fired))
     assert any(fired_any) and not all(fired_any)
+
+
+def test_evaluate_pattern_kernel_breaks_ties_toward_the_lowest_live_class():
+    """Live classes [0, 2]: a shared crossing index and equal silent peaks both
+    go to class 0, class ids, not live positions, name the winner, and with
+    no live class the answer is class 0."""
+    net = Network(3, 1, 1.0, sim(), spike_interval=3.0)
+    live = [0, 2]
+    eps_matrix = np.array([[0.0, 0.5, 1.0]])
+    dt = net.sim.dt
+    same = np.array([[1.0], [1.0]])
+    assert net.evaluate_pattern(same, eps_matrix, live, np.array([0.5, 0.5])) == (
+        {0: dt, 2: dt}, 0)
+    assert net.evaluate_pattern(same, eps_matrix, live, np.array([2.0, 2.0])) == ({}, 0)
+    assert net.evaluate_pattern(same, eps_matrix, live, np.array([0.9, 0.5])) == (
+        {0: 2 * dt, 2: dt}, 2)
+    # a threshold the resting potential already meets fires at index 0
+    assert net.evaluate_pattern(same, eps_matrix, live, np.array([0.9, 0.0])) == (
+        {0: 2 * dt, 2: 0.0}, 2)
+    assert net.evaluate_pattern(np.array([[1.0], [1.5]]), eps_matrix, live,
+                                np.array([2.0, 2.0])) == ({}, 2)
+    assert net.evaluate_pattern(np.zeros((0, 1)), eps_matrix, [], np.zeros(0)) == ({}, 0)
 
 
 def test_evaluate_pattern_given_weights_match_fresh(rng):
@@ -678,6 +699,16 @@ def test_load_model_rejects_mutated_checkpoint(mutate, rng, tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(InputError):
             load_model(path)
+
+
+@pytest.mark.parametrize("content", [
+    b"", b'{"format": "sefm-model/1", "sigma"', b'{"format": "\xff"}', b"[" * 100_000,
+], ids=["empty", "truncated", "non_ascii_byte", "deeply_nested"])
+def test_load_model_rejects_a_file_that_is_not_ascii_json(content, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(content)
+    with pytest.raises(InputError, match="not ASCII JSON"):
+        load_model(path)
 
 
 # model-v1.json has 2 features x 6 fields = 12 inputs over a 3 ms interval.

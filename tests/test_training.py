@@ -28,7 +28,7 @@ from sefm.training import (
 )
 
 from conftest import all_terms, blobs_dataset, random_neuron, random_pattern
-from oracles import PatternMajorSampledWeights, evaluate_pattern, process_sample
+from oracles import PatternMajorSampledWeights, crossings, evaluate_pattern, process_sample
 
 
 CFG = NetworkConfig(sigma=0.5)
@@ -455,18 +455,27 @@ def test_batched_predict_matches_one_at_a_time(rng):
                 for _ in range(2 * PREDICT_CHUNK + 5)]
     patterns[PREDICT_CHUNK + 3] = empty_pattern(12)
     captured = []
-    crossings = net.crossings
-    net.crossings = lambda v, live: captured.append(crossings(v, live)) or captured[-1]
+    kernel = net.evaluate_pattern
+
+    def recorded(weights, eps_matrix, live, thresholds):
+        captured.append((weights @ eps_matrix, kernel(weights, eps_matrix, live, thresholds)))
+        return captured[-1][1]
+
+    net.evaluate_pattern = recorded
     labels = predict(net, patterns)
-    del net.crossings
-    assert [len(a.fire_times) for a in captured] == [PREDICT_CHUNK, PREDICT_CHUNK, 5]
-    fire = np.concatenate([a.fire_times for a in captured])
-    peaks = np.concatenate([a.peaks for a in captured])
+    del net.evaluate_pattern
+    assert len(captured) == len(patterns)
+    activity = crossings(net, np.stack([v for v, _ in captured]),
+                         np.array([n is not None for n in net.neurons]))
+    fire, peaks = activity.fire_times, activity.peaks
     silent = np.isnan(fire).all(axis=1)
     assert silent.any() and not silent.all()  # both the race and the fallback decide
     for p, pattern in enumerate(patterns):
         label, oracle_fire, oracle_peaks = one_at_a_time(net, pattern)
-        assert labels[p] == label
+        fired, winner = captured[p][1]
+        assert labels[p] == winner == label
+        assert list(fired.items()) == [(j, t) for j, t in enumerate(oracle_fire.tolist())
+                                       if not math.isnan(t)]
         assert fire[p].tobytes() == oracle_fire.tobytes()
         assert peaks[p].tobytes() == oracle_peaks.tobytes()
         alone = evaluate_pattern(net, pattern)
@@ -474,6 +483,13 @@ def test_batched_predict_matches_one_at_a_time(rng):
         assert alone.peaks.tobytes() == oracle_peaks.tobytes()
     assert predict(net, []).shape == (0,)
 
+
+
+def test_predict_without_an_initialized_neuron_answers_class_zero(rng):
+    net = build_network(CFG, class_count=3, input_count=12)
+    patterns = [random_pattern(rng, neuron_count=12, max_spikes=10) for _ in range(5)]
+    patterns.append(empty_pattern(12))
+    assert predict(net, patterns).tolist() == [0] * 6
 
 
 def test_predict_with_every_neuron_live_matches_one_at_a_time(rng):
