@@ -47,8 +47,8 @@ def _resolve_config(args) -> NetworkConfig:
             loaded = json.loads(path.read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise ConfigError(f"config {path} is not UTF-8 JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"config {path} cannot be read as UTF-8 JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
         doc.update(loaded)

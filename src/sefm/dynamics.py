@@ -339,16 +339,14 @@ class Network:
         the winner.
         """
         v = weights @ eps_matrix
-        hit = v >= thresholds[:, None]
-        first = hit.argmax(axis=1).tolist()
-        # argmax answers 0 for a row without a hit too, so index 0 must be one
-        fired = {j: k * self.sim.dt for j, k, at_zero
-                 in zip(live, first, hit[:, 0].tolist()) if k or at_zero}
+        first = (v >= thresholds[:, None]).argmax(axis=1).tolist()
+        peaks = v.max(axis=1).tolist()
+        fired = {j: k * self.sim.dt for j, k, peak, threshold
+                 in zip(live, first, peaks, thresholds.tolist()) if peak >= threshold}
         if fired:
             return fired, min(fired, key=fired.__getitem__)
         if not live:
             return fired, 0
-        peaks = v.max(axis=1).tolist()
         return fired, live[peaks.index(max(peaks))]
 
 
@@ -463,11 +461,12 @@ def save_model(path, net: Network, encoder: Optional[EncoderConfig] = None) -> N
 
 
 def load_model(path) -> tuple[Network, Optional[EncoderConfig]]:
-    """Read a checkpoint; a file that is not ASCII JSON raises InputError,
-    as does any inconsistency ``model_from_dict`` rejects."""
+    """Read a checkpoint; a file that cannot be read as ASCII JSON raises
+    InputError, as does any inconsistency ``model_from_dict`` rejects."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(f"model checkpoint is not ASCII JSON: {type(exc).__name__} {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"model checkpoint cannot be read as ASCII JSON: "
+                         f"{type(exc).__name__} {exc}") from exc
     return model_from_dict(doc)

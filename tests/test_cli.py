@@ -169,13 +169,14 @@ def test_malformed_config_file_exits_2(blobs_csv, tmp_path):
     assert main(["train", "--csv", blobs_csv, "--config", str(bad)]) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("content", [b'{"sigma": 0.5, "\xff": 1}', b"[" * 100_000],
-                         ids=["non_utf8_byte", "deeply_nested"])
+@pytest.mark.parametrize("content", [b'{"sigma": 0.5, "\xff": 1}', b"[" * 100_000,
+                                     b'{"sigma": ' + b"1" * 5000 + b"}"],
+                         ids=["non_utf8_byte", "deeply_nested", "huge_integer"])
 def test_config_file_that_is_not_utf8_json_exits_2(content, blobs_csv, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
     assert main(["train", "--csv", blobs_csv, "--config", str(bad)]) == EXIT_CONFIG
-    assert "not UTF-8" in capsys.readouterr().err
+    assert "as UTF-8 JSON" in capsys.readouterr().err
 
 
 def test_csv_that_is_not_utf8_exits_3_and_writes_nothing(tmp_path, capsys):

@@ -703,11 +703,12 @@ def test_load_model_rejects_mutated_checkpoint(mutate, rng, tmp_path):
 
 @pytest.mark.parametrize("content", [
     b"", b'{"format": "sefm-model/1", "sigma"', b'{"format": "\xff"}', b"[" * 100_000,
-], ids=["empty", "truncated", "non_ascii_byte", "deeply_nested"])
+    b'{"format": ' + b"1" * 5000 + b"}",
+], ids=["empty", "truncated", "non_ascii_byte", "deeply_nested", "huge_integer"])
 def test_load_model_rejects_a_file_that_is_not_ascii_json(content, tmp_path):
     path = tmp_path / "model.json"
     path.write_bytes(content)
-    with pytest.raises(InputError, match="not ASCII JSON"):
+    with pytest.raises(InputError, match="as ASCII JSON"):
         load_model(path)
 
 

@@ -454,16 +454,21 @@ def test_batched_predict_matches_one_at_a_time(rng):
     patterns = [random_pattern(rng, neuron_count=12, max_spikes=10)
                 for _ in range(2 * PREDICT_CHUNK + 5)]
     patterns[PREDICT_CHUNK + 3] = empty_pattern(12)
-    captured = []
-    kernel = net.evaluate_pattern
+    captured, chunks = [], []
+    kernel, sample_rows = net.evaluate_pattern, net.sample_rows
 
     def recorded(weights, eps_matrix, live, thresholds):
         captured.append((weights @ eps_matrix, kernel(weights, eps_matrix, live, thresholds)))
         return captured[-1][1]
 
-    net.evaluate_pattern = recorded
+    def chunked(spike_times):
+        chunks.append(len(spike_times))
+        return sample_rows(spike_times)
+
+    net.evaluate_pattern, net.sample_rows = recorded, chunked
     labels = predict(net, patterns)
-    del net.evaluate_pattern
+    del net.evaluate_pattern, net.sample_rows
+    assert chunks == [PREDICT_CHUNK, PREDICT_CHUNK, 5]
     assert len(captured) == len(patterns)
     activity = crossings(net, np.stack([v for v, _ in captured]),
                          np.array([n is not None for n in net.neurons]))
