@@ -31,9 +31,10 @@ class EncoderConfig:
         Fields per feature (M).  Must be >= 3: center/width formulas
         divide by M - 2.
     overlap : float
-        Overlap constant gamma controlling field width; positive.
+        Overlap constant gamma controlling field width; positive and finite.
     spike_interval : float
-        Presynaptic spike window T in ms, positive; all spikes land in [0, T].
+        Presynaptic spike window T in ms, positive and finite; all spikes
+        land in [0, T].
     response_cutoff : float
         Responses below this value, in [0, 1), emit no spike.
     feature_ranges : tuple[tuple[float, float], ...]
@@ -49,12 +50,12 @@ class EncoderConfig:
     def __post_init__(self):
         if self.receptive_field_count < 3:
             raise ConfigError("receptive_field_count must be >= 3 (width formula divides by M-2)")
-        if not self.overlap > 0:
-            raise ConfigError("overlap must be positive")
+        if not 0 < self.overlap < np.inf:
+            raise ConfigError("overlap must be positive and finite")
         if not 0.0 <= self.response_cutoff < 1.0:
             raise ConfigError("response_cutoff must lie in [0, 1)")
-        if not self.spike_interval > 0:
-            raise ConfigError("spike_interval must be positive")
+        if not 0 < self.spike_interval < np.inf:
+            raise ConfigError("spike_interval must be positive and finite")
         bad = [f for f, (lo, hi) in enumerate(self.feature_ranges)
                if not -np.inf < lo < hi < np.inf]
         if bad:
@@ -67,6 +68,22 @@ class EncoderConfig:
     @property
     def neuron_count(self) -> int:
         return self.feature_count * self.receptive_field_count
+
+
+def _snap(ts: np.ndarray) -> np.ndarray:
+    """Snap float64 spike times in place to the TIME_QUANTUM grid and make
+    them read-only.
+
+    A NaN, infinite or negative time raises InputError, and so does a time
+    too large to count in ticks.
+    """
+    if ts.size and not (ts.min() >= 0.0 and float(ts.max()) / TIME_QUANTUM < np.inf):
+        raise InputError("spike times must be finite and non-negative")
+    ts /= TIME_QUANTUM
+    np.rint(ts, out=ts)
+    ts *= TIME_QUANTUM
+    ts.setflags(write=False)
+    return ts
 
 
 @dataclass(frozen=True)
@@ -95,16 +112,19 @@ class SpikePattern:
             raise InputError("neuron id outside [0, neuron_count)")
         if np.any(ids[1:] == ids[:-1]):
             raise InputError("a neuron id repeats; each input neuron fires at most once")
-        # a time too large to count in ticks counts as infinite
-        if ts.size and not (ts.min() >= 0.0 and float(ts.max()) / TIME_QUANTUM < np.inf):
-            raise InputError("spike times must be finite and non-negative")
-        ts /= TIME_QUANTUM  # snapped in place: ts[order] is a copy
-        np.rint(ts, out=ts)
-        ts *= TIME_QUANTUM
         ids.setflags(write=False)
-        ts.setflags(write=False)
         object.__setattr__(self, "neuron_ids", ids)
-        object.__setattr__(self, "times", ts)
+        object.__setattr__(self, "times", _snap(ts))  # ts[order] is a copy
+
+    @classmethod
+    def _trusted(cls, neuron_count: int, ids: np.ndarray, times: np.ndarray) -> SpikePattern:
+        """A pattern from read-only ids that are ascending, distinct and in
+        range, and read-only times from ``_snap``; nothing is checked again."""
+        pattern = object.__new__(cls)
+        object.__setattr__(pattern, "neuron_count", neuron_count)
+        object.__setattr__(pattern, "neuron_ids", ids)
+        object.__setattr__(pattern, "times", times)
+        return pattern
 
     @property
     def spike_count(self) -> int:
@@ -183,21 +203,33 @@ def encode(features, cfg: EncoderConfig) -> SpikePattern:
 def encode_dataset(features_matrix, cfg: EncoderConfig) -> list[SpikePattern]:
     """Encode every row of a (rows, features) matrix, as ``encode`` does one.
 
-    All (row, feature, field) responses come from one broadcast.  A NaN
-    feature leaves its fields silent.
+    All (row, feature, field) responses come from one broadcast, and the
+    fired times of all rows are checked and snapped in one pass.  A NaN
+    feature leaves its fields silent, and an infinite one responds 0.  Each
+    pattern's ids and times are read-only slices of one flat pair shared by
+    the batch.
     """
     x = np.asarray(features_matrix, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != cfg.feature_count:
         raise InputError(
             f"expected rows of {cfg.feature_count} features, got shape {x.shape}"
         )
+    n = cfg.neuron_count
     centers, widths = field_geometry(cfg)
-    d = (x[:, :, None] - centers) / widths[:, None]
-    resp = np.exp(-0.5 * d * d).reshape(len(x), cfg.neuron_count)
+    with np.errstate(over="ignore"):  # a huge feature is infinitely far: response 0
+        d = (x[:, :, None] - centers) / widths[:, None]
+        resp = np.exp(-0.5 * d * d).reshape(len(x), n)
     fired = resp >= cfg.response_cutoff
-    times = cfg.spike_interval * (1.0 - resp)  # SpikePattern snaps them to the grid
-    return [SpikePattern(neuron_count=cfg.neuron_count, neuron_ids=np.flatnonzero(f),
-                         times=t[f]) for f, t in zip(fired, times)]
+    times = resp[fired]  # T (1 - r) in place: no second (spikes,) temporary
+    np.subtract(1.0, times, out=times)
+    times *= cfg.spike_interval
+    _snap(times)
+    ids = np.flatnonzero(fired)
+    ids %= n  # ascending within a row
+    ids.setflags(write=False)
+    ends = fired.sum(axis=1).cumsum().tolist()
+    return [SpikePattern._trusted(n, ids[a:b], times[a:b])
+            for a, b in zip([0, *ends], ends)]
 
 
 def spike_time_matrix(patterns: list[SpikePattern], neuron_count: int) -> np.ndarray:

@@ -33,6 +33,12 @@ the training weights as (classes, patterns, inputs) with column updates.
 Both are the straightforward forms of what ``OutputNeuron.add_terms`` and
 ``learning.SampledWeights`` do by binary search and contiguous rows, and
 must agree with them bit for bit.
+
+``encode_rows`` is the per-row form of ``encoding.encode_dataset``: one
+broadcast of responses, then one validating ``SpikePattern`` per row from
+``flatnonzero`` of its fired mask.  The batch encoder, which checks and
+snaps every fired time in one pass and slices each pattern from one flat
+pair, must give the same ids, times and neuron count bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +51,8 @@ import numpy as np
 from sefm import learning
 from sefm.config import NetworkConfig
 from sefm.dynamics import Network, OutputNeuron, SimulationConfig, epsilon, response_matrix
-from sefm.encoding import TIME_QUANTUM, SpikePattern, spike_time_matrix
+from sefm.encoding import (TIME_QUANTUM, EncoderConfig, SpikePattern, field_geometry,
+                           spike_time_matrix)
 from sefm.errors import InputError
 from sefm.training import (Outcome, SampleResult, epoch_order, margin_window,
                            on_time_deadline, ref_time_correct, ref_time_wrong)
@@ -218,6 +225,21 @@ class PatternMajorSampledWeights:
         gauss = amplitudes * np.exp(-0.5 * (d / sigma) ** 2)
         gauss[np.isnan(gauss)] = 0.0
         self.values[class_label][:, neuron_ids] += gauss
+
+
+# -- per-row encoding -----------------------------------------------------------
+
+def encode_rows(features_matrix, cfg: EncoderConfig) -> list[SpikePattern]:
+    """Encode each row through the validating ``SpikePattern`` constructor."""
+    x = np.asarray(features_matrix, dtype=np.float64)
+    centers, widths = field_geometry(cfg)
+    with np.errstate(over="ignore"):
+        d = (x[:, :, None] - centers) / widths[:, None]
+        resp = np.exp(-0.5 * d * d).reshape(len(x), cfg.neuron_count)
+    fired = resp >= cfg.response_cutoff
+    times = cfg.spike_interval * (1.0 - resp)
+    return [SpikePattern(neuron_count=cfg.neuron_count, neuron_ids=np.flatnonzero(f),
+                         times=t[f]) for f, t in zip(fired, times)]
 
 
 # -- constant-weight classifier ------------------------------------------------

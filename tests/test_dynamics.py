@@ -718,6 +718,9 @@ def test_load_model_rejects_a_file_that_is_not_ascii_json(content, tmp_path):
     {"encoder": {"receptive_field_count": 7}},
     {"encoder": {"receptive_field_count": 2, "overlap": -1.0}},
     {"encoder": {"overlap": 0.0}},
+    # an infinite overlap makes every field infinitely narrow: every row would
+    # encode to zero spikes and predict class 0
+    {"encoder": {"overlap": math.inf}},
     {"encoder": {"response_cutoff": 1.0}},
     {"encoder": {"spike_interval": 2.5}},
     {"encoder": {"feature_ranges": [[0.5, 0.5], [0.0, 1.0]]}},
@@ -738,6 +741,7 @@ def test_load_model_rejects_a_file_that_is_not_ascii_json(content, tmp_path):
     {"sigma": math.inf, "neurons": [None, None, None]},
     {"spike_interval": math.nan, "encoder": None},
 ], ids=["fewer_fields", "more_fields", "two_fields_negative_overlap", "zero_overlap",
+        "inf_overlap",
         "cutoff_one", "other_spike_interval", "empty_feature_range", "negative_inputs",
         "float_field_count", "float_input_count", "float_class_count", "nan_tau", "inf_tau",
         "nan_dt", "inf_dt", "nan_t_max", "inf_t_max", "inf_sigma", "inf_sigma_no_neurons",

@@ -1,6 +1,7 @@
 """Population encoding: field geometry, latency mapping, pattern invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from sefm.encoding import (
 from sefm.errors import ConfigError, InputError
 
 from conftest import loop_encode
+from oracles import encode_rows
 
 
 def unit_config(m=6, overlap=0.7, cutoff=0.1):
@@ -111,10 +113,12 @@ def test_fit_ranges_validation():
 
 def test_encoder_config_validates_its_fields():
     # the checks guard fitted and checkpoint-loaded encoders alike
-    for bad in ({"m": 2}, {"overlap": 0.0}, {"cutoff": 1.0}, {"cutoff": -0.1}):
+    for bad in ({"m": 2}, {"overlap": 0.0}, {"overlap": np.inf}, {"overlap": np.nan},
+                {"cutoff": 1.0}, {"cutoff": -0.1}):
         with pytest.raises(ConfigError):
             unit_config(**bad)
-    for interval, ranges in ((0.0, ((0.0, 1.0),)), (3.0, ((1.0, 1.0),)),
+    for interval, ranges in ((0.0, ((0.0, 1.0),)), (np.inf, ((0.0, 1.0),)),
+                             (np.nan, ((0.0, 1.0),)), (3.0, ((1.0, 1.0),)),
                              (3.0, ((2.0, 1.0),)), (3.0, ((0.0, np.inf),))):
         with pytest.raises(ConfigError):
             EncoderConfig(6, 0.7, interval, 0.1, ranges)
@@ -203,6 +207,78 @@ def test_encode_dataset_matches_rowwise_encode():
             for got in (pattern, encode(row, cfg)):
                 assert np.array_equal(got.neuron_ids, oracle.neuron_ids)
                 assert got.times.tobytes() == oracle.times.tobytes()
+
+
+# cells that sit outside any field, or carry no value at all
+SPECIAL_CELLS = (np.nan, np.inf, -np.inf, 1e308, -1e308)
+
+
+def test_encode_dataset_matches_the_per_row_oracle():
+    rng = np.random.default_rng(29)
+    for case in range(240):
+        features = int(rng.integers(1, 6))
+        fit = rng.uniform(-4.0, 4.0, size=(8, features))
+        if features > 1 and case % 3 == 0:
+            fit[:, -1] = fit[0, -1]  # a constant feature gets a widened range
+        cfg = fit_ranges(fit, receptive_field_count=int(rng.integers(3, 8)),
+                         overlap=float(rng.uniform(0.3, 2.0)),
+                         spike_interval=float(rng.choice([0.5, 3.0, 40.0])),
+                         response_cutoff=float(rng.choice([0.0, 0.1, 0.5, 0.99])))
+        rows = 0 if case % 10 == 0 else int(rng.integers(1, 25))
+        x = rng.uniform(-8.0, 8.0, size=(rows, features))
+        special = rng.random(x.shape) < 0.15
+        x[special] = rng.choice(SPECIAL_CELLS, size=int(special.sum()))
+        if rows > 2:
+            x[1] = np.nan
+            x[2] = rng.choice(SPECIAL_CELLS[1:])  # no field responds above 0
+        got, want = encode_dataset(x, cfg), encode_rows(x, cfg)
+        assert len(got) == len(want) == rows
+        for g, w in zip(got, want):
+            assert g.neuron_count == w.neuron_count == cfg.neuron_count
+            assert g.neuron_ids.dtype == w.neuron_ids.dtype
+            assert g.neuron_ids.tobytes() == w.neuron_ids.tobytes()
+            assert g.times.dtype == w.times.dtype
+            assert g.times.tobytes() == w.times.tobytes()
+            assert not g.neuron_ids.flags.writeable and not g.times.flags.writeable
+        if rows > 2:
+            assert got[1].spike_count == 0
+            # cutoff 0 admits a zero response, which fires at the end of the window
+            far = got[2].times.tolist()
+            assert far == ([cfg.spike_interval] * cfg.neuron_count
+                           if cfg.response_cutoff == 0.0 else [])
+
+
+def test_encode_dataset_is_silent_on_huge_and_non_finite_features():
+    cfg = fit_ranges(np.array([[0.0, -1.0], [1.0, 1.0]]))
+    rows = np.array([[1e308, 1e308], [-1e308, -1e308], [np.inf, -np.inf], [np.nan, np.nan]])
+    huge_interval = EncoderConfig(6, 0.7, 1e308, 0.1, ((0.0, 1.0),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [p.spike_count for p in encode_dataset(rows, cfg)] == [0, 0, 0, 0]
+        # spike times past the tick range are still an input error
+        with pytest.raises(InputError, match="finite and non-negative"):
+            encode_dataset(np.array([[0.0]]), huge_interval)
+
+
+def test_encode_dataset_never_revalidates_a_pattern(monkeypatch):
+    # per-row validation cost about a third of a batch classify on iris;
+    # the batch pass checks every time once, so no pattern runs __post_init__
+    calls = []
+    validate = SpikePattern.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(SpikePattern, "__post_init__", counted)
+    SpikePattern(neuron_count=1, neuron_ids=[0], times=[0.5])
+    assert len(calls) == 1  # the counter sees the public constructor
+    calls.clear()
+    cfg = fit_ranges(np.array([[0.0, -3.0, 5.0], [1.0, 7.0, 6.0]]))
+    rows = np.random.default_rng(5).uniform([-0.5, -5.0, 4.0], [1.5, 9.0, 7.0], size=(500, 3))
+    assert len(encode_dataset(rows, cfg)) == 500
+    encode(rows[0], cfg)
+    assert calls == []
 
 
 def test_encode_dataset_shapes():
