@@ -164,25 +164,26 @@ class OutputNeuron:
         Input ids must be distinct, as in a SpikePattern.
         """
         ids = np.asarray(neuron_ids, dtype=np.int64)
-        spike_times = np.full((1, self.input_count), np.nan)
-        spike_times[0, ids] = times
-        return self.sample_rows(spike_times)[0, ids]
+        spike_times = np.full((self.input_count, 1), np.nan)
+        spike_times[ids, 0] = times
+        return self.sample_rows(spike_times)[ids, 0]
 
     def sample_rows(self, spike_times: np.ndarray) -> np.ndarray:
-        """Momentary weights for a (patterns, inputs) spike-time matrix.
+        """Momentary weights for an (inputs, patterns) spike-time matrix.
 
-        One gather puts each term next to its input's spike time (NaN for
-        a silent input), one bincount offset by row sums the terms per
-        (pattern, input) bin in term order, so every row equals
-        ``sample_weights`` of its pattern bit for bit.  Silent inputs
-        read NaN, or 0 when they have no term.
+        One gather puts each term next to its input's spike times (NaN for
+        a silent input), one bincount sums the terms per (input, pattern)
+        bin in term order, so every column equals ``sample_weights`` of its
+        pattern bit for bit.  Silent inputs read 0.
         """
-        rows = spike_times.shape[0]
-        vals = efficacy(np.take(spike_times, self.inputs, axis=1), self.centers,
-                        self.amplitudes, self.sigma)
-        bins = np.arange(0, rows * self.input_count, self.input_count)[:, None] + self.inputs
-        return np.bincount(bins.ravel(), weights=vals.ravel(),
-                           minlength=rows * self.input_count).reshape(rows, self.input_count)
+        cols = spike_times.shape[1]
+        vals = efficacy(np.take(spike_times, self.inputs, axis=0), self.centers[:, None],
+                        self.amplitudes[:, None], self.sigma)
+        bins = self.inputs[:, None] * cols + np.arange(cols)
+        out = np.bincount(bins.ravel(), weights=vals.ravel(),
+                          minlength=self.input_count * cols).reshape(self.input_count, cols)
+        out[np.isnan(spike_times)] = 0
+        return out
 
 
 def efficacy(t: np.ndarray, centers, amplitudes, sigma: float) -> np.ndarray:
@@ -310,15 +311,6 @@ class Network:
         self.sim = sim
         self.spike_interval = float(spike_interval)
         self.neurons: list[Optional[OutputNeuron]] = [None] * class_count
-
-    def sample_rows(self, spike_times: np.ndarray) -> np.ndarray:
-        """(patterns, classes, inputs) weights of (patterns, inputs) spike
-        times; zero rows for uninitialized neurons."""
-        weights = np.zeros((spike_times.shape[0], self.class_count, self.input_count))
-        for j, neuron in enumerate(self.neurons):
-            if neuron is not None:
-                weights[:, j] = neuron.sample_rows(spike_times)
-        return weights
 
     def live(self) -> tuple[list[int], np.ndarray]:
         """Class ids of the initialized neurons and their thresholds, in class order."""

@@ -10,6 +10,7 @@ F-feature problem becomes F*M input neurons each firing at most once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,25 @@ class EncoderConfig:
     @property
     def neuron_count(self) -> int:
         return self.feature_count * self.receptive_field_count
+
+    @cached_property
+    def field_geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        """(features, fields) centers mu_h and (features,) widths s of every
+        field, computed once per config and shared by every caller.
+
+        For fields h = 1..M over a feature's range [lo, hi]:
+
+            mu_h = lo + (2h - 3)/2 * (hi - lo)/(M - 2)
+            s    = (1/gamma) * (hi - lo)/(M - 2)
+
+        The outermost centers fall slightly outside [lo, hi] so the boundary
+        values are still covered by a strong response.
+        """
+        lo, hi = np.array(self.feature_ranges, dtype=np.float64).reshape(-1, 2).T
+        span = (hi - lo) / (self.receptive_field_count - 2)
+        h = np.arange(1, self.receptive_field_count + 1, dtype=np.float64)
+        centers = lo[:, None] + (2.0 * h - 3.0) / 2.0 * span[:, None]
+        return centers, span / self.overlap
 
 
 def _snap(ts: np.ndarray) -> np.ndarray:
@@ -166,24 +186,6 @@ def fit_ranges(
     )
 
 
-def field_geometry(cfg: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(features, fields) centers mu_h and (features,) widths s of every field.
-
-    For fields h = 1..M over a feature's range [lo, hi]:
-
-        mu_h = lo + (2h - 3)/2 * (hi - lo)/(M - 2)
-        s    = (1/gamma) * (hi - lo)/(M - 2)
-
-    The outermost centers fall slightly outside [lo, hi] so the boundary
-    values are still covered by a strong response.
-    """
-    lo, hi = np.array(cfg.feature_ranges, dtype=np.float64).reshape(-1, 2).T
-    span = (hi - lo) / (cfg.receptive_field_count - 2)
-    h = np.arange(1, cfg.receptive_field_count + 1, dtype=np.float64)
-    centers = lo[:, None] + (2.0 * h - 3.0) / 2.0 * span[:, None]
-    return centers, span / cfg.overlap
-
-
 def encode(features, cfg: EncoderConfig) -> SpikePattern:
     """Encode one feature vector into a spike pattern.
 
@@ -215,7 +217,7 @@ def encode_dataset(features_matrix, cfg: EncoderConfig) -> list[SpikePattern]:
             f"expected rows of {cfg.feature_count} features, got shape {x.shape}"
         )
     n = cfg.neuron_count
-    centers, widths = field_geometry(cfg)
+    centers, widths = cfg.field_geometry
     with np.errstate(over="ignore"):  # a huge feature is infinitely far: response 0
         d = (x[:, :, None] - centers) / widths[:, None]
         resp = np.exp(-0.5 * d * d).reshape(len(x), n)
@@ -231,10 +233,3 @@ def encode_dataset(features_matrix, cfg: EncoderConfig) -> list[SpikePattern]:
     return [SpikePattern._trusted(n, ids[a:b], times[a:b])
             for a, b in zip([0, *ends], ends)]
 
-
-def spike_time_matrix(patterns: list[SpikePattern], neuron_count: int) -> np.ndarray:
-    """(patterns, neuron_count) spike times, NaN where an input stays silent."""
-    out = np.full((len(patterns), neuron_count), np.nan)
-    for p, pattern in enumerate(patterns):
-        out[p, pattern.neuron_ids] = pattern.times
-    return out

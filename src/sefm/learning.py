@@ -12,9 +12,9 @@ weights are set to the normalized kernel responses at the desired firing
 time and the threshold is set to the potential this produces, so the
 neuron starts out firing precisely on schedule for that pattern.
 
-A training loop may pass a SampledWeights array to ``initialize`` and
-``apply_update``; every term they add to the neuron is then also added,
-sampled, to that array, which therefore always equals fresh sampling.
+Training and ``predict`` read momentary weights from a SampledWeights
+array.  Passed to ``initialize`` and ``apply_update``, it also receives,
+sampled, every term they add, so it always equals fresh sampling.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import OutputNeuron, SimulationConfig, efficacy, epsilon
-from .encoding import SpikePattern, spike_time_matrix
-from .errors import SefmError
+from .dynamics import Network, OutputNeuron, SimulationConfig, efficacy, epsilon
+from .encoding import SpikePattern
+from .errors import InputError, SefmError
 
 
 class NoEligibleSpikes(SefmError):
@@ -33,19 +33,27 @@ class NoEligibleSpikes(SefmError):
 
 
 class SampledWeights:
-    """Momentary weight of every training spike under every class's neuron.
+    """Momentary weight of every spike of the patterns under every class's neuron.
 
     ``values[c, i, p]`` is neuron c's weight of input i sampled at
-    ``spike_times[i, p]``, the time pattern p's input i fires; a silent
-    input (NaN time) has weight 0.  Both arrays are input-major, so a
-    term added through ``add`` changes only the contiguous row
-    ``values[c, i]`` of its own neuron and input.
+    ``spike_times[i, p]``, the time pattern p's input i fires; it is 0 for
+    a silent input (NaN time) or an uninitialized neuron.  Both arrays are
+    input-major, so a term added through ``add`` changes only the
+    contiguous row ``values[c, i]``.  A pattern of another width than the
+    network's input count raises InputError.
     """
 
-    def __init__(self, patterns: list[SpikePattern], class_count: int):
-        self.spike_times = np.ascontiguousarray(
-            spike_time_matrix(patterns, patterns[0].neuron_count).T)
-        self.values = np.zeros((class_count, *self.spike_times.shape))
+    def __init__(self, patterns: list[SpikePattern], net: Network):
+        self.spike_times = np.full((net.input_count, len(patterns)), np.nan)
+        for p, pattern in enumerate(patterns):
+            if pattern.neuron_count != net.input_count:
+                raise InputError(f"a pattern has {pattern.neuron_count} input neurons; "
+                                 f"the network has {net.input_count}")
+            self.spike_times[pattern.neuron_ids, p] = pattern.times
+        self.values = np.zeros((net.class_count, *self.spike_times.shape))
+        for c, neuron in enumerate(net.neurons):
+            if neuron is not None:
+                self.values[c] = neuron.sample_rows(self.spike_times)
 
     def add(self, neuron: OutputNeuron, neuron_ids: np.ndarray, centers: np.ndarray,
             amplitudes: np.ndarray) -> None:

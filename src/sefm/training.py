@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import NetworkConfig
 from .dynamics import Network, OutputNeuron, ResponseTable, response_matrix
-from .encoding import SpikePattern, spike_time_matrix
+from .encoding import SpikePattern
 from .errors import ConfigError, InputError
 from . import learning
 from .rng import SplitMix64, derive_seed
@@ -27,7 +27,7 @@ from .rng import SplitMix64, derive_seed
 log = logging.getLogger(__name__)
 
 # Patterns per batched predict step.  The largest temporaries, each
-# neuron's (chunk, terms) sampling arrays, stay near 1 MB for models of a
+# neuron's (terms, chunk) sampling arrays, stay near 1 MB for models of a
 # few thousand terms.
 PREDICT_CHUNK = 32
 
@@ -93,7 +93,7 @@ class TrainingState:
         self.table = ResponseTable(net.sim)
         self.rows = np.split(self.table.indices(np.concatenate([p.times for p in patterns])),
                              np.cumsum([p.spike_count for p in patterns])[:-1])
-        self.sampled = learning.SampledWeights(patterns, net.class_count)
+        self.sampled = learning.SampledWeights(patterns, net)
         self.deadline = on_time_deadline(cfg.desired_time, cfg.deadline_rate, cfg.spike_interval)
         self.margin = margin_window(cfg.desired_time, cfg.margin_rate, cfg.spike_interval)
         self.refresh()
@@ -261,19 +261,19 @@ def predict(net: Network, patterns: list[SpikePattern]) -> np.ndarray:
     """Winning class per pattern, by ``Network.evaluate_pattern``: the
     earliest-firing class, else the highest peak, ties to the lowest class.
 
-    Patterns go through PREDICT_CHUNK at a time: one spike-time matrix and
-    one ``Network.sample_rows`` for the chunk, then one kernel call per
-    pattern on its (live, spikes) weights and (spikes, grid) responses, so
-    each label equals one-at-a-time evaluation bit for bit.
+    Patterns go through PREDICT_CHUNK at a time: one ``SampledWeights`` for
+    the chunk, then one kernel call per pattern on its (live, spikes)
+    weights, read as ``process_sample`` reads them, and (spikes, grid)
+    responses, so each label equals one-at-a-time evaluation bit for bit.
     """
     live, thresholds = net.live()
     labels = np.zeros(len(patterns), dtype=np.int64)
     for start in range(0, len(patterns), PREDICT_CHUNK):
         chunk = patterns[start:start + PREDICT_CHUNK]
-        weights = net.sample_rows(spike_time_matrix(chunk, net.input_count))[:, live]
+        values = learning.SampledWeights(chunk, net).values[live]
         for r, pattern in enumerate(chunk):
             labels[start + r] = net.evaluate_pattern(
-                weights[r][:, pattern.neuron_ids], response_matrix(pattern, net.sim),
+                values[:, pattern.neuron_ids, r], response_matrix(pattern, net.sim),
                 live, thresholds)[1]
     return labels
 

@@ -29,7 +29,8 @@ hand-built ones.
 
 ``add_terms`` merges terms into a neuron by one ``unique`` + ``bincount``
 over every stored and new term, and ``PatternMajorSampledWeights`` keeps
-the training weights as (classes, patterns, inputs) with column updates.
+the training weights as (classes, patterns, inputs) with column updates,
+over the pattern-major ``spike_time_matrix``.
 Both are the straightforward forms of what ``OutputNeuron.add_terms`` and
 ``learning.SampledWeights`` do by binary search and contiguous rows, and
 must agree with them bit for bit.
@@ -51,8 +52,7 @@ import numpy as np
 from sefm import learning
 from sefm.config import NetworkConfig
 from sefm.dynamics import Network, OutputNeuron, SimulationConfig, epsilon, response_matrix
-from sefm.encoding import (TIME_QUANTUM, EncoderConfig, SpikePattern, field_geometry,
-                           spike_time_matrix)
+from sefm.encoding import TIME_QUANTUM, EncoderConfig, SpikePattern
 from sefm.errors import InputError
 from sefm.training import (Outcome, SampleResult, epoch_order, margin_window,
                            on_time_deadline, ref_time_correct, ref_time_wrong)
@@ -83,10 +83,13 @@ def fire_time(neuron: OutputNeuron, pattern: SpikePattern,
 # -- the fresh-sampling training step ------------------------------------------
 
 def sample_weights(net: Network, pattern: SpikePattern) -> np.ndarray:
-    """(classes, spikes) momentary weights sampled afresh; zero rows for
-    uninitialized neurons."""
-    weights = net.sample_rows(spike_time_matrix([pattern], net.input_count))
-    return weights[0][:, pattern.neuron_ids]
+    """(classes, spikes) momentary weights sampled afresh, one neuron at a
+    time; zero rows for uninitialized neurons."""
+    weights = np.zeros((net.class_count, pattern.spike_count))
+    for j, neuron in enumerate(net.neurons):
+        if neuron is not None:
+            weights[j] = neuron.sample_weights(pattern.neuron_ids, pattern.times)
+    return weights
 
 
 @dataclass
@@ -206,6 +209,14 @@ def add_terms(neuron: OutputNeuron, neuron_ids, centers, amplitudes) -> None:
         [neuron.amplitudes, np.asarray(amplitudes, dtype=np.float64)]))
 
 
+def spike_time_matrix(patterns: list[SpikePattern], neuron_count: int) -> np.ndarray:
+    """(patterns, neuron_count) spike times, NaN where an input stays silent."""
+    out = np.full((len(patterns), neuron_count), np.nan)
+    for p, pattern in enumerate(patterns):
+        out[p, pattern.neuron_ids] = pattern.times
+    return out
+
+
 class PatternMajorSampledWeights:
     """``learning.SampledWeights`` laid out as (classes, patterns, inputs).
 
@@ -232,7 +243,7 @@ class PatternMajorSampledWeights:
 def encode_rows(features_matrix, cfg: EncoderConfig) -> list[SpikePattern]:
     """Encode each row through the validating ``SpikePattern`` constructor."""
     x = np.asarray(features_matrix, dtype=np.float64)
-    centers, widths = field_geometry(cfg)
+    centers, widths = cfg.field_geometry
     with np.errstate(over="ignore"):
         d = (x[:, :, None] - centers) / widths[:, None]
         resp = np.exp(-0.5 * d * d).reshape(len(x), cfg.neuron_count)

@@ -25,12 +25,12 @@ from sefm.dynamics import (
     response_matrix,
     save_model,
 )
-from sefm.encoding import TIME_QUANTUM, SpikePattern, fit_ranges, spike_time_matrix
+from sefm.encoding import TIME_QUANTUM, SpikePattern, fit_ranges
 from sefm.errors import ConfigError, InputError
 
 from conftest import all_terms, random_neuron, random_pattern, scalar_weight, terms_of
 from oracles import add_terms as reference_add_terms
-from oracles import evaluate_pattern, fire_time, potential, sample_weights
+from oracles import evaluate_pattern, fire_time, potential, sample_weights, spike_time_matrix
 
 
 # --- spike response kernel --------------------------------------------------
@@ -245,10 +245,10 @@ def test_vectorized_sampling_matches_scalar_loop(rng):
 def test_sample_rows_equal_per_pattern_sampling(rng):
     neuron = random_neuron(rng, max_terms=6)
     patterns = [random_pattern(rng, neuron_count=neuron.input_count) for _ in range(40)]
-    rows = neuron.sample_rows(spike_time_matrix(patterns, neuron.input_count))
-    for row, pattern in zip(rows, patterns):
+    columns = neuron.sample_rows(spike_time_matrix(patterns, neuron.input_count).T)
+    for column, pattern in zip(columns.T, patterns):
         alone = neuron.sample_weights(pattern.neuron_ids, pattern.times)
-        assert row[pattern.neuron_ids].tobytes() == alone.tobytes()
+        assert column[pattern.neuron_ids].tobytes() == alone.tobytes()
 
 
 def test_sampling_empty_inputs():

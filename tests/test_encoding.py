@@ -12,7 +12,6 @@ from sefm.encoding import (
     SpikePattern,
     encode,
     encode_dataset,
-    field_geometry,
     fit_ranges,
 )
 from sefm.errors import ConfigError, InputError
@@ -39,7 +38,7 @@ def time_of(pattern, neuron):
 
 def fields_of(cfg, feature):
     """Centers and shared width of one feature's fields."""
-    centers, widths = field_geometry(cfg)
+    centers, widths = cfg.field_geometry
     return centers[feature], float(widths[feature])
 
 

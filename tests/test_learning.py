@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sefm.dynamics import OutputNeuron, SimulationConfig, epsilon
+from sefm.dynamics import Network, OutputNeuron, SimulationConfig, epsilon
 from sefm.encoding import SpikePattern
 from sefm.learning import (
     NoEligibleSpikes,
@@ -254,7 +254,7 @@ def test_apply_full_rate_closes_gap_when_spikes_are_far_apart():
 
 def test_sampled_weights_follow_every_added_term(rng):
     patterns = [random_pattern(rng, neuron_count=12) for _ in range(20)]
-    sampled = SampledWeights(patterns, class_count=2)
+    sampled = SampledWeights(patterns, Network(2, 12, 0.4, SIM, spike_interval=3.0))
     neuron = OutputNeuron(1, 12, sigma=0.4)
     initialize(neuron, pattern_of([3, 7], [0.5, 1.25]), 2.0, SIM, sampled)
     for pattern in patterns:

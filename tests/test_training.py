@@ -208,6 +208,23 @@ def test_train_validations(rng):
         train(patterns, labels, CFG, class_count=4)  # class 3 absent
 
 
+def test_train_and_predict_reject_a_pattern_of_another_width(rng):
+    """A pattern one input narrower or wider than the network raises
+    InputError naming both counts, in training and in inference."""
+    patterns, labels = encoded_blobs(rng)
+    n = patterns[0].neuron_count
+    net = train(patterns, labels, CFG.with_overrides(max_epochs=2), 3, seed=1).network
+    for width in (n - 1, n + 1):
+        odd = SpikePattern(neuron_count=width, neuron_ids=[0, width - 1], times=[0.5, 1.0])
+        message = f"a pattern has {width} input neurons; the network has {n}$"
+        with pytest.raises(InputError, match=message):
+            train(patterns[:-1] + [odd], labels, CFG, class_count=3)
+        with pytest.raises(InputError, match=message):
+            predict(net, patterns[:PREDICT_CHUNK + 1] + [odd])
+        with pytest.raises(InputError, match=message):
+            predict(build_network(CFG, class_count=3, input_count=n), [odd])
+
+
 def test_train_zero_epochs_touches_nothing(rng):
     patterns, labels = encoded_blobs(rng)
     result = train(patterns, labels, CFG.with_overrides(max_epochs=0), 3, seed=1)
@@ -350,6 +367,25 @@ def test_incremental_weights_match_fresh_sampling_after_training(sigma, rng, mon
                                rtol=0, atol=1e-9)
 
 
+def test_sampled_weights_of_a_trained_network_equal_per_pattern_sampling(rng):
+    """SampledWeights(patterns, net) holds each live neuron's one-pattern
+    ``sample_weights`` at every fired input bit for bit, and 0 at every
+    silent input and under an uninitialized class."""
+    patterns, labels = encoded_blobs(rng)
+    net = train(patterns, labels, CFG.with_overrides(max_epochs=10), 3, seed=3).network
+    net.neurons[1] = None
+    sampled = learning.SampledWeights(patterns, net)
+    assert sampled.values.shape == (3, net.input_count, len(patterns))
+    assert not sampled.values[1].any()
+    for p, pattern in enumerate(patterns):
+        silent = np.setdiff1d(np.arange(net.input_count), pattern.neuron_ids)
+        for j in (0, 2):
+            alone = net.neurons[j].sample_weights(pattern.neuron_ids, pattern.times)
+            assert sampled.values[j, pattern.neuron_ids, p].tobytes() == alone.tobytes()
+            assert not sampled.values[j, silent, p].any()
+    assert any(pattern.spike_count < net.input_count for pattern in patterns)
+
+
 def test_sampled_weights_equal_a_pattern_major_replay_bitwise(rng, monkeypatch):
     """Every add of a training run, replayed on (classes, patterns, inputs) columns."""
     captured, adds = [], []
@@ -446,7 +482,7 @@ def one_at_a_time(net, pattern):
     return label, np.array(fire), np.array(peaks)
 
 
-def test_batched_predict_matches_one_at_a_time(rng):
+def test_batched_predict_matches_one_at_a_time(rng, monkeypatch):
     net = build_network(CFG, class_count=4, input_count=12)
     for j in (0, 1, 3):  # class 2 stays uninitialized
         net.neurons[j] = random_neuron(rng, input_count=12, sigma=CFG.sigma, class_label=j)
@@ -455,19 +491,21 @@ def test_batched_predict_matches_one_at_a_time(rng):
                 for _ in range(2 * PREDICT_CHUNK + 5)]
     patterns[PREDICT_CHUNK + 3] = empty_pattern(12)
     captured, chunks = [], []
-    kernel, sample_rows = net.evaluate_pattern, net.sample_rows
+    kernel = net.evaluate_pattern
 
     def recorded(weights, eps_matrix, live, thresholds):
         captured.append((weights @ eps_matrix, kernel(weights, eps_matrix, live, thresholds)))
         return captured[-1][1]
 
-    def chunked(spike_times):
-        chunks.append(len(spike_times))
-        return sample_rows(spike_times)
+    class Chunked(learning.SampledWeights):
+        def __init__(self, chunk, net):
+            chunks.append(len(chunk))
+            super().__init__(chunk, net)
 
-    net.evaluate_pattern, net.sample_rows = recorded, chunked
+    monkeypatch.setattr(learning, "SampledWeights", Chunked)
+    net.evaluate_pattern = recorded
     labels = predict(net, patterns)
-    del net.evaluate_pattern, net.sample_rows
+    del net.evaluate_pattern
     assert chunks == [PREDICT_CHUNK, PREDICT_CHUNK, 5]
     assert len(captured) == len(patterns)
     activity = crossings(net, np.stack([v for v, _ in captured]),
