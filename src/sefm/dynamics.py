@@ -2,11 +2,11 @@
 
 A synapse's weight is a function of time: a sum of Gaussians of shared
 width sigma, each centered at a presynaptic spike time that once carried
-a weight update.  Sampling is exact evaluation of that sum.  An output
-neuron is a firing threshold plus the parallel (input, center,
-amplitude) arrays of all its terms; it fires at the first grid time
-where its potential reaches the threshold (time-to-first-spike, at most
-one spike per pattern).
+a weight update.  Sampling is exact evaluation of that sum.  A network
+is one firing threshold per class plus the parallel (class, input,
+center, amplitude) arrays of all its terms; a class's output neuron
+fires at the first grid time where its potential reaches the threshold
+(time-to-first-spike, at most one spike per pattern).
 """
 
 from __future__ import annotations
@@ -79,84 +79,57 @@ def _epsilon_consuming(t: np.ndarray, tau: float) -> np.ndarray:
 
 
 class OutputNeuron:
-    """One class's output neuron: a threshold plus sorted Gaussian term arrays.
+    """Read-only view of one class's output neuron in a Network.
 
-    Term k adds ``amplitudes[k] * exp(-(t - centers[k])^2 / (2 sigma^2))``
-    to the weight of input neuron ``inputs[k]``.  The three arrays are
-    parallel and sorted by (input, center); centers lie on the encoding
-    time grid, so repeated updates at one presynaptic spike time merge
-    into one amplitude instead of growing the arrays every epoch.
-    Amplitudes may be positive or negative.
+    Its threshold and terms are the class's entries in the network's
+    arrays: term k adds ``amplitudes[k] * exp(-(t - centers[k])^2 / (2 sigma^2))``
+    to the weight of input neuron ``inputs[k]``, and the terms are sorted
+    by (input, center).  The view stores nothing of its own, so it always
+    shows the network as it is now.
     """
 
-    __slots__ = ("class_label", "input_count", "sigma", "threshold",
-                 "inputs", "centers", "amplitudes")
+    __slots__ = ("network", "class_label")
 
-    def __init__(self, class_label: int, input_count: int, sigma: float, threshold: float = 0.0):
-        if not sigma > 0:
-            raise ConfigError("sigma must be positive")
-        self.class_label = int(class_label)
-        self.input_count = int(input_count)
-        self.sigma = float(sigma)
-        self.threshold = float(threshold)
-        self.inputs = np.zeros(0, dtype=np.int64)
-        self.centers = np.zeros(0)
-        self.amplitudes = np.zeros(0)
+    def __init__(self, network: Network, class_label: int):
+        self.network = network
+        self.class_label = class_label
+
+    @property
+    def input_count(self) -> int:
+        return self.network.input_count
+
+    @property
+    def sigma(self) -> float:
+        return self.network.sigma
+
+    @property
+    def threshold(self) -> float:
+        return float(self.network.thresholds[self.class_label])
+
+    def _terms(self, column: np.ndarray) -> np.ndarray:
+        net, j = self.network, self.class_label
+        out = column[slice(*np.searchsorted(net.keys, [(j * net.input_count) << 32,
+                                                       ((j + 1) * net.input_count) << 32]))]
+        out.flags.writeable = False
+        return out
+
+    @property
+    def inputs(self) -> np.ndarray:
+        return (self._terms(self.network.keys) >> 32) - self.class_label * self.input_count
+
+    @property
+    def centers(self) -> np.ndarray:
+        return self._terms(self.network.centers)
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        return self._terms(self.network.amplitudes)
 
     def synapses(self) -> list[list[list[float]]]:
         """Per input neuron, its [center, amplitude] pairs sorted by center."""
         pairs = [[c, a] for c, a in zip(self.centers.tolist(), self.amplitudes.tolist())]
         bounds = np.searchsorted(self.inputs, np.arange(self.input_count + 1)).tolist()
         return [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-    def add_terms(self, neuron_ids: Sequence[int], centers: Sequence[float],
-                  amplitudes: Sequence[float]) -> None:
-        """Add one Gaussian term per (input neuron, center, amplitude) triple.
-
-        A center is snapped to the time grid; a term whose (input, center)
-        key is already present adds its amplitude to the stored one, in
-        arrival order.  A new key is inserted once, its amplitude summed
-        as ``0.0 + a1 + a2 ...`` in arrival order, so no stored amplitude
-        is ever -0.0 and adding to one is adding to ``0.0 + stored``.
-        Stored terms are found by binary search and left where they are.
-        A non-finite term, or a center of 2**31 or more ticks, raises InputError.
-        """
-        ids = np.asarray(neuron_ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.input_count):
-            raise InputError(f"input neuron outside [0, {self.input_count})")
-        ticks = np.rint(np.asarray(centers, dtype=np.float64) / TIME_QUANTUM)
-        amplitudes = np.asarray(amplitudes, dtype=np.float64)
-        if not ((abs(ticks) < 2**31).all() and np.isfinite(amplitudes).all()):
-            raise InputError("a term needs a finite amplitude and a center within 2**31 ticks")
-        ticks = ticks.astype(np.int64)
-        # one int64 key per term, ordered like (input, tick) for |tick| < 2**31
-        keys = (ids << 32) + ticks
-        stored = (self.inputs << 32) + np.rint(self.centers / TIME_QUANTUM).astype(np.int64)
-        if stored.size:
-            at = np.searchsorted(stored, keys)
-            found = stored[np.minimum(at, stored.size - 1)] == keys
-            np.add.at(self.amplitudes, at[found], amplitudes[found])
-            new = ~found
-            ids, ticks, amplitudes, keys = ids[new], ticks[new], amplitudes[new], keys[new]
-        if not keys.size:
-            return
-        # a stable sort keeps arrival order within a key and is linear on
-        # the already sorted keys of a checkpoint
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        head = np.ones(keys.size, dtype=bool)
-        head[1:] = keys[1:] != keys[:-1]
-        first = order[head]  # the first arrival of each new key
-        columns = (ids[first], ticks[first] * TIME_QUANTUM,
-                   np.bincount(np.cumsum(head) - 1, weights=amplitudes[order]))
-        if stored.size:
-            # new key k lands after the k new keys before it
-            dest = np.searchsorted(stored, keys[head]) + np.arange(first.size)
-            kept = np.ones(stored.size + first.size, dtype=bool)
-            kept[dest] = False
-            columns = [_merged(old, kept, dest, new) for old, new in
-                       zip((self.inputs, self.centers, self.amplitudes), columns)]
-        self.inputs, self.centers, self.amplitudes = columns
 
     def sample_weights(self, neuron_ids: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Momentary weight of each (input neuron, time) spike.
@@ -166,24 +139,7 @@ class OutputNeuron:
         ids = np.asarray(neuron_ids, dtype=np.int64)
         spike_times = np.full((self.input_count, 1), np.nan)
         spike_times[ids, 0] = times
-        return self.sample_rows(spike_times)[ids, 0]
-
-    def sample_rows(self, spike_times: np.ndarray) -> np.ndarray:
-        """Momentary weights for an (inputs, patterns) spike-time matrix.
-
-        One gather puts each term next to its input's spike times (NaN for
-        a silent input), one bincount sums the terms per (input, pattern)
-        bin in term order, so every column equals ``sample_weights`` of its
-        pattern bit for bit.  Silent inputs read 0.
-        """
-        cols = spike_times.shape[1]
-        vals = efficacy(np.take(spike_times, self.inputs, axis=0), self.centers[:, None],
-                        self.amplitudes[:, None], self.sigma)
-        bins = self.inputs[:, None] * cols + np.arange(cols)
-        out = np.bincount(bins.ravel(), weights=vals.ravel(),
-                          minlength=self.input_count * cols).reshape(self.input_count, cols)
-        out[np.isnan(spike_times)] = 0
-        return out
+        return self.network.sample(spike_times)[self.class_label, ids, 0]
 
 
 def efficacy(t: np.ndarray, centers, amplitudes, sigma: float) -> np.ndarray:
@@ -293,7 +249,18 @@ def response_matrix(pattern: SpikePattern, sim: SimulationConfig) -> np.ndarray:
 
 
 class Network:
-    """Ordered bank of output neurons, one per class label 0..p-1."""
+    """The whole model as one set of arrays: one output neuron per class label
+    0..p-1.
+
+    ``thresholds`` holds each class's firing threshold and ``initialized``
+    marks the classes whose neuron has started; an uninitialized class has
+    no terms and never takes part in a race.  The Gaussian terms of every
+    class live in parallel ``keys``, ``centers`` and ``amplitudes`` arrays
+    sorted by (class, input, center), with
+    ``keys = ((class * input_count + input) << 32) + tick`` for a center
+    on tick ``tick`` of the time grid.  ``neurons`` gives a read-only
+    OutputNeuron view of each initialized class.
+    """
 
     def __init__(self, class_count: int, input_count: int, sigma: float,
                  sim: SimulationConfig, spike_interval: float):
@@ -301,6 +268,8 @@ class Network:
             raise ConfigError("class_count must be >= 1")
         if input_count < 1:
             raise ConfigError("input_count must be >= 1")
+        if class_count * input_count >= 2**31:
+            raise ConfigError("class_count * input_count must stay below 2**31")
         if not 0 < sigma < np.inf:
             raise ConfigError("sigma must be positive and finite")
         if not 0 < spike_interval < sim.t_max:
@@ -310,12 +279,93 @@ class Network:
         self.sigma = float(sigma)
         self.sim = sim
         self.spike_interval = float(spike_interval)
-        self.neurons: list[Optional[OutputNeuron]] = [None] * class_count
+        self.thresholds = np.zeros(class_count)
+        self.initialized = np.zeros(class_count, dtype=bool)
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.centers = np.zeros(0)
+        self.amplitudes = np.zeros(0)
 
-    def live(self) -> tuple[list[int], np.ndarray]:
-        """Class ids of the initialized neurons and their thresholds, in class order."""
-        live = [j for j, n in enumerate(self.neurons) if n is not None]
-        return live, np.array([self.neurons[j].threshold for j in live])
+    @property
+    def neurons(self) -> list[Optional[OutputNeuron]]:
+        """A view of each class's neuron, None for an uninitialized class."""
+        return [OutputNeuron(self, j) if live else None
+                for j, live in enumerate(self.initialized.tolist())]
+
+    def add_terms(self, class_label, neuron_ids: Sequence[int],
+                  centers: Sequence[float], amplitudes: Sequence[float]) -> None:
+        """Add one Gaussian term per (input neuron, center, amplitude) triple
+        to class ``class_label``'s neuron (or, given one class per term, to
+        each term's class).
+
+        A center is snapped to the time grid; a term whose key is already
+        present adds its amplitude to the stored one, in arrival order.  A
+        new key is inserted once, its amplitude summed as
+        ``0.0 + a1 + a2 ...`` in arrival order, so no stored amplitude is
+        ever -0.0 and adding to one is adding to ``0.0 + stored``.  Stored
+        terms are found by binary search and left where they are.  A
+        non-finite term, or a center outside [0, 2**31) ticks, raises
+        InputError.
+        """
+        classes = np.asarray(class_label, dtype=np.int64)
+        if classes.size and (classes.min() < 0 or classes.max() >= self.class_count):
+            raise InputError(f"class outside [0, {self.class_count})")
+        ids = np.asarray(neuron_ids, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= self.input_count):
+            raise InputError(f"input neuron outside [0, {self.input_count})")
+        ticks = np.rint(np.asarray(centers, dtype=np.float64) / TIME_QUANTUM)
+        amplitudes = np.asarray(amplitudes, dtype=np.float64)
+        if not (((ticks >= 0) & (ticks < 2**31)).all() and np.isfinite(amplitudes).all()):
+            raise InputError("a term needs a finite amplitude and a center in [0, 2**31) ticks")
+        ticks = ticks.astype(np.int64)
+        keys = ((classes * self.input_count + ids) << 32) + ticks
+        stored = self.keys
+        if stored.size:
+            at = np.searchsorted(stored, keys)
+            found = stored[np.minimum(at, stored.size - 1)] == keys
+            np.add.at(self.amplitudes, at[found], amplitudes[found])
+            new = ~found
+            ticks, amplitudes, keys = ticks[new], amplitudes[new], keys[new]
+        if not keys.size:
+            return
+        # a stable sort keeps arrival order within a key and is linear on
+        # the already sorted keys of a checkpoint
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        head = np.ones(keys.size, dtype=bool)
+        head[1:] = keys[1:] != keys[:-1]
+        first = order[head]  # the first arrival of each new key
+        columns = (keys[head], ticks[first] * TIME_QUANTUM,
+                   np.bincount(np.cumsum(head) - 1, weights=amplitudes[order]))
+        if stored.size:
+            # new key k lands after the k new keys before it
+            dest = np.searchsorted(stored, columns[0]) + np.arange(first.size)
+            kept = np.ones(stored.size + first.size, dtype=bool)
+            kept[dest] = False
+            columns = [_merged(old, kept, dest, new) for old, new in
+                       zip((stored, self.centers, self.amplitudes), columns)]
+        self.keys, self.centers, self.amplitudes = columns
+
+    def sample(self, spike_times: np.ndarray) -> np.ndarray:
+        """Momentary weights (classes, inputs, patterns) of an (inputs,
+        patterns) spike-time matrix, NaN for a silent input.
+
+        One pass over every class's terms: one gather puts each term next
+        to its input's spike times, ``efficacy`` evaluates it, and one
+        bincount sums the terms per (class, input, pattern) bin in term
+        order from 0.0.  Silent inputs and uninitialized classes read 0.
+        """
+        cols = spike_times.shape[1]
+        if not self.keys.size:
+            return np.zeros((self.class_count, self.input_count, cols))
+        rows = self.keys >> 32  # each term's (class, input) row
+        vals = efficacy(np.take(np.tile(spike_times, (self.class_count, 1)), rows, axis=0),
+                        self.centers[:, None], self.amplitudes[:, None], self.sigma)
+        rows *= cols
+        out = np.bincount((rows[:, None] + np.arange(cols)).ravel(), weights=vals.ravel(),
+                          minlength=self.class_count * self.input_count * cols)
+        out = out.reshape(self.class_count, self.input_count, cols)
+        out[:, np.isnan(spike_times)] = 0
+        return out
 
     def evaluate_pattern(self, weights: np.ndarray, eps_matrix: np.ndarray, live: list[int],
                          thresholds: np.ndarray) -> tuple[dict[int, float], int]:
@@ -332,13 +382,14 @@ class Network:
         """
         v = weights @ eps_matrix
         first = (v >= thresholds[:, None]).argmax(axis=1).tolist()
-        peaks = v.max(axis=1).tolist()
-        fired = {j: k * self.sim.dt for j, k, peak, threshold
-                 in zip(live, first, peaks, thresholds.tolist()) if peak >= threshold}
+        # argmax gives index 0 when nothing crosses, so check the potential there
+        fired = {j: k * self.sim.dt for j, k, row, threshold
+                 in zip(live, first, v, thresholds.tolist()) if row[k] >= threshold}
         if fired:
             return fired, min(fired, key=fired.__getitem__)
         if not live:
             return fired, 0
+        peaks = v.max(axis=1).tolist()
         return fired, live[peaks.index(max(peaks))]
 
 
@@ -347,16 +398,11 @@ class Network:
 # ---------------------------------------------------------------------------
 
 def model_to_dict(net: Network, encoder: Optional[EncoderConfig] = None) -> dict:
-    neurons = []
-    for neuron in net.neurons:
-        if neuron is None:
-            neurons.append(None)
-            continue
-        neurons.append({
-            "class_label": neuron.class_label,
-            "threshold": neuron.threshold,
-            "synapses": neuron.synapses(),
-        })
+    neurons = [None if neuron is None else {
+        "class_label": neuron.class_label,
+        "threshold": neuron.threshold,
+        "synapses": neuron.synapses(),
+    } for neuron in net.neurons]
     doc = {
         "format": MODEL_FORMAT,
         "sigma": net.sigma,
@@ -389,16 +435,21 @@ def model_from_dict(doc: dict) -> tuple[Network, Optional[EncoderConfig]]:
     try:
         if doc.get("format") != MODEL_FORMAT:
             raise InputError(f"unsupported model format: {doc.get('format')!r}")
+        class_count = operator.index(doc["class_count"])
+        # compared before anything is allocated for the declared count
+        if len(doc["neurons"]) != class_count:
+            raise InputError(f"model has {len(doc['neurons'])} neurons for "
+                             f"{class_count} classes")
         s = doc["simulation"]
         sim = SimulationConfig(tau=s["tau"], t_max=s["t_max"], dt=s["dt"])
-        net = Network(operator.index(doc["class_count"]), operator.index(doc["input_count"]),
+        net = Network(class_count, operator.index(doc["input_count"]),
                       doc["sigma"], sim, doc["spike_interval"])
-        if len(doc["neurons"]) != net.class_count:
-            raise InputError(f"model has {len(doc['neurons'])} neurons for "
-                             f"{net.class_count} classes")
-        for j, entry in enumerate(doc["neurons"]):
-            if entry is not None:
-                net.neurons[j] = _neuron_from_dict(j, entry, net)
+        # every class's terms go in through one sort
+        terms = [_neuron_from_dict(j, entry, net)
+                 for j, entry in enumerate(doc["neurons"]) if entry is not None]
+        if terms:
+            classes, ids, flat = (np.concatenate(column) for column in zip(*terms))
+            net.add_terms(classes, ids, flat[:, 0], flat[:, 1])
         enc = None
         e = doc["encoder"]
         if e is not None:
@@ -418,7 +469,9 @@ def model_from_dict(doc: dict) -> tuple[Network, Optional[EncoderConfig]]:
     return net, enc
 
 
-def _neuron_from_dict(j: int, entry: dict, net: Network) -> OutputNeuron:
+def _neuron_from_dict(j: int, entry: dict, net: Network) -> tuple:
+    """Validate neuron ``j``'s entry and set its threshold; returns its class,
+    input and (center, amplitude) per term."""
     if operator.index(entry["class_label"]) != j:
         raise InputError(f"neuron {j} is labeled {entry['class_label']!r}")
     synapses = entry["synapses"]
@@ -432,13 +485,13 @@ def _neuron_from_dict(j: int, entry: dict, net: Network) -> OutputNeuron:
         raise InputError(f"neuron {j} has a term that is not a (center, amplitude) pair")
     if not (np.isfinite(threshold) and np.isfinite(flat).all()):
         raise InputError(f"neuron {j} has a non-finite threshold, center or amplitude")
-    centers, amplitudes = flat[:, 0], flat[:, 1]
+    centers = flat[:, 0]
     if np.any((centers < 0.0) | (centers > net.spike_interval)):
         raise InputError(f"neuron {j} has a center outside [0, {net.spike_interval}]")
-    neuron = OutputNeuron(j, net.input_count, net.sigma, threshold=threshold)
-    neuron.add_terms(np.repeat(np.arange(net.input_count), [len(t) for t in synapses]),
-                     centers, amplitudes)
-    return neuron
+    net.thresholds[j] = threshold
+    net.initialized[j] = True
+    return (np.full(len(flat), j), np.repeat(np.arange(net.input_count),
+                                             [len(t) for t in synapses]), flat)
 
 
 def model_to_json_bytes(net: Network, encoder: Optional[EncoderConfig] = None) -> bytes:

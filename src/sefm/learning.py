@@ -12,9 +12,10 @@ weights are set to the normalized kernel responses at the desired firing
 time and the threshold is set to the potential this produces, so the
 neuron starts out firing precisely on schedule for that pattern.
 
-Training and ``predict`` read momentary weights from a SampledWeights
-array.  Passed to ``initialize`` and ``apply_update``, it also receives,
-sampled, every term they add, so it always equals fresh sampling.
+Both work on a class of the network.  Training and ``predict`` read
+momentary weights from a SampledWeights array.  Passed to ``initialize``
+and ``apply_update``, it also receives, sampled, every term they add, so
+it always equals fresh sampling.
 """
 
 from __future__ import annotations
@@ -39,30 +40,31 @@ class SampledWeights:
     ``spike_times[i, p]``, the time pattern p's input i fires; it is 0 for
     a silent input (NaN time) or an uninitialized neuron.  Both arrays are
     input-major, so a term added through ``add`` changes only the
-    contiguous row ``values[c, i]``.  A pattern of another width than the
-    network's input count raises InputError.
+    contiguous row ``values[c, i]``.  Every class is sampled in one pass
+    (``Network.sample``).  A pattern of another width than the network's
+    input count raises InputError before anything is allocated.
     """
 
     def __init__(self, patterns: list[SpikePattern], net: Network):
-        self.spike_times = np.full((net.input_count, len(patterns)), np.nan)
-        for p, pattern in enumerate(patterns):
+        for pattern in patterns:
             if pattern.neuron_count != net.input_count:
                 raise InputError(f"a pattern has {pattern.neuron_count} input neurons; "
                                  f"the network has {net.input_count}")
+        self.sigma = net.sigma
+        self.spike_times = np.full((net.input_count, len(patterns)), np.nan)
+        for p, pattern in enumerate(patterns):
             self.spike_times[pattern.neuron_ids, p] = pattern.times
-        self.values = np.zeros((net.class_count, *self.spike_times.shape))
-        for c, neuron in enumerate(net.neurons):
-            if neuron is not None:
-                self.values[c] = neuron.sample_rows(self.spike_times)
+        self.values = net.sample(self.spike_times)
 
-    def add(self, neuron: OutputNeuron, neuron_ids: np.ndarray, centers: np.ndarray,
+    def add(self, class_label: int, neuron_ids: np.ndarray, centers: np.ndarray,
             amplitudes: np.ndarray) -> None:
-        """Add the Gaussians of terms just added to ``neuron`` (distinct inputs,
-        SpikePattern times as centers, so already on the grid)."""
+        """Add the Gaussians of terms just added to class ``class_label``'s
+        neuron (distinct inputs, SpikePattern times as centers, so already
+        on the grid)."""
         gauss = efficacy(self.spike_times[neuron_ids], centers[:, None],
-                         amplitudes[:, None], neuron.sigma)
+                         amplitudes[:, None], self.sigma)
         np.copyto(gauss, 0.0, where=np.isnan(gauss))
-        self.values[neuron.class_label, neuron_ids] += gauss
+        self.values[class_label, neuron_ids] += gauss
 
 
 def _normalized(eps: np.ndarray, t_hat: float) -> np.ndarray:
@@ -146,39 +148,45 @@ def compute_update(neuron: OutputNeuron, pattern: SpikePattern, t_hat: float,
                       used_fallback=used_fallback)
 
 
-def _add_terms(neuron: OutputNeuron, sampled: SampledWeights | None, neuron_ids: np.ndarray,
-               centers: np.ndarray, amplitudes: np.ndarray) -> None:
-    neuron.add_terms(neuron_ids, centers, amplitudes)
+def _add_terms(net: Network, class_label: int, sampled: SampledWeights | None,
+               neuron_ids: np.ndarray, centers: np.ndarray, amplitudes: np.ndarray) -> None:
+    net.add_terms(class_label, neuron_ids, centers, amplitudes)
     if sampled is not None:
-        sampled.add(neuron, neuron_ids, centers, amplitudes)
+        sampled.add(class_label, neuron_ids, centers, amplitudes)
 
 
-def apply_update(neuron: OutputNeuron, step: UpdateStep, learning_rate: float,
+def apply_update(net: Network, class_label: int, step: UpdateStep, learning_rate: float,
                  sampled: SampledWeights | None = None) -> int:
-    """Add the scaled Gaussian terms to the neuron; returns terms added.
+    """Add the scaled Gaussian terms to class ``class_label``'s neuron;
+    returns terms added.
 
     Zero deltas are skipped outright: they would add terms that change
     nothing while bloating the model.  A step whose deltas are all zero
-    leaves the neuron untouched.
+    leaves the network untouched.
     """
     scaled = learning_rate * step.deltas
     keep = scaled != 0.0
     if not keep.any():
         return 0
-    _add_terms(neuron, sampled, step.neuron_ids[keep], step.times[keep], scaled[keep])
+    _add_terms(net, class_label, sampled, step.neuron_ids[keep], step.times[keep],
+               scaled[keep])
     return int(keep.sum())
 
 
-def initialize(neuron: OutputNeuron, pattern: SpikePattern, t_hat: float,
+def initialize(net: Network, class_label: int, pattern: SpikePattern, t_hat: float,
                sim: SimulationConfig, sampled: SampledWeights | None = None) -> None:
-    """First-pattern setup: weights from normalized responses, threshold to match.
+    """First-pattern setup of class ``class_label``'s neuron: weights from
+    normalized responses, threshold to match.
 
     The full normalized response (not scaled by the learning rate) lands
     on each spike; the threshold becomes the resulting potential at
-    t_hat, so this pattern fires exactly at t_hat.
+    t_hat, so this pattern fires exactly at t_hat.  The class is then
+    initialized.
     """
     eps_vals = epsilon(t_hat - pattern.times, sim.tau)
     u = _normalized(eps_vals, t_hat)
     keep = u != 0.0
-    _add_terms(neuron, sampled, pattern.neuron_ids[keep], pattern.times[keep], u[keep])
-    neuron.threshold = float(u @ eps_vals)
+    _add_terms(net, class_label, sampled, pattern.neuron_ids[keep], pattern.times[keep],
+               u[keep])
+    net.thresholds[class_label] = float(u @ eps_vals)
+    net.initialized[class_label] = True

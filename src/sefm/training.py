@@ -26,9 +26,9 @@ from .rng import SplitMix64, derive_seed
 
 log = logging.getLogger(__name__)
 
-# Patterns per batched predict step.  The largest temporaries, each
-# neuron's (terms, chunk) sampling arrays, stay near 1 MB for models of a
-# few thousand terms.
+# Patterns per batched predict step.  The largest temporaries, two (terms,
+# chunk) sampling arrays over every class's terms, take 2.6 MB each for a
+# model of ten thousand terms.
 PREDICT_CHUNK = 32
 
 
@@ -82,9 +82,7 @@ class SampleResult:
 
 class TrainingState:
     """The network, each pattern's rows in a ResponseTable of the fit's own,
-    the SampledWeights, and the live class ids and their thresholds: these
-    change only when ``learning.initialize`` adds a neuron, after which
-    ``refresh`` re-reads them (``apply_update`` never moves a threshold)."""
+    and the SampledWeights of the patterns under the network."""
 
     def __init__(self, net: Network, patterns: list[SpikePattern], cfg: NetworkConfig):
         self.net = net
@@ -96,40 +94,34 @@ class TrainingState:
         self.sampled = learning.SampledWeights(patterns, net)
         self.deadline = on_time_deadline(cfg.desired_time, cfg.deadline_rate, cfg.spike_interval)
         self.margin = margin_window(cfg.desired_time, cfg.margin_rate, cfg.spike_interval)
-        self.refresh()
-
-    def refresh(self) -> None:
-        self.live, self.thresholds = self.net.live()
 
 
 def process_sample(state: TrainingState, s: int, label: int) -> SampleResult:
     """Present training pattern ``s`` of class ``label`` once, mutating the network.
 
-    ``Network.evaluate_pattern`` races the live neurons on the pattern's
-    cached weights and responses; what is left here is the margin test
-    and the correction targets, on Python floats.
+    ``Network.evaluate_pattern`` races the initialized neurons on the
+    pattern's cached weights and responses; what is left here is the
+    margin test and the correction targets, on Python floats.
     """
     pattern = state.patterns[s]
     if pattern.spike_count == 0:
         return SampleResult(Outcome.NO_SPIKES)
     net, cfg, sampled, sim = state.net, state.cfg, state.sampled, state.net.sim
 
-    if net.neurons[label] is None:
-        neuron = OutputNeuron(label, net.input_count, net.sigma)
+    if not net.initialized[label]:
         try:
-            learning.initialize(neuron, pattern, cfg.desired_time, sim, sampled)
+            learning.initialize(net, label, pattern, cfg.desired_time, sim, sampled)
         except learning.NoEligibleSpikes:
             # nothing precedes the desired time; wait for a friendlier pattern
             return SampleResult(Outcome.SKIPPED, ineligible_classes=(label,))
-        net.neurons[label] = neuron
-        state.refresh()
         return SampleResult(Outcome.INITIALIZED, updated_classes=(label,))
 
-    live, t_max = state.live, sim.t_max
+    live, t_max = net.initialized.nonzero()[0].tolist(), sim.t_max
     weights = sampled.values[:, pattern.neuron_ids, s]
+    every = len(live) == net.class_count
     fired, predicted = net.evaluate_pattern(
-        weights if len(live) == net.class_count else weights[live],
-        state.table.gather(state.rows[s]), live, state.thresholds)
+        weights if every else weights[live], state.table.gather(state.rows[s]), live,
+        net.thresholds if every else net.thresholds[live])
 
     # the margin is held from the correct neuron's time, or from its
     # target when it fires late; rivals inside the margin are pushed past it
@@ -147,13 +139,13 @@ def process_sample(state: TrainingState, s: int, label: int) -> SampleResult:
 
     updated, ineligible = [], []
     for j, t_ref in targets:
-        neuron = net.neurons[j]
         try:
-            step = learning.compute_update(neuron, pattern, t_ref, sim, weights=weights[j])
+            step = learning.compute_update(OutputNeuron(net, j), pattern, t_ref, sim,
+                                           weights=weights[j])
         except learning.NoEligibleSpikes:
             ineligible.append(j)
             continue
-        if learning.apply_update(neuron, step, cfg.learning_rate, sampled):
+        if learning.apply_update(net, j, step, cfg.learning_rate, sampled):
             updated.append(j)
     return SampleResult(Outcome.ON_TIME if punctual else Outcome.LATE, tuple(updated),
                         tuple(ineligible), predicted=predicted)
@@ -251,7 +243,15 @@ def train(patterns: list[SpikePattern], labels: np.ndarray, cfg: NetworkConfig,
         converged = stats.updates_correct + stats.updates_wrong == 0
         if converged:
             break
-    return TrainResult(network=state.net, epochs_run=len(stats_log), converged=converged,
+    net = state.net
+    # The model's arrays were allocated above the fit's response table and
+    # sampled weights; copied once those are freed, they move into the freed
+    # space instead of stranding it (three fits in one process otherwise
+    # peaked 10 MB higher).
+    del state
+    net.keys, net.centers, net.amplitudes = net.keys.copy(), net.centers.copy(), \
+        net.amplitudes.copy()
+    return TrainResult(network=net, epochs_run=len(stats_log), converged=converged,
                        epoch_stats=stats_log)
 
 
@@ -266,7 +266,8 @@ def predict(net: Network, patterns: list[SpikePattern]) -> np.ndarray:
     weights, read as ``process_sample`` reads them, and (spikes, grid)
     responses, so each label equals one-at-a-time evaluation bit for bit.
     """
-    live, thresholds = net.live()
+    live = net.initialized.nonzero()[0].tolist()
+    thresholds = net.thresholds[live]
     labels = np.zeros(len(patterns), dtype=np.int64)
     for start in range(0, len(patterns), PREDICT_CHUNK):
         chunk = patterns[start:start + PREDICT_CHUNK]

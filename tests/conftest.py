@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sefm.dynamics import OutputNeuron
+from sefm.dynamics import Network, OutputNeuron, SimulationConfig
 from sefm.encoding import TIME_QUANTUM, SpikePattern
 
 
@@ -30,11 +30,23 @@ def random_pattern(rng, neuron_count=12, spike_interval=3.0, max_spikes=8,
     return SpikePattern(neuron_count=neuron_count, neuron_ids=ids, times=times)
 
 
-def random_neuron(rng, input_count=12, sigma=0.5, class_label=0,
-                  max_terms=4, spike_interval=3.0) -> OutputNeuron:
-    """Neuron with random Gaussian terms and a positive threshold."""
-    neuron = OutputNeuron(class_label, input_count, sigma,
-                          threshold=float(rng.uniform(0.2, 1.5)))
+def network_of(input_count, classes, sigma=0.5, sim=None, spike_interval=3.0) -> Network:
+    """Network whose class j holds ``classes[j]``: None for a class never
+    initialized, else a (threshold, ids, centers, amplitudes) tuple whose
+    terms go in through one ``add_terms`` call."""
+    net = Network(len(classes), input_count, sigma, sim or SimulationConfig(), spike_interval)
+    for j, neuron in enumerate(classes):
+        if neuron is not None:
+            threshold, ids, centers, amplitudes = neuron
+            net.add_terms(j, ids, centers, amplitudes)
+            net.thresholds[j] = threshold
+            net.initialized[j] = True
+    return net
+
+
+def random_terms(rng, input_count=12, max_terms=4, spike_interval=3.0):
+    """A positive threshold and random Gaussian terms, as ``network_of`` takes them."""
+    threshold = float(rng.uniform(0.2, 1.5))
     steps = int(round(spike_interval / TIME_QUANTUM))
     ids, centers, amps = [], [], []
     for i in range(input_count):
@@ -42,9 +54,12 @@ def random_neuron(rng, input_count=12, sigma=0.5, class_label=0,
             ids.append(i)
             centers.append(int(rng.integers(0, steps + 1)) * TIME_QUANTUM)
             amps.append(float(rng.normal(0.0, 0.6)))
-    if ids:
-        neuron.add_terms(ids, centers, amps)
-    return neuron
+    return threshold, ids, centers, amps
+
+
+def random_neuron(rng, input_count=12, sigma=0.5, max_terms=4) -> OutputNeuron:
+    """The neuron of a one-class network with ``random_terms``."""
+    return network_of(input_count, [random_terms(rng, input_count, max_terms)], sigma).neurons[0]
 
 
 def scalar_weight(neuron, i, t) -> float:

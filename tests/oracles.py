@@ -27,13 +27,16 @@ live classes and thresholds from one training state, must reproduce bit
 for bit.  It works on any network, so the per-branch tests drive it on
 hand-built ones.
 
-``add_terms`` merges terms into a neuron by one ``unique`` + ``bincount``
-over every stored and new term, and ``PatternMajorSampledWeights`` keeps
-the training weights as (classes, patterns, inputs) with column updates,
-over the pattern-major ``spike_time_matrix``.
-Both are the straightforward forms of what ``OutputNeuron.add_terms`` and
-``learning.SampledWeights`` do by binary search and contiguous rows, and
-must agree with them bit for bit.
+``add_terms`` merges terms into one class's ``ClassTerms`` by one
+``unique`` + ``bincount`` over every stored and new term, and
+``PatternMajorSampledWeights`` keeps the training weights as (classes,
+patterns, inputs) with column updates, over the pattern-major
+``spike_time_matrix``.  Both are the straightforward forms of what
+``Network.add_terms`` and ``learning.SampledWeights`` do by binary search
+over network-wide arrays and contiguous rows, and must agree with them,
+class by class, bit for bit.  ``sampled_weights_per_term`` samples one
+term at a time and adds each bin's terms in stored order from 0.0: the
+order ``Network.sample`` must keep.
 
 ``encode_rows`` is the per-row form of ``encoding.encode_dataset``: one
 broadcast of responses, then one validating ``SpikePattern`` per row from
@@ -51,7 +54,8 @@ import numpy as np
 
 from sefm import learning
 from sefm.config import NetworkConfig
-from sefm.dynamics import Network, OutputNeuron, SimulationConfig, epsilon, response_matrix
+from sefm.dynamics import (Network, OutputNeuron, SimulationConfig, efficacy, epsilon,
+                           response_matrix)
 from sefm.encoding import TIME_QUANTUM, EncoderConfig, SpikePattern
 from sefm.errors import InputError
 from sefm.training import (Outcome, SampleResult, epoch_order, margin_window,
@@ -148,12 +152,10 @@ def process_sample(net: Network, pattern: SpikePattern, label: int,
         return SampleResult(Outcome.NO_SPIKES)
     sim = net.sim
     if net.neurons[label] is None:
-        neuron = OutputNeuron(label, net.input_count, net.sigma)
         try:
-            learning.initialize(neuron, pattern, cfg.desired_time, sim)
+            learning.initialize(net, label, pattern, cfg.desired_time, sim)
         except learning.NoEligibleSpikes:
             return SampleResult(Outcome.SKIPPED, ineligible_classes=(label,))
-        net.neurons[label] = neuron
         return SampleResult(Outcome.INITIALIZED, updated_classes=(label,))
 
     weights = sample_weights(net, pattern)
@@ -180,7 +182,7 @@ def process_sample(net: Network, pattern: SpikePattern, label: int,
         except learning.NoEligibleSpikes:
             ineligible.append(j)
             continue
-        if learning.apply_update(neuron, step, cfg.learning_rate):
+        if learning.apply_update(net, j, step, cfg.learning_rate):
             updated.append(j)
     return SampleResult(Outcome.ON_TIME if punctual else Outcome.LATE, tuple(updated),
                         tuple(ineligible), predicted=predicted)
@@ -188,25 +190,60 @@ def process_sample(net: Network, pattern: SpikePattern, label: int,
 
 # -- term merging and sampled training weights -----------------------------------
 
-def add_terms(neuron: OutputNeuron, neuron_ids, centers, amplitudes) -> None:
-    """``neuron.add_terms`` by sorting every stored and new key together.
+@dataclass
+class ClassTerms:
+    """One class's (input, center, amplitude) terms, held apart from any Network."""
+
+    input_count: int
+    inputs: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    centers: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    amplitudes: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+
+def add_terms(terms: ClassTerms, neuron_ids, centers, amplitudes) -> None:
+    """``Network.add_terms`` on one class, by sorting every stored and new key
+    together.
 
     Each distinct (input, tick) key keeps its first term's input and
     center; its amplitude is ``0.0 + a1 + a2 ...`` over the stored and
     new amplitudes in that order.
     """
     ids = np.asarray(neuron_ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= neuron.input_count):
-        raise InputError(f"input neuron outside [0, {neuron.input_count})")
-    inputs = np.concatenate([neuron.inputs, ids])
-    ticks = np.rint(np.concatenate([neuron.centers, np.asarray(centers, dtype=np.float64)])
+    if ids.size and (ids.min() < 0 or ids.max() >= terms.input_count):
+        raise InputError(f"input neuron outside [0, {terms.input_count})")
+    inputs = np.concatenate([terms.inputs, ids])
+    ticks = np.rint(np.concatenate([terms.centers, np.asarray(centers, dtype=np.float64)])
                     / TIME_QUANTUM).astype(np.int64)
     keys, first, slot = np.unique((inputs << 32) + ticks, return_index=True,
                                   return_inverse=True)
-    neuron.inputs = inputs[first]
-    neuron.centers = ticks[first] * TIME_QUANTUM
-    neuron.amplitudes = np.bincount(slot, minlength=keys.size, weights=np.concatenate(
-        [neuron.amplitudes, np.asarray(amplitudes, dtype=np.float64)]))
+    terms.inputs = inputs[first]
+    terms.centers = ticks[first] * TIME_QUANTUM
+    terms.amplitudes = np.bincount(slot, minlength=keys.size, weights=np.concatenate(
+        [terms.amplitudes, np.asarray(amplitudes, dtype=np.float64)]))
+
+
+def sampled_weights_per_term(net: Network, patterns: list[SpikePattern]) -> np.ndarray:
+    """``learning.SampledWeights(patterns, net).values`` one term at a time.
+
+    Each term's Gaussian is ``efficacy`` of that term alone, and each
+    (class, input, pattern) sum starts from 0.0 and adds the input's
+    terms in stored order, so any other summation order shows in the bits.
+    """
+    values = np.zeros((net.class_count, net.input_count, len(patterns)))
+    for j, neuron in enumerate(net.neurons):
+        if neuron is None:
+            continue
+        terms = [[] for _ in range(net.input_count)]
+        for i, c, a in zip(neuron.inputs.tolist(), neuron.centers.tolist(),
+                           neuron.amplitudes.tolist()):
+            terms[i].append((c, a))
+        for p, pattern in enumerate(patterns):
+            for i, t in zip(pattern.neuron_ids.tolist(), pattern.times.tolist()):
+                total = 0.0
+                for c, a in terms[i]:
+                    total += float(efficacy(np.array([t]), c, a, net.sigma)[0])
+                values[j, i, p] = total
+    return values
 
 
 def spike_time_matrix(patterns: list[SpikePattern], neuron_count: int) -> np.ndarray:

@@ -18,12 +18,7 @@ from sefm.benchmark import benchmark, sigma_sweep
 from sefm.cli import main
 from sefm.config import NetworkConfig
 from sefm.data import DATASETS, load_dataset
-from sefm.dynamics import (
-    OutputNeuron,
-    SimulationConfig,
-    epsilon,
-    model_to_json_bytes,
-)
+from sefm.dynamics import SimulationConfig, epsilon, model_to_json_bytes
 from sefm.encoding import SpikePattern, encode_dataset, fit_ranges
 from sefm.errors import DataError
 from sefm.learning import NoEligibleSpikes, compute_update
@@ -158,7 +153,7 @@ def test_criterion_06_update_identity(rng):
             # engineered dv = 0: set the threshold to the momentary potential
             w = neuron.sample_weights(pattern.neuron_ids, pattern.times)
             eps = epsilon(t_hat - pattern.times, SIM.tau)
-            neuron.threshold = float(w @ eps)
+            neuron.network.thresholds[0] = float(w @ eps)
         try:
             step = compute_update(neuron, pattern, t_hat, SIM)
         except NoEligibleSpikes:
@@ -184,8 +179,8 @@ def test_criterion_07_normalization(rng):
         pattern = random_pattern(rng, neuron_count=10, max_spikes=8)
         if checked % 3 == 0 and pattern.spike_count:
             # saturate the momentary weights so every excess clamps to zero
-            neuron.add_terms(pattern.neuron_ids, pattern.times,
-                             np.full(pattern.spike_count, 10.0))
+            neuron.network.add_terms(0, pattern.neuron_ids, pattern.times,
+                                     np.full(pattern.spike_count, 10.0))
         t_hat = float(rng.uniform(0.0, 8.0))
         try:
             step = compute_update(neuron, pattern, t_hat, SIM)

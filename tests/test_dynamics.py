@@ -13,7 +13,6 @@ import pytest
 import sefm.dynamics as dynamics
 from sefm.dynamics import (
     Network,
-    OutputNeuron,
     ResponseTable,
     SimulationConfig,
     _epsilon_consuming,
@@ -28,9 +27,11 @@ from sefm.dynamics import (
 from sefm.encoding import TIME_QUANTUM, SpikePattern, fit_ranges
 from sefm.errors import ConfigError, InputError
 
-from conftest import all_terms, random_neuron, random_pattern, scalar_weight, terms_of
+from conftest import (all_terms, network_of, random_neuron, random_pattern, random_terms,
+                      scalar_weight, terms_of)
+from oracles import ClassTerms, evaluate_pattern, fire_time, potential, sample_weights
 from oracles import add_terms as reference_add_terms
-from oracles import evaluate_pattern, fire_time, potential, sample_weights, spike_time_matrix
+from oracles import spike_time_matrix
 
 
 # --- spike response kernel --------------------------------------------------
@@ -95,8 +96,7 @@ def sample_at(neuron, i, t):
 
 
 def test_single_term_sample_closed_form():
-    neuron = OutputNeuron(0, 2, sigma=0.5)
-    neuron.add_terms([1], [1.0], [0.5])
+    neuron = network_of(2, [(0.0, [1], [1.0], [0.5])], sigma=0.5).neurons[0]
     # one width from center: amplitude * exp(-1/2)
     assert sample_at(neuron, 1, 1.5) == pytest.approx(0.5 * math.exp(-0.5), rel=1e-12)
     assert sample_at(neuron, 1, 1.5) == pytest.approx(0.303265, abs=5e-7)
@@ -105,16 +105,17 @@ def test_single_term_sample_closed_form():
 
 
 def test_empty_efficacy_samples_zero():
-    neuron = OutputNeuron(0, 3, sigma=1.0)
+    neuron = network_of(3, [(0.0, [], [], [])], sigma=1.0).neurons[0]
     assert sample_at(neuron, 2, 1.7) == 0.0
+    assert neuron.sample_weights(np.array([2]), np.array([1.7])).dtype == np.float64
     assert neuron.amplitudes.size == 0
     assert terms_of(neuron, 2) == []
 
 
 def test_terms_merge_at_same_quantized_center():
-    neuron = OutputNeuron(0, 2, sigma=1.0)
-    neuron.add_terms([0], [0.25], [0.4])
-    neuron.add_terms([0, 0], [0.25, 0.2504], [0.1, -0.2])  # 0.2504 snaps to 0.250
+    net = network_of(2, [(0.0, [0], [0.25], [0.4])], sigma=1.0)
+    net.add_terms(0, [0, 0], [0.25, 0.2504], [0.1, -0.2])  # 0.2504 snaps to 0.250
+    neuron = net.neurons[0]
     assert neuron.amplitudes.size == 1
     assert terms_of(neuron, 0) == [(0.25, pytest.approx(0.3))]
     # merged in arrival order, exactly as sequential float additions
@@ -122,51 +123,63 @@ def test_terms_merge_at_same_quantized_center():
 
 
 def test_terms_sorted_by_input_then_center(rng):
-    neuron = OutputNeuron(0, 5, sigma=1.0)
+    net = network_of(5, [(0.0, [], [], [])], sigma=1.0)
     for _ in range(6):
         k = int(rng.integers(1, 6))
-        neuron.add_terms(rng.integers(0, 5, size=k), rng.integers(0, 3001, size=k) * 0.001,
-                         rng.normal(size=k))
+        net.add_terms(0, rng.integers(0, 5, size=k), rng.integers(0, 3001, size=k) * 0.001,
+                      rng.normal(size=k))
+    neuron = net.neurons[0]
     keys = list(zip(neuron.inputs.tolist(), neuron.centers.tolist()))
     assert keys == sorted(set(keys))
 
 
 def test_add_terms_rejects_unknown_input():
-    neuron = OutputNeuron(0, 2, sigma=1.0)
+    net = network_of(2, [(0.0, [], [], [])], sigma=1.0)
     with pytest.raises(InputError):
-        neuron.add_terms([2], [0.5], [1.0])
+        net.add_terms(0, [2], [0.5], [1.0])
+    with pytest.raises(InputError):
+        net.add_terms(1, [0], [0.5], [1.0])  # class outside the network
 
 
-@pytest.mark.parametrize("center, amplitude", [(np.nan, 1.0), (5e6, 1.0), (0.5, np.inf)],
-                         ids=["nan-center", "center-past-31-bits", "inf-amplitude"])
+@pytest.mark.parametrize("center, amplitude",
+                         [(np.nan, 1.0), (5e6, 1.0), (0.5, np.inf), (-0.5, 1.0)],
+                         ids=["nan-center", "center-past-31-bits", "inf-amplitude",
+                              "negative-center"])
 def test_add_terms_rejects_a_term_its_key_cannot_hold(center, amplitude):
-    """A NaN center would be stored at about -9.2e15 ms, and a 5e6 ms center
+    """A NaN center would be stored at about -9.2e15 ms, a 5e6 ms center
     on input 0 (tick 5e9 >= 2**31) would sort after input 1's terms, so
-    ``synapses()`` would file input 1's term under input 0."""
-    neuron = OutputNeuron(0, 2, sigma=1.0)
-    neuron.add_terms([1], [0.5], [0.25])
+    ``synapses()`` would file input 1's term under input 0, and a negative
+    center would borrow from the key's (class, input) bits."""
+    net = network_of(2, [(0.0, [1], [0.5], [0.25])], sigma=1.0)
     with pytest.raises(InputError):
-        neuron.add_terms([0], [center], [amplitude])
-    assert neuron.synapses() == [[], [[0.5, 0.25]]]
+        net.add_terms(0, [0], [center], [amplitude])
+    assert net.neurons[0].synapses() == [[], [[0.5, 0.25]]]
 
 
-def _term_bytes(neuron) -> tuple[bytes, bytes, bytes]:
-    return neuron.inputs.tobytes(), neuron.centers.tobytes(), neuron.amplitudes.tobytes()
+def _term_bytes(terms) -> tuple[bytes, bytes, bytes]:
+    return terms.inputs.tobytes(), terms.centers.tobytes(), terms.amplitudes.tobytes()
 
 
 def test_add_terms_equals_the_sort_everything_reference_bitwise(rng):
-    """Random call sequences leave the same inputs, centers and amplitude bits.
+    """Random call sequences leave every class slice of the network with the
+    inputs, centers and amplitude bits of that class's reference terms.
 
-    Keys come from a small (input, tick) space, so calls repeat keys
-    within themselves and hit stored ones; some terms cancel a stored
-    amplitude or each other to 0, some amplitudes are -0.0, some calls
-    are empty, and half the sequences open with a checkpoint-shaped load
-    of sorted distinct keys.
+    Each sequence targets one class of a network of one to three; keys
+    come from a small (input, tick) space, so calls repeat keys within
+    themselves and hit stored ones; some terms cancel a stored amplitude
+    or each other to 0, some amplitudes are -0.0, some calls are empty,
+    and half the sequences open with a checkpoint-shaped load of sorted
+    distinct keys.
     """
     seen = dict(repeat=0, present=0, cancel=0, negzero=0, empty=0, load=0)
+    net = reference = None
     for _ in range(80):
-        n = int(rng.integers(1, 5))
-        fast, slow = OutputNeuron(0, n, sigma=1.0), OutputNeuron(0, n, sigma=1.0)
+        if net is None or rng.random() < 0.3:
+            n = int(rng.integers(1, 5))
+            net = network_of(n, [(0.0, [], [], [])] * int(rng.integers(1, 4)), sigma=1.0)
+            reference = [ClassTerms(n) for _ in range(net.class_count)]
+        n, j = net.input_count, int(rng.integers(0, net.class_count))
+        fast, slow = net.neurons[j], reference[j]
         calls = []
         if rng.random() < 0.5:
             keys = sorted(set(zip(rng.integers(0, n, 12).tolist(),
@@ -199,9 +212,10 @@ def test_add_terms_equals_the_sort_everything_reference_bitwise(rng):
             seen["present"] += any(key in stored for key in keys)
             seen["empty"] += not keys
             for ids, centers, amps in calls:
-                fast.add_terms(ids, centers, amps)
+                net.add_terms(j, ids, centers, amps)
                 reference_add_terms(slow, ids, centers, amps)
-                assert _term_bytes(fast) == _term_bytes(slow)
+                assert [_term_bytes(view) for view in net.neurons] == \
+                    [_term_bytes(terms) for terms in reference]
                 seen["negzero"] += any(math.copysign(1.0, a) < 0 and a == 0 for a in amps)
             seen["cancel"] += int((fast.amplitudes == 0.0).sum())
             calls = []
@@ -209,9 +223,10 @@ def test_add_terms_equals_the_sort_everything_reference_bitwise(rng):
 
 
 def test_sample_is_sum_of_gaussians(rng):
-    neuron = OutputNeuron(0, 1, sigma=0.8)
+    net = network_of(1, [(0.0, [], [], [])], sigma=0.8)
     for _ in range(6):
-        neuron.add_terms([0], [float(rng.uniform(0, 3))], [float(rng.normal())])
+        net.add_terms(0, [0], [float(rng.uniform(0, 3))], [float(rng.normal())])
+    neuron = net.neurons[0]
     merged = terms_of(neuron, 0)
     for t in rng.uniform(-1, 4, size=20):
         brute = sum(a * math.exp(-0.5 * ((t - c) / 0.8) ** 2) for c, a in merged)
@@ -220,13 +235,14 @@ def test_sample_is_sum_of_gaussians(rng):
 
 def test_sigma_must_be_positive():
     with pytest.raises(ConfigError):
-        OutputNeuron(0, 3, sigma=0.0)
+        network_of(3, [None], sigma=0.0)
 
 
 def test_huge_sigma_gives_constant_weight(rng):
-    neuron = OutputNeuron(0, 1, sigma=1e6)
+    net = network_of(1, [(0.0, [], [], [])], sigma=1e6)
     for _ in range(5):
-        neuron.add_terms([0], [float(rng.uniform(0, 3))], [float(rng.normal())])
+        net.add_terms(0, [0], [float(rng.uniform(0, 3))], [float(rng.normal())])
+    neuron = net.neurons[0]
     vals = np.array([sample_at(neuron, 0, t) for t in np.linspace(0, 3, 61)])
     scale = max(abs(vals).max(), 1e-30)
     assert np.ptp(vals) <= 1e-9 * scale
@@ -242,17 +258,17 @@ def test_vectorized_sampling_matches_scalar_loop(rng):
         assert np.allclose(fast, slow, rtol=1e-12, atol=1e-15)
 
 
-def test_sample_rows_equal_per_pattern_sampling(rng):
+def test_network_sample_equals_per_pattern_sampling(rng):
     neuron = random_neuron(rng, max_terms=6)
     patterns = [random_pattern(rng, neuron_count=neuron.input_count) for _ in range(40)]
-    columns = neuron.sample_rows(spike_time_matrix(patterns, neuron.input_count).T)
+    columns = neuron.network.sample(spike_time_matrix(patterns, neuron.input_count).T)[0]
     for column, pattern in zip(columns.T, patterns):
         alone = neuron.sample_weights(pattern.neuron_ids, pattern.times)
         assert column[pattern.neuron_ids].tobytes() == alone.tobytes()
 
 
 def test_sampling_empty_inputs():
-    neuron = OutputNeuron(0, 4, sigma=1.0)
+    neuron = network_of(4, [(0.0, [], [], [])], sigma=1.0).neurons[0]
     assert neuron.sample_weights(np.zeros(0, dtype=np.int64), np.zeros(0)).size == 0
     out = neuron.sample_weights(np.array([1, 2]), np.array([0.5, 1.0]))
     assert np.array_equal(out, np.zeros(2))
@@ -311,9 +327,7 @@ def test_potential_is_linear_in_spikes(rng):
 
 def unit_drive_neuron(threshold):
     """One input, weight exactly 1 at its own spike time t=0."""
-    neuron = OutputNeuron(0, 1, sigma=0.5, threshold=threshold)
-    neuron.add_terms([0], [0.0], [1.0])
-    return neuron
+    return network_of(1, [(threshold, [0], [0.0], [1.0])], sigma=0.5).neurons[0]
 
 
 def one_spike_pattern():
@@ -355,9 +369,9 @@ def test_fire_time_monotone_in_threshold(rng):
         neuron = random_neuron(rng)
         pattern = random_pattern(rng, neuron_count=neuron.input_count)
         lo, hi = sorted(rng.uniform(0.05, 1.2, size=2))
-        neuron.threshold = lo
+        neuron.network.thresholds[0] = lo
         t_lo = fire_time(neuron, pattern, s)
-        neuron.threshold = hi
+        neuron.network.thresholds[0] = hi
         t_hi = fire_time(neuron, pattern, s)
         if t_hi is not None:
             assert t_lo is not None and t_lo <= t_hi
@@ -427,9 +441,7 @@ def test_response_matrix_rejects_a_spike_after_t_max():
 
 def test_threads_predicting_on_a_cold_table_get_the_serial_labels(rng, monkeypatch):
     from sefm.training import predict
-    net = Network(3, 12, 0.5, sim(), 3.0)
-    for j in range(3):
-        net.neurons[j] = random_neuron(rng, input_count=12, class_label=j)
+    net = network_of(12, [random_terms(rng, 12) for _ in range(3)], 0.5, sim())
     patterns = [random_pattern(rng, neuron_count=12, max_spikes=12) for _ in range(150)]
     monkeypatch.setattr(dynamics, "_TABLES", {})
     serial = predict(net, patterns).tolist()
@@ -475,12 +487,10 @@ def test_simulation_config_validation():
 
 # --- network ------------------------------------------------------------------
 
-def make_network(rng, classes=3, inputs=10, sigma=0.6):
-    net = Network(classes, inputs, sigma, sim(), spike_interval=3.0)
-    for j in range(classes):
-        net.neurons[j] = random_neuron(rng, input_count=inputs, sigma=sigma,
-                                       class_label=j)
-    return net
+def make_network(rng, classes=3, inputs=10, sigma=0.6, uninitialized=()):
+    terms = [random_terms(rng, inputs) for _ in range(classes)]
+    return network_of(inputs, [None if j in uninitialized else t for j, t in enumerate(terms)],
+                      sigma, sim())
 
 
 def test_network_validation():
@@ -490,6 +500,15 @@ def test_network_validation():
         Network(2, 0, 1.0, sim(), spike_interval=3.0)
     with pytest.raises(ConfigError):
         Network(2, 4, 1.0, SimulationConfig(t_max=3.0), spike_interval=3.0)
+
+
+def test_network_rejects_counts_its_term_keys_cannot_hold():
+    """A key holds class * input_count + input in 31 bits, so the product of
+    the counts must stay below 2**31; the check comes before any array."""
+    for classes, inputs in ((2**62, 1), (1, 2**62), (2**16, 2**15)):
+        with pytest.raises(ConfigError, match="2\\*\\*31"):
+            Network(classes, inputs, 1.0, sim(), spike_interval=3.0)
+    assert Network(1, 2**31 - 1, 1.0, sim(), spike_interval=3.0).keys.size == 0
 
 
 def test_evaluate_pattern_agrees_with_fire_time(rng):
@@ -506,8 +525,7 @@ def test_evaluate_pattern_agrees_with_fire_time(rng):
 
 
 def test_evaluate_pattern_uninitialized_slots(rng):
-    net = make_network(rng)
-    net.neurons[1] = None
+    net = make_network(rng, uninitialized=(1,))
     pattern = random_pattern(rng, neuron_count=net.input_count, max_spikes=5)
     activity = evaluate_pattern(net, pattern)
     assert math.isnan(activity.fire_times[1])
@@ -517,9 +535,9 @@ def test_evaluate_pattern_uninitialized_slots(rng):
 def test_evaluate_pattern_kernel_matches_crossings(rng):
     """The activity kernel's fire times (first index at or above the threshold,
     times dt) and winner equal the oracle's numpy ``crossings`` bit for bit."""
-    net = make_network(rng)
-    net.neurons[1] = None
-    live, thresholds = net.live()
+    net = make_network(rng, uninitialized=(1,))
+    live = np.flatnonzero(net.initialized).tolist()
+    thresholds = net.thresholds[live]
     assert live == [0, 2] and thresholds.tolist() == [net.neurons[0].threshold,
                                                       net.neurons[2].threshold]
     fired_any = []
@@ -559,8 +577,7 @@ def test_evaluate_pattern_kernel_breaks_ties_toward_the_lowest_live_class():
 
 
 def test_evaluate_pattern_given_weights_match_fresh(rng):
-    net = make_network(rng)
-    net.neurons[0] = None
+    net = make_network(rng, uninitialized=(0,))
     for _ in range(10):
         pattern = random_pattern(rng, neuron_count=net.input_count, max_spikes=6)
         plain = evaluate_pattern(net, pattern)
@@ -573,8 +590,7 @@ def test_evaluate_pattern_given_weights_match_fresh(rng):
 # --- serialization -------------------------------------------------------------
 
 def test_model_round_trip_exact(rng, tmp_path):
-    net = make_network(rng)
-    net.neurons[2] = None
+    net = make_network(rng, uninitialized=(2,))
     encoder = fit_ranges(np.array([[0.0, 1.0], [2.0, 3.0]]), receptive_field_count=5)
     path = tmp_path / "model.json"
     save_model(path, net, encoder)
@@ -699,6 +715,19 @@ def test_load_model_rejects_mutated_checkpoint(mutate, rng, tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(InputError):
             load_model(path)
+
+
+@pytest.mark.parametrize("changes", [
+    {"class_count": 2**62},
+    {"input_count": 2**62, "neurons": [None, None, None], "encoder": None},
+], ids=["huge_class_count", "huge_input_count"])
+def test_load_model_rejects_hostile_counts_before_allocating(changes, tmp_path):
+    doc = json.loads((DATA / "model-v1.json").read_text())
+    doc.update(changes)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError):
+        load_model(path)
 
 
 @pytest.mark.parametrize("content", [

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sefm.dynamics import Network, OutputNeuron, SimulationConfig, epsilon
+from sefm.dynamics import SimulationConfig, epsilon
 from sefm.encoding import SpikePattern
 from sefm.learning import (
     NoEligibleSpikes,
@@ -18,7 +18,7 @@ from sefm.learning import (
     momentary_deltas,
 )
 
-from conftest import all_terms, random_neuron, random_pattern, scalar_weight, terms_of
+from conftest import all_terms, network_of, random_neuron, random_pattern, scalar_weight, terms_of
 from oracles import fire_time, potential
 
 SIM = SimulationConfig(tau=3.0, t_max=8.0, dt=0.01)
@@ -32,7 +32,8 @@ def normalized_psp(times, t_hat):
     """Normalized responses u at t_hat of spikes at ``times``, one per input,
     as training computes them: ``compute_update(...).normalized``."""
     pattern = pattern_of(np.arange(len(times)), times)
-    return compute_update(OutputNeuron(0, 12, sigma=0.5), pattern, t_hat, SIM).normalized
+    neuron = network_of(12, [(0.0, [], [], [])], sigma=0.5, sim=SIM).neurons[0]
+    return compute_update(neuron, pattern, t_hat, SIM).normalized
 
 
 # --- normalized kernel responses -------------------------------------------
@@ -199,8 +200,7 @@ def test_compute_update_raises_without_eligible_spikes(rng):
 
 def test_fallback_flag_set_when_weights_cover_responses():
     # all momentary weights far above u -> every excess clamps to zero
-    neuron = OutputNeuron(0, 3, sigma=0.5, threshold=0.4)
-    neuron.add_terms([0, 1], [0.5, 1.0], [5.0, 5.0])
+    neuron = network_of(3, [(0.4, [0, 1], [0.5, 1.0], [5.0, 5.0])], sigma=0.5).neurons[0]
     pattern = pattern_of([0, 1], [0.5, 1.0], n=3)
     step = compute_update(neuron, pattern, 2.0, SIM)
     assert step.used_fallback
@@ -215,7 +215,7 @@ def test_apply_adds_scaled_gaussians_at_spike_centers(rng):
     pattern = pattern_of([2, 5, 7], [0.25, 0.75, 1.25], n=neuron.input_count)
     before = [terms_of(neuron, i) for i in range(neuron.input_count)]
     step = compute_update(neuron, pattern, 2.0, SIM)
-    added = apply_update(neuron, step, learning_rate=0.1)
+    added = apply_update(neuron.network, 0, step, learning_rate=0.1)
     assert added == int(np.count_nonzero(0.1 * step.deltas))
     grid = np.linspace(0.0, 3.0, 31)
     for k, (i, c) in enumerate(zip(pattern.neuron_ids, pattern.times)):
@@ -235,7 +235,7 @@ def test_apply_zero_step_leaves_neuron_untouched(rng):
     step.deltas[:] = 0.0
     terms0 = all_terms(neuron)
     threshold0 = neuron.threshold
-    assert apply_update(neuron, step, 0.1) == 0
+    assert apply_update(neuron.network, 0, step, 0.1) == 0
     assert all_terms(neuron) == terms0
     assert neuron.threshold == threshold0
 
@@ -243,26 +243,27 @@ def test_apply_zero_step_leaves_neuron_untouched(rng):
 def test_apply_full_rate_closes_gap_when_spikes_are_far_apart():
     # distinct input neurons and a tiny sigma: each spike's weight change
     # equals its delta exactly, so v(t_hat) lands on the threshold.
-    neuron = OutputNeuron(0, 4, sigma=0.005, threshold=0.9)
-    neuron.add_terms([0, 1, 2], [0.2, 0.9, 1.6], [0.2, 0.1, 0.3])
+    neuron = network_of(4, [(0.9, [0, 1, 2], [0.2, 0.9, 1.6], [0.2, 0.1, 0.3])],
+                        sigma=0.005).neurons[0]
     pattern = pattern_of([0, 1, 2], [0.2, 0.9, 1.6], n=4)
     t_hat = 2.0
     step = compute_update(neuron, pattern, t_hat, SIM)
-    apply_update(neuron, step, learning_rate=1.0)
+    apply_update(neuron.network, 0, step, learning_rate=1.0)
     assert potential(neuron, pattern, t_hat, SIM) == pytest.approx(0.9, abs=1e-9)
 
 
 def test_sampled_weights_follow_every_added_term(rng):
     patterns = [random_pattern(rng, neuron_count=12) for _ in range(20)]
-    sampled = SampledWeights(patterns, Network(2, 12, 0.4, SIM, spike_interval=3.0))
-    neuron = OutputNeuron(1, 12, sigma=0.4)
-    initialize(neuron, pattern_of([3, 7], [0.5, 1.25]), 2.0, SIM, sampled)
+    net = network_of(12, [None, None], sigma=0.4, sim=SIM)
+    sampled = SampledWeights(patterns, net)
+    initialize(net, 1, pattern_of([3, 7], [0.5, 1.25]), 2.0, SIM, sampled)
+    neuron = net.neurons[1]
     for pattern in patterns:
         try:
             step = compute_update(neuron, pattern, 1.5, SIM)
         except NoEligibleSpikes:
             continue
-        apply_update(neuron, step, 0.3, sampled)
+        apply_update(net, 1, step, 0.3, sampled)
     assert neuron.amplitudes.size > 2
     assert not sampled.values[0].any()
     for p, pattern in enumerate(patterns):
@@ -276,9 +277,10 @@ def test_sampled_weights_follow_every_added_term(rng):
 # --- initialization ----------------------------------------------------------------
 
 def test_initialize_threshold_equals_response_weighted_sum():
-    neuron = OutputNeuron(0, 5, sigma=0.3)
+    net = network_of(5, [None], sigma=0.3, sim=SIM)
     pattern = pattern_of([0, 3], [0.5, 1.0], n=5)
-    initialize(neuron, pattern, 2.0, SIM)
+    initialize(net, 0, pattern, 2.0, SIM)
+    neuron = net.neurons[0]
     e1 = 0.5 * math.exp(0.5)
     e2 = (1.0 / 3.0) * math.exp(2.0 / 3.0)
     u1, u2 = e1 / (e1 + e2), e2 / (e1 + e2)
@@ -288,9 +290,10 @@ def test_initialize_threshold_equals_response_weighted_sum():
 
 
 def test_initialize_single_spike():
-    neuron = OutputNeuron(1, 2, sigma=0.5)
+    net = network_of(2, [None, None], sigma=0.5, sim=SIM)
     pattern = pattern_of([1], [0.4], n=2)
-    initialize(neuron, pattern, 2.0, SIM)
+    initialize(net, 1, pattern, 2.0, SIM)
+    neuron = net.neurons[1]
     assert terms_of(neuron, 1) == [(0.4, 1.0)]
     assert neuron.threshold == pytest.approx(float(epsilon(1.6, 3.0)), rel=1e-14)
 
@@ -302,9 +305,10 @@ def test_initialize_gap_is_zero_at_desired_time(rng):
         n = int(rng.integers(1, 10))
         ids = rng.permutation(12)[:n]
         times = np.round(rng.uniform(0.0, 1.9, size=n), 3)
-        neuron = OutputNeuron(0, 12, sigma=float(rng.uniform(0.05, 2.0)))
+        net = network_of(12, [None], sigma=float(rng.uniform(0.05, 2.0)), sim=SIM)
         pattern = pattern_of(ids, times, n=12)
-        initialize(neuron, pattern, 2.0, SIM)
+        initialize(net, 0, pattern, 2.0, SIM)
+        neuron = net.neurons[0]
         v = potential(neuron, pattern, 2.0, SIM)
         assert neuron.threshold - v == pytest.approx(0.0, abs=1e-12)
 
@@ -314,9 +318,10 @@ def test_initialize_fires_at_desired_time(rng):
         n = int(rng.integers(2, 10))
         ids = rng.permutation(12)[:n]
         times = np.round(rng.uniform(0.0, 1.5, size=n), 3)
-        neuron = OutputNeuron(0, 12, sigma=0.5)
+        net = network_of(12, [None], sigma=0.5, sim=SIM)
         pattern = pattern_of(ids, times, n=12)
-        initialize(neuron, pattern, 2.0, SIM)
+        initialize(net, 0, pattern, 2.0, SIM)
+        neuron = net.neurons[0]
         t = fire_time(neuron, pattern, SIM)
         assert t is not None
         # v(2.0) = threshold, so the crossing happens by then (allow one
@@ -325,15 +330,17 @@ def test_initialize_fires_at_desired_time(rng):
 
 
 def test_initialize_ignores_ineligible_and_skips_zero_terms():
-    neuron = OutputNeuron(0, 4, sigma=0.5)
+    net = network_of(4, [None], sigma=0.5, sim=SIM)
     pattern = pattern_of([0, 2], [0.5, 2.5], n=4)
-    initialize(neuron, pattern, 2.0, SIM)
+    initialize(net, 0, pattern, 2.0, SIM)
+    neuron = net.neurons[0]
     assert terms_of(neuron, 0) == [(0.5, 1.0)]
     assert terms_of(neuron, 2) == []
 
 
 def test_initialize_without_eligible_spikes_raises():
-    neuron = OutputNeuron(0, 2, sigma=0.5)
+    net = network_of(2, [None], sigma=0.5, sim=SIM)
     pattern = pattern_of([0], [2.0], n=2)
     with pytest.raises(NoEligibleSpikes):
-        initialize(neuron, pattern, 2.0, SIM)
+        initialize(net, 0, pattern, 2.0, SIM)
+    assert net.neurons == [None] and net.keys.size == 0

@@ -9,8 +9,8 @@ import pytest
 
 from sefm.config import NetworkConfig
 from sefm.data import confusion_matrix
-from sefm.dynamics import epsilon, model_to_json_bytes
-from sefm.encoding import SpikePattern, encode_dataset, fit_ranges
+from sefm.dynamics import epsilon, load_model, model_to_json_bytes, save_model
+from sefm.encoding import TIME_QUANTUM, SpikePattern, encode_dataset, fit_ranges
 from sefm.errors import ConfigError, InputError
 from sefm import learning, training
 from sefm.training import (
@@ -27,8 +27,9 @@ from sefm.training import (
     train,
 )
 
-from conftest import all_terms, blobs_dataset, random_neuron, random_pattern
-from oracles import PatternMajorSampledWeights, crossings, evaluate_pattern, process_sample
+from conftest import all_terms, blobs_dataset, network_of, random_pattern, random_terms
+from oracles import (PatternMajorSampledWeights, crossings, evaluate_pattern, process_sample,
+                     sampled_weights_per_term)
 
 
 CFG = NetworkConfig(sigma=0.5)
@@ -137,7 +138,7 @@ def test_punctual_sample_with_safe_rivals_is_skipped():
 def test_on_time_branch_pushes_crowding_rival_only():
     net, a, _ = two_class_net()
     # give the rival strong weight on class 0's inputs so it fires early
-    net.neurons[1].add_terms([0, 1], [0.3, 0.6], [2.0, 2.0])
+    net.add_terms(1, [0, 1], [0.3, 0.6], [2.0, 2.0])
     correct_terms = all_terms(net.neurons[0])
     correct_threshold = net.neurons[0].threshold
     rival_terms = all_terms(net.neurons[1])
@@ -153,7 +154,7 @@ def test_on_time_branch_pushes_crowding_rival_only():
 def test_late_branch_corrects_labeled_class():
     net, a, _ = two_class_net()
     # make class 0's neuron unreachable on pattern a -> silent -> late
-    net.neurons[0].threshold = 50.0
+    net.thresholds[0] = 50.0
     res = process_sample(net, a, 0, CFG)
     assert res.outcome is Outcome.LATE
     assert 0 in res.updated_classes
@@ -163,8 +164,8 @@ def test_late_branch_corrects_labeled_class():
 
 def test_late_branch_also_pushes_crowding_rival():
     net, a, _ = two_class_net()
-    net.neurons[0].threshold = 50.0          # silent -> actual 8.0, anchor 7.6
-    net.neurons[1].add_terms([0, 1], [0.3, 0.6], [0.9, 0.9])
+    net.thresholds[0] = 50.0          # silent -> actual 8.0, anchor 7.6
+    net.add_terms(1, [0, 1], [0.3, 0.6], [0.9, 0.9])
     t1 = evaluate_pattern(net, a).fire_times[1]
     assert not math.isnan(t1) and t1 - 7.6 < 0.3
     res = process_sample(net, a, 0, CFG)
@@ -305,7 +306,7 @@ def test_every_presentation_matches_the_fresh_sampling_step(sigma, monkeypatch):
     Class 3 starts only from its one spike just before the desired time;
     that input's late spike cannot start it, and makes its neuron fire so
     soon after the spike that the late correction has no eligible spike.
-    Its initialization mid-epoch refreshes the cached live classes.
+    Its initialization mid-epoch adds a class to the race.
     """
     rng = np.random.default_rng(20240817)
     patterns = [random_pattern(rng, neuron_count=12) for _ in range(40)]
@@ -372,8 +373,11 @@ def test_sampled_weights_of_a_trained_network_equal_per_pattern_sampling(rng):
     ``sample_weights`` at every fired input bit for bit, and 0 at every
     silent input and under an uninitialized class."""
     patterns, labels = encoded_blobs(rng)
-    net = train(patterns, labels, CFG.with_overrides(max_epochs=10), 3, seed=3).network
-    net.neurons[1] = None
+    trained = train(patterns, labels, CFG.with_overrides(max_epochs=10), 3, seed=3).network
+    net = network_of(trained.input_count, [
+        None if j == 1 else (n.threshold, n.inputs, n.centers, n.amplitudes)
+        for j, n in enumerate(trained.neurons)], trained.sigma, trained.sim,
+        trained.spike_interval)
     sampled = learning.SampledWeights(patterns, net)
     assert sampled.values.shape == (3, net.input_count, len(patterns))
     assert not sampled.values[1].any()
@@ -395,10 +399,10 @@ def test_sampled_weights_equal_a_pattern_major_replay_bitwise(rng, monkeypatch):
             super().__init__(*args)
             captured.append(self)
 
-        def add(self, neuron, neuron_ids, centers, amplitudes):
-            adds.append((neuron.class_label, neuron.sigma, neuron_ids.copy(),
+        def add(self, class_label, neuron_ids, centers, amplitudes):
+            adds.append((class_label, self.sigma, neuron_ids.copy(),
                          centers.copy(), amplitudes.copy()))
-            super().add(neuron, neuron_ids, centers, amplitudes)
+            super().add(class_label, neuron_ids, centers, amplitudes)
 
     monkeypatch.setattr(learning, "SampledWeights", Recorded)
     x, y = blobs_dataset(rng)
@@ -411,6 +415,63 @@ def test_sampled_weights_equal_a_pattern_major_replay_bitwise(rng, monkeypatch):
     assert len(adds) > 100
     assert sampled.spike_times.tobytes() == replay.spike_times.T.tobytes()
     assert sampled.values.tobytes() == replay.values.transpose(0, 2, 1).tobytes()
+
+
+def test_sampled_weights_equal_the_per_term_oracle_bitwise(rng):
+    """Every (class, input, pattern) bin sums its terms in stored order from
+    0.0, for one pattern and for a predict chunk: a bin with three or more
+    terms shows any other order in the bits."""
+    patterns, labels = encoded_blobs(rng)
+    net = train(patterns, labels, CFG.with_overrides(max_epochs=10), 3, seed=3).network
+    assert np.bincount(net.keys >> 32).max() >= 3
+    for chunk in (patterns[:1], patterns[:PREDICT_CHUNK]):
+        values = learning.SampledWeights(chunk, net).values
+        assert values.tobytes() == sampled_weights_per_term(net, chunk).tobytes()
+
+
+def test_sampling_without_terms_gives_float_zeros(rng):
+    patterns, _ = encoded_blobs(rng)
+    net = build_network(CFG, class_count=3, input_count=patterns[0].neuron_count)
+    values = learning.SampledWeights(patterns[:PREDICT_CHUNK], net).values
+    assert values.dtype == np.float64 and values.shape == (3, net.input_count, PREDICT_CHUNK)
+    assert not values.any()
+
+
+def test_a_class_never_initialized_reads_zero_saves_null_and_never_wins(rng):
+    """Training that never presents class 1 leaves its neuron uninitialized
+    between two trained ones: its weights are float zeros, its checkpoint
+    entry is null, and no pattern predicts it."""
+    patterns, labels = encoded_blobs(rng)
+    net = build_network(CFG, class_count=3, input_count=patterns[0].neuron_count)
+    state = training.TrainingState(net, patterns, CFG)
+    for epoch in range(5):
+        for s in epoch_order(0, epoch, len(patterns)):
+            if labels[s] != 1:
+                training.process_sample(state, s, int(labels[s]))
+    assert net.initialized.tolist() == [True, False, True]
+    assert net.neurons[1] is None and net.keys.size
+    values = learning.SampledWeights(patterns, net).values
+    assert values.dtype == np.float64 and not values[1].any()
+    assert values.tobytes() == sampled_weights_per_term(net, patterns).tobytes()
+    assert json.loads(model_to_json_bytes(net))["neurons"][1] is None
+    assert 1 not in predict(net, patterns).tolist()
+
+
+def test_term_keys_rise_strictly_after_training_and_after_loading(rng, tmp_path):
+    """Each stored key is ((class * inputs + input) << 32) + tick of its
+    term, strictly ascending, and a checkpoint reloads to the same keys."""
+    patterns, labels = encoded_blobs(rng)
+    trained = train(patterns, labels, CFG.with_overrides(max_epochs=10), 3, seed=3).network
+    path = tmp_path / "model.json"
+    save_model(path, trained)
+    loaded, _ = load_model(path)
+    for net in (trained, loaded):
+        assert net.keys.size and (np.diff(net.keys) > 0).all()
+        assert net.keys.tobytes() == np.concatenate([
+            ((j * net.input_count + n.inputs) << 32)
+            + np.rint(n.centers / TIME_QUANTUM).astype(np.int64)
+            for j, n in enumerate(net.neurons)]).tobytes()
+    assert loaded.keys.tobytes() == trained.keys.tobytes()
 
 
 def test_epoch_order_is_pure_seeded_permutation():
@@ -442,8 +503,8 @@ def test_predict_tie_breaks_to_lowest_class():
 
 def test_predict_silent_fallback_uses_peak():
     net, a, _ = two_class_net()
-    net.neurons[0].threshold = 99.0
-    net.neurons[1].threshold = 99.0
+    net.thresholds[0] = 99.0
+    net.thresholds[1] = 99.0
     # class 0 still has all the weight for inputs {0,1}
     assert predict(net, [a])[0] == 0
 
@@ -483,9 +544,9 @@ def one_at_a_time(net, pattern):
 
 
 def test_batched_predict_matches_one_at_a_time(rng, monkeypatch):
-    net = build_network(CFG, class_count=4, input_count=12)
-    for j in (0, 1, 3):  # class 2 stays uninitialized
-        net.neurons[j] = random_neuron(rng, input_count=12, sigma=CFG.sigma, class_label=j)
+    # class 2 stays uninitialized
+    net = network_of(12, [None if j == 2 else random_terms(rng, 12) for j in range(4)],
+                     CFG.sigma, CFG.simulation(), CFG.spike_interval)
     # longer than two chunks, not a multiple of one, an empty pattern mid-chunk
     patterns = [random_pattern(rng, neuron_count=12, max_spikes=10)
                 for _ in range(2 * PREDICT_CHUNK + 5)]
@@ -536,9 +597,8 @@ def test_predict_without_an_initialized_neuron_answers_class_zero(rng):
 
 
 def test_predict_with_every_neuron_live_matches_one_at_a_time(rng):
-    net = build_network(CFG, class_count=3, input_count=12)
-    for j in range(3):
-        net.neurons[j] = random_neuron(rng, input_count=12, sigma=CFG.sigma, class_label=j)
+    net = network_of(12, [random_terms(rng, 12) for _ in range(3)],
+                     CFG.sigma, CFG.simulation(), CFG.spike_interval)
     patterns = [random_pattern(rng, neuron_count=12, max_spikes=10)
                 for _ in range(PREDICT_CHUNK + 7)]
     labels = predict(net, patterns)
