@@ -163,63 +163,72 @@ def _merged(old: np.ndarray, kept: np.ndarray, dest: np.ndarray,
     return out
 
 
+# Rows per block of ``write_responses``: its temporaries stay under two
+# blocks (1.6 MB each on the default 801-point grid) whatever the table's size.
+FILL_BLOCK = 256
+
+
+def spike_ticks(times: np.ndarray, sim: SimulationConfig) -> np.ndarray:
+    """TIME_QUANTUM tick of each spike time (ms, on the tick grid, at least
+    0); a spike after ``sim.t_max`` raises InputError."""
+    ticks = np.rint(np.asarray(times, dtype=np.float64) / TIME_QUANTUM)
+    if ticks.size and ticks.max() > round(sim.t_max / TIME_QUANTUM):
+        raise InputError(f"a spike time exceeds t_max = {sim.t_max} ms")
+    return ticks.astype(np.int64)
+
+
+def write_responses(out: np.ndarray, ticks: np.ndarray, sim: SimulationConfig) -> None:
+    """Write ``epsilon(grid - tick * TIME_QUANTUM)`` of each tick into the
+    matching row of ``out``, (len(ticks), grid), FILL_BLOCK rows at a time.
+
+    The arithmetic is that of computing ``grid[None, :] - times[:, None]``
+    directly, so each row equals the direct kernel bit for bit.
+    """
+    grid = sim.grid()
+    for lo in range(0, len(ticks), FILL_BLOCK):
+        block = out[lo:lo + FILL_BLOCK]
+        np.subtract(grid[None, :], (ticks[lo:lo + FILL_BLOCK] * TIME_QUANTUM)[:, None],
+                    out=block)
+        block[...] = _epsilon_consuming(block, sim.tau)
+
+
 class ResponseTable:
     """Kernel responses over ``sim.grid()``, one row per spike-time tick seen.
 
     A spike at t responds ``epsilon(grid - t)`` across the grid, an
     elementwise function of t alone, and spike times sit on the
-    TIME_QUANTUM ticks of [0, t_max].  Each tick's row is computed the
-    first time a spike lands on it and only gathered after that; the
-    arithmetic is that of computing ``grid[None, :] - times[:, None]``
-    directly, so a gathered matrix equals the direct one bit for bit.
-    Rows are only appended: growing copies the earlier rows to the same
-    indices, so an index, once handed out, reads the same row for the
-    life of the table.  At most ``round(t_max / TIME_QUANTUM) + 1`` rows
-    exist.  Filling holds a lock; reading does not.
+    TIME_QUANTUM ticks of [0, t_max].  Each tick's row is written by
+    ``write_responses`` the first time a spike lands on it and only
+    gathered after that.  The rows buffer is allocated once at its most,
+    ``round(t_max / TIME_QUANTUM) + 1`` rows (51 MB of address space on
+    the default grid, of which only written rows become resident), and
+    rows are only appended, so a row never moves and an index, once handed
+    out, reads the same row for the life of the table.  Filling holds a
+    lock; reading does not.
     """
 
     def __init__(self, sim: SimulationConfig):
         self.sim = sim
-        self._grid = sim.grid()
-        self._last_tick = int(round(sim.t_max / TIME_QUANTUM))
-        self._index = np.full(self._last_tick + 1, -1, dtype=np.int64)
-        self._rows = np.empty((0, self._grid.size))
+        last_tick = round(sim.t_max / TIME_QUANTUM)
+        self._index = np.full(last_tick + 1, -1, dtype=np.int64)
+        self._rows = np.empty((last_tick + 1, sim.grid().size))
         self._count = 0
         self._lock = threading.Lock()
 
-    def indices(self, times: np.ndarray) -> np.ndarray:
-        """Row index of each spike time (ms, on the tick grid, at least 0)."""
-        ticks = np.rint(np.asarray(times, dtype=np.float64) / TIME_QUANTUM)
-        if ticks.size and ticks.max() > self._last_tick:
-            raise InputError(f"a spike time exceeds t_max = {self.sim.t_max} ms")
-        ticks = ticks.astype(np.int64)
+    def matrix(self, times: np.ndarray) -> np.ndarray:
+        """(spikes, grid) responses of the given spike times."""
+        ticks = spike_ticks(times, self.sim)
         rows = self._index[ticks]
         if rows.size and rows.min() < 0:
             with self._lock:
                 self._fill(ticks)
             rows = self._index[ticks]
-        return rows
-
-    def gather(self, rows: np.ndarray) -> np.ndarray:
-        """(len(rows), grid) responses of rows that ``indices`` returned."""
         return self._rows[rows]
-
-    def matrix(self, times: np.ndarray) -> np.ndarray:
-        """(spikes, grid) responses of the given spike times."""
-        return self.gather(self.indices(times))
 
     def _fill(self, ticks: np.ndarray) -> None:
         new = np.unique(ticks[self._index[ticks] < 0])
-        if not new.size:
-            return
         end = self._count + new.size
-        if end > len(self._rows):
-            grown = np.empty((min(max(end, 2 * len(self._rows)), self._last_tick + 1),
-                              self._grid.size))
-            grown[:self._count] = self._rows[:self._count]
-            self._rows = grown
-        self._rows[self._count:end] = _epsilon_consuming(
-            self._grid[None, :] - (new * TIME_QUANTUM)[:, None], self.sim.tau)
+        write_responses(self._rows[self._count:end], new, self.sim)
         # publish the indices last: a reader that sees them sees the rows
         self._index[new] = np.arange(self._count, end)
         self._count = end
@@ -235,7 +244,10 @@ def _shared_table(sim: SimulationConfig) -> ResponseTable:
     table = _TABLES.get(sim)
     if table is None:
         with _TABLES_LOCK:
-            table = _TABLES.setdefault(sim, ResponseTable(sim))
+            # another thread may have built it while this one waited
+            table = _TABLES.get(sim)
+            if table is None:
+                table = _TABLES[sim] = ResponseTable(sim)
     return table
 
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import NetworkConfig
-from .dynamics import Network, OutputNeuron, ResponseTable, response_matrix
+from .dynamics import Network, OutputNeuron, response_matrix, spike_ticks, write_responses
 from .encoding import SpikePattern
 from .errors import ConfigError, InputError
 from . import learning
@@ -81,16 +81,22 @@ class SampleResult:
 
 
 class TrainingState:
-    """The network, each pattern's rows in a ResponseTable of the fit's own,
-    and the SampledWeights of the patterns under the network."""
+    """The network, the fit's response table, each pattern's rows in it, and
+    the SampledWeights of the patterns under the network.
+
+    The table holds one row per distinct training spike tick, in tick
+    order, in one array of exactly that size.
+    """
 
     def __init__(self, net: Network, patterns: list[SpikePattern], cfg: NetworkConfig):
         self.net = net
         self.patterns = patterns
         self.cfg = cfg
-        self.table = ResponseTable(net.sim)
-        self.rows = np.split(self.table.indices(np.concatenate([p.times for p in patterns])),
-                             np.cumsum([p.spike_count for p in patterns])[:-1])
+        ticks, rows = np.unique(spike_ticks(np.concatenate([p.times for p in patterns]),
+                                            net.sim), return_inverse=True)
+        self.table = np.empty((ticks.size, net.sim.grid().size))
+        write_responses(self.table, ticks, net.sim)
+        self.rows = np.split(rows, np.cumsum([p.spike_count for p in patterns])[:-1])
         self.sampled = learning.SampledWeights(patterns, net)
         self.deadline = on_time_deadline(cfg.desired_time, cfg.deadline_rate, cfg.spike_interval)
         self.margin = margin_window(cfg.desired_time, cfg.margin_rate, cfg.spike_interval)
@@ -120,7 +126,7 @@ def process_sample(state: TrainingState, s: int, label: int) -> SampleResult:
     weights = sampled.values[:, pattern.neuron_ids, s]
     every = len(live) == net.class_count
     fired, predicted = net.evaluate_pattern(
-        weights if every else weights[live], state.table.gather(state.rows[s]), live,
+        weights if every else weights[live], state.table[state.rows[s]], live,
         net.thresholds if every else net.thresholds[live])
 
     # the margin is held from the correct neuron's time, or from its

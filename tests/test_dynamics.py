@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 
 import sefm.dynamics as dynamics
 from sefm.dynamics import (
+    FILL_BLOCK,
     Network,
     ResponseTable,
     SimulationConfig,
@@ -394,17 +396,17 @@ def direct_response(times, s):
     return _epsilon_consuming(s.grid()[None, :] - times[:, None], s.tau)
 
 
-def test_response_table_rows_equal_direct_kernel_across_fills_and_growth(rng):
+def test_response_table_rows_equal_direct_kernel_across_fills(rng):
     s = sim()
     last = round(s.t_max / TIME_QUANTUM)
     ticks = np.concatenate([[0, last], rng.integers(0, last + 1, size=700)])
     forward, backward = ResponseTable(s), ResponseTable(s)
+    rows = forward._rows
     handed_out = {}
     for part in np.array_split(ticks, 9):  # uneven calls, repeats inside and across
         times = part * TIME_QUANTUM
-        rows = forward.indices(times)
-        assert forward.gather(rows).tobytes() == direct_response(times, s).tobytes()
-        for tick, row in zip(part.tolist(), rows.tolist()):
+        assert forward.matrix(times).tobytes() == direct_response(times, s).tobytes()
+        for tick, row in zip(part.tolist(), forward._index[part].tolist()):
             assert handed_out.setdefault(tick, row) == row
     for part in np.array_split(ticks[::-1], 4):
         backward.matrix(part * TIME_QUANTUM)
@@ -412,22 +414,47 @@ def test_response_table_rows_equal_direct_kernel_across_fills_and_growth(rng):
     assert forward.matrix(seen * TIME_QUANTUM).tobytes() == \
         backward.matrix(seen * TIME_QUANTUM).tobytes() == \
         direct_response(seen * TIME_QUANTUM, s).tobytes()
-    # rows never move: every index handed out before the growth still reads its tick
-    assert forward.indices(seen * TIME_QUANTUM).tolist() == [handed_out[t] for t in seen]
-    assert forward.gather(np.arange(len(seen))).shape == (len(seen), s.grid().size)
+    # rows never move: the buffer is the one allocated at construction, and
+    # every row handed out by an earlier fill still reads its tick
+    assert forward._rows is rows
+    assert forward._index[seen].tolist() == [handed_out[t] for t in seen]
+    assert forward._count == len(seen)
 
 
 def test_response_table_stores_each_tick_once_up_to_t_max():
     s = SimulationConfig(tau=0.3, t_max=0.5, dt=0.01)
     table = ResponseTable(s)
     every = np.arange(round(s.t_max / TIME_QUANTUM) + 1) * TIME_QUANTUM
+    rows = table._rows
+    assert rows.shape == (every.size, s.grid().size)  # its most, reserved at once
     for part in (every[::3], every, every[::-1]):
         table.matrix(part)
-    assert len(table._rows) == table._count == every.size
+    assert table._rows is rows and table._count == every.size
     assert table.matrix(every).tobytes() == direct_response(every, s).tobytes()
     with pytest.raises(InputError, match="t_max"):
-        table.indices(np.array([0.2, s.t_max + TIME_QUANTUM]))
+        table.matrix(np.array([0.2, s.t_max + TIME_QUANTUM]))
     assert table.matrix(np.zeros(0)).shape == (0, s.grid().size)
+
+
+def test_filling_a_table_peaks_at_most_two_blocks_above_its_rows(rng):
+    """Rows are written straight into the buffer reserved at construction,
+    FILL_BLOCK at a time, so filling 2,000 new ticks (7.8 blocks) allocates
+    no full-size temporary."""
+    s = sim()
+    ticks = rng.choice(round(s.t_max / TIME_QUANTUM) + 1, size=2000, replace=False)
+    tracemalloc.start()
+    try:
+        table = ResponseTable(s)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        table._fill(ticks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table._count == ticks.size
+    assert peak - start <= 2 * FILL_BLOCK * s.grid().size * table._rows.itemsize
+    times = np.sort(ticks) * TIME_QUANTUM
+    assert table.matrix(times).tobytes() == direct_response(times, s).tobytes()
 
 
 def test_response_matrix_rejects_a_spike_after_t_max():
@@ -446,6 +473,14 @@ def test_threads_predicting_on_a_cold_table_get_the_serial_labels(rng, monkeypat
     monkeypatch.setattr(dynamics, "_TABLES", {})
     serial = predict(net, patterns).tolist()
     monkeypatch.setattr(dynamics, "_TABLES", {})
+    built = []
+
+    class CountedTable(ResponseTable):
+        def __init__(self, sim):
+            super().__init__(sim)
+            built.append((self, self._rows))
+
+    monkeypatch.setattr(dynamics, "ResponseTable", CountedTable)
     orders = [rng.permutation(len(patterns)) for _ in range(4)]  # more threads than cores
     labels = [[None] * len(patterns) for _ in orders]
 
@@ -466,9 +501,48 @@ def test_threads_predicting_on_a_cold_table_get_the_serial_labels(rng, monkeypat
     assert not any(t.is_alive() for t in threads)
     assert all(got == serial for got in labels)
     table = dynamics._TABLES[net.sim]
+    # built once, and its rows never moved
+    assert len(built) == 1 and built[0][0] is table and built[0][1] is table._rows
     times = np.unique(np.concatenate([p.times for p in patterns]))
     assert table._count == times.size
     assert table.matrix(times).tobytes() == direct_response(times, net.sim).tobytes()
+
+
+def test_shared_table_is_built_only_when_none_exists(monkeypatch):
+    """A thread that misses the table and waits for the lock while another
+    inserts one takes that table and builds none of its own."""
+    s = sim()
+    built = []
+
+    class CountedTable(ResponseTable):
+        def __init__(self, sim):
+            super().__init__(sim)
+            built.append(self)
+
+    class SignallingLock:
+        def __init__(self):
+            self.lock, self.waiting = threading.Lock(), threading.Event()
+
+        def __enter__(self):
+            self.waiting.set()
+            self.lock.acquire()
+
+        def __exit__(self, *exc):
+            self.lock.release()
+
+    lock = SignallingLock()
+    monkeypatch.setattr(dynamics, "ResponseTable", CountedTable)
+    monkeypatch.setattr(dynamics, "_TABLES", {})
+    monkeypatch.setattr(dynamics, "_TABLES_LOCK", lock)
+    got = []
+    with lock.lock:
+        worker = threading.Thread(target=lambda: got.append(dynamics._shared_table(s)))
+        worker.start()
+        assert lock.waiting.wait(timeout=60)  # it missed, and waits for the lock
+        inserted = dynamics._TABLES[s] = ResponseTable(s)
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert len(got) == 1 and got[0] is inserted and built == []
 
 
 def test_simulation_grid_endpoints():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from sefm.config import NetworkConfig
 from sefm.data import confusion_matrix
-from sefm.dynamics import epsilon, load_model, model_to_json_bytes, save_model
+from sefm.dynamics import FILL_BLOCK, epsilon, load_model, model_to_json_bytes, save_model
 from sefm.encoding import TIME_QUANTUM, SpikePattern, encode_dataset, fit_ranges
 from sefm.errors import ConfigError, InputError
 from sefm import learning, training
@@ -207,6 +208,47 @@ def test_train_validations(rng):
         train(patterns, labels[:-1], CFG, class_count=3)
     with pytest.raises(ConfigError):
         train(patterns, labels, CFG, class_count=4)  # class 3 absent
+
+
+def test_train_rejects_a_spike_after_t_max(rng):
+    patterns, labels = encoded_blobs(rng)
+    n = patterns[0].neuron_count
+    late = SpikePattern(neuron_count=n, neuron_ids=[0, n - 1], times=[1.0, CFG.t_max + 0.5])
+    with pytest.raises(InputError, match="t_max"):
+        train(patterns[:-1] + [late], labels, CFG, class_count=3)
+
+
+def test_training_table_holds_one_row_per_distinct_tick(rng):
+    """The fit's table is exact-size, and each pattern's rows read its
+    spikes' responses bit for bit."""
+    patterns, _ = encoded_blobs(rng)
+    net = build_network(CFG, class_count=3, input_count=patterns[0].neuron_count)
+    state = training.TrainingState(net, patterns, CFG)
+    grid = net.sim.grid()
+    ticks = np.unique(np.rint(np.concatenate([p.times for p in patterns]) / TIME_QUANTUM))
+    assert state.table.shape == (ticks.size, grid.size)
+    for pattern, rows in zip(patterns, state.rows):
+        direct = epsilon(grid[None, :] - pattern.times[:, None], net.sim.tau)
+        assert state.table[rows].tobytes() == direct.tobytes()
+
+
+def test_training_table_peaks_at_most_two_blocks_above_its_rows(rng):
+    """2,000 distinct spike ticks (7.8 fill blocks) are written straight
+    into the fit's exact-size table, with no full-size temporary."""
+    ticks = rng.choice(round(CFG.t_max / TIME_QUANTUM) + 1, size=2000, replace=False)
+    patterns = [SpikePattern(neuron_count=4, neuron_ids=np.arange(4), times=part * TIME_QUANTUM)
+                for part in ticks.reshape(-1, 4)]
+    net = build_network(CFG, class_count=2, input_count=4)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        state = training.TrainingState(net, patterns, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.table.shape[0] == ticks.size
+    block = FILL_BLOCK * net.sim.grid().size * state.table.itemsize
+    assert peak - start <= state.table.nbytes + 2 * block
 
 
 def test_train_and_predict_reject_a_pattern_of_another_width(rng):
