@@ -11,11 +11,13 @@ fires at the first grid time where its potential reaches the threshold
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import operator
 import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -215,15 +217,17 @@ class ResponseTable:
         self._count = 0
         self._lock = threading.Lock()
 
-    def matrix(self, times: np.ndarray) -> np.ndarray:
-        """(spikes, grid) responses of the given spike times."""
+    def matrix(self, times: np.ndarray, lo: int = 0,
+               hi: Optional[int] = None) -> np.ndarray:
+        """(spikes, hi - lo) responses of the given spike times at grid
+        columns lo..hi-1 (to the grid's end when ``hi`` is None)."""
         ticks = spike_ticks(times, self.sim)
         rows = self._index[ticks]
         if rows.size and rows.min() < 0:
             with self._lock:
                 self._fill(ticks)
             rows = self._index[ticks]
-        return self._rows[rows]
+        return self._rows[rows, lo:hi]
 
     def _fill(self, ticks: np.ndarray) -> None:
         new = np.unique(ticks[self._index[ticks] < 0])
@@ -251,13 +255,37 @@ def _shared_table(sim: SimulationConfig) -> ResponseTable:
     return table
 
 
-def response_matrix(pattern: SpikePattern, sim: SimulationConfig) -> np.ndarray:
-    """Kernel response of each spike at each grid time: (spikes, grid).
+def response_matrix(pattern: SpikePattern, sim: SimulationConfig, lo: int = 0,
+                    hi: Optional[int] = None) -> np.ndarray:
+    """Kernel response of each spike at each grid time: (spikes, grid), or
+    only grid columns lo..hi-1.
 
     Rows come from the process's ResponseTable for ``sim``; a spike
     after ``sim.t_max`` raises InputError.
     """
-    return _shared_table(sim).matrix(pattern.times)
+    return _shared_table(sim).matrix(pattern.times, lo, hi)
+
+
+# Grid columns per block of the activity kernel's potential.  A race is
+# decided at its first crossing, and most patterns cross before column 256
+# of the default 801-point grid, so most races compute one block.
+RACE_BLOCK = 256
+
+
+@functools.cache
+def race_blocks(sim: SimulationConfig) -> tuple[tuple[int, int], ...]:
+    """The (lo, hi) column blocks, in time order, in which the activity
+    kernel computes a potential over ``sim.grid()``: RACE_BLOCK columns
+    each, the last one shorter.  A one-column tail joins the block before
+    it: numpy hands a one-column product to gemv, whose sums need not
+    equal those of the full product, while every block of two or more
+    columns goes to gemm and equals the full product's columns bit for bit.
+    """
+    columns = sim.grid().size
+    starts = list(range(0, columns, RACE_BLOCK))
+    if len(starts) > 1 and columns - starts[-1] == 1:
+        starts.pop()
+    return tuple(zip(starts, starts[1:] + [columns]))
 
 
 class Network:
@@ -379,29 +407,56 @@ class Network:
         out[:, np.isnan(spike_times)] = 0
         return out
 
-    def evaluate_pattern(self, weights: np.ndarray, eps_matrix: np.ndarray, live: list[int],
-                         thresholds: np.ndarray) -> tuple[dict[int, float], int]:
+    def evaluate_pattern(self, weights: np.ndarray,
+                         responses: Callable[[int, int], np.ndarray], live: list[int],
+                         thresholds: np.ndarray, label: Optional[int] = None,
+                         margin: float = 0.0) -> tuple[dict[int, float], int]:
         """The activity kernel of training and ``predict``: one pattern's fire
         times and winning class.
 
         ``weights`` are the (live, spikes) weights of the ``live`` classes,
-        ``eps_matrix`` the (spikes, grid) responses.  A neuron fires at the
-        first grid index where its potential reaches its threshold, times
-        dt.  The earliest firing class wins, ties going to the lowest; if
-        none fires, the highest peak does, and with no live class, class 0.
-        Returns the fire time of each class that fires, in class order, and
-        the winner.
+        ``responses(lo, hi)`` the (spikes, hi - lo) responses at grid columns
+        lo..hi-1.  A neuron fires at the first grid index where its potential
+        reaches its threshold, times dt.  The earliest firing class wins,
+        ties going to the lowest; if none fires, the highest peak does, and
+        with no live class, class 0.
+
+        The potential is computed in the ``race_blocks`` of the grid, in
+        time order, and the race stops once its answer is fixed: after the
+        first block in which any class fires, or, given a ``label``, once
+        that class has fired and the blocks reach its fire time plus
+        ``margin`` and one grid step, so that every class firing less than
+        ``margin`` after it is known.  A race in which nothing fires runs
+        every block.  Returns the fire time, in class order, of each class
+        that fires in the blocks computed, and the winner.
         """
-        v = weights @ eps_matrix
-        first = (v >= thresholds[:, None]).argmax(axis=1).tolist()
-        # argmax gives index 0 when nothing crosses, so check the potential there
-        fired = {j: k * self.sim.dt for j, k, row, threshold
-                 in zip(live, first, v, thresholds.tolist()) if row[k] >= threshold}
+        if not live:
+            return {}, 0
+        dt = self.sim.dt
+        bars = thresholds.tolist()
+        first: list[Optional[int]] = [None] * len(live)
+        # the label's position, and the columns past its crossing that hold
+        # every rival the margin test could push
+        held = None if label is None else live.index(label)
+        reach = 0 if label is None else math.ceil(margin / dt) + 1
+        peaks = None
+        for lo, hi in race_blocks(self.sim):
+            v = weights @ responses(lo, hi)
+            crossed = (v >= thresholds[:, None]).argmax(axis=1).tolist()
+            # argmax gives index 0 when nothing crosses, so check the potential there
+            for i, (k, row, bar) in enumerate(zip(crossed, v, bars)):
+                if first[i] is None and row[k] >= bar:
+                    first[i] = lo + k
+            if any(k is not None for k in first):
+                if held is None or (first[held] is not None and hi >= first[held] + reach):
+                    break
+            else:  # the peaks decide only a race in which nothing fires
+                top = v.max(axis=1)
+                peaks = top if peaks is None else np.maximum(peaks, top)
+        fired = {j: k * dt for j, k in zip(live, first) if k is not None}
         if fired:
             return fired, min(fired, key=fired.__getitem__)
-        if not live:
-            return fired, 0
-        peaks = v.max(axis=1).tolist()
+        peaks = peaks.tolist()
         return fired, live[peaks.index(max(peaks))]
 
 

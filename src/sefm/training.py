@@ -106,8 +106,9 @@ def process_sample(state: TrainingState, s: int, label: int) -> SampleResult:
     """Present training pattern ``s`` of class ``label`` once, mutating the network.
 
     ``Network.evaluate_pattern`` races the initialized neurons on the
-    pattern's cached weights and responses; what is left here is the
-    margin test and the correction targets, on Python floats.
+    pattern's cached weights and responses, up to the label's fire time
+    plus the margin; what is left here is the margin test and the
+    correction targets, on Python floats.
     """
     pattern = state.patterns[s]
     if pattern.spike_count == 0:
@@ -125,9 +126,12 @@ def process_sample(state: TrainingState, s: int, label: int) -> SampleResult:
     live, t_max = net.initialized.nonzero()[0].tolist(), sim.t_max
     weights = sampled.values[:, pattern.neuron_ids, s]
     every = len(live) == net.class_count
+    rows = state.rows[s]
+    # a rival firing ``margin`` or more after the label fails the margin
+    # test below whatever its time, so the race stops short of it
     fired, predicted = net.evaluate_pattern(
-        weights if every else weights[live], state.table[state.rows[s]], live,
-        net.thresholds if every else net.thresholds[live])
+        weights if every else weights[live], lambda lo, hi: state.table[rows, lo:hi], live,
+        net.thresholds if every else net.thresholds[live], label=label, margin=state.margin)
 
     # the margin is held from the correct neuron's time, or from its
     # target when it fires late; rivals inside the margin are pushed past it
@@ -269,19 +273,23 @@ def predict(net: Network, patterns: list[SpikePattern]) -> np.ndarray:
 
     Patterns go through PREDICT_CHUNK at a time: one ``SampledWeights`` for
     the chunk, then one kernel call per pattern on its (live, spikes)
-    weights, read as ``process_sample`` reads them, and (spikes, grid)
-    responses, so each label equals one-at-a-time evaluation bit for bit.
+    weights, read as ``process_sample`` reads them, and the responses of
+    each block of grid columns the race reaches, so each label equals
+    one-at-a-time evaluation bit for bit.
     """
     live = net.initialized.nonzero()[0].tolist()
-    thresholds = net.thresholds[live]
+    every = len(live) == net.class_count
+    thresholds = net.thresholds if every else net.thresholds[live]
     labels = np.zeros(len(patterns), dtype=np.int64)
     for start in range(0, len(patterns), PREDICT_CHUNK):
         chunk = patterns[start:start + PREDICT_CHUNK]
-        values = learning.SampledWeights(chunk, net).values[live]
+        values = learning.SampledWeights(chunk, net).values
+        if not every:
+            values = values[live]
         for r, pattern in enumerate(chunk):
             labels[start + r] = net.evaluate_pattern(
-                values[:, pattern.neuron_ids, r], response_matrix(pattern, net.sim),
-                live, thresholds)[1]
+                values[:, pattern.neuron_ids, r],
+                lambda lo, hi: response_matrix(pattern, net.sim, lo, hi), live, thresholds)[1]
     return labels
 
 

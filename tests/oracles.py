@@ -16,8 +16,10 @@ product may differ from them in the last bits.
 form: NaN fire times and -inf peaks for the neurons that do not fire or
 do not exist, an argmin over times and an argmax over peaks, over any
 number of leading pattern axes.  ``evaluate_pattern`` runs them on the
-kernel's (live, spikes) @ (spikes, grid) product; the kernel's fire
-times and winner must equal theirs bit for bit.
+whole (live, spikes) @ (spikes, grid) product, which the kernel computes
+in column blocks up to the block that decides its race (``race_end``);
+the kernel's winner, and its fire times up to there, must equal theirs
+bit for bit.
 
 ``process_sample`` is the training step with every weight sampled afresh
 from the network (``sample_weights``) and every activity computed by
@@ -47,6 +49,7 @@ pair, must give the same ids, times and neuron count bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -55,7 +58,7 @@ import numpy as np
 from sefm import learning
 from sefm.config import NetworkConfig
 from sefm.dynamics import (Network, OutputNeuron, SimulationConfig, efficacy, epsilon,
-                           response_matrix)
+                           race_blocks, response_matrix)
 from sefm.encoding import TIME_QUANTUM, EncoderConfig, SpikePattern
 from sefm.errors import InputError
 from sefm.training import (Outcome, SampleResult, epoch_order, margin_window,
@@ -125,6 +128,22 @@ def crossings(net: Network, v: np.ndarray, live: np.ndarray) -> PatternActivity:
     fire_times[..., live] = np.where(top >= thresholds, first * net.sim.dt, np.nan)
     peaks[..., live] = top
     return PatternActivity(fire_times=fire_times, peaks=peaks)
+
+
+def race_end(net: Network, fire_times: np.ndarray, label: Optional[int] = None,
+             margin: float = 0.0) -> int:
+    """The grid column after the last one the blocked activity kernel computes,
+    from the full-grid ``fire_times`` of ``crossings`` (NaN for a silent
+    class): the end of the first of ``race_blocks`` that holds the earliest
+    crossing or, given a ``label``, that reaches the label's crossing index
+    plus ``margin / dt`` plus one; the grid's end when that never happens."""
+    index = np.rint(fire_times / net.sim.dt)
+    if label is None:
+        due = np.nanmin(index) + 1 if not np.isnan(index).all() else math.inf
+    else:
+        due = index[label] + margin / net.sim.dt + 1 if not math.isnan(index[label]) else math.inf
+    blocks = race_blocks(net.sim)
+    return next((hi for _, hi in blocks if hi >= due), blocks[-1][1])
 
 
 def evaluate_pattern(net: Network, pattern: SpikePattern,

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -14,6 +16,7 @@ import pytest
 import sefm.dynamics as dynamics
 from sefm.dynamics import (
     FILL_BLOCK,
+    RACE_BLOCK,
     Network,
     ResponseTable,
     SimulationConfig,
@@ -23,6 +26,7 @@ from sefm.dynamics import (
     model_from_dict,
     model_to_dict,
     model_to_json_bytes,
+    race_blocks,
     response_matrix,
     save_model,
 )
@@ -31,7 +35,8 @@ from sefm.errors import ConfigError, InputError
 
 from conftest import (all_terms, network_of, random_neuron, random_pattern, random_terms,
                       scalar_weight, terms_of)
-from oracles import ClassTerms, evaluate_pattern, fire_time, potential, sample_weights
+from oracles import (ClassTerms, evaluate_pattern, fire_time, potential, race_end,
+                     sample_weights)
 from oracles import add_terms as reference_add_terms
 from oracles import spike_time_matrix
 
@@ -606,48 +611,210 @@ def test_evaluate_pattern_uninitialized_slots(rng):
     assert activity.peaks[1] == -math.inf
 
 
+def blocks_of(eps_matrix: np.ndarray, asked: list):
+    """Responses for the kernel, the columns of ``eps_matrix`` block by block,
+    each a gathered copy as the kernel's callers hand out; records each block."""
+    rows = np.arange(len(eps_matrix))
+
+    def responses(lo, hi):
+        asked.append((lo, hi))
+        return eps_matrix[rows, lo:hi]
+    return responses
+
+
 def test_evaluate_pattern_kernel_matches_crossings(rng):
-    """The activity kernel's fire times (first index at or above the threshold,
-    times dt) and winner equal the oracle's numpy ``crossings`` bit for bit."""
+    """In both stop modes, the activity kernel's winner, and its fire times
+    (first index at or above the threshold, times dt) in the blocks it
+    computes, equal the oracle's numpy ``crossings`` of the whole product
+    bit for bit; it computes the ``race_blocks`` in time order and stops at
+    ``race_end``: after the first block with a crossing (no label), or once
+    the blocks reach the label's crossing plus the margin and one grid step."""
     net = make_network(rng, uninitialized=(1,))
     live = np.flatnonzero(net.initialized).tolist()
     thresholds = net.thresholds[live]
     assert live == [0, 2] and thresholds.tolist() == [net.neurons[0].threshold,
                                                       net.neurons[2].threshold]
-    fired_any = []
-    for _ in range(20):
+    dt, margin = net.sim.dt, 0.3
+    fired_any, ends = [], set()
+    for _ in range(60):
         pattern = random_pattern(rng, neuron_count=net.input_count, max_spikes=6)
         weights = sample_weights(net, pattern)[live]
-        fired, winner = net.evaluate_pattern(weights, response_matrix(pattern, net.sim),
-                                             live, thresholds)
         activity = evaluate_pattern(net, pattern)
-        assert list(fired.items()) == [(j, t) for j, t in enumerate(activity.fire_times.tolist())
-                                       if not math.isnan(t)]
-        assert winner == int(activity.winners())
-        fired_any.append(bool(fired))
+        for label in [None, *live]:
+            asked = []
+            fired, winner = net.evaluate_pattern(
+                weights, blocks_of(response_matrix(pattern, net.sim), asked), live,
+                thresholds, label=label, margin=margin)
+            end = race_end(net, activity.fire_times, label, margin)
+            assert asked == [b for b in race_blocks(net.sim) if b[0] < end]
+            assert list(fired.items()) == [
+                (j, t) for j, t in enumerate(activity.fire_times.tolist())
+                if not math.isnan(t) and round(t / dt) < end]
+            assert winner == int(activity.winners())
+            fired_any.append(bool(fired))
+            ends.add(end)
     assert any(fired_any) and not all(fired_any)
+    # races stopped after one block, after a later one, and ran every block
+    assert len(ends) >= 3 and race_blocks(net.sim)[-1][1] in ends
 
 
 def test_evaluate_pattern_kernel_breaks_ties_toward_the_lowest_live_class():
     """Live classes [0, 2]: a shared crossing index and equal silent peaks both
     go to class 0, class ids, not live positions, name the winner, and with
-    no live class the answer is class 0."""
-    net = Network(3, 1, 1.0, sim(), spike_interval=3.0)
+    no live class the answer is class 0, with no product at all."""
+    net = Network(3, 1, 1.0, SimulationConfig(t_max=0.02), spike_interval=0.01)
     live = [0, 2]
     eps_matrix = np.array([[0.0, 0.5, 1.0]])
+    assert race_blocks(net.sim) == ((0, 3),)
+    responses = blocks_of(eps_matrix, [])
     dt = net.sim.dt
     same = np.array([[1.0], [1.0]])
-    assert net.evaluate_pattern(same, eps_matrix, live, np.array([0.5, 0.5])) == (
+    assert net.evaluate_pattern(same, responses, live, np.array([0.5, 0.5])) == (
         {0: dt, 2: dt}, 0)
-    assert net.evaluate_pattern(same, eps_matrix, live, np.array([2.0, 2.0])) == ({}, 0)
-    assert net.evaluate_pattern(same, eps_matrix, live, np.array([0.9, 0.5])) == (
+    assert net.evaluate_pattern(same, responses, live, np.array([2.0, 2.0])) == ({}, 0)
+    assert net.evaluate_pattern(same, responses, live, np.array([0.9, 0.5])) == (
         {0: 2 * dt, 2: dt}, 2)
     # a threshold the resting potential already meets fires at index 0
-    assert net.evaluate_pattern(same, eps_matrix, live, np.array([0.9, 0.0])) == (
+    assert net.evaluate_pattern(same, responses, live, np.array([0.9, 0.0])) == (
         {0: 2 * dt, 2: 0.0}, 2)
-    assert net.evaluate_pattern(np.array([[1.0], [1.5]]), eps_matrix, live,
+    assert net.evaluate_pattern(np.array([[1.0], [1.5]]), responses, live,
                                 np.array([2.0, 2.0])) == ({}, 2)
-    assert net.evaluate_pattern(np.zeros((0, 1)), eps_matrix, [], np.zeros(0)) == ({}, 0)
+    asked = []
+    assert net.evaluate_pattern(np.zeros((0, 1)), blocks_of(eps_matrix, asked), [],
+                                np.zeros(0)) == ({}, 0)
+    assert asked == []
+
+
+def test_race_blocks_equal_the_full_product_bit_for_bit(rng):
+    """Over random shapes, the product of every block the kernel computes, on
+    a gathered copy of the block's response columns, equals the same columns
+    of the whole (live, spikes) @ (spikes, grid) product bit for bit."""
+    s = sim()
+    assert s.grid().size == 801
+    assert race_blocks(s) == ((0, 256), (256, 512), (512, 768), (768, 801))
+    table = direct_response(np.arange(round(s.t_max / TIME_QUANTUM) + 1) * TIME_QUANTUM, s)
+    for _ in range(150):
+        live, spikes = int(rng.integers(1, 8)), int(rng.integers(1, 131))
+        rows = rng.integers(0, round(3.0 / TIME_QUANTUM) + 1, size=spikes)
+        weights = rng.normal(0.0, 0.6, size=(live, spikes))
+        whole = weights @ table[rows]
+        for lo, hi in race_blocks(s):
+            assert (weights @ table[rows, lo:hi]).tobytes() == whole[:, lo:hi].tobytes()
+
+
+def test_race_blocks_fold_a_one_column_tail(rng):
+    """A grid one column past a whole number of blocks would leave a
+    one-column product, which numpy hands to gemv rather than gemm: that
+    column joins the block before it, and the folded block still equals
+    the whole product bit for bit.  Every block holds at least two columns
+    unless the grid has only one."""
+    def grid_of(columns):
+        s = SimulationConfig(t_max=(columns - 1) * 0.01, dt=0.01)
+        assert s.grid().size == columns
+        return s
+
+    folded = {2 * RACE_BLOCK + 1: ((0, RACE_BLOCK), (RACE_BLOCK, 2 * RACE_BLOCK + 1)),
+              RACE_BLOCK + 1: ((0, RACE_BLOCK + 1),)}
+    for columns, blocks in folded.items():
+        # plain RACE_BLOCK strides would end in a one-column block
+        assert range(0, columns, RACE_BLOCK)[-1] == columns - 1
+        assert race_blocks(grid_of(columns)) == blocks
+    assert race_blocks(grid_of(RACE_BLOCK + 2)) == ((0, RACE_BLOCK), (RACE_BLOCK, RACE_BLOCK + 2))
+    assert race_blocks(grid_of(RACE_BLOCK)) == ((0, RACE_BLOCK),)
+    assert race_blocks(SimulationConfig(t_max=0.004)) == ((0, 1),)
+    for columns in range(2, 4 * RACE_BLOCK + 3):
+        blocks = race_blocks(grid_of(columns))
+        assert blocks[0][0] == 0 and blocks[-1][1] == columns
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert min(hi - lo for lo, hi in blocks) >= 2
+    s = grid_of(2 * RACE_BLOCK + 1)
+    (lo, hi), = race_blocks(s)[-1:]
+    assert hi - lo == RACE_BLOCK + 1
+    table = direct_response(np.arange(301) * TIME_QUANTUM, s)
+    tails_differ = []
+    for _ in range(40):
+        live, spikes = int(rng.integers(1, 8)), int(rng.integers(1, 131))
+        rows = rng.integers(0, 301, size=spikes)
+        weights = rng.normal(0.0, 0.6, size=(live, spikes))
+        whole = weights @ table[rows]
+        assert (weights @ table[rows, lo:hi]).tobytes() == whole[:, lo:hi].tobytes()
+        tails_differ.append((weights @ table[rows, hi - 1:hi]).tobytes()
+                            != whole[:, hi - 1:].tobytes())
+    # the unfolded tail would not have done where its gemv sums differ from
+    # gemm's, as they do under OpenBLAS's x86 kernels
+    if not any(tails_differ):
+        pytest.skip("this BLAS's one-column products matched the whole product in "
+                    "every draw, so the fold cannot be shown to matter here")
+
+
+# Run by test_blocked_kernel_matches_the_whole_product_under_two_blas_kernels in
+# a child process: the blocked kernel against the oracle's whole product, in
+# both stop modes, and every block's potentials against the whole product's
+# bits, on random patterns; prints the BLAS core name and counts.
+_KERNEL_CHILD = r"""
+import json, math
+import numpy as np
+from bench_pairs import openblas_core
+from conftest import network_of, random_pattern, random_terms
+from oracles import evaluate_pattern, race_end, sample_weights
+from sefm.dynamics import SimulationConfig, race_blocks, response_matrix
+
+rng = np.random.default_rng(20240817)
+net = network_of(16, [None if j == 1 else random_terms(rng, 16) for j in range(4)],
+                 0.6, SimulationConfig())
+live = np.flatnonzero(net.initialized).tolist()
+checked, disagree, differ, ends = 0, 0, 0, set()
+for _ in range(200):
+    pattern = random_pattern(rng, neuron_count=16, max_spikes=16)
+    weights = sample_weights(net, pattern)[live]
+    eps_matrix = response_matrix(pattern, net.sim)
+    activity = evaluate_pattern(net, pattern, eps_matrix=eps_matrix)
+    blocked = [weights @ eps_matrix[:, lo:hi].copy() for lo, hi in race_blocks(net.sim)]
+    differ += np.hstack(blocked).tobytes() != (weights @ eps_matrix).tobytes()
+    for label in [None, *live]:
+        fired, winner = net.evaluate_pattern(
+            weights, lambda lo, hi: eps_matrix[:, lo:hi].copy(), live, net.thresholds[live],
+            label=label, margin=0.3)
+        end = race_end(net, activity.fire_times, label, 0.3)
+        expected = [(j, t) for j, t in enumerate(activity.fire_times.tolist())
+                    if not math.isnan(t) and round(t / net.sim.dt) < end]
+        disagree += list(fired.items()) != expected or winner != int(activity.winners())
+        checked += 1
+        ends.add(end)
+print(json.dumps({"core": openblas_core(), "checked": checked, "disagree": disagree,
+                  "differ": differ, "ends": sorted(ends)}))
+"""
+
+
+def test_blocked_kernel_matches_the_whole_product_under_two_blas_kernels():
+    """Under the Haswell and the Prescott OpenBLAS kernels, each set with
+    OPENBLAS_CORETYPE for its own child process only, the blocked kernel
+    gives the winner and fire times of the whole product on 200 random
+    patterns in both stop modes, and every block's potentials equal the
+    whole product's columns bit for bit.  A BLAS that does not switch kernels this
+    way cannot vary the kernel, and the test skips."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root / "tests"), str(root / "tools"),
+                            os.environ.get("PYTHONPATH", "")])
+    reports = {}
+    for core in ("Haswell", "Prescott"):
+        env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", _KERNEL_CHILD], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        reports[core] = json.loads(proc.stdout.splitlines()[-1])
+    names = {core: report["core"] for core, report in reports.items()}
+    if None in names.values():
+        pytest.skip("numpy's BLAS reports no OpenBLAS core name, so OPENBLAS_CORETYPE "
+                    "cannot be shown to switch its kernels")
+    if names["Haswell"] == names["Prescott"]:
+        pytest.skip(f"OPENBLAS_CORETYPE does not switch this BLAS's kernels: both "
+                    f"children ran {names['Haswell']}")
+    for core, report in reports.items():
+        assert report["checked"] == 200 * 4, core
+        assert report["disagree"] == report["differ"] == 0, (core, report)
+        # races stopped after the first block and ran to the grid's end
+        assert report["ends"][0] == RACE_BLOCK and report["ends"][-1] == 801, (core, report)
 
 
 def test_evaluate_pattern_given_weights_match_fresh(rng):

@@ -10,7 +10,8 @@ import pytest
 
 from sefm.config import NetworkConfig
 from sefm.data import confusion_matrix
-from sefm.dynamics import FILL_BLOCK, epsilon, load_model, model_to_json_bytes, save_model
+from sefm.dynamics import (FILL_BLOCK, epsilon, load_model, model_to_json_bytes, race_blocks,
+                           save_model)
 from sefm.encoding import TIME_QUANTUM, SpikePattern, encode_dataset, fit_ranges
 from sefm.errors import ConfigError, InputError
 from sefm import learning, training
@@ -30,7 +31,7 @@ from sefm.training import (
 
 from conftest import all_terms, blobs_dataset, network_of, random_pattern, random_terms
 from oracles import (PatternMajorSampledWeights, crossings, evaluate_pattern, process_sample,
-                     sampled_weights_per_term)
+                     race_end, sampled_weights_per_term)
 
 
 CFG = NetworkConfig(sigma=0.5)
@@ -596,8 +597,14 @@ def test_batched_predict_matches_one_at_a_time(rng, monkeypatch):
     captured, chunks = [], []
     kernel = net.evaluate_pattern
 
-    def recorded(weights, eps_matrix, live, thresholds):
-        captured.append((weights @ eps_matrix, kernel(weights, eps_matrix, live, thresholds)))
+    def recorded(weights, responses, live, thresholds):
+        asked = []
+
+        def logged(lo, hi):
+            asked.append((lo, hi))
+            return responses(lo, hi)
+        whole = weights @ np.hstack([responses(lo, hi) for lo, hi in race_blocks(net.sim)])
+        captured.append((whole, kernel(weights, logged, live, thresholds), asked))
         return captured[-1][1]
 
     class Chunked(learning.SampledWeights):
@@ -611,22 +618,28 @@ def test_batched_predict_matches_one_at_a_time(rng, monkeypatch):
     del net.evaluate_pattern
     assert chunks == [PREDICT_CHUNK, PREDICT_CHUNK, 5]
     assert len(captured) == len(patterns)
-    activity = crossings(net, np.stack([v for v, _ in captured]),
+    activity = crossings(net, np.stack([v for v, _, _ in captured]),
                          np.array([n is not None for n in net.neurons]))
     fire, peaks = activity.fire_times, activity.peaks
     silent = np.isnan(fire).all(axis=1)
     assert silent.any() and not silent.all()  # both the race and the fallback decide
+    ends = set()
     for p, pattern in enumerate(patterns):
         label, oracle_fire, oracle_peaks = one_at_a_time(net, pattern)
-        fired, winner = captured[p][1]
+        _, (fired, winner), asked = captured[p]
+        end = race_end(net, oracle_fire)
+        assert asked == [b for b in race_blocks(net.sim) if b[0] < end]
+        ends.add(end)
         assert labels[p] == winner == label
         assert list(fired.items()) == [(j, t) for j, t in enumerate(oracle_fire.tolist())
-                                       if not math.isnan(t)]
+                                       if not math.isnan(t) and round(t / net.sim.dt) < end]
         assert fire[p].tobytes() == oracle_fire.tobytes()
         assert peaks[p].tobytes() == oracle_peaks.tobytes()
         alone = evaluate_pattern(net, pattern)
         assert alone.fire_times.tobytes() == oracle_fire.tobytes()
         assert alone.peaks.tobytes() == oracle_peaks.tobytes()
+    # some races stopped before the grid's end, and silent ones ran it all
+    assert len(ends) > 1 and race_blocks(net.sim)[-1][1] in ends
     assert predict(net, []).shape == (0,)
 
 
@@ -650,6 +663,104 @@ def test_predict_with_every_neuron_live_matches_one_at_a_time(rng):
         alone = evaluate_pattern(net, pattern)
         assert alone.fire_times.tobytes() == oracle_fire.tobytes()
         assert alone.peaks.tobytes() == oracle_peaks.tobytes()
+
+
+# Potentials that rise until tau from one spike at 0 ms: AMPLITUDES[j] * epsilon.
+AMPLITUDES = (1.0, 1.2, 0.8)
+
+
+def rising_race(cfg, crossings):
+    """One input, one class per entry of ``crossings``, and a one-spike
+    pattern.  Class j's only term sits on the spike, so its potential is
+    ``AMPLITUDES[j] * epsilon`` and rises until tau; its threshold lies
+    between the potential at grid indices k - 1 and k for k = crossings[j],
+    or above its peak for None."""
+    sim = cfg.simulation()
+    classes = []
+    for j, k in enumerate(crossings):
+        v = AMPLITUDES[j] * epsilon(sim.grid(), sim.tau)
+        threshold = 1.01 * v.max() if k is None else (v[k - 1] + v[k]) / 2
+        classes.append((threshold, [0], [0.0], [AMPLITUDES[j]]))
+    return network_of(1, classes, cfg.sigma, sim, cfg.spike_interval), pattern_of([0], [0.0], n=1)
+
+
+def presented_both_ways(cfg, crossings, label, pattern=None):
+    """``training.process_sample`` on a ``rising_race`` network, checked against
+    the oracle's full-grid step on an equal network: the same result and the
+    same model bytes after it.  Returns the result and the blocks the kernel
+    computed."""
+    net, spike = rising_race(cfg, crossings)
+    pattern = spike if pattern is None else pattern
+    state = training.TrainingState(net, [pattern], cfg)
+    asked, kernel = [], net.evaluate_pattern
+
+    def recorded(weights, responses, *args, **kwargs):
+        def logged(lo, hi):
+            asked.append((lo, hi))
+            return responses(lo, hi)
+        return kernel(weights, logged, *args, **kwargs)
+
+    net.evaluate_pattern = recorded
+    got = training.process_sample(state, 0, label)
+    del net.evaluate_pattern
+    oracle_net, _ = rising_race(cfg, crossings)
+    assert got == process_sample(oracle_net, pattern, label, cfg)
+    assert model_to_json_bytes(net) == model_to_json_bytes(oracle_net)
+    return got, asked
+
+
+def test_training_race_stops_only_past_the_label_plus_the_margin():
+    """The label's neuron fires on time at index 241, and the margin is 15
+    grid steps.  A rival firing exactly the margin later fires at index 256,
+    the first column of the second block, and is pushed: its fire time less
+    the label's rounds just below the margin.  So the race may stop only
+    a grid step past the margin, and computes the second block.  A rival a
+    grid step inside the margin is pushed too, one a grid step past it is
+    left alone, and all three match the full-grid oracle step.  A label
+    firing at 200 settles the race within the first block, and a rival
+    beyond the margin there is never computed."""
+    cfg = CFG.with_overrides(desired_time=2.5)
+    dt = cfg.simulation().dt
+    margin = margin_window(cfg.desired_time, cfg.margin_rate, cfg.spike_interval)
+    label_at, steps = 241, round(margin / dt)
+    assert steps == 15 and label_at * dt <= on_time_deadline(
+        cfg.desired_time, cfg.deadline_rate, cfg.spike_interval)
+    blocks = race_blocks(cfg.simulation())
+    assert blocks[0] == (0, label_at + steps)
+    assert (label_at + steps) * dt - label_at * dt < margin
+
+    for rival in (label_at + steps - 1, label_at + steps):
+        pushed, asked = presented_both_ways(cfg, (label_at, rival), 0)
+        assert pushed.outcome is Outcome.ON_TIME and pushed.updated_classes == (1,)
+        assert pushed.predicted == 0 and asked == list(blocks[:2])
+
+    past, asked = presented_both_ways(cfg, (label_at, label_at + steps + 1), 0)
+    assert past.outcome is Outcome.SKIPPED and past.predicted == 0
+    assert asked == list(blocks[:2])
+
+    early, asked = presented_both_ways(cfg, (200, 300), 0)
+    assert early.outcome is Outcome.SKIPPED and asked == list(blocks[:1])
+
+
+def test_training_race_without_the_label_firing_runs_every_block():
+    """A silent label, and a race where nobody fires, compute every block; the
+    silent race answers by the highest peak, taken from the block maxima
+    (class 1's, at tau, in the second block).  A zero-spike pattern never
+    reaches the kernel.  Each matches the full-grid oracle step."""
+    cfg = CFG.with_overrides(desired_time=2.5)
+    blocks = list(race_blocks(cfg.simulation()))
+
+    silent_label, asked = presented_both_ways(cfg, (None, 264), 0)
+    assert silent_label.outcome is Outcome.LATE and silent_label.predicted == 1
+    assert asked == blocks
+
+    nobody, asked = presented_both_ways(cfg, (None, None, None), 0)
+    assert nobody.outcome is Outcome.LATE and nobody.predicted == 1
+    assert asked == blocks
+
+    empty, asked = presented_both_ways(cfg, (250, 264), 0, pattern=empty_pattern(1))
+    assert empty.outcome is Outcome.NO_SPIKES and asked == []
+
 
 def test_training_reproduces_the_recorded_fit():
     """data/train-v1.json holds the canonical model document, the epoch count

@@ -1,0 +1,187 @@
+"""Run perfbench on a parent commit and on the working tree in alternating pairs.
+
+    python3 tools/bench_pairs.py PARENT PAIRS [--out FILE]
+
+The parent's committed files are exported with ``git archive`` into a fresh
+temporary directory, and so are the working tree's tracked and untracked,
+not ignored files: they are written into a tree object through a temporary
+index, so the repository's own index and worktree list stay untouched and
+the measured source is named by its tree id.  Both copies are byte-compiled
+before the first run, so no run pays for compiling.
+
+Pair i (from 1) runs ``perfbench/run.py --workload W --seed i --seconds 35``
+in both copies for every workload in BENCHMARK.json, the parent first on odd
+pairs and the change first on even ones.  Per workload and end-to-end metric
+it prints, and writes to ``--out`` as JSON, the parent's and the change's
+median and quartiles, the change's median move, and in how many pairs the
+change was better (by the metric's ``better`` in BENCHMARK.json); per pair,
+whether the report digests were equal and how many units failed.  The JSON
+also names both sides (the change by HEAD, its tree id, whether that tree
+differs from HEAD's, and the tree id of its ``src/``, which equals
+``git rev-parse COMMIT:src`` for any commit holding the same source) and the
+machine: nproc, CPU model, Python, numpy and OpenBLAS versions and the
+OpenBLAS core type in use.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ctypes
+import glob
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+SECONDS = 35  # the run length the benchmark itself uses
+
+
+def git(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, **kwargs)
+
+
+def export(tree: str, dest: Path) -> None:
+    """Write the files of ``tree`` (a commit or tree id) into ``dest``."""
+    dest.mkdir(parents=True)
+    archive = git("archive", "--format=tar", tree, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def rev(name: str) -> str:
+    return git("rev-parse", "--verify", name, capture_output=True, text=True).stdout.strip()
+
+
+def working_tree(tmp: Path) -> dict:
+    """Write the working tree's tracked and untracked, not ignored files into
+    a tree object through a temporary index; returns its names."""
+    env = {**os.environ, "GIT_INDEX_FILE": str(tmp / "index")}
+    git("add", "--all", env=env)
+    tree = git("write-tree", env=env, capture_output=True, text=True).stdout.strip()
+    return {"head": rev("HEAD"), "tree": tree, "dirty": tree != rev("HEAD^{tree}"),
+            "src_tree": rev(f"{tree}:src")}
+
+
+def run(checkout: Path, workload: str, seed: int) -> dict:
+    """One perfbench run; its details and result lines."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(SECONDS)],
+                          cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout.name} {workload} seed {seed} exited "
+                           f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+    details, result = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
+    return {"details": details["details"], "result": result}
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75]).tolist()
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def openblas_core() -> str | None:
+    """The OpenBLAS core type numpy's bundled BLAS picked, if it can say."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in glob.glob(libs):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                       "openblas_get_corename"):
+            get = getattr(lib, symbol, None)
+            if get is not None:
+                get.restype = ctypes.c_char_p
+                return get().decode()
+    return None
+
+
+def machine() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "openblas_coretype": openblas_core(),
+            "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE")}
+
+
+def summarize(workload: str, pairs: list[dict], better: dict) -> dict:
+    metrics = {}
+    for name, direction in better.items():
+        parent = [p["parent"]["result"]["metrics"][name]["value"] for p in pairs]
+        change = [p["change"]["result"]["metrics"][name]["value"] for p in pairs]
+        sign = 1 if direction == "higher" else -1
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        before, after = quartiles(parent), quartiles(change)
+        metrics[name] = {
+            "better": direction, "parent": before, "change": after, "wins": wins,
+            "pairs": len(pairs),
+            "median_move": after["median"] / before["median"] - 1 if before["median"] else None,
+        }
+    return {
+        "workload": workload, "metrics": metrics,
+        "pairs": [{"seed": p["seed"], "order": p["order"],
+                   "digests_equal": p["parent"]["details"]["digests"]
+                   == p["change"]["details"]["digests"],
+                   "failed": {side: p[side]["result"]["failed"] for side in ("parent", "change")}}
+                  for p in pairs],
+    }
+
+
+def print_summary(summary: dict) -> None:
+    pairs = summary["pairs"]
+    equal = sum(p["digests_equal"] for p in pairs)
+    failed = sum(p["failed"]["parent"] + p["failed"]["change"] for p in pairs)
+    print(f"\n{summary['workload']}: digests equal in {equal} of {len(pairs)} pairs, "
+          f"{failed} failed units")
+    for name, m in summary["metrics"].items():
+        b, a = m["parent"], m["change"]
+        move = "" if m["median_move"] is None else f"{100 * m['median_move']:+.1f}%"
+        print(f"  {name:32s} {b['median']:12.4g} [{b['q1']:.4g}, {b['q3']:.4g}] -> "
+              f"{a['median']:12.4g} [{a['q1']:.4g}, {a['q3']:.4g}] {move:>8s} "
+              f"wins {m['wins']}/{m['pairs']}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="commit to compare against")
+    parser.add_argument("pairs", type=int, help="pairs of runs per workload")
+    parser.add_argument("--out", type=Path, default=None, help="JSON file to write")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("pairs must be at least 1")
+
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    doc = {"seconds": SECONDS, "machine": machine(), "workloads": []}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        copies = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        doc["parent"] = rev(f"{args.parent}^{{commit}}")
+        doc["change"] = working_tree(Path(tmp))
+        export(doc["parent"], copies["parent"])
+        export(doc["change"]["tree"], copies["change"])
+        for copy in copies.values():
+            subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                           cwd=copy, check=True)
+        for workload in (w["name"] for w in declared["workloads"]):
+            pairs = []
+            for seed in range(1, args.pairs + 1):
+                order = ("parent", "change") if seed % 2 else ("change", "parent")
+                pair = {"seed": seed, "order": list(order)}
+                for side in order:
+                    pair[side] = run(copies[side], workload, seed)
+                    print(f"{workload} seed {seed} {side} done", file=sys.stderr, flush=True)
+                pairs.append(pair)
+            doc["machine"].setdefault("cpu_model", pairs[0]["parent"]["details"]["machine"]["cpu_model"])
+            summary = summarize(workload, pairs, better)
+            print_summary(summary)
+            doc["workloads"].append(summary)
+            if args.out:  # keep what is done if a later workload fails
+                args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
