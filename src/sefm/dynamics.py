@@ -136,9 +136,14 @@ class OutputNeuron:
     def sample_weights(self, neuron_ids: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Momentary weight of each (input neuron, time) spike.
 
-        Input ids must be distinct, as in a SpikePattern.
+        An id outside [0, input_count) or a repeated id raises InputError:
+        the ids must be distinct inputs, as in a SpikePattern.
         """
         ids = np.asarray(neuron_ids, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= self.input_count):
+            raise InputError(f"input neuron outside [0, {self.input_count})")
+        if np.unique(ids).size != ids.size:
+            raise InputError("an input neuron is repeated")
         spike_times = np.full((self.input_count, 1), np.nan)
         spike_times[ids, 0] = times
         return self.network.sample(spike_times)[self.class_label, ids, 0]
@@ -266,6 +271,17 @@ def response_matrix(pattern: SpikePattern, sim: SimulationConfig, lo: int = 0,
     return _shared_table(sim).matrix(pattern.times, lo, hi)
 
 
+# Cells of each temporary of a ``Network.sample`` block: 2.6 MB of float64,
+# 32 columns of a ten-thousand-term model.
+SAMPLE_CELLS = 32 * 10_240
+
+
+def _bins(rows: np.ndarray, cols: int) -> np.ndarray:
+    """The bincount index of ``Network.sample``'s (terms, cols) cells:
+    bin ``row * cols + column`` of each term's row."""
+    return ((rows * cols)[:, None] + np.arange(cols)).ravel()
+
+
 # Grid columns per block of the activity kernel's potential.  A race is
 # decided at its first crossing, and most patterns cross before column 256
 # of the default 801-point grid, so most races compute one block.
@@ -385,27 +401,55 @@ class Network:
                        zip((stored, self.centers, self.amplitudes), columns)]
         self.keys, self.centers, self.amplitudes = columns
 
+    def sample_block(self) -> int:
+        """Columns per block of ``sample``: as many as keep each block's
+        (terms, columns) and (classes * inputs, columns) temporaries within
+        SAMPLE_CELLS cells, at least one."""
+        return max(1, SAMPLE_CELLS // max(self.keys.size, self.class_count * self.input_count))
+
     def sample(self, spike_times: np.ndarray) -> np.ndarray:
         """Momentary weights (classes, inputs, patterns) of an (inputs,
         patterns) spike-time matrix, NaN for a silent input.
 
-        One pass over every class's terms: one gather puts each term next
-        to its input's spike times, ``efficacy`` evaluates it, and one
-        bincount sums the terms per (class, input, pattern) bin in term
-        order from 0.0.  Silent inputs and uninitialized classes read 0.
+        The columns go ``sample_block`` at a time, each block in one pass
+        over every class's terms: one gather puts each term next to its
+        input's spike times, ``efficacy`` evaluates it, and one bincount
+        sums the terms per (class, input, pattern) bin in term order from
+        0.0.  The bincount index is built once for every full block.
+        Silent inputs and uninitialized classes read 0.
         """
+        shape = (self.class_count, self.input_count)
         cols = spike_times.shape[1]
-        if not self.keys.size:
-            return np.zeros((self.class_count, self.input_count, cols))
+        if not (self.keys.size and cols):  # (a bincount of nothing counts in int64)
+            return np.zeros(shape + (cols,))
         rows = self.keys >> 32  # each term's (class, input) row
+        width = min(cols, self.sample_block())
+        if cols == width:  # one block is the whole output
+            out = self._sample_block(spike_times, rows, _bins(rows, width))
+        else:
+            out = np.empty(shape + (cols,))
+            bins = _bins(rows, width)
+            tail = cols % width
+            for lo in range(0, cols - tail, width):
+                out[..., lo:lo + width] = self._sample_block(spike_times[:, lo:lo + width],
+                                                             rows, bins)
+            if tail:
+                del bins  # so the tail's temporaries fit where the full blocks' did
+                out[..., cols - tail:] = self._sample_block(spike_times[:, cols - tail:],
+                                                            rows, _bins(rows, tail))
+        np.copyto(out, 0.0, where=np.isnan(spike_times))
+        return out
+
+    def _sample_block(self, spike_times: np.ndarray, rows: np.ndarray,
+                      bins: np.ndarray) -> np.ndarray:
+        """``sample`` of a few columns, silent inputs still NaN; ``bins`` is
+        ``_bins(rows, columns)``."""
+        cols = spike_times.shape[1]
         vals = efficacy(np.take(np.tile(spike_times, (self.class_count, 1)), rows, axis=0),
                         self.centers[:, None], self.amplitudes[:, None], self.sigma)
-        rows *= cols
-        out = np.bincount((rows[:, None] + np.arange(cols)).ravel(), weights=vals.ravel(),
+        out = np.bincount(bins, weights=vals.ravel(),
                           minlength=self.class_count * self.input_count * cols)
-        out = out.reshape(self.class_count, self.input_count, cols)
-        out[:, np.isnan(spike_times)] = 0
-        return out
+        return out.reshape(self.class_count, self.input_count, cols)
 
     def evaluate_pattern(self, weights: np.ndarray,
                          responses: Callable[[int, int], np.ndarray], live: list[int],

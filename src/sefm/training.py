@@ -26,10 +26,15 @@ from .rng import SplitMix64, derive_seed
 
 log = logging.getLogger(__name__)
 
-# Patterns per batched predict step.  The largest temporaries, two (terms,
-# chunk) sampling arrays over every class's terms, take 2.6 MB each for a
-# model of ten thousand terms.
-PREDICT_CHUNK = 32
+# Bytes of one batched predict step's (classes, inputs, patterns) weights.
+PREDICT_BYTES = 2 << 20
+
+
+def predict_chunk(net: Network) -> int:
+    """Patterns per batched predict step: whole ``Network.sample_block``s, as
+    many as keep the step's weights within PREDICT_BYTES, at least one."""
+    block = net.sample_block()
+    return block * max(1, PREDICT_BYTES // (8 * net.class_count * net.input_count * block))
 
 
 # -- scheduling ------------------------------------------------------------
@@ -271,7 +276,7 @@ def predict(net: Network, patterns: list[SpikePattern]) -> np.ndarray:
     """Winning class per pattern, by ``Network.evaluate_pattern``: the
     earliest-firing class, else the highest peak, ties to the lowest class.
 
-    Patterns go through PREDICT_CHUNK at a time: one ``SampledWeights`` for
+    Patterns go ``predict_chunk(net)`` at a time: one ``SampledWeights`` for
     the chunk, then one kernel call per pattern on its (live, spikes)
     weights, read as ``process_sample`` reads them, and the responses of
     each block of grid columns the race reaches, so each label equals
@@ -281,8 +286,9 @@ def predict(net: Network, patterns: list[SpikePattern]) -> np.ndarray:
     every = len(live) == net.class_count
     thresholds = net.thresholds if every else net.thresholds[live]
     labels = np.zeros(len(patterns), dtype=np.int64)
-    for start in range(0, len(patterns), PREDICT_CHUNK):
-        chunk = patterns[start:start + PREDICT_CHUNK]
+    size = predict_chunk(net)
+    for start in range(0, len(patterns), size):
+        chunk = patterns[start:start + size]
         values = learning.SampledWeights(chunk, net).values
         if not every:
             values = values[live]

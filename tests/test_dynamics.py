@@ -32,11 +32,12 @@ from sefm.dynamics import (
 )
 from sefm.encoding import TIME_QUANTUM, SpikePattern, fit_ranges
 from sefm.errors import ConfigError, InputError
+from sefm.training import predict_chunk
 
 from conftest import (all_terms, network_of, random_neuron, random_pattern, random_terms,
                       scalar_weight, terms_of)
 from oracles import (ClassTerms, evaluate_pattern, fire_time, potential, race_end,
-                     sample_weights)
+                     sample_weights, sampled_weights_per_term)
 from oracles import add_terms as reference_add_terms
 from oracles import spike_time_matrix
 
@@ -279,6 +280,78 @@ def test_sampling_empty_inputs():
     assert neuron.sample_weights(np.zeros(0, dtype=np.int64), np.zeros(0)).size == 0
     out = neuron.sample_weights(np.array([1, 2]), np.array([0.5, 1.0]))
     assert np.array_equal(out, np.zeros(2))
+
+
+def test_sample_weights_rejects_an_id_out_of_range_or_repeated():
+    """An id of -1 would read input ``input_count - 1`` and a repeated id
+    the later spike's weight for both spikes; both, and an id past the
+    last input, raise InputError."""
+    neuron = network_of(5, [(0.0, [3, 4], [2.0, 0.5], [0.7, 0.4])], sigma=0.5).neurons[0]
+    for ids in ([-1], [5], [0, 5]):
+        with pytest.raises(InputError, match=r"input neuron outside \[0, 5\)"):
+            neuron.sample_weights(np.array(ids), np.full(len(ids), 1.0))
+    with pytest.raises(InputError, match="repeated"):
+        neuron.sample_weights(np.array([3, 3]), np.array([2.0, 0.5]))
+    assert neuron.sample_weights(np.array([4, 3]), np.array([0.5, 2.0])).tolist() == [0.4, 0.7]
+
+
+def blocked_net(rng):
+    """Four classes over 128 inputs, class 1 never initialized, with enough
+    terms that a predict chunk holds several ``sample_block``s."""
+    net = network_of(128, [None if j == 1 else random_terms(rng, 128, max_terms=12)
+                           for j in range(4)])
+    assert predict_chunk(net) >= 2 * net.sample_block()
+    return net
+
+
+def spike_times_of(patterns, input_count):
+    return np.ascontiguousarray(spike_time_matrix(patterns, input_count).T)
+
+
+def test_blocked_sample_equals_per_column_and_per_term_sampling(rng):
+    """``Network.sample`` of any column count, in blocks and with a tail,
+    equals sampling each column alone and the per-term oracle bit for bit;
+    silent inputs and the uninitialized class read float zeros."""
+    net = blocked_net(rng)
+    block, chunk = net.sample_block(), predict_chunk(net)
+    patterns = [random_pattern(rng, neuron_count=128, max_spikes=12)
+                for _ in range(2 * chunk + 5)]
+    patterns[block] = SpikePattern(neuron_count=128, neuron_ids=np.zeros(0, dtype=np.int64),
+                                   times=np.zeros(0))
+    times = spike_times_of(patterns, 128)
+    oracle = sampled_weights_per_term(net, patterns)
+    columns = [net.sample(times[:, [p]]) for p in range(len(patterns))]
+    for count in (0, 1, block - 1, block, block + 1, 2 * block + 1, len(patterns)):
+        values = net.sample(times[:, :count])
+        assert values.dtype == np.float64 and values.shape == (4, 128, count)
+        assert values.tobytes() == np.ascontiguousarray(oracle[..., :count]).tobytes()
+        assert values.tobytes() == np.concatenate(
+            [np.zeros((4, 128, 0))] + columns[:count], axis=2).tobytes()
+    assert not oracle[1].any() and np.isnan(times).any()
+
+
+def test_blocked_sample_peaks_at_one_blocks_temporaries(rng):
+    """Sampling 20 blocks of columns, with or without a one-column tail,
+    allocates the output plus at most one block's (terms, block) gather and
+    bincount index, its (classes * inputs, block) tile and sums, and a
+    mask of the silent inputs: nothing grows with the column count."""
+    net = blocked_net(rng)
+    block, rows = net.sample_block(), net.class_count * net.input_count
+    temporaries = 8 * block * (2 * net.keys.size + 2 * rows)
+    for count in (20 * block, 20 * block + 1):
+        patterns = [random_pattern(rng, neuron_count=128, max_spikes=12) for _ in range(count)]
+        times = spike_times_of(patterns, 128)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            values = net.sample(times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= values.nbytes + temporaries + times.size + 16 * net.keys.size
+        # one (terms, columns) array of all the columns would not fit
+        assert 8 * net.keys.size * count > values.nbytes + temporaries
 
 
 # --- postsynaptic potential and firing ---------------------------------------

@@ -23,8 +23,8 @@ from sefm.training import (
     margin_window,
     on_time_deadline,
     predict,
+    predict_chunk,
     ref_time_correct,
-    PREDICT_CHUNK,
     ref_time_wrong,
     train,
 )
@@ -201,6 +201,11 @@ def encoded_blobs(rng, classes=3, per_class=20):
     return encode_dataset(x, enc), y
 
 
+def repeated(patterns, count):
+    """``count`` patterns, cycling through ``patterns``."""
+    return (patterns * (count // len(patterns) + 1))[:count]
+
+
 def test_train_validations(rng):
     patterns, labels = encoded_blobs(rng)
     with pytest.raises(InputError):
@@ -263,8 +268,8 @@ def test_train_and_predict_reject_a_pattern_of_another_width(rng):
         message = f"a pattern has {width} input neurons; the network has {n}$"
         with pytest.raises(InputError, match=message):
             train(patterns[:-1] + [odd], labels, CFG, class_count=3)
-        with pytest.raises(InputError, match=message):
-            predict(net, patterns[:PREDICT_CHUNK + 1] + [odd])
+        with pytest.raises(InputError, match=message):  # in the second chunk
+            predict(net, repeated(patterns, predict_chunk(net) + 1) + [odd])
         with pytest.raises(InputError, match=message):
             predict(build_network(CFG, class_count=3, input_count=n), [odd])
 
@@ -467,7 +472,7 @@ def test_sampled_weights_equal_the_per_term_oracle_bitwise(rng):
     patterns, labels = encoded_blobs(rng)
     net = train(patterns, labels, CFG.with_overrides(max_epochs=10), 3, seed=3).network
     assert np.bincount(net.keys >> 32).max() >= 3
-    for chunk in (patterns[:1], patterns[:PREDICT_CHUNK]):
+    for chunk in (patterns[:1], patterns[:predict_chunk(net)]):
         values = learning.SampledWeights(chunk, net).values
         assert values.tobytes() == sampled_weights_per_term(net, chunk).tobytes()
 
@@ -475,8 +480,9 @@ def test_sampled_weights_equal_the_per_term_oracle_bitwise(rng):
 def test_sampling_without_terms_gives_float_zeros(rng):
     patterns, _ = encoded_blobs(rng)
     net = build_network(CFG, class_count=3, input_count=patterns[0].neuron_count)
-    values = learning.SampledWeights(patterns[:PREDICT_CHUNK], net).values
-    assert values.dtype == np.float64 and values.shape == (3, net.input_count, PREDICT_CHUNK)
+    chunk = predict_chunk(net)
+    values = learning.SampledWeights(repeated(patterns, chunk), net).values
+    assert values.dtype == np.float64 and values.shape == (3, net.input_count, chunk)
     assert not values.any()
 
 
@@ -587,13 +593,14 @@ def one_at_a_time(net, pattern):
 
 
 def test_batched_predict_matches_one_at_a_time(rng, monkeypatch):
-    # class 2 stays uninitialized
-    net = network_of(12, [None if j == 2 else random_terms(rng, 12) for j in range(4)],
+    # class 2 stays uninitialized; 128 inputs keep a chunk to a few hundred patterns
+    net = network_of(128, [None if j == 2 else random_terms(rng, 128) for j in range(4)],
                      CFG.sigma, CFG.simulation(), CFG.spike_interval)
+    chunk = predict_chunk(net)
     # longer than two chunks, not a multiple of one, an empty pattern mid-chunk
-    patterns = [random_pattern(rng, neuron_count=12, max_spikes=10)
-                for _ in range(2 * PREDICT_CHUNK + 5)]
-    patterns[PREDICT_CHUNK + 3] = empty_pattern(12)
+    patterns = [random_pattern(rng, neuron_count=128, max_spikes=10)
+                for _ in range(2 * chunk + 5)]
+    patterns[chunk + 3] = empty_pattern(128)
     captured, chunks = [], []
     kernel = net.evaluate_pattern
 
@@ -616,7 +623,7 @@ def test_batched_predict_matches_one_at_a_time(rng, monkeypatch):
     net.evaluate_pattern = recorded
     labels = predict(net, patterns)
     del net.evaluate_pattern
-    assert chunks == [PREDICT_CHUNK, PREDICT_CHUNK, 5]
+    assert chunks == [chunk, chunk, 5]
     assert len(captured) == len(patterns)
     activity = crossings(net, np.stack([v for v, _, _ in captured]),
                          np.array([n is not None for n in net.neurons]))
@@ -652,10 +659,10 @@ def test_predict_without_an_initialized_neuron_answers_class_zero(rng):
 
 
 def test_predict_with_every_neuron_live_matches_one_at_a_time(rng):
-    net = network_of(12, [random_terms(rng, 12) for _ in range(3)],
+    net = network_of(128, [random_terms(rng, 128) for _ in range(3)],
                      CFG.sigma, CFG.simulation(), CFG.spike_interval)
-    patterns = [random_pattern(rng, neuron_count=12, max_spikes=10)
-                for _ in range(PREDICT_CHUNK + 7)]
+    patterns = [random_pattern(rng, neuron_count=128, max_spikes=10)
+                for _ in range(predict_chunk(net) + 7)]
     labels = predict(net, patterns)
     for p, pattern in enumerate(patterns):
         label, oracle_fire, oracle_peaks = one_at_a_time(net, pattern)

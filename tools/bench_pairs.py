@@ -9,13 +9,14 @@ index, so the repository's own index and worktree list stay untouched and
 the measured source is named by its tree id.  Both copies are byte-compiled
 before the first run, so no run pays for compiling.
 
-Pair i (from 1) runs ``perfbench/run.py --workload W --seed i --seconds 35``
-in both copies for every workload in BENCHMARK.json, the parent first on odd
-pairs and the change first on even ones.  Per workload and end-to-end metric
-it prints, and writes to ``--out`` as JSON, the parent's and the change's
-median and quartiles, the change's median move, and in how many pairs the
-change was better (by the metric's ``better`` in BENCHMARK.json); per pair,
-whether the report digests were equal and how many units failed.  The JSON
+Pair i (from 1) runs ``perfbench/run.py --workload W --seed i --seconds S``
+in both copies for every workload in BENCHMARK.json, S being its
+``run_seconds``, the parent first on odd pairs and the change first on even
+ones.  Per workload and end-to-end metric it prints, and writes to ``--out``
+as JSON, the parent's and the change's median and quartiles, the change's
+median move, and in how many pairs the change was better (by the metric's
+``better`` in BENCHMARK.json); per pair, whether the report digests were
+equal and how many units failed.  The JSON
 also names both sides (the change by HEAD, its tree id, whether that tree
 differs from HEAD's, and the tree id of its ``src/``, which equals
 ``git rev-parse COMMIT:src`` for any commit holding the same source) and the
@@ -39,7 +40,6 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-SECONDS = 35  # the run length the benchmark itself uses
 
 
 def git(*args: str, **kwargs) -> subprocess.CompletedProcess:
@@ -67,10 +67,10 @@ def working_tree(tmp: Path) -> dict:
             "src_tree": rev(f"{tree}:src")}
 
 
-def run(checkout: Path, workload: str, seed: int) -> dict:
+def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run; its details and result lines."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(SECONDS)],
+                           "--seed", str(seed), "--seconds", str(seconds)],
                           cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout.name} {workload} seed {seed} exited "
@@ -155,7 +155,7 @@ def main(argv=None) -> int:
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
-    doc = {"seconds": SECONDS, "machine": machine(), "workloads": []}
+    doc = {"seconds": declared["run_seconds"], "machine": machine(), "workloads": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         copies = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         doc["parent"] = rev(f"{args.parent}^{{commit}}")
@@ -171,7 +171,7 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 pair = {"seed": seed, "order": list(order)}
                 for side in order:
-                    pair[side] = run(copies[side], workload, seed)
+                    pair[side] = run(copies[side], workload, seed, doc["seconds"])
                     print(f"{workload} seed {seed} {side} done", file=sys.stderr, flush=True)
                 pairs.append(pair)
             doc["machine"].setdefault("cpu_model", pairs[0]["parent"]["details"]["machine"]["cpu_model"])
