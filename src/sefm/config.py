@@ -41,10 +41,13 @@ class NetworkConfig:
         Each check is written so that NaN fails it.
         """
         bad = []
-        for name in ("sigma", "spike_interval", "t_max", "tau", "dt", "learning_rate",
-                     "overlap"):
+        for name in ("sigma", "spike_interval", "learning_rate", "overlap"):
             if not 0 < getattr(self, name) < math.inf:
                 bad.append(f"{name} must be positive and finite")
+        try:  # tau, t_max and dt
+            self.simulation()
+        except ConfigError as exc:
+            bad.append(str(exc))
         for name in ("reference_rate", "margin_rate", "deadline_rate"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:

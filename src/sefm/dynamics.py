@@ -15,11 +15,11 @@ import functools
 import json
 import math
 import operator
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .encoding import TIME_QUANTUM, EncoderConfig, SpikePattern
 from .errors import ConfigError, InputError
@@ -32,7 +32,9 @@ class SimulationConfig:
     """Postsynaptic simulation settings.
 
     tau is the spike-response time constant (ms), t_max the end of the
-    postsynaptic interval (ms), dt the threshold-search grid step (ms).
+    postsynaptic interval (ms), dt the threshold-search grid step (ms), a
+    whole number of TIME_QUANTUM ticks.  Every bad field is named in one
+    ConfigError.
     """
 
     tau: float = 3.0
@@ -40,9 +42,15 @@ class SimulationConfig:
     dt: float = 0.01
 
     def __post_init__(self):
-        for name in ("tau", "t_max", "dt"):
-            if not 0 < getattr(self, name) < np.inf:  # NaN fails too
-                raise ConfigError(f"{name} must be positive and finite")
+        bad = [f"{name} must be positive and finite" for name in ("tau", "t_max", "dt")
+               if not 0 < getattr(self, name) < np.inf]  # NaN fails too
+        ticks = self.dt / TIME_QUANTUM
+        # whole up to rounding (0.043 / 0.001 is 42.99999999999999); a step
+        # under half a tick rounds to 0, which no positive step is close to
+        if 0 < ticks < np.inf and not math.isclose(ticks, round(ticks), rel_tol=1e-9):
+            bad.append(f"dt must be a whole number of {TIME_QUANTUM} ms ticks")
+        if bad:
+            raise ConfigError("; ".join(bad))
 
     def grid(self) -> np.ndarray:
         """Search grid {0, dt, 2dt, ..., t_max}."""
@@ -170,11 +178,6 @@ def _merged(old: np.ndarray, kept: np.ndarray, dest: np.ndarray,
     return out
 
 
-# Rows per block of ``write_responses``: its temporaries stay under two
-# blocks (1.6 MB each on the default 801-point grid) whatever the table's size.
-FILL_BLOCK = 256
-
-
 def spike_ticks(times: np.ndarray, sim: SimulationConfig) -> np.ndarray:
     """TIME_QUANTUM tick of each spike time (ms, on the tick grid, at least
     0); a spike after ``sim.t_max`` raises InputError."""
@@ -184,91 +187,34 @@ def spike_ticks(times: np.ndarray, sim: SimulationConfig) -> np.ndarray:
     return ticks.astype(np.int64)
 
 
-def write_responses(out: np.ndarray, ticks: np.ndarray, sim: SimulationConfig) -> None:
-    """Write ``epsilon(grid - tick * TIME_QUANTUM)`` of each tick into the
-    matching row of ``out``, (len(ticks), grid), FILL_BLOCK rows at a time.
+@functools.cache
+def responses(sim: SimulationConfig) -> np.ndarray:
+    """Kernel response of a spike on each tick 0..K of [0, t_max] at each
+    time of ``sim.grid()``: a read-only (K + 1, grid) view whose row k,
+    column g reads ``epsilon((g * R - k) * TIME_QUANTUM)``, for a grid step
+    of R ticks.
 
-    The arithmetic is that of computing ``grid[None, :] - times[:, None]``
-    directly, so each row equals the direct kernel bit for bit.
+    A response depends only on the tick difference ``g * R - k``, so every
+    row is a window of one kernel row ``a[m] = epsilon((m - K) *
+    TIME_QUANTUM)``, read one tick back per row and R ticks on per column:
+    16,001 values (128 KB) on the default grid, computed once per setting.
     """
-    grid = sim.grid()
-    for lo in range(0, len(ticks), FILL_BLOCK):
-        block = out[lo:lo + FILL_BLOCK]
-        np.subtract(grid[None, :], (ticks[lo:lo + FILL_BLOCK] * TIME_QUANTUM)[:, None],
-                    out=block)
-        block[...] = _epsilon_consuming(block, sim.tau)
-
-
-class ResponseTable:
-    """Kernel responses over ``sim.grid()``, one row per spike-time tick seen.
-
-    A spike at t responds ``epsilon(grid - t)`` across the grid, an
-    elementwise function of t alone, and spike times sit on the
-    TIME_QUANTUM ticks of [0, t_max].  Each tick's row is written by
-    ``write_responses`` the first time a spike lands on it and only
-    gathered after that.  The rows buffer is allocated once at its most,
-    ``round(t_max / TIME_QUANTUM) + 1`` rows (51 MB of address space on
-    the default grid, of which only written rows become resident), and
-    rows are only appended, so a row never moves and an index, once handed
-    out, reads the same row for the life of the table.  Filling holds a
-    lock; reading does not.
-    """
-
-    def __init__(self, sim: SimulationConfig):
-        self.sim = sim
-        last_tick = round(sim.t_max / TIME_QUANTUM)
-        self._index = np.full(last_tick + 1, -1, dtype=np.int64)
-        self._rows = np.empty((last_tick + 1, sim.grid().size))
-        self._count = 0
-        self._lock = threading.Lock()
-
-    def matrix(self, times: np.ndarray, lo: int = 0,
-               hi: Optional[int] = None) -> np.ndarray:
-        """(spikes, hi - lo) responses of the given spike times at grid
-        columns lo..hi-1 (to the grid's end when ``hi`` is None)."""
-        ticks = spike_ticks(times, self.sim)
-        rows = self._index[ticks]
-        if rows.size and rows.min() < 0:
-            with self._lock:
-                self._fill(ticks)
-            rows = self._index[ticks]
-        return self._rows[rows, lo:hi]
-
-    def _fill(self, ticks: np.ndarray) -> None:
-        new = np.unique(ticks[self._index[ticks] < 0])
-        end = self._count + new.size
-        write_responses(self._rows[self._count:end], new, self.sim)
-        # publish the indices last: a reader that sees them sees the rows
-        self._index[new] = np.arange(self._count, end)
-        self._count = end
-
-
-# One table per simulation setting, shared by every inference call in the
-# process: a row depends on nothing but the frozen SimulationConfig.
-_TABLES: dict[SimulationConfig, ResponseTable] = {}
-_TABLES_LOCK = threading.Lock()
-
-
-def _shared_table(sim: SimulationConfig) -> ResponseTable:
-    table = _TABLES.get(sim)
-    if table is None:
-        with _TABLES_LOCK:
-            # another thread may have built it while this one waited
-            table = _TABLES.get(sim)
-            if table is None:
-                table = _TABLES[sim] = ResponseTable(sim)
-    return table
+    last, step = round(sim.t_max / TIME_QUANTUM), round(sim.dt / TIME_QUANTUM)
+    columns = sim.grid().size
+    row = _epsilon_consuming(
+        (np.arange((columns - 1) * step + last + 1) - last) * TIME_QUANTUM, sim.tau)
+    row.flags.writeable = False
+    return as_strided(row[last:], shape=(last + 1, columns),
+                      strides=(-row.itemsize, step * row.itemsize), writeable=False)
 
 
 def response_matrix(pattern: SpikePattern, sim: SimulationConfig, lo: int = 0,
                     hi: Optional[int] = None) -> np.ndarray:
     """Kernel response of each spike at each grid time: (spikes, grid), or
-    only grid columns lo..hi-1.
-
-    Rows come from the process's ResponseTable for ``sim``; a spike
+    only grid columns lo..hi-1, gathered from ``responses(sim)``; a spike
     after ``sim.t_max`` raises InputError.
     """
-    return _shared_table(sim).matrix(pattern.times, lo, hi)
+    return responses(sim)[spike_ticks(pattern.times, sim), lo:hi]
 
 
 # Cells of each temporary of a ``Network.sample`` block: 2.6 MB of float64,

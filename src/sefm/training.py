@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import NetworkConfig
-from .dynamics import Network, OutputNeuron, response_matrix, spike_ticks, write_responses
+from .dynamics import Network, OutputNeuron, response_matrix, responses, spike_ticks
 from .encoding import SpikePattern
 from .errors import ConfigError, InputError
 from . import learning
@@ -86,22 +86,16 @@ class SampleResult:
 
 
 class TrainingState:
-    """The network, the fit's response table, each pattern's rows in it, and
-    the SampledWeights of the patterns under the network.
-
-    The table holds one row per distinct training spike tick, in tick
-    order, in one array of exactly that size.
-    """
+    """The network, each pattern's spike ticks (its rows of
+    ``dynamics.responses``) and the SampledWeights of the patterns under
+    the network."""
 
     def __init__(self, net: Network, patterns: list[SpikePattern], cfg: NetworkConfig):
         self.net = net
         self.patterns = patterns
         self.cfg = cfg
-        ticks, rows = np.unique(spike_ticks(np.concatenate([p.times for p in patterns]),
-                                            net.sim), return_inverse=True)
-        self.table = np.empty((ticks.size, net.sim.grid().size))
-        write_responses(self.table, ticks, net.sim)
-        self.rows = np.split(rows, np.cumsum([p.spike_count for p in patterns])[:-1])
+        self.ticks = np.split(spike_ticks(np.concatenate([p.times for p in patterns]), net.sim),
+                              np.cumsum([p.spike_count for p in patterns])[:-1])
         self.sampled = learning.SampledWeights(patterns, net)
         self.deadline = on_time_deadline(cfg.desired_time, cfg.deadline_rate, cfg.spike_interval)
         self.margin = margin_window(cfg.desired_time, cfg.margin_rate, cfg.spike_interval)
@@ -131,11 +125,11 @@ def process_sample(state: TrainingState, s: int, label: int) -> SampleResult:
     live, t_max = net.initialized.nonzero()[0].tolist(), sim.t_max
     weights = sampled.values[:, pattern.neuron_ids, s]
     every = len(live) == net.class_count
-    rows = state.rows[s]
+    ticks, view = state.ticks[s], responses(sim)
     # a rival firing ``margin`` or more after the label fails the margin
     # test below whatever its time, so the race stops short of it
     fired, predicted = net.evaluate_pattern(
-        weights if every else weights[live], lambda lo, hi: state.table[rows, lo:hi], live,
+        weights if every else weights[live], lambda lo, hi: view[ticks, lo:hi], live,
         net.thresholds if every else net.thresholds[live], label=label, margin=state.margin)
 
     # the margin is held from the correct neuron's time, or from its
@@ -258,15 +252,7 @@ def train(patterns: list[SpikePattern], labels: np.ndarray, cfg: NetworkConfig,
         converged = stats.updates_correct + stats.updates_wrong == 0
         if converged:
             break
-    net = state.net
-    # The model's arrays were allocated above the fit's response table and
-    # sampled weights; copied once those are freed, they move into the freed
-    # space instead of stranding it (three fits in one process otherwise
-    # peaked 10 MB higher).
-    del state
-    net.keys, net.centers, net.amplitudes = net.keys.copy(), net.centers.copy(), \
-        net.amplitudes.copy()
-    return TrainResult(network=net, epochs_run=len(stats_log), converged=converged,
+    return TrainResult(network=state.net, epochs_run=len(stats_log), converged=converged,
                        epoch_stats=stats_log)
 
 

@@ -7,6 +7,12 @@ the main implementation, with simple arrays and explicit arithmetic, so
 the two can be compared against each other: with a very wide Gaussian
 the main model should degenerate to exactly this (criterion 8).
 
+``direct_response`` is the kernel response of every (spike, grid time)
+pair at once, each computed on its integer tick difference ``g * R - k``
+(spike tick k, grid column g, a grid step of R ticks), so it reads nothing
+of the package's ``dynamics.responses`` view, which must equal it bit for
+bit.
+
 ``potential`` and ``fire_time`` evaluate one neuron on one pattern with a
 1-d ``w @ eps`` product.  They are a per-neuron oracle for the shared
 activity kernel, ``Network.evaluate_pattern``, whose (neurons, spikes)
@@ -23,7 +29,7 @@ bit for bit.
 
 ``process_sample`` is the training step with every weight sampled afresh
 from the network (``sample_weights``) and every activity computed by
-``evaluate_pattern`` from fresh responses: the reference that
+``evaluate_pattern`` from ``direct_response``: the reference that
 ``training.train``'s cached step, which reads its weights, responses,
 live classes and thresholds from one training state, must reproduce bit
 for bit.  It works on any network, so the per-branch tests drive it on
@@ -58,11 +64,19 @@ import numpy as np
 from sefm import learning
 from sefm.config import NetworkConfig
 from sefm.dynamics import (Network, OutputNeuron, SimulationConfig, efficacy, epsilon,
-                           race_blocks, response_matrix)
+                           race_blocks)
 from sefm.encoding import TIME_QUANTUM, EncoderConfig, SpikePattern
 from sefm.errors import InputError
 from sefm.training import (Outcome, SampleResult, epoch_order, margin_window,
                            on_time_deadline, ref_time_correct, ref_time_wrong)
+
+
+def direct_response(times, sim: SimulationConfig) -> np.ndarray:
+    """(spikes, grid) responses ``epsilon((g * R - k) * TIME_QUANTUM)`` of
+    spikes on ticks k at grid columns g, in one broadcast."""
+    ticks = np.rint(np.asarray(times, dtype=np.float64) / TIME_QUANTUM).astype(np.int64)
+    cells = np.arange(sim.grid().size) * round(sim.dt / TIME_QUANTUM) - ticks[:, None]
+    return epsilon(cells * TIME_QUANTUM, sim.tau)
 
 
 def potential(neuron: OutputNeuron, pattern: SpikePattern, t: float,
@@ -80,7 +94,7 @@ def fire_time(neuron: OutputNeuron, pattern: SpikePattern,
     if pattern.spike_count == 0:
         return None
     w = neuron.sample_weights(pattern.neuron_ids, pattern.times)
-    v = w @ response_matrix(pattern, sim)
+    v = w @ direct_response(pattern.times, sim)
     hit = v >= neuron.threshold
     if not hit.any():
         return None
@@ -152,11 +166,11 @@ def evaluate_pattern(net: Network, pattern: SpikePattern,
     """Fire times and peaks of every initialized neuron: the (live, spikes)
     weights times the (spikes, grid) responses, through ``crossings``.
     ``weights`` and ``eps_matrix`` default to ``sample_weights`` and
-    ``response_matrix``."""
+    ``direct_response``."""
     if weights is None:
         weights = sample_weights(net, pattern)
     if eps_matrix is None:
-        eps_matrix = response_matrix(pattern, net.sim)
+        eps_matrix = direct_response(pattern.times, net.sim)
     live = np.array([n is not None for n in net.neurons])
     return crossings(net, weights[live] @ eps_matrix, live)
 

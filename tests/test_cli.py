@@ -129,12 +129,14 @@ def test_bad_config_value_exits_2(blobs_csv):
     ([], {"max_epochs": True}),
     ([], {"sigma": "0.5"}),
     ([], {"sigma": 10 ** 400}),
+    ([], {"dt": 0.0015}),
 ], ids=["learning-rate-nan", "sigma-inf", "tau-nan", "dt-nan", "t-max-inf",
         "sigma-text", "fractional-epochs", "bool-epochs", "numeric-text-sigma",
-        "huge-int-sigma"])
+        "huge-int-sigma", "dt-off-tick"])
 def test_non_finite_or_malformed_setting_exits_2_and_writes_nothing(blobs_csv, tmp_path,
-                                                                     flags, doc):
+                                                                     capsys, flags, doc):
     out = tmp_path / "out"
+    name = flags[0][2:].replace("-", "_") if doc is None else next(iter(doc))
     if doc is not None:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))  # json writes NaN and Infinity
@@ -142,6 +144,7 @@ def test_non_finite_or_malformed_setting_exits_2_and_writes_nothing(blobs_csv, t
     code = main(["train", "--csv", blobs_csv, "--train-size", "30", "--seed", "3",
                  *flags, "--output-dir", str(out)])
     assert code == EXIT_CONFIG
+    assert name in capsys.readouterr().err
     assert not out.exists()
 
 

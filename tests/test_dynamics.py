@@ -13,12 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import sefm.dynamics as dynamics
 from sefm.dynamics import (
-    FILL_BLOCK,
     RACE_BLOCK,
     Network,
-    ResponseTable,
     SimulationConfig,
     _epsilon_consuming,
     epsilon,
@@ -28,6 +25,7 @@ from sefm.dynamics import (
     model_to_json_bytes,
     race_blocks,
     response_matrix,
+    responses,
     save_model,
 )
 from sefm.encoding import TIME_QUANTUM, SpikePattern, fit_ranges
@@ -36,8 +34,8 @@ from sefm.training import predict_chunk
 
 from conftest import (all_terms, network_of, random_neuron, random_pattern, random_terms,
                       scalar_weight, terms_of)
-from oracles import (ClassTerms, evaluate_pattern, fire_time, potential, race_end,
-                     sample_weights, sampled_weights_per_term)
+from oracles import (ClassTerms, direct_response, evaluate_pattern, fire_time, potential,
+                     race_end, sample_weights, sampled_weights_per_term)
 from oracles import add_terms as reference_add_terms
 from oracles import spike_time_matrix
 
@@ -468,71 +466,37 @@ def test_response_matrix_shape_and_content(rng):
         assert m[k, -1] == pytest.approx(float(epsilon(grid[-1] - pattern.times[k], s.tau)))
 
 
-def direct_response(times, s):
-    """Oracle for the table: the kernel of every (spike, grid time) pair at once."""
-    times = np.asarray(times, dtype=np.float64)
-    return _epsilon_consuming(s.grid()[None, :] - times[:, None], s.tau)
+@pytest.mark.parametrize("s", [
+    SimulationConfig(), SimulationConfig(t_max=0.02), SimulationConfig(tau=0.3, t_max=0.5),
+    SimulationConfig(dt=0.02)], ids=["default", "t_max-0.02", "tau-0.3-t_max-0.5", "dt-0.02"])
+def test_responses_view_equals_the_tick_oracle_bitwise(s):
+    """Row k of the view is the response of a spike on tick k, for every
+    tick of [0, t_max], at every grid time, bit for bit."""
+    ticks = np.arange(round(s.t_max / TIME_QUANTUM) + 1)
+    view = responses(s)
+    assert view.shape == (ticks.size, s.grid().size)
+    assert view.tobytes() == direct_response(ticks * TIME_QUANTUM, s).tobytes()
+    assert responses(s) is view  # computed once per setting
 
 
-def test_response_table_rows_equal_direct_kernel_across_fills(rng):
-    s = sim()
-    last = round(s.t_max / TIME_QUANTUM)
-    ticks = np.concatenate([[0, last], rng.integers(0, last + 1, size=700)])
-    forward, backward = ResponseTable(s), ResponseTable(s)
-    rows = forward._rows
-    handed_out = {}
-    for part in np.array_split(ticks, 9):  # uneven calls, repeats inside and across
-        times = part * TIME_QUANTUM
-        assert forward.matrix(times).tobytes() == direct_response(times, s).tobytes()
-        for tick, row in zip(part.tolist(), forward._index[part].tolist()):
-            assert handed_out.setdefault(tick, row) == row
-    for part in np.array_split(ticks[::-1], 4):
-        backward.matrix(part * TIME_QUANTUM)
-    seen = np.array(sorted(handed_out))
-    assert forward.matrix(seen * TIME_QUANTUM).tobytes() == \
-        backward.matrix(seen * TIME_QUANTUM).tobytes() == \
-        direct_response(seen * TIME_QUANTUM, s).tobytes()
-    # rows never move: the buffer is the one allocated at construction, and
-    # every row handed out by an earlier fill still reads its tick
-    assert forward._rows is rows
-    assert forward._index[seen].tolist() == [handed_out[t] for t in seen]
-    assert forward._count == len(seen)
+def test_responses_view_stays_within_1e_15_of_the_float_grid_form():
+    """Computing ``grid - t`` in floats instead of on integer ticks moves
+    some cells in their last bits, never by 1e-15."""
+    s = SimulationConfig()
+    times = np.arange(round(s.t_max / TIME_QUANTUM) + 1) * TIME_QUANTUM
+    float_form = _epsilon_consuming(s.grid()[None, :] - times[:, None], s.tau)
+    assert np.abs(responses(s) - float_form).max() < 1e-15
 
 
-def test_response_table_stores_each_tick_once_up_to_t_max():
-    s = SimulationConfig(tau=0.3, t_max=0.5, dt=0.01)
-    table = ResponseTable(s)
-    every = np.arange(round(s.t_max / TIME_QUANTUM) + 1) * TIME_QUANTUM
-    rows = table._rows
-    assert rows.shape == (every.size, s.grid().size)  # its most, reserved at once
-    for part in (every[::3], every, every[::-1]):
-        table.matrix(part)
-    assert table._rows is rows and table._count == every.size
-    assert table.matrix(every).tobytes() == direct_response(every, s).tobytes()
-    with pytest.raises(InputError, match="t_max"):
-        table.matrix(np.array([0.2, s.t_max + TIME_QUANTUM]))
-    assert table.matrix(np.zeros(0)).shape == (0, s.grid().size)
-
-
-def test_filling_a_table_peaks_at_most_two_blocks_above_its_rows(rng):
-    """Rows are written straight into the buffer reserved at construction,
-    FILL_BLOCK at a time, so filling 2,000 new ticks (7.8 blocks) allocates
-    no full-size temporary."""
-    s = sim()
-    ticks = rng.choice(round(s.t_max / TIME_QUANTUM) + 1, size=2000, replace=False)
-    tracemalloc.start()
-    try:
-        table = ResponseTable(s)
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        table._fill(ticks)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert table._count == ticks.size
-    assert peak - start <= 2 * FILL_BLOCK * s.grid().size * table._rows.itemsize
-    times = np.sort(ticks) * TIME_QUANTUM
-    assert table.matrix(times).tobytes() == direct_response(times, s).tobytes()
+def test_responses_view_and_its_base_are_read_only():
+    view = responses(SimulationConfig())
+    base = view
+    while base.base is not None:
+        base = base.base
+    assert isinstance(base, np.ndarray) and base.ndim == 1 and base is not view
+    for array in (view, base):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
 
 
 def test_response_matrix_rejects_a_spike_after_t_max():
@@ -544,21 +508,13 @@ def test_response_matrix_rejects_a_spike_after_t_max():
     assert response_matrix(at_end, s).tobytes() == direct_response([s.t_max], s).tobytes()
 
 
-def test_threads_predicting_on_a_cold_table_get_the_serial_labels(rng, monkeypatch):
+def test_threads_predicting_on_a_cold_table_get_the_serial_labels(rng):
     from sefm.training import predict
     net = network_of(12, [random_terms(rng, 12) for _ in range(3)], 0.5, sim())
     patterns = [random_pattern(rng, neuron_count=12, max_spikes=12) for _ in range(150)]
-    monkeypatch.setattr(dynamics, "_TABLES", {})
+    responses.cache_clear()
     serial = predict(net, patterns).tolist()
-    monkeypatch.setattr(dynamics, "_TABLES", {})
-    built = []
-
-    class CountedTable(ResponseTable):
-        def __init__(self, sim):
-            super().__init__(sim)
-            built.append((self, self._rows))
-
-    monkeypatch.setattr(dynamics, "ResponseTable", CountedTable)
+    responses.cache_clear()
     orders = [rng.permutation(len(patterns)) for _ in range(4)]  # more threads than cores
     labels = [[None] * len(patterns) for _ in orders]
 
@@ -578,49 +534,9 @@ def test_threads_predicting_on_a_cold_table_get_the_serial_labels(rng, monkeypat
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(got == serial for got in labels)
-    table = dynamics._TABLES[net.sim]
-    # built once, and its rows never moved
-    assert len(built) == 1 and built[0][0] is table and built[0][1] is table._rows
     times = np.unique(np.concatenate([p.times for p in patterns]))
-    assert table._count == times.size
-    assert table.matrix(times).tobytes() == direct_response(times, net.sim).tobytes()
-
-
-def test_shared_table_is_built_only_when_none_exists(monkeypatch):
-    """A thread that misses the table and waits for the lock while another
-    inserts one takes that table and builds none of its own."""
-    s = sim()
-    built = []
-
-    class CountedTable(ResponseTable):
-        def __init__(self, sim):
-            super().__init__(sim)
-            built.append(self)
-
-    class SignallingLock:
-        def __init__(self):
-            self.lock, self.waiting = threading.Lock(), threading.Event()
-
-        def __enter__(self):
-            self.waiting.set()
-            self.lock.acquire()
-
-        def __exit__(self, *exc):
-            self.lock.release()
-
-    lock = SignallingLock()
-    monkeypatch.setattr(dynamics, "ResponseTable", CountedTable)
-    monkeypatch.setattr(dynamics, "_TABLES", {})
-    monkeypatch.setattr(dynamics, "_TABLES_LOCK", lock)
-    got = []
-    with lock.lock:
-        worker = threading.Thread(target=lambda: got.append(dynamics._shared_table(s)))
-        worker.start()
-        assert lock.waiting.wait(timeout=60)  # it missed, and waits for the lock
-        inserted = dynamics._TABLES[s] = ResponseTable(s)
-    worker.join(timeout=60)
-    assert not worker.is_alive()
-    assert len(got) == 1 and got[0] is inserted and built == []
+    assert responses(net.sim)[np.rint(times / TIME_QUANTUM).astype(np.int64)].tobytes() == \
+        direct_response(times, net.sim).tobytes()
 
 
 def test_simulation_grid_endpoints():
@@ -635,6 +551,16 @@ def test_simulation_config_validation():
         SimulationConfig(tau=0.0)
     with pytest.raises(ConfigError):
         SimulationConfig(dt=-0.1)
+
+
+def test_grid_step_must_be_a_whole_number_of_ticks():
+    """0.043 / 0.001 is 42.99999999999999, and is still 43 ticks; a step
+    between ticks or below one tick would sample the potential off its grid."""
+    for dt in (0.01, 0.02, 0.043):
+        assert SimulationConfig(dt=dt).dt == dt
+    for dt in (0.0015, 1e-4, 0.0005):
+        with pytest.raises(ConfigError, match="dt must be a whole number"):
+            SimulationConfig(dt=dt)
 
 
 # --- network ------------------------------------------------------------------
@@ -1078,6 +1004,7 @@ def test_load_model_rejects_a_file_that_is_not_ascii_json(content, tmp_path):
     {"simulation": {"tau": math.inf}},
     {"simulation": {"dt": math.nan}},
     {"simulation": {"dt": math.inf}},
+    {"simulation": {"dt": 1e-4}},
     {"simulation": {"t_max": math.nan}},
     {"simulation": {"t_max": math.inf}},
     {"sigma": math.inf},
@@ -1087,8 +1014,8 @@ def test_load_model_rejects_a_file_that_is_not_ascii_json(content, tmp_path):
         "inf_overlap",
         "cutoff_one", "other_spike_interval", "empty_feature_range", "negative_inputs",
         "float_field_count", "float_input_count", "float_class_count", "nan_tau", "inf_tau",
-        "nan_dt", "inf_dt", "nan_t_max", "inf_t_max", "inf_sigma", "inf_sigma_no_neurons",
-        "nan_spike_interval"])
+        "nan_dt", "inf_dt", "off_tick_dt", "nan_t_max", "inf_t_max", "inf_sigma",
+        "inf_sigma_no_neurons", "nan_spike_interval"])
 def test_load_model_rejects_encoder_block_that_does_not_fit(changes, tmp_path):
     doc = json.loads((DATA / "model-v1.json").read_text())
     for key, value in changes.items():

@@ -2,7 +2,6 @@
 
 import json
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 
 from sefm.config import NetworkConfig
 from sefm.data import confusion_matrix
-from sefm.dynamics import (FILL_BLOCK, epsilon, load_model, model_to_json_bytes, race_blocks,
+from sefm.dynamics import (epsilon, load_model, model_to_json_bytes, race_blocks, responses,
                            save_model)
 from sefm.encoding import TIME_QUANTUM, SpikePattern, encode_dataset, fit_ranges
 from sefm.errors import ConfigError, InputError
@@ -30,8 +29,8 @@ from sefm.training import (
 )
 
 from conftest import all_terms, blobs_dataset, network_of, random_pattern, random_terms
-from oracles import (PatternMajorSampledWeights, crossings, evaluate_pattern, process_sample,
-                     race_end, sampled_weights_per_term)
+from oracles import (PatternMajorSampledWeights, crossings, direct_response, evaluate_pattern,
+                     process_sample, race_end, sampled_weights_per_term)
 
 
 CFG = NetworkConfig(sigma=0.5)
@@ -225,36 +224,17 @@ def test_train_rejects_a_spike_after_t_max(rng):
 
 
 def test_training_table_holds_one_row_per_distinct_tick(rng):
-    """The fit's table is exact-size, and each pattern's rows read its
-    spikes' responses bit for bit."""
+    """The table training reads, ``dynamics.responses``, holds one row per
+    spike tick; the state keeps each pattern's ticks, and their rows read
+    the pattern's responses bit for bit."""
     patterns, _ = encoded_blobs(rng)
     net = build_network(CFG, class_count=3, input_count=patterns[0].neuron_count)
     state = training.TrainingState(net, patterns, CFG)
-    grid = net.sim.grid()
-    ticks = np.unique(np.rint(np.concatenate([p.times for p in patterns]) / TIME_QUANTUM))
-    assert state.table.shape == (ticks.size, grid.size)
-    for pattern, rows in zip(patterns, state.rows):
-        direct = epsilon(grid[None, :] - pattern.times[:, None], net.sim.tau)
-        assert state.table[rows].tobytes() == direct.tobytes()
-
-
-def test_training_table_peaks_at_most_two_blocks_above_its_rows(rng):
-    """2,000 distinct spike ticks (7.8 fill blocks) are written straight
-    into the fit's exact-size table, with no full-size temporary."""
-    ticks = rng.choice(round(CFG.t_max / TIME_QUANTUM) + 1, size=2000, replace=False)
-    patterns = [SpikePattern(neuron_count=4, neuron_ids=np.arange(4), times=part * TIME_QUANTUM)
-                for part in ticks.reshape(-1, 4)]
-    net = build_network(CFG, class_count=2, input_count=4)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        state = training.TrainingState(net, patterns, CFG)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert state.table.shape[0] == ticks.size
-    block = FILL_BLOCK * net.sim.grid().size * state.table.itemsize
-    assert peak - start <= state.table.nbytes + 2 * block
+    assert len(state.ticks) == len(patterns)
+    for pattern, ticks in zip(patterns, state.ticks):
+        assert ticks.tolist() == np.rint(pattern.times / TIME_QUANTUM).astype(int).tolist()
+        assert responses(net.sim)[ticks].tobytes() == \
+            direct_response(pattern.times, net.sim).tobytes()
 
 
 def test_train_and_predict_reject_a_pattern_of_another_width(rng):
@@ -575,8 +555,7 @@ def one_at_a_time(net, pattern):
     live = [j for j, neuron in enumerate(net.neurons) if neuron is not None]
     weights = np.array([net.neurons[j].sample_weights(pattern.neuron_ids, pattern.times)
                         for j in live]).reshape(len(live), pattern.spike_count)
-    grid = net.sim.grid()
-    v = weights @ epsilon(grid[None, :] - pattern.times[:, None], net.sim.tau)
+    v = weights @ direct_response(pattern.times, net.sim)
     fire, peaks = [math.nan] * count, [-math.inf] * count
     for j, row in zip(live, v.tolist()):
         peaks[j] = max(row)
