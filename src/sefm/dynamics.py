@@ -26,6 +26,15 @@ from .errors import ConfigError, InputError
 
 MODEL_FORMAT = "sefm-model/1"
 
+# The size limits of a model, checked where SimulationConfig and Network are
+# built, before anything is allocated for them: a ConfigError from a config,
+# an InputError from a checkpoint.  Every sampled weight column holds
+# class_count * input_count float64 cells (8 MiB at MAX_CELLS), and
+# ``responses`` computes one kernel row of ``SimulationConfig.kernel_row()``
+# float64 values (32 MiB at MAX_KERNEL_ROW; 16,001 on the default grid).
+MAX_CELLS = 2**20
+MAX_KERNEL_ROW = 2**22
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -34,7 +43,7 @@ class SimulationConfig:
     tau is the spike-response time constant (ms), t_max the end of the
     postsynaptic interval (ms), dt the threshold-search grid step (ms), a
     whole number of TIME_QUANTUM ticks.  Every bad field is named in one
-    ConfigError.
+    ConfigError, and so is a kernel row longer than MAX_KERNEL_ROW.
     """
 
     tau: float = 3.0
@@ -49,6 +58,11 @@ class SimulationConfig:
         # under half a tick rounds to 0, which no positive step is close to
         if 0 < ticks < np.inf and not math.isclose(ticks, round(ticks), rel_tol=1e-9):
             bad.append(f"dt must be a whole number of {TIME_QUANTUM} ms ticks")
+        # compared as floats first, so that no tick count overflows
+        elif not bad and (max(self.t_max, self.dt) / TIME_QUANTUM > MAX_KERNEL_ROW
+                          or self.kernel_row() > MAX_KERNEL_ROW):
+            bad.append(f"t_max and dt need a kernel row of at most MAX_KERNEL_ROW = "
+                       f"{MAX_KERNEL_ROW:,} values")
         if bad:
             raise ConfigError("; ".join(bad))
 
@@ -56,6 +70,12 @@ class SimulationConfig:
         """Search grid {0, dt, 2dt, ..., t_max}."""
         n = int(round(self.t_max / self.dt))
         return np.arange(n + 1, dtype=np.float64) * self.dt
+
+    def kernel_row(self) -> int:
+        """Values in the kernel row of ``responses``: (columns - 1) * R + K + 1
+        for a grid of ``columns`` times, dt of R ticks and t_max of K ticks."""
+        return (round(self.t_max / self.dt) * round(self.dt / TIME_QUANTUM)
+                + round(self.t_max / TIME_QUANTUM) + 1)
 
 
 def epsilon(t, tau: float):
@@ -178,15 +198,6 @@ def _merged(old: np.ndarray, kept: np.ndarray, dest: np.ndarray,
     return out
 
 
-def spike_ticks(times: np.ndarray, sim: SimulationConfig) -> np.ndarray:
-    """TIME_QUANTUM tick of each spike time (ms, on the tick grid, at least
-    0); a spike after ``sim.t_max`` raises InputError."""
-    ticks = np.rint(np.asarray(times, dtype=np.float64) / TIME_QUANTUM)
-    if ticks.size and ticks.max() > round(sim.t_max / TIME_QUANTUM):
-        raise InputError(f"a spike time exceeds t_max = {sim.t_max} ms")
-    return ticks.astype(np.int64)
-
-
 @functools.cache
 def responses(sim: SimulationConfig) -> np.ndarray:
     """Kernel response of a spike on each tick 0..K of [0, t_max] at each
@@ -201,20 +212,20 @@ def responses(sim: SimulationConfig) -> np.ndarray:
     """
     last, step = round(sim.t_max / TIME_QUANTUM), round(sim.dt / TIME_QUANTUM)
     columns = sim.grid().size
-    row = _epsilon_consuming(
-        (np.arange((columns - 1) * step + last + 1) - last) * TIME_QUANTUM, sim.tau)
+    row = _epsilon_consuming((np.arange(sim.kernel_row()) - last) * TIME_QUANTUM, sim.tau)
     row.flags.writeable = False
     return as_strided(row[last:], shape=(last + 1, columns),
                       strides=(-row.itemsize, step * row.itemsize), writeable=False)
 
 
-def response_matrix(pattern: SpikePattern, sim: SimulationConfig, lo: int = 0,
-                    hi: Optional[int] = None) -> np.ndarray:
-    """Kernel response of each spike at each grid time: (spikes, grid), or
-    only grid columns lo..hi-1, gathered from ``responses(sim)``; a spike
-    after ``sim.t_max`` raises InputError.
+def response_matrix(pattern: SpikePattern, sim: SimulationConfig, lo: int,
+                    hi: int) -> np.ndarray:
+    """Kernel response of each spike at grid columns lo..hi-1: (spikes,
+    hi - lo), the rows of the pattern's ticks in ``responses(sim)``, which
+    training and ``predict`` both read this way.  ``learning.SampledWeights``
+    has rejected any spike after ``sim.t_max``.
     """
-    return responses(sim)[spike_ticks(pattern.times, sim), lo:hi]
+    return responses(sim)[pattern.ticks, lo:hi]
 
 
 # Cells of each temporary of a ``Network.sample`` block: 2.6 MB of float64,
@@ -270,8 +281,10 @@ class Network:
             raise ConfigError("class_count must be >= 1")
         if input_count < 1:
             raise ConfigError("input_count must be >= 1")
-        if class_count * input_count >= 2**31:
-            raise ConfigError("class_count * input_count must stay below 2**31")
+        # MAX_CELLS also keeps a term key's class * input_count + input in 31 bits
+        if class_count * input_count > MAX_CELLS:
+            raise ConfigError(f"class_count * input_count must stay within "
+                              f"MAX_CELLS = {MAX_CELLS:,}")
         if not 0 < sigma < np.inf:
             raise ConfigError("sigma must be positive and finite")
         if not 0 < spike_interval < sim.t_max:
@@ -398,18 +411,19 @@ class Network:
         return out.reshape(self.class_count, self.input_count, cols)
 
     def evaluate_pattern(self, weights: np.ndarray,
-                         responses: Callable[[int, int], np.ndarray], live: list[int],
-                         thresholds: np.ndarray, label: Optional[int] = None,
+                         responses: Callable[[int, int], np.ndarray],
+                         label: Optional[int] = None,
                          margin: float = 0.0) -> tuple[dict[int, float], int]:
         """The activity kernel of training and ``predict``: one pattern's fire
         times and winning class.
 
-        ``weights`` are the (live, spikes) weights of the ``live`` classes,
-        ``responses(lo, hi)`` the (spikes, hi - lo) responses at grid columns
-        lo..hi-1.  A neuron fires at the first grid index where its potential
-        reaches its threshold, times dt.  The earliest firing class wins,
-        ties going to the lowest; if none fires, the highest peak does, and
-        with no live class, class 0.
+        ``weights`` are the pattern's (classes, spikes) weights, of which
+        the initialized (live) classes race, each against its threshold;
+        ``responses(lo, hi)`` are the (spikes, hi - lo) responses at grid
+        columns lo..hi-1.  A neuron fires at the first grid index where its
+        potential reaches its threshold, times dt.  The earliest firing
+        class wins, ties going to the lowest; if none fires, the highest
+        peak does, and with no live class, class 0.
 
         The potential is computed in the ``race_blocks`` of the grid, in
         time order, and the race stops once its answer is fixed: after the
@@ -420,8 +434,12 @@ class Network:
         every block.  Returns the fire time, in class order, of each class
         that fires in the blocks computed, and the winner.
         """
+        live = self.initialized.nonzero()[0].tolist()
         if not live:
             return {}, 0
+        thresholds = self.thresholds
+        if len(live) < self.class_count:  # no copy when every class is live
+            weights, thresholds = weights[live], thresholds[live]
         dt = self.sim.dt
         bars = thresholds.tolist()
         first: list[Optional[int]] = [None] * len(live)

@@ -9,7 +9,7 @@ F-feature problem becomes F*M input neurons each firing at most once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -92,18 +92,20 @@ class EncoderConfig:
 
 def _snap(ts: np.ndarray) -> np.ndarray:
     """Snap float64 spike times in place to the TIME_QUANTUM grid and make
-    them read-only.
+    them read-only; returns the read-only int64 tick of each.
 
-    A NaN, infinite or negative time raises InputError, and so does a time
-    too large to count in ticks.
+    A NaN, infinite or negative time raises InputError, and so does one of
+    2**62 ticks or more, which an int64 tick could not hold with room to spare.
     """
-    if ts.size and not (ts.min() >= 0.0 and float(ts.max()) / TIME_QUANTUM < np.inf):
-        raise InputError("spike times must be finite and non-negative")
+    if ts.size and not (ts.min() >= 0.0 and float(ts.max()) / TIME_QUANTUM < 2.0**62):
+        raise InputError("spike times must be finite and non-negative, and below 2**62 ticks")
     ts /= TIME_QUANTUM
     np.rint(ts, out=ts)
+    ticks = ts.astype(np.int64)
     ts *= TIME_QUANTUM
     ts.setflags(write=False)
-    return ts
+    ticks.setflags(write=False)
+    return ticks
 
 
 @dataclass(frozen=True)
@@ -112,13 +114,14 @@ class SpikePattern:
 
     ``neuron_ids[k]`` fires at ``times[k]``, ids ascending.  Each input
     neuron fires at most once (the encoder never emits a second spike).
-    Times are snapped to the TIME_QUANTUM grid; a NaN, infinite or
-    negative time raises InputError.
+    Times are snapped to the TIME_QUANTUM grid, ``ticks`` holding the int64
+    tick of each; a time ``_snap`` rejects raises InputError.
     """
 
     neuron_count: int
     neuron_ids: np.ndarray
     times: np.ndarray
+    ticks: np.ndarray = field(init=False)
 
     def __post_init__(self):
         ids = np.asarray(self.neuron_ids, dtype=np.int64)
@@ -134,16 +137,20 @@ class SpikePattern:
             raise InputError("a neuron id repeats; each input neuron fires at most once")
         ids.setflags(write=False)
         object.__setattr__(self, "neuron_ids", ids)
-        object.__setattr__(self, "times", _snap(ts))  # ts[order] is a copy
+        object.__setattr__(self, "ticks", _snap(ts))  # ts[order] is a copy
+        object.__setattr__(self, "times", ts)
 
     @classmethod
-    def _trusted(cls, neuron_count: int, ids: np.ndarray, times: np.ndarray) -> SpikePattern:
+    def _trusted(cls, neuron_count: int, ids: np.ndarray, times: np.ndarray,
+                 ticks: np.ndarray) -> SpikePattern:
         """A pattern from read-only ids that are ascending, distinct and in
-        range, and read-only times from ``_snap``; nothing is checked again."""
+        range, and read-only times and ticks from ``_snap``; nothing is
+        checked again."""
         pattern = object.__new__(cls)
         object.__setattr__(pattern, "neuron_count", neuron_count)
         object.__setattr__(pattern, "neuron_ids", ids)
         object.__setattr__(pattern, "times", times)
+        object.__setattr__(pattern, "ticks", ticks)
         return pattern
 
     @property
@@ -208,8 +215,8 @@ def encode_dataset(features_matrix, cfg: EncoderConfig) -> list[SpikePattern]:
     All (row, feature, field) responses come from one broadcast, and the
     fired times of all rows are checked and snapped in one pass.  A NaN
     feature leaves its fields silent, and an infinite one responds 0.  Each
-    pattern's ids and times are read-only slices of one flat pair shared by
-    the batch.
+    pattern's ids, times and ticks are read-only slices of one flat triple
+    shared by the batch.
     """
     x = np.asarray(features_matrix, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != cfg.feature_count:
@@ -225,11 +232,11 @@ def encode_dataset(features_matrix, cfg: EncoderConfig) -> list[SpikePattern]:
     times = resp[fired]  # T (1 - r) in place: no second (spikes,) temporary
     np.subtract(1.0, times, out=times)
     times *= cfg.spike_interval
-    _snap(times)
+    ticks = _snap(times)
     ids = np.flatnonzero(fired)
     ids %= n  # ascending within a row
     ids.setflags(write=False)
     ends = fired.sum(axis=1).cumsum().tolist()
-    return [SpikePattern._trusted(n, ids[a:b], times[a:b])
+    return [SpikePattern._trusted(n, ids[a:b], times[a:b], ticks[a:b])
             for a, b in zip([0, *ends], ends)]
 

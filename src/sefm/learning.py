@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Network, OutputNeuron, SimulationConfig, efficacy, epsilon
-from .encoding import SpikePattern
+from .encoding import TIME_QUANTUM, SpikePattern
 from .errors import InputError, SefmError
 
 
@@ -42,14 +42,18 @@ class SampledWeights:
     input-major, so a term added through ``add`` changes only the
     contiguous row ``values[c, i]``.  Every class is sampled in one pass
     (``Network.sample``).  A pattern of another width than the network's
-    input count raises InputError before anything is allocated.
+    input count, or with a spike after its ``t_max``, raises InputError
+    before anything is allocated.
     """
 
     def __init__(self, patterns: list[SpikePattern], net: Network):
+        last = round(net.sim.t_max / TIME_QUANTUM)
         for pattern in patterns:
             if pattern.neuron_count != net.input_count:
                 raise InputError(f"a pattern has {pattern.neuron_count} input neurons; "
                                  f"the network has {net.input_count}")
+            if pattern.ticks.max(initial=0) > last:
+                raise InputError(f"a spike time exceeds t_max = {net.sim.t_max} ms")
         self.sigma = net.sigma
         self.spike_times = np.full((net.input_count, len(patterns)), np.nan)
         for p, pattern in enumerate(patterns):

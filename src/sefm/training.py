@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import NetworkConfig
-from .dynamics import Network, OutputNeuron, response_matrix, responses, spike_ticks
+from .dynamics import Network, OutputNeuron, response_matrix
 from .encoding import SpikePattern
 from .errors import ConfigError, InputError
 from . import learning
@@ -86,16 +86,12 @@ class SampleResult:
 
 
 class TrainingState:
-    """The network, each pattern's spike ticks (its rows of
-    ``dynamics.responses``) and the SampledWeights of the patterns under
-    the network."""
+    """The network, the patterns and their SampledWeights under the network."""
 
     def __init__(self, net: Network, patterns: list[SpikePattern], cfg: NetworkConfig):
         self.net = net
         self.patterns = patterns
         self.cfg = cfg
-        self.ticks = np.split(spike_ticks(np.concatenate([p.times for p in patterns]), net.sim),
-                              np.cumsum([p.spike_count for p in patterns])[:-1])
         self.sampled = learning.SampledWeights(patterns, net)
         self.deadline = on_time_deadline(cfg.desired_time, cfg.deadline_rate, cfg.spike_interval)
         self.margin = margin_window(cfg.desired_time, cfg.margin_rate, cfg.spike_interval)
@@ -105,9 +101,9 @@ def process_sample(state: TrainingState, s: int, label: int) -> SampleResult:
     """Present training pattern ``s`` of class ``label`` once, mutating the network.
 
     ``Network.evaluate_pattern`` races the initialized neurons on the
-    pattern's cached weights and responses, up to the label's fire time
-    plus the margin; what is left here is the margin test and the
-    correction targets, on Python floats.
+    pattern's cached weights and its ``response_matrix`` blocks, up to the
+    label's fire time plus the margin; what is left here is the margin test
+    and the correction targets, on Python floats.
     """
     pattern = state.patterns[s]
     if pattern.spike_count == 0:
@@ -124,13 +120,11 @@ def process_sample(state: TrainingState, s: int, label: int) -> SampleResult:
 
     live, t_max = net.initialized.nonzero()[0].tolist(), sim.t_max
     weights = sampled.values[:, pattern.neuron_ids, s]
-    every = len(live) == net.class_count
-    ticks, view = state.ticks[s], responses(sim)
     # a rival firing ``margin`` or more after the label fails the margin
     # test below whatever its time, so the race stops short of it
     fired, predicted = net.evaluate_pattern(
-        weights if every else weights[live], lambda lo, hi: view[ticks, lo:hi], live,
-        net.thresholds if every else net.thresholds[live], label=label, margin=state.margin)
+        weights, lambda lo, hi: response_matrix(pattern, sim, lo, hi), label=label,
+        margin=state.margin)
 
     # the margin is held from the correct neuron's time, or from its
     # target when it fires late; rivals inside the margin are pushed past it
@@ -263,25 +257,20 @@ def predict(net: Network, patterns: list[SpikePattern]) -> np.ndarray:
     earliest-firing class, else the highest peak, ties to the lowest class.
 
     Patterns go ``predict_chunk(net)`` at a time: one ``SampledWeights`` for
-    the chunk, then one kernel call per pattern on its (live, spikes)
-    weights, read as ``process_sample`` reads them, and the responses of
-    each block of grid columns the race reaches, so each label equals
-    one-at-a-time evaluation bit for bit.
+    the chunk, then one kernel call per pattern on its (classes, spikes)
+    weights and the ``response_matrix`` of each block of grid columns the
+    race reaches, both read as ``process_sample`` reads them, so each label
+    equals one-at-a-time evaluation bit for bit.
     """
-    live = net.initialized.nonzero()[0].tolist()
-    every = len(live) == net.class_count
-    thresholds = net.thresholds if every else net.thresholds[live]
     labels = np.zeros(len(patterns), dtype=np.int64)
     size = predict_chunk(net)
     for start in range(0, len(patterns), size):
         chunk = patterns[start:start + size]
         values = learning.SampledWeights(chunk, net).values
-        if not every:
-            values = values[live]
         for r, pattern in enumerate(chunk):
             labels[start + r] = net.evaluate_pattern(
                 values[:, pattern.neuron_ids, r],
-                lambda lo, hi: response_matrix(pattern, net.sim, lo, hi), live, thresholds)[1]
+                lambda lo, hi: response_matrix(pattern, net.sim, lo, hi))[1]
     return labels
 
 

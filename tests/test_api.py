@@ -53,6 +53,28 @@ def test_package_ships_no_test_only_function():
     assert not unused, "only tests reach: " + ", ".join(unused)
 
 
+def test_every_import_is_read_in_its_module():
+    """Each name a module of the package imports is read in that module, so
+    a refactor leaves no dead import behind, and no name that perfbench
+    hooks (such as ``sefm.training.response_matrix``) survives only as one.
+    ``from __future__`` imports and the names ``__init__`` re-exports in
+    ``__all__`` are exempt."""
+    unused = []
+    for path in sorted(Path(sefm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and not (path.stem == "__init__" and name in sefm.__all__):
+                    unused.append(f"{path.stem}.{name}")
+    assert not unused, "imported and never read: " + ", ".join(unused)
+
+
 def test_perfbench_hook_targets_resolve(monkeypatch):
     """Every module attribute perfbench/spans.py wraps still exists, so a
     traced benchmark run times every layer instead of counting hooks absent."""

@@ -13,7 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sefm.config import NetworkConfig
 from sefm.dynamics import (
+    MAX_CELLS,
+    MAX_KERNEL_ROW,
     RACE_BLOCK,
     Network,
     SimulationConfig,
@@ -30,7 +33,7 @@ from sefm.dynamics import (
 )
 from sefm.encoding import TIME_QUANTUM, SpikePattern, fit_ranges
 from sefm.errors import ConfigError, InputError
-from sefm.training import predict_chunk
+from sefm.training import predict, predict_chunk, train
 
 from conftest import (all_terms, network_of, random_neuron, random_pattern, random_terms,
                       scalar_weight, terms_of)
@@ -456,14 +459,19 @@ def test_fire_time_monotone_in_threshold(rng):
 
 
 def test_response_matrix_shape_and_content(rng):
+    """The rows of the pattern's ticks, over the columns asked for: the
+    whole grid, or one race block, bit for bit as the tick oracle has them."""
     s = sim()
-    pattern = random_pattern(rng, neuron_count=6, max_spikes=5)
-    m = response_matrix(pattern, s)
     grid = s.grid()
-    assert m.shape == (pattern.spike_count, grid.size)
-    if pattern.spike_count:
-        k = pattern.spike_count - 1
-        assert m[k, -1] == pytest.approx(float(epsilon(grid[-1] - pattern.times[k], s.tau)))
+    for _ in range(5):
+        pattern = random_pattern(rng, neuron_count=6, max_spikes=5)
+        m = response_matrix(pattern, s, 0, grid.size)
+        assert m.shape == (pattern.spike_count, grid.size)
+        assert m.tobytes() == direct_response(pattern.times, s).tobytes()
+        assert response_matrix(pattern, s, 256, 512).tobytes() == m[:, 256:512].tobytes()
+        if pattern.spike_count:
+            k = pattern.spike_count - 1
+            assert m[k, -1] == pytest.approx(float(epsilon(grid[-1] - pattern.times[k], s.tau)))
 
 
 @pytest.mark.parametrize("s", [
@@ -499,13 +507,25 @@ def test_responses_view_and_its_base_are_read_only():
             array[0] = 1.0
 
 
-def test_response_matrix_rejects_a_spike_after_t_max():
+def test_response_matrix_rejects_a_spike_after_t_max(rng):
+    """A pattern with a spike after t_max, whose tick has no row in the
+    responses, is rejected with an InputError naming t_max by ``predict``
+    and ``train``, where ``SampledWeights`` meets the network, before any
+    weight is sampled.  A spike at exactly t_max reads the last row."""
     s = sim()
+    net = network_of(2, [random_terms(rng, 2), random_terms(rng, 2)], 0.5, s)
     late = SpikePattern(neuron_count=2, neuron_ids=[0, 1], times=[1.0, s.t_max + 0.5])
+    at_end = SpikePattern(neuron_count=2, neuron_ids=[0], times=[s.t_max])
+    net.sample = lambda spike_times: pytest.fail("sampled a pattern after t_max")
     with pytest.raises(InputError, match="t_max"):
-        response_matrix(late, s)
-    at_end = SpikePattern(neuron_count=1, neuron_ids=[0], times=[s.t_max])
-    assert response_matrix(at_end, s).tobytes() == direct_response([s.t_max], s).tobytes()
+        predict(net, [at_end, late])
+    del net.sample
+    with pytest.raises(InputError, match="t_max"):
+        train([at_end, late], np.array([0, 1]), NetworkConfig(), class_count=2)
+    assert at_end.ticks.tolist() == [round(s.t_max / TIME_QUANTUM)]
+    assert response_matrix(at_end, s, 0, s.grid().size).tobytes() == \
+        direct_response([s.t_max], s).tobytes()
+    assert predict(net, [at_end]).shape == (1,)
 
 
 def test_threads_predicting_on_a_cold_table_get_the_serial_labels(rng):
@@ -581,12 +601,16 @@ def test_network_validation():
 
 
 def test_network_rejects_counts_its_term_keys_cannot_hold():
-    """A key holds class * input_count + input in 31 bits, so the product of
-    the counts must stay below 2**31; the check comes before any array."""
-    for classes, inputs in ((2**62, 1), (1, 2**62), (2**16, 2**15)):
-        with pytest.raises(ConfigError, match="2\\*\\*31"):
+    """A key holds class * input_count + input in 31 bits, and every sampled
+    column costs 8 bytes per (class, input) cell, so the product of the
+    counts must stay within MAX_CELLS, far below 2**31; the check comes
+    before any array."""
+    assert MAX_CELLS < 2**31
+    for classes, inputs in ((2**62, 1), (1, 2**62), (2**16, 2**15), (2, MAX_CELLS // 2 + 1)):
+        with pytest.raises(ConfigError, match=f"MAX_CELLS = {MAX_CELLS:,}"):
             Network(classes, inputs, 1.0, sim(), spike_interval=3.0)
-    assert Network(1, 2**31 - 1, 1.0, sim(), spike_interval=3.0).keys.size == 0
+    assert Network(1, MAX_CELLS, 1.0, sim(), spike_interval=3.0).keys.size == 0
+    assert Network(2, MAX_CELLS // 2, 1.0, sim(), spike_interval=3.0).keys.size == 0
 
 
 def test_evaluate_pattern_agrees_with_fire_time(rng):
@@ -628,22 +652,23 @@ def test_evaluate_pattern_kernel_matches_crossings(rng):
     bit for bit; it computes the ``race_blocks`` in time order and stops at
     ``race_end``: after the first block with a crossing (no label), or once
     the blocks reach the label's crossing plus the margin and one grid step."""
+    # class 1, uninitialized between two live classes, has a weight row the
+    # kernel must leave out of the race
     net = make_network(rng, uninitialized=(1,))
     live = np.flatnonzero(net.initialized).tolist()
-    thresholds = net.thresholds[live]
-    assert live == [0, 2] and thresholds.tolist() == [net.neurons[0].threshold,
-                                                      net.neurons[2].threshold]
-    dt, margin = net.sim.dt, 0.3
+    assert live == [0, 2]
+    dt, margin, columns = net.sim.dt, 0.3, net.sim.grid().size
     fired_any, ends = [], set()
     for _ in range(60):
         pattern = random_pattern(rng, neuron_count=net.input_count, max_spikes=6)
-        weights = sample_weights(net, pattern)[live]
+        weights = sample_weights(net, pattern)
+        weights[1] = 10.0  # would fire at once if it raced
         activity = evaluate_pattern(net, pattern)
         for label in [None, *live]:
             asked = []
             fired, winner = net.evaluate_pattern(
-                weights, blocks_of(response_matrix(pattern, net.sim), asked), live,
-                thresholds, label=label, margin=margin)
+                weights, blocks_of(response_matrix(pattern, net.sim, 0, columns), asked),
+                label=label, margin=margin)
             end = race_end(net, activity.fire_times, label, margin)
             assert asked == [b for b in race_blocks(net.sim) if b[0] < end]
             assert list(fired.items()) == [
@@ -658,29 +683,31 @@ def test_evaluate_pattern_kernel_matches_crossings(rng):
 
 
 def test_evaluate_pattern_kernel_breaks_ties_toward_the_lowest_live_class():
-    """Live classes [0, 2]: a shared crossing index and equal silent peaks both
-    go to class 0, class ids, not live positions, name the winner, and with
-    no live class the answer is class 0, with no product at all."""
+    """Live classes [0, 2], read from the network: a shared crossing index
+    and equal silent peaks both go to class 0, class ids, not live
+    positions, name the winner, class 1's weights and threshold never race,
+    and with no live class the answer is class 0, with no product at all."""
     net = Network(3, 1, 1.0, SimulationConfig(t_max=0.02), spike_interval=0.01)
-    live = [0, 2]
+    net.initialized[:] = [True, False, True]
     eps_matrix = np.array([[0.0, 0.5, 1.0]])
     assert race_blocks(net.sim) == ((0, 3),)
     responses = blocks_of(eps_matrix, [])
     dt = net.sim.dt
-    same = np.array([[1.0], [1.0]])
-    assert net.evaluate_pattern(same, responses, live, np.array([0.5, 0.5])) == (
-        {0: dt, 2: dt}, 0)
-    assert net.evaluate_pattern(same, responses, live, np.array([2.0, 2.0])) == ({}, 0)
-    assert net.evaluate_pattern(same, responses, live, np.array([0.9, 0.5])) == (
-        {0: 2 * dt, 2: dt}, 2)
+
+    def race(weights, thresholds):
+        net.thresholds[:] = thresholds
+        return net.evaluate_pattern(np.array(weights)[:, None], responses)
+    # class 1 would cross first and peak highest if it raced
+    same = [1.0, 3.0, 1.0]
+    assert race(same, [0.5, 0.0, 0.5]) == ({0: dt, 2: dt}, 0)
+    assert race(same, [2.0, 0.0, 2.0]) == ({}, 0)
+    assert race(same, [0.9, 0.0, 0.5]) == ({0: 2 * dt, 2: dt}, 2)
     # a threshold the resting potential already meets fires at index 0
-    assert net.evaluate_pattern(same, responses, live, np.array([0.9, 0.0])) == (
-        {0: 2 * dt, 2: 0.0}, 2)
-    assert net.evaluate_pattern(np.array([[1.0], [1.5]]), responses, live,
-                                np.array([2.0, 2.0])) == ({}, 2)
+    assert race(same, [0.9, 0.0, 0.0]) == ({0: 2 * dt, 2: 0.0}, 2)
+    assert race([1.0, 3.0, 1.5], [2.0, 0.0, 2.0]) == ({}, 2)
     asked = []
-    assert net.evaluate_pattern(np.zeros((0, 1)), blocks_of(eps_matrix, asked), [],
-                                np.zeros(0)) == ({}, 0)
+    net.initialized[:] = False
+    assert net.evaluate_pattern(np.zeros((3, 1)), blocks_of(eps_matrix, asked)) == ({}, 0)
     assert asked == []
 
 
@@ -765,15 +792,14 @@ live = np.flatnonzero(net.initialized).tolist()
 checked, disagree, differ, ends = 0, 0, 0, set()
 for _ in range(200):
     pattern = random_pattern(rng, neuron_count=16, max_spikes=16)
-    weights = sample_weights(net, pattern)[live]
-    eps_matrix = response_matrix(pattern, net.sim)
+    weights = sample_weights(net, pattern)
+    eps_matrix = response_matrix(pattern, net.sim, 0, net.sim.grid().size)
     activity = evaluate_pattern(net, pattern, eps_matrix=eps_matrix)
-    blocked = [weights @ eps_matrix[:, lo:hi].copy() for lo, hi in race_blocks(net.sim)]
-    differ += np.hstack(blocked).tobytes() != (weights @ eps_matrix).tobytes()
+    blocked = [weights[live] @ eps_matrix[:, lo:hi].copy() for lo, hi in race_blocks(net.sim)]
+    differ += np.hstack(blocked).tobytes() != (weights[live] @ eps_matrix).tobytes()
     for label in [None, *live]:
         fired, winner = net.evaluate_pattern(
-            weights, lambda lo, hi: eps_matrix[:, lo:hi].copy(), live, net.thresholds[live],
-            label=label, margin=0.3)
+            weights, lambda lo, hi: eps_matrix[:, lo:hi].copy(), label=label, margin=0.3)
         end = race_end(net, activity.fire_times, label, 0.3)
         expected = [(j, t) for j, t in enumerate(activity.fire_times.tolist())
                     if not math.isnan(t) and round(t / net.sim.dt) < end]
@@ -822,7 +848,8 @@ def test_evaluate_pattern_given_weights_match_fresh(rng):
         pattern = random_pattern(rng, neuron_count=net.input_count, max_spikes=6)
         plain = evaluate_pattern(net, pattern)
         given = evaluate_pattern(net, pattern, sample_weights(net, pattern),
-                                 eps_matrix=response_matrix(pattern, net.sim))
+                                 eps_matrix=response_matrix(pattern, net.sim, 0,
+                                                            net.sim.grid().size))
         assert np.array_equal(plain.peaks, given.peaks, equal_nan=True)
         assert np.array_equal(plain.fire_times, given.fire_times, equal_nan=True)
 
@@ -1027,3 +1054,108 @@ def test_load_model_rejects_encoder_block_that_does_not_fit(changes, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(InputError):
         load_model(path)
+
+
+# Run by test_sizes_read_from_a_file_are_bounded_before_any_allocation in a
+# child process whose address space is capped at argv[1] MiB, so that a size
+# check that goes missing ends in a quick MemoryError: each checkpoint is
+# loaded and one row predicted, and a config is handed to `sefm train`.
+_LIMITS_CHILD = r"""
+import contextlib, io, json, resource, sys, tempfile
+from pathlib import Path
+
+cap = int(sys.argv[1]) << 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from sefm import cli
+from sefm.dynamics import MAX_CELLS, load_model
+from sefm.encoding import SpikePattern
+from sefm.errors import InputError
+from sefm.training import predict
+
+LIVE = [{"class_label": 0, "threshold": 0.5, "synapses": [[[1.0, 0.8]]]}]
+
+
+def checkpoint(classes, inputs, t_max=8.0, neurons=None):
+    return {"format": "sefm-model/1", "sigma": 1.0, "spike_interval": 3.0,
+            "simulation": {"tau": 3.0, "t_max": t_max, "dt": 0.01},
+            "input_count": inputs, "class_count": classes,
+            "neurons": neurons or [None] * classes, "encoder": None}
+
+
+CASES = {"cells_over": (checkpoint(2**15, 2**15), 2**15),
+         "cells_at": (checkpoint(1, MAX_CELLS), MAX_CELLS),
+         "row_over": (checkpoint(1, 1, t_max=1e7, neurons=LIVE), 1),
+         "row_at": (checkpoint(1, 1, t_max=2097.0, neurons=LIVE), 1)}
+out = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for name, (doc, width) in CASES.items():
+        path = Path(tmp) / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        out[name + "_bytes"] = path.stat().st_size
+        try:
+            net, _ = load_model(path)
+            out[name] = predict(net, [SpikePattern(width, [0], [1.0])]).tolist()
+        except (InputError, MemoryError) as exc:
+            out[name] = f"{type(exc).__name__}: {exc}"
+    config = Path(tmp) / "config.json"
+    config.write_text(json.dumps({"t_max": 1e7}))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = cli.main(["train", "--dataset", "iris", "--config", str(config),
+                         "--output-dir", tmp])
+    out["config"] = [code, stderr.getvalue()]
+print(json.dumps(out))
+"""
+
+
+def test_sizes_read_from_a_file_are_bounded_before_any_allocation():
+    """A 196 KB checkpoint that declares 2**15 classes and 2**15 inputs,
+    every neuron null, once loaded and asked for one row, took 8 GiB
+    for one sampled column; one whose t_max is 1e7 ms would compute a
+    kernel row of 2e10 values.  Both now raise InputError naming the limit
+    they exceed, and a config with that t_max exits 2 naming it, all
+    under a 1 GiB address space.  A model at each limit loads and predicts
+    within it."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _LIMITS_CHILD, "1024"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["cells_over_bytes"] < 200_000
+    assert out["cells_over"].startswith("InputError") and \
+        f"MAX_CELLS = {MAX_CELLS:,}" in out["cells_over"], out["cells_over"]
+    assert out["row_over"].startswith("InputError") and \
+        f"MAX_KERNEL_ROW = {MAX_KERNEL_ROW:,}" in out["row_over"], out["row_over"]
+    assert out["cells_at"] == out["row_at"] == [0]
+    code, stderr = out["config"]
+    assert code == 2 and f"MAX_KERNEL_ROW = {MAX_KERNEL_ROW:,}" in stderr, stderr
+    assert SimulationConfig(t_max=2097.0).kernel_row() <= MAX_KERNEL_ROW
+
+
+@pytest.mark.parametrize("s", [SimulationConfig(), SimulationConfig(t_max=0.02),
+                               SimulationConfig(tau=0.3, t_max=0.5), SimulationConfig(dt=0.02),
+                               SimulationConfig(dt=10.0)],
+                         ids=["default", "t_max-0.02", "tau-0.3-t_max-0.5", "dt-0.02", "dt-10"])
+def test_kernel_row_is_the_length_of_the_responses_base(s):
+    """``kernel_row`` counts exactly the values ``responses`` computes."""
+    base = responses(s)
+    while base.base is not None:
+        base = base.base
+    assert base.size == s.kernel_row()
+
+
+def test_kernel_row_limit_is_checked_without_overflow():
+    """A t_max or dt so large that its tick count overflows a float, or
+    whose row is one value over the limit, is a ConfigError naming
+    MAX_KERNEL_ROW; the largest t_max under it is not."""
+    for kwargs in ({"t_max": 1e306}, {"dt": 1e306}, {"t_max": 1e7}):
+        with pytest.raises(ConfigError, match="MAX_KERNEL_ROW"):
+            SimulationConfig(**kwargs)
+    # t_max = K ticks with dt = 1 tick gives a row of 2K + 1 values
+    half = (MAX_KERNEL_ROW - 1) // 2
+    assert SimulationConfig(t_max=half * TIME_QUANTUM, dt=TIME_QUANTUM).kernel_row() \
+        == 2 * half + 1 <= MAX_KERNEL_ROW
+    with pytest.raises(ConfigError, match="MAX_KERNEL_ROW"):
+        SimulationConfig(t_max=(half + 1) * TIME_QUANTUM, dt=TIME_QUANTUM)

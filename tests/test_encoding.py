@@ -20,6 +20,18 @@ from conftest import loop_encode
 from oracles import encode_rows
 
 
+def rounded_ticks(pattern: SpikePattern) -> np.ndarray:
+    """The tick of each of ``pattern``'s times, computed again from them."""
+    return np.rint(pattern.times / TIME_QUANTUM).astype(np.int64)
+
+
+def assert_ticks_of_its_times(pattern: SpikePattern) -> None:
+    """``pattern.ticks`` is read-only and holds the tick of each time, bit for bit."""
+    assert not pattern.ticks.flags.writeable
+    assert pattern.ticks.dtype == np.int64
+    assert pattern.ticks.tobytes() == rounded_ticks(pattern).tobytes()
+
+
 def unit_config(m=6, overlap=0.7, cutoff=0.1):
     return EncoderConfig(
         receptive_field_count=m,
@@ -206,6 +218,7 @@ def test_encode_dataset_matches_rowwise_encode():
             for got in (pattern, encode(row, cfg)):
                 assert np.array_equal(got.neuron_ids, oracle.neuron_ids)
                 assert got.times.tobytes() == oracle.times.tobytes()
+                assert_ticks_of_its_times(got)
 
 
 # cells that sit outside any field, or carry no value at all
@@ -239,6 +252,9 @@ def test_encode_dataset_matches_the_per_row_oracle():
             assert g.times.dtype == w.times.dtype
             assert g.times.tobytes() == w.times.tobytes()
             assert not g.neuron_ids.flags.writeable and not g.times.flags.writeable
+            assert g.ticks.tobytes() == w.ticks.tobytes()
+            assert_ticks_of_its_times(g)
+            assert_ticks_of_its_times(w)
         if rows > 2:
             assert got[1].spike_count == 0
             # cutoff 0 admits a zero response, which fires at the end of the window
@@ -307,8 +323,12 @@ def test_pattern_sorts_by_neuron_then_time():
 
 def test_pattern_arrays_read_only():
     p = SpikePattern(neuron_count=2, neuron_ids=[0], times=[1.0])
-    with pytest.raises(ValueError):
-        p.times[0] = 0.0
+    for array in (p.neuron_ids, p.times, p.ticks):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    # the ticks are derived from the times, never passed in
+    with pytest.raises(TypeError):
+        SpikePattern(neuron_count=2, neuron_ids=[0], times=[1.0], ticks=[1000])
 
 
 def test_pattern_rejects_bad_ids_and_shapes():
@@ -337,7 +357,30 @@ def test_pattern_snaps_times_to_the_grid():
     assert all(t != round(t / TIME_QUANTUM) * TIME_QUANTUM for t in literals)
     p = SpikePattern(neuron_count=3, neuron_ids=[0, 1, 2], times=literals)
     assert p.times.tolist() == [1400 * TIME_QUANTUM, 700 * TIME_QUANTUM, 2300 * TIME_QUANTUM]
+    assert p.ticks.tolist() == [1400, 700, 2300]
+    assert_ticks_of_its_times(p)
     assert SpikePattern(neuron_count=1, neuron_ids=[0], times=[0.0004]).times.tolist() == [0.0]
+    empty = SpikePattern(neuron_count=1, neuron_ids=[], times=[])
+    assert empty.ticks.shape == (0,)
+    assert_ticks_of_its_times(empty)
+
+
+def test_a_time_whose_tick_an_int64_cannot_hold_is_rejected():
+    """A time of 2**62 ticks or more raises InputError; cast to int64 it
+    could wrap to a negative tick and read a wrapped row of the responses.
+    An EncoderConfig with a spike interval of 1e300 ms is legal, and its
+    late spikes are rejected when a batch is encoded."""
+    for bad in (1e300, 2.0**62 * TIME_QUANTUM, 2.0**64 * TIME_QUANTUM):
+        with pytest.raises(InputError, match="2\\*\\*62 ticks"):
+            SpikePattern(1, [0], [bad])
+    # the largest allowed time keeps a positive, exact tick
+    top = SpikePattern(1, [0], [2.0**61 * TIME_QUANTUM])
+    assert top.ticks.tolist() == [2**61]
+    huge = EncoderConfig(6, 0.7, 1e300, 0.1, ((0.0, 1.0),))
+    with pytest.raises(InputError, match="2\\*\\*62 ticks"):
+        encode_dataset(np.array([[0.0], [0.5]]), huge)
+    with pytest.raises(InputError, match="2\\*\\*62 ticks"):
+        encode([0.5], huge)
 
 
 def test_encoder_output_is_unchanged_by_snapping():

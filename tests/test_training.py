@@ -9,8 +9,8 @@ import pytest
 
 from sefm.config import NetworkConfig
 from sefm.data import confusion_matrix
-from sefm.dynamics import (epsilon, load_model, model_to_json_bytes, race_blocks, responses,
-                           save_model)
+from sefm.dynamics import (epsilon, load_model, model_to_json_bytes, race_blocks,
+                           response_matrix, responses, save_model)
 from sefm.encoding import TIME_QUANTUM, SpikePattern, encode_dataset, fit_ranges
 from sefm.errors import ConfigError, InputError
 from sefm import learning, training
@@ -223,18 +223,29 @@ def test_train_rejects_a_spike_after_t_max(rng):
         train(patterns[:-1] + [late], labels, CFG, class_count=3)
 
 
-def test_training_table_holds_one_row_per_distinct_tick(rng):
+def test_training_table_holds_one_row_per_distinct_tick(rng, monkeypatch):
     """The table training reads, ``dynamics.responses``, holds one row per
-    spike tick; the state keeps each pattern's ticks, and their rows read
-    the pattern's responses bit for bit."""
-    patterns, _ = encoded_blobs(rng)
-    net = build_network(CFG, class_count=3, input_count=patterns[0].neuron_count)
-    state = training.TrainingState(net, patterns, CFG)
-    assert len(state.ticks) == len(patterns)
-    for pattern, ticks in zip(patterns, state.ticks):
-        assert ticks.tolist() == np.rint(pattern.times / TIME_QUANTUM).astype(int).tolist()
-        assert responses(net.sim)[ticks].tobytes() == \
-            direct_response(pattern.times, net.sim).tobytes()
+    tick of [0, t_max]; each pattern carries its ticks, and their rows read
+    the pattern's responses bit for bit.  Training gathers them through
+    ``training.response_matrix``, one block of columns at a time, as
+    ``predict`` does."""
+    patterns, labels = encoded_blobs(rng)
+    sim = CFG.simulation()
+    assert responses(sim).shape[0] == round(sim.t_max / TIME_QUANTUM) + 1
+    for pattern in patterns:
+        assert pattern.ticks.tolist() == \
+            np.rint(pattern.times / TIME_QUANTUM).astype(int).tolist()
+        assert responses(sim)[pattern.ticks].tobytes() == \
+            direct_response(pattern.times, sim).tobytes()
+    gathered = []
+
+    def recorded(pattern, sim, lo, hi):
+        gathered.append((pattern, (lo, hi)))
+        return response_matrix(pattern, sim, lo, hi)
+    monkeypatch.setattr(training, "response_matrix", recorded)
+    train(patterns, labels, CFG.with_overrides(max_epochs=1), class_count=3)
+    assert gathered and {id(p) for p, _ in gathered} <= {id(p) for p in patterns}
+    assert {block for _, block in gathered} <= set(race_blocks(sim))
 
 
 def test_train_and_predict_reject_a_pattern_of_another_width(rng):
@@ -583,14 +594,15 @@ def test_batched_predict_matches_one_at_a_time(rng, monkeypatch):
     captured, chunks = [], []
     kernel = net.evaluate_pattern
 
-    def recorded(weights, responses, live, thresholds):
+    def recorded(weights, responses):
         asked = []
 
         def logged(lo, hi):
             asked.append((lo, hi))
             return responses(lo, hi)
-        whole = weights @ np.hstack([responses(lo, hi) for lo, hi in race_blocks(net.sim)])
-        captured.append((whole, kernel(weights, logged, live, thresholds), asked))
+        whole = weights[net.initialized] @ np.hstack([responses(lo, hi)
+                                                      for lo, hi in race_blocks(net.sim)])
+        captured.append((whole, kernel(weights, logged), asked))
         return captured[-1][1]
 
     class Chunked(learning.SampledWeights):

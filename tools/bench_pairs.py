@@ -19,9 +19,9 @@ median move, and in how many pairs the change was better (by the metric's
 equal and how many units failed.  The JSON
 also names both sides (the change by HEAD, its tree id, whether that tree
 differs from HEAD's, and the tree id of its ``src/``, which equals
-``git rev-parse COMMIT:src`` for any commit holding the same source) and the
-machine: nproc, CPU model, Python, numpy and OpenBLAS versions and the
-OpenBLAS core type in use.
+``git rev-parse COMMIT:src`` for any commit holding the same source), the
+``wc -l src/sefm/*.py`` total of both sides, and the machine: nproc, CPU
+model, Python, numpy and OpenBLAS versions and the OpenBLAS core type in use.
 """
 
 from __future__ import annotations
@@ -65,6 +65,11 @@ def working_tree(tmp: Path) -> dict:
     tree = git("write-tree", env=env, capture_output=True, text=True).stdout.strip()
     return {"head": rev("HEAD"), "tree": tree, "dirty": tree != rev("HEAD^{tree}"),
             "src_tree": rev(f"{tree}:src")}
+
+
+def src_lines(checkout: Path) -> int:
+    """The ``wc -l src/sefm/*.py`` total of an exported tree."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "sefm").glob("*.py"))
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -162,6 +167,9 @@ def main(argv=None) -> int:
         doc["change"] = working_tree(Path(tmp))
         export(doc["parent"], copies["parent"])
         export(doc["change"]["tree"], copies["change"])
+        doc["src_lines"] = {side: src_lines(copy) for side, copy in copies.items()}
+        print(f"src/sefm lines: {doc['src_lines']['parent']} -> {doc['src_lines']['change']}",
+              file=sys.stderr, flush=True)
         for copy in copies.values():
             subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
                            cwd=copy, check=True)
