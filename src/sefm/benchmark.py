@@ -84,6 +84,8 @@ def run_split(dataset: TabularDataset, train_idx: np.ndarray, test_idx: np.ndarr
                          overlap=cfg.overlap,
                          spike_interval=cfg.spike_interval,
                          response_cutoff=cfg.response_cutoff)
+    # the split's network checks its size (MAX_CELLS) before encoding allocates for it
+    training.build_network(cfg, dataset.class_count, encoder.neuron_count)
     train_patts = encode_dataset(train_x, encoder)
     test_patts = encode_dataset(test_x, encoder)
     fit = training.train(train_patts, train_y, cfg, dataset.class_count, seed=seed)

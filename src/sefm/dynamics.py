@@ -66,16 +66,24 @@ class SimulationConfig:
         if bad:
             raise ConfigError("; ".join(bad))
 
+    def ticks(self) -> tuple[int, int]:
+        """t_max and dt in whole TIME_QUANTUM ticks: (K, R)."""
+        return round(self.t_max / TIME_QUANTUM), round(self.dt / TIME_QUANTUM)
+
+    def columns(self) -> int:
+        """Times on the search grid, counted in whole ticks so that none
+        lies after t_max: K // R + 1."""
+        last, step = self.ticks()
+        return last // step + 1
+
     def grid(self) -> np.ndarray:
-        """Search grid {0, dt, 2dt, ..., t_max}."""
-        n = int(round(self.t_max / self.dt))
-        return np.arange(n + 1, dtype=np.float64) * self.dt
+        """Search grid {0, dt, 2dt, ...} up to t_max."""
+        return np.arange(self.columns(), dtype=np.float64) * self.dt
 
     def kernel_row(self) -> int:
-        """Values in the kernel row of ``responses``: (columns - 1) * R + K + 1
-        for a grid of ``columns`` times, dt of R ticks and t_max of K ticks."""
-        return (round(self.t_max / self.dt) * round(self.dt / TIME_QUANTUM)
-                + round(self.t_max / TIME_QUANTUM) + 1)
+        """Values in the kernel row of ``responses``: (columns - 1) * R + K + 1."""
+        last, step = self.ticks()
+        return (self.columns() - 1) * step + last + 1
 
 
 def epsilon(t, tau: float):
@@ -210,11 +218,10 @@ def responses(sim: SimulationConfig) -> np.ndarray:
     TIME_QUANTUM)``, read one tick back per row and R ticks on per column:
     16,001 values (128 KB) on the default grid, computed once per setting.
     """
-    last, step = round(sim.t_max / TIME_QUANTUM), round(sim.dt / TIME_QUANTUM)
-    columns = sim.grid().size
+    last, step = sim.ticks()
     row = _epsilon_consuming((np.arange(sim.kernel_row()) - last) * TIME_QUANTUM, sim.tau)
     row.flags.writeable = False
-    return as_strided(row[last:], shape=(last + 1, columns),
+    return as_strided(row[last:], shape=(last + 1, sim.columns()),
                       strides=(-row.itemsize, step * row.itemsize), writeable=False)
 
 
@@ -233,12 +240,6 @@ def response_matrix(pattern: SpikePattern, sim: SimulationConfig, lo: int,
 SAMPLE_CELLS = 32 * 10_240
 
 
-def _bins(rows: np.ndarray, cols: int) -> np.ndarray:
-    """The bincount index of ``Network.sample``'s (terms, cols) cells:
-    bin ``row * cols + column`` of each term's row."""
-    return ((rows * cols)[:, None] + np.arange(cols)).ravel()
-
-
 # Grid columns per block of the activity kernel's potential.  A race is
 # decided at its first crossing, and most patterns cross before column 256
 # of the default 801-point grid, so most races compute one block.
@@ -254,7 +255,7 @@ def race_blocks(sim: SimulationConfig) -> tuple[tuple[int, int], ...]:
     equal those of the full product, while every block of two or more
     columns goes to gemm and equals the full product's columns bit for bit.
     """
-    columns = sim.grid().size
+    columns = sim.columns()
     starts = list(range(0, columns, RACE_BLOCK))
     if len(starts) > 1 and columns - starts[-1] == 1:
         starts.pop()
@@ -374,8 +375,9 @@ class Network:
         over every class's terms: one gather puts each term next to its
         input's spike times, ``efficacy`` evaluates it, and one bincount
         sums the terms per (class, input, pattern) bin in term order from
-        0.0.  The bincount index is built once for every full block.
-        Silent inputs and uninitialized classes read 0.
+        0.0.  The bincount index is built for the first block and rebuilt
+        only for a shorter last one; a call of one block returns that
+        block's sums.  Silent inputs and uninitialized classes read 0.
         """
         shape = (self.class_count, self.input_count)
         cols = spike_times.shape[1]
@@ -383,32 +385,22 @@ class Network:
             return np.zeros(shape + (cols,))
         rows = self.keys >> 32  # each term's (class, input) row
         width = min(cols, self.sample_block())
-        if cols == width:  # one block is the whole output
-            out = self._sample_block(spike_times, rows, _bins(rows, width))
-        else:
-            out = np.empty(shape + (cols,))
-            bins = _bins(rows, width)
-            tail = cols % width
-            for lo in range(0, cols - tail, width):
-                out[..., lo:lo + width] = self._sample_block(spike_times[:, lo:lo + width],
-                                                             rows, bins)
-            if tail:
-                del bins  # so the tail's temporaries fit where the full blocks' did
-                out[..., cols - tail:] = self._sample_block(spike_times[:, cols - tail:],
-                                                            rows, _bins(rows, tail))
+        out = np.empty(shape + (cols,)) if cols > width else None
+        for lo in range(0, cols, width):
+            n = min(width, cols - lo)
+            if lo == 0 or n < width:  # bin row * n + column of each term's row
+                index = ((rows * n)[:, None] + np.arange(n)).ravel()
+            # the block's gathered terms live only inside this one expression
+            sums = np.bincount(index, minlength=math.prod(shape) * n, weights=efficacy(
+                np.take(np.tile(spike_times[:, lo:lo + n], (self.class_count, 1)), rows, axis=0),
+                self.centers[:, None], self.amplitudes[:, None], self.sigma).ravel())
+            if out is None:  # one block is the whole output
+                out = sums.reshape(shape + (n,))
+            else:
+                out[..., lo:lo + n] = sums.reshape(shape + (n,))
+                del sums  # freed before the next block's gather
         np.copyto(out, 0.0, where=np.isnan(spike_times))
         return out
-
-    def _sample_block(self, spike_times: np.ndarray, rows: np.ndarray,
-                      bins: np.ndarray) -> np.ndarray:
-        """``sample`` of a few columns, silent inputs still NaN; ``bins`` is
-        ``_bins(rows, columns)``."""
-        cols = spike_times.shape[1]
-        vals = efficacy(np.take(np.tile(spike_times, (self.class_count, 1)), rows, axis=0),
-                        self.centers[:, None], self.amplitudes[:, None], self.sigma)
-        out = np.bincount(bins, weights=vals.ravel(),
-                          minlength=self.class_count * self.input_count * cols)
-        return out.reshape(self.class_count, self.input_count, cols)
 
     def evaluate_pattern(self, weights: np.ndarray,
                          responses: Callable[[int, int], np.ndarray],

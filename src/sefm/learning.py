@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Network, OutputNeuron, SimulationConfig, efficacy, epsilon
-from .encoding import TIME_QUANTUM, SpikePattern
+from .encoding import SpikePattern
 from .errors import InputError, SefmError
 
 
@@ -47,7 +47,7 @@ class SampledWeights:
     """
 
     def __init__(self, patterns: list[SpikePattern], net: Network):
-        last = round(net.sim.t_max / TIME_QUANTUM)
+        last = net.sim.ticks()[0]
         for pattern in patterns:
             if pattern.neuron_count != net.input_count:
                 raise InputError(f"a pattern has {pattern.neuron_count} input neurons; "

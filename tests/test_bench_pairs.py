@@ -1,0 +1,70 @@
+"""The verdict tools/bench_pairs.py gives each metric against its bound."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    path = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def pairs_of(parent: dict, change: dict) -> list[dict]:
+    """Pair i of runs whose metric ``name`` read ``parent[name][i]`` and
+    ``change[name][i]``, with equal digests and no failed unit."""
+    def side(values, i):
+        return {"details": {"digests": ["d"]}, "result": {
+            "failed": 0, "metrics": {name: {"value": v[i]} for name, v in values.items()}}}
+    count = len(next(iter(parent.values())))
+    return [{"seed": i + 1, "order": ["parent", "change"],
+             "parent": side(parent, i), "change": side(change, i)} for i in range(count)]
+
+
+@pytest.mark.parametrize("better, parent, change, expected", [
+    # a median worse by more than the bound, either way round
+    ("lower", [10, 10, 10, 10], [13, 13, 13, 13], "regressed"),
+    ("higher", [10, 10, 10, 10], [7, 7, 7, 7], "regressed"),
+    # worse, but within the bound, on a tight parent
+    ("lower", [10, 10, 10, 10], [12, 12, 12, 12], "ok"),
+    ("higher", [10, 10, 10, 10], [8, 8, 8, 8], "ok"),
+    # better by any amount
+    ("lower", [10, 10, 10, 10], [5, 5, 5, 5], "ok"),
+    # the parent spreads wider than the bound (q1 7.75, q3 12.25 around 10)
+    ("lower", [4, 9, 11, 16], [10, 10, 10, 10], "unresolved"),
+    ("higher", [4, 9, 11, 16], [10, 10, 10, 10], "unresolved"),
+    # ... unless every change run beats every parent run
+    ("lower", [4, 9, 11, 16], [3, 3, 3, 3], "ok"),
+    ("higher", [4, 9, 11, 16], [17, 17, 18, 19], "ok"),
+    ("higher", [4, 9, 11, 16], [16, 17, 18, 19], "unresolved"),
+    # a worse median over a wide parent is a regression first
+    ("lower", [4, 9, 11, 16], [14, 14, 14, 14], "regressed"),
+    # a zero median: any worsening is a regression, no change is not
+    ("lower", [0, 0, 0, 0], [1, 1, 1, 1], "regressed"),
+    ("lower", [0, 0, 0, 0], [0, 0, 0, 0], "ok"),
+])
+def test_verdict_against_the_bound(bench_pairs, better, parent, change, expected):
+    assert bench_pairs.verdict(better, 0.25, parent, change) == expected
+
+
+def test_summary_and_flagged_name_every_metric_past_its_bound(bench_pairs, capsys):
+    declared = {"rows_per_s": ("higher", 0.25), "rss_mb": ("lower", 0.1),
+                "cpu_us": ("lower", 0.25)}
+    pairs = pairs_of({"rows_per_s": [100, 101, 99, 100], "rss_mb": [50, 50, 50, 50],
+                      "cpu_us": [10, 20, 30, 40]},
+                     {"rows_per_s": [70, 71, 69, 70], "rss_mb": [54, 54, 54, 54],
+                      "cpu_us": [25, 25, 25, 25]})
+    summary = bench_pairs.summarize("predict-bulk", pairs, declared)
+    verdicts = {name: m["verdict"] for name, m in summary["metrics"].items()}
+    assert verdicts == {"rows_per_s": "regressed", "rss_mb": "ok", "cpu_us": "unresolved"}
+    assert summary["metrics"]["rss_mb"]["bound"] == 0.1
+    assert bench_pairs.flagged([summary]) == [["predict-bulk", "rows_per_s", "regressed"],
+                                              ["predict-bulk", "cpu_us", "unresolved"]]
+    bench_pairs.print_summary(summary)
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()[2:]}
+    assert lines["rows_per_s"].endswith("regressed") and lines["rss_mb"].endswith("ok")

@@ -332,14 +332,15 @@ def test_blocked_sample_equals_per_column_and_per_term_sampling(rng):
 
 
 def test_blocked_sample_peaks_at_one_blocks_temporaries(rng):
-    """Sampling 20 blocks of columns, with or without a one-column tail,
-    allocates the output plus at most one block's (terms, block) gather and
-    bincount index, its (classes * inputs, block) tile and sums, and a
-    mask of the silent inputs: nothing grows with the column count."""
+    """Sampling half a block, one block or 20 blocks of columns, with or
+    without a one-column tail, allocates the output plus at most one
+    block's (terms, block) gather and bincount index, its (classes *
+    inputs, block) tile and sums, and a mask of the silent inputs: nothing
+    grows with the column count."""
     net = blocked_net(rng)
     block, rows = net.sample_block(), net.class_count * net.input_count
     temporaries = 8 * block * (2 * net.keys.size + 2 * rows)
-    for count in (20 * block, 20 * block + 1):
+    for count in (block // 2, block, 20 * block, 20 * block + 1):
         patterns = [random_pattern(rng, neuron_count=128, max_spikes=12) for _ in range(count)]
         times = spike_times_of(patterns, 128)
         tracemalloc.start()
@@ -351,8 +352,8 @@ def test_blocked_sample_peaks_at_one_blocks_temporaries(rng):
         finally:
             tracemalloc.stop()
         assert peak - start <= values.nbytes + temporaries + times.size + 16 * net.keys.size
-        # one (terms, columns) array of all the columns would not fit
-        assert 8 * net.keys.size * count > values.nbytes + temporaries
+        # one (terms, columns) array of 20 blocks' columns would not fit
+        assert count < 20 * block or 8 * net.keys.size * count > values.nbytes + temporaries
 
 
 # --- postsynaptic potential and firing ---------------------------------------
@@ -564,6 +565,31 @@ def test_simulation_grid_endpoints():
     assert g[0] == 0.0
     assert g[-1] == pytest.approx(8.0)
     assert g.size == 801
+
+
+@pytest.mark.parametrize("t_max, dt, columns", [
+    (8.0, 0.01, 801), (8.006, 0.01, 801), (8.004, 0.01, 801), (8.0, 0.043, 187),
+    (8.0, 10.0, 1), (0.004, 0.01, 1), (2.5, 0.02, 126), (0.3, 0.1, 4)])
+def test_grid_ends_at_or_before_t_max(t_max, dt, columns):
+    """The grid has one time per whole dt step within t_max, counted in
+    ticks, so no neuron can fire after the interval ends (t_max = 8.006
+    once searched up to 8.01 ms, and dt = 10 up to 10 ms); the grid, the
+    responses, the race blocks and the kernel row all read that count."""
+    s = SimulationConfig(t_max=t_max, dt=dt)
+    last, step = s.ticks()
+    grid = s.grid()
+    assert grid.size == s.columns() == columns
+    assert (columns - 1) * step <= last < columns * step
+    # 3 * 0.1 is 0.30000000000000004 in floats, on t_max's tick but past 0.3
+    assert grid[-1] <= t_max or (t_max, dt) == (0.3, 0.1)
+    view = base = responses(s)
+    while base.base is not None:
+        base = base.base
+    assert view.shape == (last + 1, columns)
+    assert base.size == s.kernel_row() == (columns - 1) * step + last + 1
+    assert race_blocks(s)[-1][1] == columns
+    if dt == 0.043:
+        assert grid[-1] == pytest.approx(7.998)
 
 
 def test_simulation_config_validation():
@@ -1097,13 +1123,15 @@ with tempfile.TemporaryDirectory() as tmp:
             out[name] = predict(net, [SpikePattern(width, [0], [1.0])]).tolist()
         except (InputError, MemoryError) as exc:
             out[name] = f"{type(exc).__name__}: {exc}"
-    config = Path(tmp) / "config.json"
-    config.write_text(json.dumps({"t_max": 1e7}))
-    stderr = io.StringIO()
-    with contextlib.redirect_stderr(stderr):
-        code = cli.main(["train", "--dataset", "iris", "--config", str(config),
-                         "--output-dir", tmp])
-    out["config"] = [code, stderr.getvalue()]
+    for name, fields in (("config", {"t_max": 1e7}),
+                         ("fields", {"receptive_field_count": 2**20})):
+        config = Path(tmp) / f"{name}.json"
+        config.write_text(json.dumps(fields))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli.main(["train", "--dataset", "iris", "--config", str(config),
+                             "--output-dir", tmp])
+        out[name] = [code, stderr.getvalue()]
 print(json.dumps(out))
 """
 
@@ -1114,8 +1142,10 @@ def test_sizes_read_from_a_file_are_bounded_before_any_allocation():
     for one sampled column; one whose t_max is 1e7 ms would compute a
     kernel row of 2e10 values.  Both now raise InputError naming the limit
     they exceed, and a config with that t_max exits 2 naming it, all
-    under a 1 GiB address space.  A model at each limit loads and predicts
-    within it."""
+    under a 1 GiB address space.  So does a config of 2**20 receptive
+    fields, whose iris encoding once asked for 2.34 GiB: `sefm train`
+    checks MAX_CELLS before it encodes.  A model at each limit loads and
+    predicts within it."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
@@ -1131,6 +1161,8 @@ def test_sizes_read_from_a_file_are_bounded_before_any_allocation():
     assert out["cells_at"] == out["row_at"] == [0]
     code, stderr = out["config"]
     assert code == 2 and f"MAX_KERNEL_ROW = {MAX_KERNEL_ROW:,}" in stderr, stderr
+    code, stderr = out["fields"]
+    assert code == 2 and f"MAX_CELLS = {MAX_CELLS:,}" in stderr, stderr
     assert SimulationConfig(t_max=2097.0).kernel_row() <= MAX_KERNEL_ROW
 
 

@@ -14,9 +14,11 @@ in both copies for every workload in BENCHMARK.json, S being its
 ``run_seconds``, the parent first on odd pairs and the change first on even
 ones.  Per workload and end-to-end metric it prints, and writes to ``--out``
 as JSON, the parent's and the change's median and quartiles, the change's
-median move, and in how many pairs the change was better (by the metric's
-``better`` in BENCHMARK.json); per pair, whether the report digests were
-equal and how many units failed.  The JSON
+median move, in how many pairs the change was better (by the metric's
+``better`` in BENCHMARK.json) and a verdict against the metric's ``bound``
+(see ``verdict``); per pair, whether the report digests were equal and how
+many units failed.  It ends with one line naming every (workload, metric)
+whose verdict is not ``ok``.  The JSON
 also names both sides (the change by HEAD, its tree id, whether that tree
 differs from HEAD's, and the tree id of its ``src/``, which equals
 ``git rev-parse COMMIT:src`` for any commit holding the same source), the
@@ -112,18 +114,37 @@ def machine() -> dict:
             "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE")}
 
 
-def summarize(workload: str, pairs: list[dict], better: dict) -> dict:
+def verdict(direction: str, bound: float, parent: list[float], change: list[float]) -> str:
+    """``regressed`` if the change's median is worse than the parent's by more
+    than ``bound`` (relative; any worsening of a zero median); else
+    ``unresolved`` if the parent's quartile spread, (q3 - q1) over its
+    median, exceeds ``bound`` and not every change run beats every parent
+    run; else ``ok``."""
+    sign = 1 if direction == "higher" else -1
+    before, after = quartiles(parent), quartiles(change)
+    loss = sign * (before["median"] - after["median"])
+    if loss > bound * abs(before["median"]):
+        return "regressed"
+    spread = before["q3"] - before["q1"]
+    if spread > bound * abs(before["median"]) and \
+            not min(sign * c for c in change) > max(sign * p for p in parent):
+        return "unresolved"
+    return "ok"
+
+
+def summarize(workload: str, pairs: list[dict], declared: dict) -> dict:
     metrics = {}
-    for name, direction in better.items():
+    for name, (direction, bound) in declared.items():
         parent = [p["parent"]["result"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["result"]["metrics"][name]["value"] for p in pairs]
         sign = 1 if direction == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         before, after = quartiles(parent), quartiles(change)
         metrics[name] = {
-            "better": direction, "parent": before, "change": after, "wins": wins,
-            "pairs": len(pairs),
+            "better": direction, "bound": bound, "parent": before, "change": after,
+            "wins": wins, "pairs": len(pairs),
             "median_move": after["median"] / before["median"] - 1 if before["median"] else None,
+            "verdict": verdict(direction, bound, parent, change),
         }
     return {
         "workload": workload, "metrics": metrics,
@@ -146,7 +167,13 @@ def print_summary(summary: dict) -> None:
         move = "" if m["median_move"] is None else f"{100 * m['median_move']:+.1f}%"
         print(f"  {name:32s} {b['median']:12.4g} [{b['q1']:.4g}, {b['q3']:.4g}] -> "
               f"{a['median']:12.4g} [{a['q1']:.4g}, {a['q3']:.4g}] {move:>8s} "
-              f"wins {m['wins']}/{m['pairs']}")
+              f"wins {m['wins']}/{m['pairs']} {m['verdict']}")
+
+
+def flagged(workloads: list[dict]) -> list[list[str]]:
+    """Every [workload, metric, verdict] whose verdict is not ``ok``."""
+    return [[w["workload"], name, m["verdict"]] for w in workloads
+            for name, m in w["metrics"].items() if m["verdict"] != "ok"]
 
 
 def main(argv=None) -> int:
@@ -159,7 +186,7 @@ def main(argv=None) -> int:
         parser.error("pairs must be at least 1")
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    bounds = {m["name"]: (m["better"], m["bound"]) for m in declared["end_to_end"]}
     doc = {"seconds": declared["run_seconds"], "machine": machine(), "workloads": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         copies = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
@@ -183,11 +210,14 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side} done", file=sys.stderr, flush=True)
                 pairs.append(pair)
             doc["machine"].setdefault("cpu_model", pairs[0]["parent"]["details"]["machine"]["cpu_model"])
-            summary = summarize(workload, pairs, better)
+            summary = summarize(workload, pairs, bounds)
             print_summary(summary)
             doc["workloads"].append(summary)
+            doc["flagged"] = flagged(doc["workloads"])
             if args.out:  # keep what is done if a later workload fails
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    print("\nregressed or unresolved: " + (", ".join(
+        f"{w} {name} ({v})" for w, name, v in doc["flagged"]) or "none"))
     return 0
 
 
