@@ -172,7 +172,6 @@ def benchmark(dataset: TabularDataset, cfg: NetworkConfig, *, train_size: int,
     results (and their order) are the same either way.
     """
     plan = _plan(dataset, train_size, run_count, seed)
-    cfg.validate()
     units = [(dataset, cfg, train_idx, test_idx, train_seed, run,
               keep_last and run == run_count - 1)
              for run, (train_idx, test_idx, train_seed, _) in enumerate(plan)]

@@ -1,5 +1,5 @@
 """Pipeline configuration: one flat record covering encoder, dynamics,
-learning and scheduling knobs, with validation that names every bad field.
+learning and scheduling knobs, checked when built, naming every bad field.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class NetworkConfig:
     response_cutoff: float = 0.1
     max_epochs: int = 100
 
-    def validate(self) -> None:
+    def __post_init__(self):
         """Raise ConfigError naming every field out of range.
 
         Each check is written so that NaN fails it.
@@ -91,11 +91,7 @@ class NetworkConfig:
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"config key {key!r}: bad value {value!r}") from exc
             kwargs[key] = int(number) if key in ints else number
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        return cls(**kwargs)
 
     def with_overrides(self, **kwargs) -> "NetworkConfig":
-        cfg = replace(self, **kwargs)
-        cfg.validate()
-        return cfg
+        return replace(self, **kwargs)

@@ -76,10 +76,6 @@ class SimulationConfig:
         last, step = self.ticks()
         return last // step + 1
 
-    def grid(self) -> np.ndarray:
-        """Search grid {0, dt, 2dt, ...} up to t_max."""
-        return np.arange(self.columns(), dtype=np.float64) * self.dt
-
     def kernel_row(self) -> int:
         """Values in the kernel row of ``responses``: (columns - 1) * R + K + 1."""
         last, step = self.ticks()
@@ -209,9 +205,8 @@ def _merged(old: np.ndarray, kept: np.ndarray, dest: np.ndarray,
 @functools.cache
 def responses(sim: SimulationConfig) -> np.ndarray:
     """Kernel response of a spike on each tick 0..K of [0, t_max] at each
-    time of ``sim.grid()``: a read-only (K + 1, grid) view whose row k,
-    column g reads ``epsilon((g * R - k) * TIME_QUANTUM)``, for a grid step
-    of R ticks.
+    grid time: a read-only (K + 1, columns) view whose row k, column g reads
+    ``epsilon((g * R - k) * TIME_QUANTUM)``, for a grid step of R ticks.
 
     A response depends only on the tick difference ``g * R - k``, so every
     row is a window of one kernel row ``a[m] = epsilon((m - K) *
@@ -249,7 +244,7 @@ RACE_BLOCK = 256
 @functools.cache
 def race_blocks(sim: SimulationConfig) -> tuple[tuple[int, int], ...]:
     """The (lo, hi) column blocks, in time order, in which the activity
-    kernel computes a potential over ``sim.grid()``: RACE_BLOCK columns
+    kernel computes a potential over the grid: RACE_BLOCK columns
     each, the last one shorter.  A one-column tail joins the block before
     it: numpy hands a one-column product to gemv, whose sums need not
     equal those of the full product, while every block of two or more
@@ -413,9 +408,10 @@ class Network:
         the initialized (live) classes race, each against its threshold;
         ``responses(lo, hi)`` are the (spikes, hi - lo) responses at grid
         columns lo..hi-1.  A neuron fires at the first grid index where its
-        potential reaches its threshold, times dt.  The earliest firing
-        class wins, ties going to the lowest; if none fires, the highest
-        peak does, and with no live class, class 0.
+        potential reaches its threshold, times dt (in whole ticks, so never
+        after t_max).  The earliest firing class wins, ties going to the
+        lowest; if none fires, the highest peak does, and with no live
+        class, class 0.
 
         The potential is computed in the ``race_blocks`` of the grid, in
         time order, and the race stops once its answer is fixed: after the
@@ -453,11 +449,12 @@ class Network:
             else:  # the peaks decide only a race in which nothing fires
                 top = v.max(axis=1)
                 peaks = top if peaks is None else np.maximum(peaks, top)
-        fired = {j: k * dt for j, k in zip(live, first) if k is not None}
-        if fired:
+        if any(k is not None for k in first):
+            step = self.sim.ticks()[1]
+            fired = {j: k * step * TIME_QUANTUM for j, k in zip(live, first) if k is not None}
             return fired, min(fired, key=fired.__getitem__)
         peaks = peaks.tolist()
-        return fired, live[peaks.index(max(peaks))]
+        return {}, live[peaks.index(max(peaks))]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Network, OutputNeuron, SimulationConfig, efficacy, epsilon
+from .dynamics import Network, OutputNeuron, efficacy, epsilon
 from .encoding import SpikePattern
 from .errors import InputError, SefmError
 
@@ -128,21 +128,21 @@ class UpdateStep:
     used_fallback: bool
 
 
-def compute_update(neuron: OutputNeuron, pattern: SpikePattern, t_hat: float,
-                   sim: SimulationConfig,
+def compute_update(net: Network, class_label: int, pattern: SpikePattern, t_hat: float,
                    weights: np.ndarray | None = None) -> UpdateStep:
-    """Work out the per-spike deltas that move v(t_hat) onto the threshold.
+    """Per-spike deltas that move class ``class_label``'s v(t_hat) onto its
+    threshold, under the network's tau.
 
     ``weights`` may pass in the pattern's momentary weights (as
-    neuron.sample_weights returns them); otherwise they are sampled here.
+    ``OutputNeuron.sample_weights`` returns them); else they are sampled here.
     """
     times = pattern.times
-    eps_vals = epsilon(t_hat - times, sim.tau)
+    eps_vals = epsilon(t_hat - times, net.sim.tau)
     u = _normalized(eps_vals, t_hat)
     if weights is None:
-        weights = neuron.sample_weights(pattern.neuron_ids, times)
+        weights = OutputNeuron(net, class_label).sample_weights(pattern.neuron_ids, times)
     v = float(weights @ eps_vals)
-    dv = neuron.threshold - v  # potential gap the update must close at t_hat
+    dv = float(net.thresholds[class_label]) - v  # potential gap the update must close at t_hat
     z = excess(u, weights)
     used_fallback = float((z * eps_vals).sum()) <= 0.0
     m = modulation_factors(z, eps_vals, u)
@@ -178,16 +178,16 @@ def apply_update(net: Network, class_label: int, step: UpdateStep, learning_rate
 
 
 def initialize(net: Network, class_label: int, pattern: SpikePattern, t_hat: float,
-               sim: SimulationConfig, sampled: SampledWeights | None = None) -> None:
+               sampled: SampledWeights | None = None) -> None:
     """First-pattern setup of class ``class_label``'s neuron: weights from
-    normalized responses, threshold to match.
+    normalized responses under the network's tau, threshold to match.
 
     The full normalized response (not scaled by the learning rate) lands
     on each spike; the threshold becomes the resulting potential at
     t_hat, so this pattern fires exactly at t_hat.  The class is then
     initialized.
     """
-    eps_vals = epsilon(t_hat - pattern.times, sim.tau)
+    eps_vals = epsilon(t_hat - pattern.times, net.sim.tau)
     u = _normalized(eps_vals, t_hat)
     keep = u != 0.0
     _add_terms(net, class_label, sampled, pattern.neuron_ids[keep], pattern.times[keep],

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import NetworkConfig
-from .dynamics import Network, OutputNeuron, response_matrix
+from .dynamics import Network, response_matrix
 from .encoding import SpikePattern
 from .errors import ConfigError, InputError
 from . import learning
@@ -112,7 +112,7 @@ def process_sample(state: TrainingState, s: int, label: int) -> SampleResult:
 
     if not net.initialized[label]:
         try:
-            learning.initialize(net, label, pattern, cfg.desired_time, sim, sampled)
+            learning.initialize(net, label, pattern, cfg.desired_time, sampled)
         except learning.NoEligibleSpikes:
             # nothing precedes the desired time; wait for a friendlier pattern
             return SampleResult(Outcome.SKIPPED, ineligible_classes=(label,))
@@ -143,8 +143,7 @@ def process_sample(state: TrainingState, s: int, label: int) -> SampleResult:
     updated, ineligible = [], []
     for j, t_ref in targets:
         try:
-            step = learning.compute_update(OutputNeuron(net, j), pattern, t_ref, sim,
-                                           weights=weights[j])
+            step = learning.compute_update(net, j, pattern, t_ref, weights=weights[j])
         except learning.NoEligibleSpikes:
             ineligible.append(j)
             continue

@@ -71,11 +71,16 @@ from sefm.training import (Outcome, SampleResult, epoch_order, margin_window,
                            on_time_deadline, ref_time_correct, ref_time_wrong)
 
 
+def grid(sim: SimulationConfig) -> np.ndarray:
+    """Search grid {0, dt, 2dt, ...} of ``sim.columns()`` times up to t_max."""
+    return np.arange(sim.columns(), dtype=np.float64) * sim.dt
+
+
 def direct_response(times, sim: SimulationConfig) -> np.ndarray:
     """(spikes, grid) responses ``epsilon((g * R - k) * TIME_QUANTUM)`` of
     spikes on ticks k at grid columns g, in one broadcast."""
     ticks = np.rint(np.asarray(times, dtype=np.float64) / TIME_QUANTUM).astype(np.int64)
-    cells = np.arange(sim.grid().size) * round(sim.dt / TIME_QUANTUM) - ticks[:, None]
+    cells = np.arange(sim.columns()) * round(sim.dt / TIME_QUANTUM) - ticks[:, None]
     return epsilon(cells * TIME_QUANTUM, sim.tau)
 
 
@@ -186,7 +191,7 @@ def process_sample(net: Network, pattern: SpikePattern, label: int,
     sim = net.sim
     if net.neurons[label] is None:
         try:
-            learning.initialize(net, label, pattern, cfg.desired_time, sim)
+            learning.initialize(net, label, pattern, cfg.desired_time)
         except learning.NoEligibleSpikes:
             return SampleResult(Outcome.SKIPPED, ineligible_classes=(label,))
         return SampleResult(Outcome.INITIALIZED, updated_classes=(label,))
@@ -209,9 +214,8 @@ def process_sample(net: Network, pattern: SpikePattern, label: int,
         return SampleResult(Outcome.SKIPPED, predicted=predicted)
     updated, ineligible = [], []
     for j, t_ref in targets:
-        neuron = net.neurons[j]
         try:
-            step = learning.compute_update(neuron, pattern, t_ref, sim, weights=weights[j])
+            step = learning.compute_update(net, j, pattern, t_ref, weights=weights[j])
         except learning.NoEligibleSpikes:
             ineligible.append(j)
             continue

@@ -155,7 +155,7 @@ def test_criterion_06_update_identity(rng):
             eps = epsilon(t_hat - pattern.times, SIM.tau)
             neuron.network.thresholds[0] = float(w @ eps)
         try:
-            step = compute_update(neuron, pattern, t_hat, SIM)
+            step = compute_update(neuron.network, neuron.class_label, pattern, t_hat)
         except NoEligibleSpikes:
             continue
         err = abs(float(step.deltas @ step.eps_vals) - step.dv)
@@ -183,7 +183,7 @@ def test_criterion_07_normalization(rng):
                                      np.full(pattern.spike_count, 10.0))
         t_hat = float(rng.uniform(0.0, 8.0))
         try:
-            step = compute_update(neuron, pattern, t_hat, SIM)
+            step = compute_update(neuron.network, neuron.class_label, pattern, t_hat)
         except NoEligibleSpikes:
             continue
         assert abs(step.normalized.sum() - 1.0) <= 1e-12

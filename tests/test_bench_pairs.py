@@ -68,3 +68,30 @@ def test_summary_and_flagged_name_every_metric_past_its_bound(bench_pairs, capsy
     bench_pairs.print_summary(summary)
     lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()[2:]}
     assert lines["rows_per_s"].endswith("regressed") and lines["rss_mb"].endswith("ok")
+
+
+def test_flagged_and_the_closing_line_name_changed_digests_and_failed_units(bench_pairs):
+    """A workload whose report digests differed in any pair, or that had a
+    failed unit on either side, is flagged and named in the closing line,
+    after its metrics past their bound; a clean one is not."""
+    declared = {"rows_per_s": ("higher", 0.25)}
+    steady = {"rows_per_s": [100, 100, 100, 100]}
+    differed, failed, both = (pairs_of(steady, steady) for _ in range(3))
+    differed[2]["change"]["details"]["digests"] = ["e"]
+    failed[1]["parent"]["result"]["failed"] = 1
+    both[0]["change"]["details"]["digests"] = ["e"]
+    both[3]["change"]["result"]["failed"] = 2
+    slower = pairs_of(steady, {"rows_per_s": [50, 50, 50, 50]})
+    slower[0]["parent"]["details"]["digests"] = ["e"]
+    summaries = [bench_pairs.summarize(name, pairs, declared) for name, pairs in [
+        ("clean", pairs_of(steady, steady)), ("differed", differed), ("failed", failed),
+        ("both", both), ("slower", slower)]]
+    flags = bench_pairs.flagged(summaries)
+    assert flags == [["differed", "digests", "differed"], ["failed", "units", "failed"],
+                     ["both", "digests", "differed"], ["both", "units", "failed"],
+                     ["slower", "rows_per_s", "regressed"], ["slower", "digests", "differed"]]
+    assert bench_pairs.closing_line(flags) == (
+        "flagged: differed digests (differed), failed units (failed), both digests "
+        "(differed), both units (failed), slower rows_per_s (regressed), slower digests "
+        "(differed)")
+    assert bench_pairs.closing_line(bench_pairs.flagged(summaries[:1])) == "flagged: none"

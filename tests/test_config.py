@@ -1,5 +1,7 @@
 """NetworkConfig validation, serialization, overrides."""
 
+from dataclasses import replace
+
 import pytest
 
 from sefm.config import NetworkConfig
@@ -8,7 +10,6 @@ from sefm.errors import ConfigError
 
 def test_defaults_are_valid():
     cfg = NetworkConfig()
-    cfg.validate()
     assert cfg.sigma == 1.0
     assert cfg.spike_interval == 3.0
     assert cfg.t_max == 8.0
@@ -21,9 +22,8 @@ def test_defaults_are_valid():
 
 
 def test_validate_names_every_bad_field():
-    cfg = NetworkConfig(sigma=-1.0, margin_rate=2.0, receptive_field_count=1)
     with pytest.raises(ConfigError) as err:
-        cfg.validate()
+        NetworkConfig(sigma=-1.0, margin_rate=2.0, receptive_field_count=1)
     msg = str(err.value)
     assert "sigma" in msg
     assert "margin_rate" in msg
@@ -64,7 +64,12 @@ def test_validate_names_every_bad_field():
 ])
 def test_validate_rejects_out_of_range(bad):
     with pytest.raises(ConfigError):
-        NetworkConfig(**bad).validate()
+        NetworkConfig(**bad)
+
+
+def test_replace_checks_the_new_config():
+    with pytest.raises(ConfigError, match="learning_rate"):
+        replace(NetworkConfig(), learning_rate=-0.1)
 
 
 def test_dict_round_trip():

@@ -37,7 +37,7 @@ from sefm.training import predict, predict_chunk, train
 
 from conftest import (all_terms, network_of, random_neuron, random_pattern, random_terms,
                       scalar_weight, terms_of)
-from oracles import (ClassTerms, direct_response, evaluate_pattern, fire_time, potential,
+from oracles import (ClassTerms, direct_response, evaluate_pattern, fire_time, grid, potential,
                      race_end, sample_weights, sampled_weights_per_term)
 from oracles import add_terms as reference_add_terms
 from oracles import spike_time_matrix
@@ -463,16 +463,16 @@ def test_response_matrix_shape_and_content(rng):
     """The rows of the pattern's ticks, over the columns asked for: the
     whole grid, or one race block, bit for bit as the tick oracle has them."""
     s = sim()
-    grid = s.grid()
+    times = grid(s)
     for _ in range(5):
         pattern = random_pattern(rng, neuron_count=6, max_spikes=5)
-        m = response_matrix(pattern, s, 0, grid.size)
-        assert m.shape == (pattern.spike_count, grid.size)
+        m = response_matrix(pattern, s, 0, times.size)
+        assert m.shape == (pattern.spike_count, times.size)
         assert m.tobytes() == direct_response(pattern.times, s).tobytes()
         assert response_matrix(pattern, s, 256, 512).tobytes() == m[:, 256:512].tobytes()
         if pattern.spike_count:
             k = pattern.spike_count - 1
-            assert m[k, -1] == pytest.approx(float(epsilon(grid[-1] - pattern.times[k], s.tau)))
+            assert m[k, -1] == pytest.approx(float(epsilon(times[-1] - pattern.times[k], s.tau)))
 
 
 @pytest.mark.parametrize("s", [
@@ -483,7 +483,7 @@ def test_responses_view_equals_the_tick_oracle_bitwise(s):
     tick of [0, t_max], at every grid time, bit for bit."""
     ticks = np.arange(round(s.t_max / TIME_QUANTUM) + 1)
     view = responses(s)
-    assert view.shape == (ticks.size, s.grid().size)
+    assert view.shape == (ticks.size, grid(s).size)
     assert view.tobytes() == direct_response(ticks * TIME_QUANTUM, s).tobytes()
     assert responses(s) is view  # computed once per setting
 
@@ -493,7 +493,7 @@ def test_responses_view_stays_within_1e_15_of_the_float_grid_form():
     some cells in their last bits, never by 1e-15."""
     s = SimulationConfig()
     times = np.arange(round(s.t_max / TIME_QUANTUM) + 1) * TIME_QUANTUM
-    float_form = _epsilon_consuming(s.grid()[None, :] - times[:, None], s.tau)
+    float_form = _epsilon_consuming(grid(s)[None, :] - times[:, None], s.tau)
     assert np.abs(responses(s) - float_form).max() < 1e-15
 
 
@@ -524,7 +524,7 @@ def test_response_matrix_rejects_a_spike_after_t_max(rng):
     with pytest.raises(InputError, match="t_max"):
         train([at_end, late], np.array([0, 1]), NetworkConfig(), class_count=2)
     assert at_end.ticks.tolist() == [round(s.t_max / TIME_QUANTUM)]
-    assert response_matrix(at_end, s, 0, s.grid().size).tobytes() == \
+    assert response_matrix(at_end, s, 0, grid(s).size).tobytes() == \
         direct_response([s.t_max], s).tobytes()
     assert predict(net, [at_end]).shape == (1,)
 
@@ -561,7 +561,7 @@ def test_threads_predicting_on_a_cold_table_get_the_serial_labels(rng):
 
 
 def test_simulation_grid_endpoints():
-    g = sim().grid()
+    g = grid(sim())
     assert g[0] == 0.0
     assert g[-1] == pytest.approx(8.0)
     assert g.size == 801
@@ -574,22 +574,32 @@ def test_grid_ends_at_or_before_t_max(t_max, dt, columns):
     """The grid has one time per whole dt step within t_max, counted in
     ticks, so no neuron can fire after the interval ends (t_max = 8.006
     once searched up to 8.01 ms, and dt = 10 up to 10 ms); the grid, the
-    responses, the race blocks and the kernel row all read that count."""
+    responses, the race blocks and the kernel row all read that count.  A
+    neuron crossing on the last column fires at most at t_max, counted in
+    whole ticks, and at exactly t_max when that column is on its tick."""
     s = SimulationConfig(t_max=t_max, dt=dt)
     last, step = s.ticks()
-    grid = s.grid()
-    assert grid.size == s.columns() == columns
+    times = grid(s)
+    assert times.size == s.columns() == columns
     assert (columns - 1) * step <= last < columns * step
     # 3 * 0.1 is 0.30000000000000004 in floats, on t_max's tick but past 0.3
-    assert grid[-1] <= t_max or (t_max, dt) == (0.3, 0.1)
+    assert times[-1] <= t_max or (t_max, dt) == (0.3, 0.1)
     view = base = responses(s)
     while base.base is not None:
         base = base.base
     assert view.shape == (last + 1, columns)
     assert base.size == s.kernel_row() == (columns - 1) * step + last + 1
     assert race_blocks(s)[-1][1] == columns
+    net = Network(1, 1, 1.0, s, spike_interval=t_max / 2)
+    net.initialized[0], net.thresholds[0] = True, 0.5
+    fired, _ = net.evaluate_pattern(
+        np.ones((1, 1)), lambda lo, hi: (np.arange(lo, hi) == columns - 1)[None, :] * 1.0)
+    assert fired == {0: (columns - 1) * step * TIME_QUANTUM}
+    assert fired[0] <= t_max
+    if (columns - 1) * step == last:
+        assert fired[0] == t_max
     if dt == 0.043:
-        assert grid[-1] == pytest.approx(7.998)
+        assert times[-1] == pytest.approx(7.998)
 
 
 def test_simulation_config_validation():
@@ -683,7 +693,7 @@ def test_evaluate_pattern_kernel_matches_crossings(rng):
     net = make_network(rng, uninitialized=(1,))
     live = np.flatnonzero(net.initialized).tolist()
     assert live == [0, 2]
-    dt, margin, columns = net.sim.dt, 0.3, net.sim.grid().size
+    dt, margin, columns = net.sim.dt, 0.3, grid(net.sim).size
     fired_any, ends = [], set()
     for _ in range(60):
         pattern = random_pattern(rng, neuron_count=net.input_count, max_spikes=6)
@@ -742,7 +752,7 @@ def test_race_blocks_equal_the_full_product_bit_for_bit(rng):
     a gathered copy of the block's response columns, equals the same columns
     of the whole (live, spikes) @ (spikes, grid) product bit for bit."""
     s = sim()
-    assert s.grid().size == 801
+    assert grid(s).size == 801
     assert race_blocks(s) == ((0, 256), (256, 512), (512, 768), (768, 801))
     table = direct_response(np.arange(round(s.t_max / TIME_QUANTUM) + 1) * TIME_QUANTUM, s)
     for _ in range(150):
@@ -762,7 +772,7 @@ def test_race_blocks_fold_a_one_column_tail(rng):
     unless the grid has only one."""
     def grid_of(columns):
         s = SimulationConfig(t_max=(columns - 1) * 0.01, dt=0.01)
-        assert s.grid().size == columns
+        assert grid(s).size == columns
         return s
 
     folded = {2 * RACE_BLOCK + 1: ((0, RACE_BLOCK), (RACE_BLOCK, 2 * RACE_BLOCK + 1)),
@@ -808,7 +818,7 @@ import json, math
 import numpy as np
 from bench_pairs import openblas_core
 from conftest import network_of, random_pattern, random_terms
-from oracles import evaluate_pattern, race_end, sample_weights
+from oracles import evaluate_pattern, grid, race_end, sample_weights
 from sefm.dynamics import SimulationConfig, race_blocks, response_matrix
 
 rng = np.random.default_rng(20240817)
@@ -819,7 +829,7 @@ checked, disagree, differ, ends = 0, 0, 0, set()
 for _ in range(200):
     pattern = random_pattern(rng, neuron_count=16, max_spikes=16)
     weights = sample_weights(net, pattern)
-    eps_matrix = response_matrix(pattern, net.sim, 0, net.sim.grid().size)
+    eps_matrix = response_matrix(pattern, net.sim, 0, grid(net.sim).size)
     activity = evaluate_pattern(net, pattern, eps_matrix=eps_matrix)
     blocked = [weights[live] @ eps_matrix[:, lo:hi].copy() for lo, hi in race_blocks(net.sim)]
     differ += np.hstack(blocked).tobytes() != (weights[live] @ eps_matrix).tobytes()
@@ -875,7 +885,7 @@ def test_evaluate_pattern_given_weights_match_fresh(rng):
         plain = evaluate_pattern(net, pattern)
         given = evaluate_pattern(net, pattern, sample_weights(net, pattern),
                                  eps_matrix=response_matrix(pattern, net.sim, 0,
-                                                            net.sim.grid().size))
+                                                            grid(net.sim).size))
         assert np.array_equal(plain.peaks, given.peaks, equal_nan=True)
         assert np.array_equal(plain.fire_times, given.fire_times, equal_nan=True)
 

@@ -33,7 +33,7 @@ def normalized_psp(times, t_hat):
     as training computes them: ``compute_update(...).normalized``."""
     pattern = pattern_of(np.arange(len(times)), times)
     neuron = network_of(12, [(0.0, [], [], [])], sigma=0.5, sim=SIM).neurons[0]
-    return compute_update(neuron, pattern, t_hat, SIM).normalized
+    return compute_update(neuron.network, neuron.class_label, pattern, t_hat).normalized
 
 
 # --- normalized kernel responses -------------------------------------------
@@ -174,7 +174,7 @@ def test_compute_update_identity_and_shapes(rng):
         eligible_before = 1.2
         if pattern.spike_count == 0 or not (pattern.times < eligible_before).any():
             continue
-        step = compute_update(neuron, pattern, eligible_before, SIM)
+        step = compute_update(neuron.network, neuron.class_label, pattern, eligible_before)
         assert step.deltas.shape == pattern.times.shape
         assert float(step.deltas @ step.eps_vals) == pytest.approx(step.dv, rel=1e-9, abs=1e-12)
         assert abs(step.normalized.sum() - 1.0) <= 1e-12
@@ -185,8 +185,8 @@ def test_compute_update_accepts_cached_weights(rng):
     neuron = random_neuron(rng)
     pattern = pattern_of([0, 1, 2], [0.2, 0.8, 1.4], n=neuron.input_count)
     w = neuron.sample_weights(pattern.neuron_ids, pattern.times)
-    a = compute_update(neuron, pattern, 2.0, SIM)
-    b = compute_update(neuron, pattern, 2.0, SIM, weights=w)
+    a = compute_update(neuron.network, neuron.class_label, pattern, 2.0)
+    b = compute_update(neuron.network, neuron.class_label, pattern, 2.0, weights=w)
     assert np.array_equal(a.deltas, b.deltas)
     assert a.dv == b.dv
 
@@ -195,14 +195,14 @@ def test_compute_update_raises_without_eligible_spikes(rng):
     neuron = random_neuron(rng)
     pattern = pattern_of([0, 1], [2.5, 2.9], n=neuron.input_count)
     with pytest.raises(NoEligibleSpikes):
-        compute_update(neuron, pattern, 2.5, SIM)
+        compute_update(neuron.network, neuron.class_label, pattern, 2.5)
 
 
 def test_fallback_flag_set_when_weights_cover_responses():
     # all momentary weights far above u -> every excess clamps to zero
     neuron = network_of(3, [(0.4, [0, 1], [0.5, 1.0], [5.0, 5.0])], sigma=0.5).neurons[0]
     pattern = pattern_of([0, 1], [0.5, 1.0], n=3)
-    step = compute_update(neuron, pattern, 2.0, SIM)
+    step = compute_update(neuron.network, neuron.class_label, pattern, 2.0)
     assert step.used_fallback
     assert np.array_equal(step.shares, step.normalized)
     assert float(step.deltas @ step.eps_vals) == pytest.approx(step.dv, rel=1e-9)
@@ -214,7 +214,7 @@ def test_apply_adds_scaled_gaussians_at_spike_centers(rng):
     neuron = random_neuron(rng, sigma=0.4)
     pattern = pattern_of([2, 5, 7], [0.25, 0.75, 1.25], n=neuron.input_count)
     before = [terms_of(neuron, i) for i in range(neuron.input_count)]
-    step = compute_update(neuron, pattern, 2.0, SIM)
+    step = compute_update(neuron.network, neuron.class_label, pattern, 2.0)
     added = apply_update(neuron.network, 0, step, learning_rate=0.1)
     assert added == int(np.count_nonzero(0.1 * step.deltas))
     grid = np.linspace(0.0, 3.0, 31)
@@ -231,7 +231,7 @@ def test_apply_adds_scaled_gaussians_at_spike_centers(rng):
 def test_apply_zero_step_leaves_neuron_untouched(rng):
     neuron = random_neuron(rng)
     pattern = pattern_of([0, 1], [0.5, 1.0], n=neuron.input_count)
-    step = compute_update(neuron, pattern, 2.0, SIM)
+    step = compute_update(neuron.network, neuron.class_label, pattern, 2.0)
     step.deltas[:] = 0.0
     terms0 = all_terms(neuron)
     threshold0 = neuron.threshold
@@ -247,7 +247,7 @@ def test_apply_full_rate_closes_gap_when_spikes_are_far_apart():
                         sigma=0.005).neurons[0]
     pattern = pattern_of([0, 1, 2], [0.2, 0.9, 1.6], n=4)
     t_hat = 2.0
-    step = compute_update(neuron, pattern, t_hat, SIM)
+    step = compute_update(neuron.network, neuron.class_label, pattern, t_hat)
     apply_update(neuron.network, 0, step, learning_rate=1.0)
     assert potential(neuron, pattern, t_hat, SIM) == pytest.approx(0.9, abs=1e-9)
 
@@ -256,11 +256,11 @@ def test_sampled_weights_follow_every_added_term(rng):
     patterns = [random_pattern(rng, neuron_count=12) for _ in range(20)]
     net = network_of(12, [None, None], sigma=0.4, sim=SIM)
     sampled = SampledWeights(patterns, net)
-    initialize(net, 1, pattern_of([3, 7], [0.5, 1.25]), 2.0, SIM, sampled)
+    initialize(net, 1, pattern_of([3, 7], [0.5, 1.25]), 2.0, sampled)
     neuron = net.neurons[1]
     for pattern in patterns:
         try:
-            step = compute_update(neuron, pattern, 1.5, SIM)
+            step = compute_update(net, 1, pattern, 1.5)
         except NoEligibleSpikes:
             continue
         apply_update(net, 1, step, 0.3, sampled)
@@ -279,7 +279,7 @@ def test_sampled_weights_follow_every_added_term(rng):
 def test_initialize_threshold_equals_response_weighted_sum():
     net = network_of(5, [None], sigma=0.3, sim=SIM)
     pattern = pattern_of([0, 3], [0.5, 1.0], n=5)
-    initialize(net, 0, pattern, 2.0, SIM)
+    initialize(net, 0, pattern, 2.0)
     neuron = net.neurons[0]
     e1 = 0.5 * math.exp(0.5)
     e2 = (1.0 / 3.0) * math.exp(2.0 / 3.0)
@@ -292,7 +292,7 @@ def test_initialize_threshold_equals_response_weighted_sum():
 def test_initialize_single_spike():
     net = network_of(2, [None, None], sigma=0.5, sim=SIM)
     pattern = pattern_of([1], [0.4], n=2)
-    initialize(net, 1, pattern, 2.0, SIM)
+    initialize(net, 1, pattern, 2.0)
     neuron = net.neurons[1]
     assert terms_of(neuron, 1) == [(0.4, 1.0)]
     assert neuron.threshold == pytest.approx(float(epsilon(1.6, 3.0)), rel=1e-14)
@@ -307,7 +307,7 @@ def test_initialize_gap_is_zero_at_desired_time(rng):
         times = np.round(rng.uniform(0.0, 1.9, size=n), 3)
         net = network_of(12, [None], sigma=float(rng.uniform(0.05, 2.0)), sim=SIM)
         pattern = pattern_of(ids, times, n=12)
-        initialize(net, 0, pattern, 2.0, SIM)
+        initialize(net, 0, pattern, 2.0)
         neuron = net.neurons[0]
         v = potential(neuron, pattern, 2.0, SIM)
         assert neuron.threshold - v == pytest.approx(0.0, abs=1e-12)
@@ -320,7 +320,7 @@ def test_initialize_fires_at_desired_time(rng):
         times = np.round(rng.uniform(0.0, 1.5, size=n), 3)
         net = network_of(12, [None], sigma=0.5, sim=SIM)
         pattern = pattern_of(ids, times, n=12)
-        initialize(net, 0, pattern, 2.0, SIM)
+        initialize(net, 0, pattern, 2.0)
         neuron = net.neurons[0]
         t = fire_time(neuron, pattern, SIM)
         assert t is not None
@@ -332,7 +332,7 @@ def test_initialize_fires_at_desired_time(rng):
 def test_initialize_ignores_ineligible_and_skips_zero_terms():
     net = network_of(4, [None], sigma=0.5, sim=SIM)
     pattern = pattern_of([0, 2], [0.5, 2.5], n=4)
-    initialize(net, 0, pattern, 2.0, SIM)
+    initialize(net, 0, pattern, 2.0)
     neuron = net.neurons[0]
     assert terms_of(neuron, 0) == [(0.5, 1.0)]
     assert terms_of(neuron, 2) == []
@@ -342,5 +342,5 @@ def test_initialize_without_eligible_spikes_raises():
     net = network_of(2, [None], sigma=0.5, sim=SIM)
     pattern = pattern_of([0], [2.0], n=2)
     with pytest.raises(NoEligibleSpikes):
-        initialize(net, 0, pattern, 2.0, SIM)
+        initialize(net, 0, pattern, 2.0)
     assert net.neurons == [None] and net.keys.size == 0

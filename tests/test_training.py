@@ -2,11 +2,13 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sefm
 from sefm.config import NetworkConfig
 from sefm.data import confusion_matrix
 from sefm.dynamics import (epsilon, load_model, model_to_json_bytes, race_blocks,
@@ -30,7 +32,7 @@ from sefm.training import (
 
 from conftest import all_terms, blobs_dataset, network_of, random_pattern, random_terms
 from oracles import (PatternMajorSampledWeights, crossings, direct_response, evaluate_pattern,
-                     process_sample, race_end, sampled_weights_per_term)
+                     grid, process_sample, race_end, sampled_weights_per_term)
 
 
 CFG = NetworkConfig(sigma=0.5)
@@ -213,6 +215,22 @@ def test_train_validations(rng):
         train(patterns, labels[:-1], CFG, class_count=3)
     with pytest.raises(ConfigError):
         train(patterns, labels, CFG, class_count=4)  # class 3 absent
+
+
+@pytest.mark.parametrize("bad", [
+    {"learning_rate": -0.1}, {"reference_rate": 1.5}, {"margin_rate": -1.0},
+    {"deadline_rate": 7.0}, {"desired_time": 5.0}, {"max_epochs": -3}])
+def test_train_cannot_be_handed_an_invalid_config(rng, bad):
+    """A config checks itself when built, whichever way it is built, so none
+    of these reaches ``sefm.train``: without the check, a negative learning
+    rate trains to completion and max_epochs = -3 returns an untrained model."""
+    patterns, labels = encoded_blobs(rng)
+    builds = [lambda: NetworkConfig(**bad), lambda: replace(CFG, **bad),
+              lambda: CFG.with_overrides(**bad),
+              lambda: NetworkConfig.from_dict({**CFG.to_dict(), **bad})]
+    for build in builds:
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            sefm.train(patterns, labels, build(), class_count=3)
 
 
 def test_train_rejects_a_spike_after_t_max(rng):
@@ -676,7 +694,7 @@ def rising_race(cfg, crossings):
     sim = cfg.simulation()
     classes = []
     for j, k in enumerate(crossings):
-        v = AMPLITUDES[j] * epsilon(sim.grid(), sim.tau)
+        v = AMPLITUDES[j] * epsilon(grid(sim), sim.tau)
         threshold = 1.01 * v.max() if k is None else (v[k - 1] + v[k]) / 2
         classes.append((threshold, [0], [0.0], [AMPLITUDES[j]]))
     return network_of(1, classes, cfg.sigma, sim, cfg.spike_interval), pattern_of([0], [0.0], n=1)

@@ -18,7 +18,9 @@ median move, in how many pairs the change was better (by the metric's
 ``better`` in BENCHMARK.json) and a verdict against the metric's ``bound``
 (see ``verdict``); per pair, whether the report digests were equal and how
 many units failed.  It ends with one line naming every (workload, metric)
-whose verdict is not ``ok``.  The JSON
+whose verdict is not ``ok`` and every workload whose report digests
+differed in any pair or that had a failed unit; ``flagged`` in the JSON
+lists the same.  The JSON
 also names both sides (the change by HEAD, its tree id, whether that tree
 differs from HEAD's, and the tree id of its ``src/``, which equals
 ``git rev-parse COMMIT:src`` for any commit holding the same source), the
@@ -171,9 +173,23 @@ def print_summary(summary: dict) -> None:
 
 
 def flagged(workloads: list[dict]) -> list[list[str]]:
-    """Every [workload, metric, verdict] whose verdict is not ``ok``."""
-    return [[w["workload"], name, m["verdict"]] for w in workloads
-            for name, m in w["metrics"].items() if m["verdict"] != "ok"]
+    """Every [workload, metric, verdict] whose verdict is not ``ok``, then
+    [workload, "digests", "differed"] for a workload whose report digests
+    differed in any pair and [workload, "units", "failed"] for one with a
+    failed unit."""
+    out = []
+    for w in workloads:
+        out += [[w["workload"], name, m["verdict"]]
+                for name, m in w["metrics"].items() if m["verdict"] != "ok"]
+        if not all(p["digests_equal"] for p in w["pairs"]):
+            out.append([w["workload"], "digests", "differed"])
+        if any(p["failed"]["parent"] or p["failed"]["change"] for p in w["pairs"]):
+            out.append([w["workload"], "units", "failed"])
+    return out
+
+
+def closing_line(flags: list[list[str]]) -> str:
+    return "flagged: " + (", ".join(f"{w} {name} ({v})" for w, name, v in flags) or "none")
 
 
 def main(argv=None) -> int:
@@ -216,8 +232,7 @@ def main(argv=None) -> int:
             doc["flagged"] = flagged(doc["workloads"])
             if args.out:  # keep what is done if a later workload fails
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    print("\nregressed or unresolved: " + (", ".join(
-        f"{w} {name} ({v})" for w, name, v in doc["flagged"]) or "none"))
+    print("\n" + closing_line(doc["flagged"]))
     return 0
 
 
