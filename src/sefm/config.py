@@ -5,6 +5,7 @@ learning and scheduling knobs, checked when built, naming every bad field.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 from .dynamics import SimulationConfig
@@ -56,12 +57,14 @@ class NetworkConfig:
             bad.append("desired_time must lie in (0, spike_interval)")
         if not self.t_max > self.spike_interval:
             bad.append("t_max must exceed spike_interval")
-        if self.receptive_field_count < 3:
-            bad.append("receptive_field_count must be >= 3")
+        for name, least in (("receptive_field_count", 3), ("max_epochs", 0)):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral):
+                bad.append(f"{name} must be an integer")
+            elif v < least:
+                bad.append(f"{name} must be >= {least}")
         if not 0.0 <= self.response_cutoff < 1.0:
             bad.append("response_cutoff must lie in [0, 1)")
-        if self.max_epochs < 0:
-            bad.append("max_epochs must be >= 0")
         if bad:
             raise ConfigError("; ".join(bad))
 
@@ -73,8 +76,9 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NetworkConfig":
-        """Build from a JSON-style dict; unknown keys, values that are not
-        numbers and fractional counts are errors."""
+        """Build from a JSON-style dict; unknown keys and values that are not
+        numbers are errors.  A whole-valued count becomes an int; any other
+        is left for ``__post_init__`` to reject."""
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(doc) - known)
         if unknown:
@@ -86,11 +90,9 @@ class NetworkConfig:
                 if isinstance(value, (bool, str)):
                     raise TypeError("not a JSON number")
                 number = float(value)
-                if key in ints and not number.is_integer():
-                    raise ValueError(f"{number} is not a whole number")
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"config key {key!r}: bad value {value!r}") from exc
-            kwargs[key] = int(number) if key in ints else number
+            kwargs[key] = int(number) if key in ints and number.is_integer() else number
         return cls(**kwargs)
 
     def with_overrides(self, **kwargs) -> "NetworkConfig":

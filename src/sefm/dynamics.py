@@ -41,8 +41,8 @@ class SimulationConfig:
     """Postsynaptic simulation settings.
 
     tau is the spike-response time constant (ms), t_max the end of the
-    postsynaptic interval (ms), dt the threshold-search grid step (ms), a
-    whole number of TIME_QUANTUM ticks.  Every bad field is named in one
+    postsynaptic interval (ms) and dt the threshold-search grid step (ms),
+    both whole numbers of TIME_QUANTUM ticks.  Every bad field is named in one
     ConfigError, and so is a kernel row longer than MAX_KERNEL_ROW.
     """
 
@@ -53,14 +53,15 @@ class SimulationConfig:
     def __post_init__(self):
         bad = [f"{name} must be positive and finite" for name in ("tau", "t_max", "dt")
                if not 0 < getattr(self, name) < np.inf]  # NaN fails too
-        ticks = self.dt / TIME_QUANTUM
-        # whole up to rounding (0.043 / 0.001 is 42.99999999999999); a step
-        # under half a tick rounds to 0, which no positive step is close to
-        if 0 < ticks < np.inf and not math.isclose(ticks, round(ticks), rel_tol=1e-9):
-            bad.append(f"dt must be a whole number of {TIME_QUANTUM} ms ticks")
+        # whole up to rounding (0.043 / 0.001 is 42.99999999999999); a time
+        # under half a tick rounds to 0, which no positive time is close to
+        bad += [f"{name} must be a whole number of {TIME_QUANTUM} ms ticks"
+                for name in ("t_max", "dt")
+                if 0 < (ticks := getattr(self, name) / TIME_QUANTUM) < np.inf
+                and not math.isclose(ticks, round(ticks), rel_tol=1e-9)]
         # compared as floats first, so that no tick count overflows
-        elif not bad and (max(self.t_max, self.dt) / TIME_QUANTUM > MAX_KERNEL_ROW
-                          or self.kernel_row() > MAX_KERNEL_ROW):
+        if not bad and (max(self.t_max, self.dt) / TIME_QUANTUM > MAX_KERNEL_ROW
+                        or self.kernel_row() > MAX_KERNEL_ROW):
             bad.append(f"t_max and dt need a kernel row of at most MAX_KERNEL_ROW = "
                        f"{MAX_KERNEL_ROW:,} values")
         if bad:
@@ -329,13 +330,8 @@ class Network:
             raise InputError("a term needs a finite amplitude and a center in [0, 2**31) ticks")
         ticks = ticks.astype(np.int64)
         keys = ((classes * self.input_count + ids) << 32) + ticks
-        stored = self.keys
-        if stored.size:
-            at = np.searchsorted(stored, keys)
-            found = stored[np.minimum(at, stored.size - 1)] == keys
-            np.add.at(self.amplitudes, at[found], amplitudes[found])
-            new = ~found
-            ticks, amplitudes, keys = ticks[new], amplitudes[new], keys[new]
+        at, new = self._add_to_stored(keys, amplitudes)
+        at, ticks, amplitudes, keys = at[new], ticks[new], amplitudes[new], keys[new]
         if not keys.size:
             return
         # a stable sort keeps arrival order within a key and is linear on
@@ -345,15 +341,56 @@ class Network:
         head = np.ones(keys.size, dtype=bool)
         head[1:] = keys[1:] != keys[:-1]
         first = order[head]  # the first arrival of each new key
-        columns = (keys[head], ticks[first] * TIME_QUANTUM,
-                   np.bincount(np.cumsum(head) - 1, weights=amplitudes[order]))
-        if stored.size:
-            # new key k lands after the k new keys before it
-            dest = np.searchsorted(stored, columns[0]) + np.arange(first.size)
-            kept = np.ones(stored.size + first.size, dtype=bool)
+        self._insert(at[first], keys[head], ticks[first] * TIME_QUANTUM,
+                     np.bincount(np.cumsum(head) - 1, weights=amplitudes[order]))
+
+    def _add_pattern_terms(self, class_label: int, ids: np.ndarray, ticks: np.ndarray,
+                           amplitudes: np.ndarray) -> None:
+        """``add_terms`` of one term per spike of a SpikePattern: class
+        ``class_label``, the pattern's ascending, distinct ``ids``, their
+        int64 ``ticks`` and one amplitude each.
+
+        Its keys come sorted and distinct, so no center is snapped, sorted
+        or summed: a present key adds its amplitude in place, and a new one
+        is stored as ``0.0 + a`` at center ``tick * TIME_QUANTUM``, both as
+        ``add_terms`` would.  What a pattern does not already imply raises
+        InputError before anything changes: a class or an input out of
+        range, a non-finite amplitude, a tick of 2**31 or more.
+        """
+        if not 0 <= class_label < self.class_count:
+            raise InputError(f"class outside [0, {self.class_count})")
+        if ids.size and (ids[0] < 0 or ids[-1] >= self.input_count):
+            raise InputError(f"input neuron outside [0, {self.input_count})")
+        if not (np.isfinite(amplitudes).all() and ticks.max(initial=0) < 2**31):
+            raise InputError("a term needs a finite amplitude and a center in [0, 2**31) ticks")
+        keys = ((class_label * self.input_count + ids) << 32) + ticks
+        at, new = self._add_to_stored(keys, amplitudes)
+        if new.any():
+            self._insert(at[new], keys[new], ticks[new] * TIME_QUANTUM, 0.0 + amplitudes[new])
+
+    def _add_to_stored(self, keys: np.ndarray,
+                       amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Add each amplitude whose key is stored to the stored amplitude, in
+        arrival order; returns each key's ``searchsorted`` position among
+        the stored keys and the mask of the keys not stored."""
+        at = np.searchsorted(self.keys, keys)
+        if not self.keys.size:
+            return at, np.ones(keys.size, dtype=bool)
+        found = self.keys[np.minimum(at, self.keys.size - 1)] == keys
+        np.add.at(self.amplitudes, at[found], amplitudes[found])
+        return at, ~found
+
+    def _insert(self, at: np.ndarray, keys: np.ndarray, centers: np.ndarray,
+                amplitudes: np.ndarray) -> None:
+        """Store new terms: ascending keys, none stored yet, each going
+        before stored position ``at`` (its ``searchsorted`` position)."""
+        columns = (keys, centers, amplitudes)
+        if self.keys.size:
+            dest = at + np.arange(at.size)  # after the new keys before it
+            kept = np.ones(self.keys.size + at.size, dtype=bool)
             kept[dest] = False
             columns = [_merged(old, kept, dest, new) for old, new in
-                       zip((stored, self.centers, self.amplitudes), columns)]
+                       zip((self.keys, self.centers, self.amplitudes), columns)]
         self.keys, self.centers, self.amplitudes = columns
 
     def sample_block(self) -> int:
@@ -428,31 +465,31 @@ class Network:
         thresholds = self.thresholds
         if len(live) < self.class_count:  # no copy when every class is live
             weights, thresholds = weights[live], thresholds[live]
-        dt = self.sim.dt
-        bars = thresholds.tolist()
+        bars, column = thresholds.tolist(), thresholds[:, None]
         first: list[Optional[int]] = [None] * len(live)
+        fired = False  # whether any entry of ``first`` is set
         # the label's position, and the columns past its crossing that hold
         # every rival the margin test could push
         held = None if label is None else live.index(label)
-        reach = 0 if label is None else math.ceil(margin / dt) + 1
+        reach = 0 if label is None else math.ceil(margin / self.sim.dt) + 1
         peaks = None
         for lo, hi in race_blocks(self.sim):
             v = weights @ responses(lo, hi)
-            crossed = (v >= thresholds[:, None]).argmax(axis=1).tolist()
             # argmax gives index 0 when nothing crosses, so check the potential there
-            for i, (k, row, bar) in enumerate(zip(crossed, v, bars)):
-                if first[i] is None and row[k] >= bar:
+            for i, k in enumerate((v >= column).argmax(axis=1).tolist()):
+                if first[i] is None and v[i, k] >= bars[i]:
                     first[i] = lo + k
-            if any(k is not None for k in first):
+                    fired = True
+            if fired:
                 if held is None or (first[held] is not None and hi >= first[held] + reach):
                     break
             else:  # the peaks decide only a race in which nothing fires
                 top = v.max(axis=1)
                 peaks = top if peaks is None else np.maximum(peaks, top)
-        if any(k is not None for k in first):
+        if fired:
             step = self.sim.ticks()[1]
-            fired = {j: k * step * TIME_QUANTUM for j, k in zip(live, first) if k is not None}
-            return fired, min(fired, key=fired.__getitem__)
+            times = {j: k * step * TIME_QUANTUM for j, k in zip(live, first) if k is not None}
+            return times, min(times, key=times.__getitem__)
         peaks = peaks.tolist()
         return {}, live[peaks.index(max(peaks))]
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Network, OutputNeuron, efficacy, epsilon
+from .dynamics import Network, OutputNeuron, _epsilon_consuming, efficacy
 from .encoding import SpikePattern
 from .errors import InputError, SefmError
 
@@ -88,19 +88,6 @@ def excess(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.where(u > w, u - w, 0.0)
 
 
-def modulation_factors(z: np.ndarray, eps_vals: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Response-weighted share of the update each spike receives; sums to 1.
-
-    When every excess is zero (all momentary weights already at or above
-    their normalized responses) the shares fall back to u itself.
-    """
-    weighted = z * eps_vals
-    total = weighted.sum()
-    if total <= 0.0:
-        return u.copy()
-    return weighted / total
-
-
 def momentary_deltas(m: np.ndarray, dv: float, eps_vals: np.ndarray) -> np.ndarray:
     """Per-spike momentary weight change; zero wherever the share is zero.
 
@@ -108,18 +95,17 @@ def momentary_deltas(m: np.ndarray, dv: float, eps_vals: np.ndarray) -> np.ndarr
     potential change at the reference time come out to exactly dv:
     sum(delta * eps) = dv * sum(m) = dv.
     """
-    out = np.zeros_like(m)
-    mask = m != 0.0
-    out[mask] = m[mask] * dv / eps_vals[mask]
-    return out
+    return np.divide(m * dv, eps_vals, out=np.zeros_like(m), where=m != 0.0)
 
 
 @dataclass
 class UpdateStep:
-    """One computed (not yet applied) update for a single neuron."""
+    """One computed (not yet applied) update for a single neuron, on the
+    spikes of one pattern: its ids, times and ticks."""
 
     neuron_ids: np.ndarray
     times: np.ndarray
+    ticks: np.ndarray
     eps_vals: np.ndarray
     normalized: np.ndarray
     shares: np.ndarray
@@ -133,28 +119,36 @@ def compute_update(net: Network, class_label: int, pattern: SpikePattern, t_hat:
     """Per-spike deltas that move class ``class_label``'s v(t_hat) onto its
     threshold, under the network's tau.
 
-    ``weights`` may pass in the pattern's momentary weights (as
+    Each spike's share of the update is its response-weighted excess
+    ``z * eps`` over their sum; when every excess is zero (all momentary
+    weights already at or above their normalized responses) the shares
+    fall back to the normalized responses themselves.  ``weights`` may
+    pass in the pattern's momentary weights (as
     ``OutputNeuron.sample_weights`` returns them); else they are sampled here.
     """
     times = pattern.times
-    eps_vals = epsilon(t_hat - times, net.sim.tau)
+    eps_vals = _epsilon_consuming(t_hat - times, net.sim.tau)
     u = _normalized(eps_vals, t_hat)
     if weights is None:
         weights = OutputNeuron(net, class_label).sample_weights(pattern.neuron_ids, times)
     v = float(weights @ eps_vals)
     dv = float(net.thresholds[class_label]) - v  # potential gap the update must close at t_hat
-    z = excess(u, weights)
-    used_fallback = float((z * eps_vals).sum()) <= 0.0
-    m = modulation_factors(z, eps_vals, u)
-    deltas = momentary_deltas(m, dv, eps_vals)
-    return UpdateStep(neuron_ids=pattern.neuron_ids, times=times,
-                      eps_vals=eps_vals, normalized=u, shares=m, deltas=deltas, dv=dv,
+    weighted = excess(u, weights) * eps_vals
+    total = weighted.sum()
+    used_fallback = bool(total <= 0.0)
+    m = u.copy() if used_fallback else weighted / total
+    return UpdateStep(neuron_ids=pattern.neuron_ids, times=times, ticks=pattern.ticks,
+                      eps_vals=eps_vals, normalized=u, shares=m,
+                      deltas=momentary_deltas(m, dv, eps_vals), dv=dv,
                       used_fallback=used_fallback)
 
 
 def _add_terms(net: Network, class_label: int, sampled: SampledWeights | None,
-               neuron_ids: np.ndarray, centers: np.ndarray, amplitudes: np.ndarray) -> None:
-    net.add_terms(class_label, neuron_ids, centers, amplitudes)
+               neuron_ids: np.ndarray, ticks: np.ndarray, centers: np.ndarray,
+               amplitudes: np.ndarray) -> None:
+    """Add one term per spike of a pattern (its ids, ticks and times) to
+    the network, then to ``sampled``."""
+    net._add_pattern_terms(class_label, neuron_ids, ticks, amplitudes)
     if sampled is not None:
         sampled.add(class_label, neuron_ids, centers, amplitudes)
 
@@ -172,9 +166,10 @@ def apply_update(net: Network, class_label: int, step: UpdateStep, learning_rate
     keep = scaled != 0.0
     if not keep.any():
         return 0
-    _add_terms(net, class_label, sampled, step.neuron_ids[keep], step.times[keep],
+    ids = step.neuron_ids[keep]
+    _add_terms(net, class_label, sampled, ids, step.ticks[keep], step.times[keep],
                scaled[keep])
-    return int(keep.sum())
+    return ids.size
 
 
 def initialize(net: Network, class_label: int, pattern: SpikePattern, t_hat: float,
@@ -187,10 +182,10 @@ def initialize(net: Network, class_label: int, pattern: SpikePattern, t_hat: flo
     t_hat, so this pattern fires exactly at t_hat.  The class is then
     initialized.
     """
-    eps_vals = epsilon(t_hat - pattern.times, net.sim.tau)
+    eps_vals = _epsilon_consuming(t_hat - pattern.times, net.sim.tau)
     u = _normalized(eps_vals, t_hat)
     keep = u != 0.0
-    _add_terms(net, class_label, sampled, pattern.neuron_ids[keep], pattern.times[keep],
-               u[keep])
+    _add_terms(net, class_label, sampled, pattern.neuron_ids[keep], pattern.ticks[keep],
+               pattern.times[keep], u[keep])
     net.thresholds[class_label] = float(u @ eps_vals)
     net.initialized[class_label] = True

@@ -224,9 +224,11 @@ def train(patterns: list[SpikePattern], labels: np.ndarray, cfg: NetworkConfig,
         raise InputError("cannot train on an empty pattern list")
     if len(patterns) != len(labels):
         raise InputError("patterns and labels differ in length")
-    present = np.unique(np.asarray(labels)).tolist()
+    labels = np.asarray(labels)
+    present = np.unique(labels).tolist()
     if present != list(range(class_count)):
         raise ConfigError(f"training labels {present} are not exactly 0..{class_count - 1}")
+    labels = labels.astype(np.int64).tolist()  # Python ints, cast once per fit
     state = TrainingState(build_network(cfg, class_count, patterns[0].neuron_count),
                           patterns, cfg)
     stats_log: list[EpochStats] = []
@@ -235,7 +237,7 @@ def train(patterns: list[SpikePattern], labels: np.ndarray, cfg: NetworkConfig,
     for epoch in range(cfg.max_epochs):
         stats = EpochStats(epoch=epoch)
         for s in epoch_order(seed, epoch, len(patterns)):
-            label = int(labels[s])
+            label = labels[s]
             result = process_sample(state, s, label)
             stats.count(result, label)
             if result.outcome is Outcome.NO_SPIKES and s not in warned_empty:

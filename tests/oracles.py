@@ -35,6 +35,11 @@ live classes and thresholds from one training state, must reproduce bit
 for bit.  It works on any network, so the per-branch tests drive it on
 hand-built ones.
 
+``modulation_factors`` and ``update_step`` are the update rule with every
+quantity computed by its own formula, as the package computed it before
+``learning.compute_update`` shared its products: each ``UpdateStep``
+field must equal theirs bit for bit.
+
 ``add_terms`` merges terms into one class's ``ClassTerms`` by one
 ``unique`` + ``bincount`` over every stored and new term, and
 ``PatternMajorSampledWeights`` keeps the training weights as (classes,
@@ -223,6 +228,42 @@ def process_sample(net: Network, pattern: SpikePattern, label: int,
             updated.append(j)
     return SampleResult(Outcome.ON_TIME if punctual else Outcome.LATE, tuple(updated),
                         tuple(ineligible), predicted=predicted)
+
+
+# -- the update rule, one formula per quantity -------------------------------------
+
+def modulation_factors(z: np.ndarray, eps_vals: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Response-weighted share of the update each spike receives; sums to 1.
+
+    When every excess is zero (all momentary weights already at or above
+    their normalized responses) the shares fall back to a copy of u.
+    """
+    weighted = z * eps_vals
+    total = weighted.sum()
+    if total <= 0.0:
+        return u.copy()
+    return weighted / total
+
+
+def update_step(net: Network, class_label: int, pattern: SpikePattern, t_hat: float,
+                weights: np.ndarray) -> dict:
+    """Every field of ``learning.compute_update``'s UpdateStep, each by its
+    own formula: the responses through ``epsilon``, the fallback test apart
+    from ``modulation_factors``, and the deltas assigned through a mask."""
+    eps_vals = epsilon(t_hat - pattern.times, net.sim.tau)
+    total = eps_vals.sum()
+    if total <= 0.0:
+        raise learning.NoEligibleSpikes(f"no spike precedes reference time {t_hat}")
+    u = eps_vals / total
+    dv = float(net.thresholds[class_label]) - float(weights @ eps_vals)
+    z = np.where(u > weights, u - weights, 0.0)
+    m = modulation_factors(z, eps_vals, u)
+    deltas = np.zeros_like(m)
+    mask = m != 0.0
+    deltas[mask] = m[mask] * dv / eps_vals[mask]
+    return {"neuron_ids": pattern.neuron_ids, "times": pattern.times, "ticks": pattern.ticks,
+            "eps_vals": eps_vals, "normalized": u, "shares": m, "deltas": deltas, "dv": dv,
+            "used_fallback": float((z * eps_vals).sum()) <= 0.0}
 
 
 # -- term merging and sampled training weights -----------------------------------

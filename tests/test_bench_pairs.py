@@ -1,4 +1,5 @@
-"""The verdict tools/bench_pairs.py gives each metric against its bound."""
+"""The verdict tools/bench_pairs.py gives each metric against its bound, and
+the gains it states."""
 
 import importlib.util
 from pathlib import Path
@@ -95,3 +96,31 @@ def test_flagged_and_the_closing_line_name_changed_digests_and_failed_units(benc
         "(differed), both units (failed), slower rows_per_s (regressed), slower digests "
         "(differed)")
     assert bench_pairs.closing_line(bench_pairs.flagged(summaries[:1])) == "flagged: none"
+
+
+PARENT = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # q1 102.25, q3 106.75
+
+
+@pytest.mark.parametrize("better, change, expected", [
+    # better in all ten pairs, the median 10 up against a spread of 4.5
+    ("higher", [110, 111, 112, 113, 114, 115, 116, 117, 118, 119], True),
+    # nine wins of ten still meet the rule
+    ("higher", [110, 111, 112, 113, 114, 115, 116, 117, 118, 100], True),
+    # too few wins: eight of ten, however large the median's move
+    ("higher", [150, 151, 152, 153, 154, 155, 156, 157, 90, 91], False),
+    # ten wins, but the median moves 4 (104.5 to 108.5), inside the spread
+    ("higher", [104, 105, 106, 107, 108, 109, 110, 111, 112, 113], False),
+    # the same runs for a lower-is-better metric moved the wrong way
+    ("lower", [110, 111, 112, 113, 114, 115, 116, 117, 118, 119], False),
+    ("lower", [90, 91, 92, 93, 94, 95, 96, 97, 98, 99], True),
+])
+def test_a_gain_needs_nine_wins_in_ten_and_a_move_past_the_parents_spread(
+        bench_pairs, better, change, expected):
+    summary = bench_pairs.summarize("iris-protocol", pairs_of({"rate": PARENT},
+                                                              {"rate": change}),
+                                    {"rate": (better, 0.25)})
+    assert summary["metrics"]["rate"]["improved"] is expected
+    gains = bench_pairs.gains([summary])
+    assert gains == ([["iris-protocol", "rate"]] if expected else [])
+    assert bench_pairs.gains_line(gains) == (
+        "improved: iris-protocol rate" if expected else "improved: none")

@@ -67,6 +67,27 @@ def test_validate_rejects_out_of_range(bad):
         NetworkConfig(**bad)
 
 
+def test_counts_must_be_integers_however_the_config_is_built():
+    """A fractional count once built a config that ``sefm.train`` then
+    died on with a bare TypeError; now the one ConfigError names each bad
+    count, while ``from_dict`` still turns a whole-valued number into an
+    int and rejects a fractional one."""
+    with pytest.raises(ConfigError) as err:
+        NetworkConfig(max_epochs=2.5, receptive_field_count=4.5)
+    assert "max_epochs must be an integer" in str(err.value)
+    assert "receptive_field_count must be an integer" in str(err.value)
+    for bad in ({"max_epochs": 2.5}, {"receptive_field_count": 4.5}, {"max_epochs": 3.0}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            NetworkConfig(**bad)
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            replace(NetworkConfig(), **bad)
+    with pytest.raises(ConfigError, match="max_epochs must be an integer"):
+        NetworkConfig.from_dict({"max_epochs": 2.5})
+    cfg = NetworkConfig.from_dict({"max_epochs": 3.0, "receptive_field_count": 4})
+    assert (cfg.max_epochs, cfg.receptive_field_count) == (3, 4)
+    assert isinstance(cfg.max_epochs, int)
+
+
 def test_replace_checks_the_new_config():
     with pytest.raises(ConfigError, match="learning_rate"):
         replace(NetworkConfig(), learning_rate=-0.1)

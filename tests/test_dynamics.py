@@ -231,6 +231,50 @@ def test_add_terms_equals_the_sort_everything_reference_bitwise(rng):
     assert all(seen.values()), seen
 
 
+def test_pattern_terms_equal_add_terms_and_the_reference_bitwise(rng):
+    """Random correction sequences through ``Network._add_pattern_terms``,
+    the path of ``learning.apply_update`` and ``initialize``, leave the
+    keys, centers and amplitude bits that ``add_terms`` leaves given the
+    same terms, and every class slice equal to its reference terms.
+
+    Each call adds one term per spike of a random pattern to a random class
+    of a network of one to three; ticks come from a small range, so calls
+    insert new keys and add to stored ones, and some amplitudes are -0.0
+    or cancel a stored one.
+    """
+    seen = dict(inserted=0, repeated=0, cancel=0, negzero=0, classes=0)
+    for _ in range(40):
+        n, count = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        core, full = (network_of(n, [(0.0, [], [], [])] * count, sigma=1.0) for _ in "ab")
+        reference = [ClassTerms(n) for _ in range(count)]
+        touched = set()
+        for _ in range(int(rng.integers(1, 12))):
+            j = int(rng.integers(0, count))
+            pattern = random_pattern(rng, neuron_count=n, spike_interval=0.02, max_spikes=n)
+            amps = rng.normal(size=pattern.spike_count)
+            stored = dict(zip(core.keys.tolist(), core.amplitudes.tolist()))
+            keys = (((j * n + pattern.neuron_ids) << 32) + pattern.ticks).tolist()
+            for k, key in enumerate(keys):
+                if key in stored and rng.random() < 0.2:
+                    amps[k] = -stored[key]
+                    seen["cancel"] += 1
+                elif rng.random() < 0.1:
+                    amps[k] = -0.0
+                    seen["negzero"] += 1
+            seen["repeated"] += sum(key in stored for key in keys)
+            seen["inserted"] += sum(key not in stored for key in keys)
+            touched.add(j)
+            core._add_pattern_terms(j, pattern.neuron_ids, pattern.ticks, amps)
+            full.add_terms(j, pattern.neuron_ids, pattern.times, amps)
+            reference_add_terms(reference[j], pattern.neuron_ids, pattern.times, amps)
+            assert [a.tobytes() for a in (core.keys, core.centers, core.amplitudes)] == \
+                [a.tobytes() for a in (full.keys, full.centers, full.amplitudes)]
+            assert [_term_bytes(view) for view in core.neurons] == \
+                [_term_bytes(terms) for terms in reference]
+        seen["classes"] += len(touched) > 1
+    assert all(seen.values()), seen
+
+
 def test_sample_is_sum_of_gaussians(rng):
     net = network_of(1, [(0.0, [], [], [])], sigma=0.8)
     for _ in range(6):
@@ -617,6 +661,22 @@ def test_grid_step_must_be_a_whole_number_of_ticks():
     for dt in (0.0015, 1e-4, 0.0005):
         with pytest.raises(ConfigError, match="dt must be a whole number"):
             SimulationConfig(dt=dt)
+
+
+@pytest.mark.parametrize("t_max", [8.0006, 0.0006])
+def test_grid_end_must_be_a_whole_number_of_ticks(t_max, rng):
+    """A t_max between ticks rounds to the next tick, so its grid (8,002
+    columns at 8.0006 with dt 0.001, the last at 8.001 ms) and its spike
+    limit would reach past t_max; a checkpoint holding one is InputError."""
+    with pytest.raises(ConfigError, match="t_max must be a whole number"):
+        SimulationConfig(t_max=t_max, dt=0.001)
+    with pytest.raises(ConfigError, match="t_max must be a whole number"):
+        NetworkConfig(t_max=t_max, dt=0.001, spike_interval=t_max / 2,
+                      desired_time=t_max / 4)
+    doc = model_to_dict(make_network(rng))
+    doc["simulation"]["t_max"] = t_max
+    with pytest.raises(InputError, match="t_max must be a whole number"):
+        model_from_dict(doc)
 
 
 # --- network ------------------------------------------------------------------

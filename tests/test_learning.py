@@ -1,12 +1,14 @@
 """Update rule math: normalization, shares, deltas, apply, initialization."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from sefm.dynamics import SimulationConfig, epsilon
 from sefm.encoding import SpikePattern
+from sefm.errors import InputError
 from sefm.learning import (
     NoEligibleSpikes,
     SampledWeights,
@@ -14,12 +16,11 @@ from sefm.learning import (
     compute_update,
     excess,
     initialize,
-    modulation_factors,
     momentary_deltas,
 )
 
 from conftest import all_terms, network_of, random_neuron, random_pattern, scalar_weight, terms_of
-from oracles import fire_time, potential
+from oracles import fire_time, modulation_factors, potential, update_step
 
 SIM = SimulationConfig(tau=3.0, t_max=8.0, dt=0.01)
 
@@ -206,6 +207,74 @@ def test_fallback_flag_set_when_weights_cover_responses():
     assert step.used_fallback
     assert np.array_equal(step.shares, step.normalized)
     assert float(step.deltas @ step.eps_vals) == pytest.approx(step.dv, rel=1e-9)
+
+
+def _step_fields(step) -> dict:
+    return {f.name: getattr(step, f.name) for f in fields(step)}
+
+
+def test_update_step_equals_the_separate_formulas_bitwise(rng):
+    """Every UpdateStep field of ``compute_update``, which shares its
+    weighted excess, fallback sum and masked division, has the bits the
+    separate formulas of the ``update_step`` oracle give, over random
+    networks, patterns, reference times and momentary weights: sampled
+    ones, ones above every normalized response (the fallback) and mixed
+    signs.  Both raise NoEligibleSpikes for the same draws."""
+    seen = dict(fallback=0, shared=0, ineligible=0)
+    for _ in range(400):
+        neuron = random_neuron(rng, sigma=float(rng.uniform(0.05, 2.0)))
+        net, j = neuron.network, neuron.class_label
+        pattern = random_pattern(rng, neuron_count=neuron.input_count, max_spikes=8)
+        t_hat = float(rng.uniform(0.0, 3.0))
+        weights = [neuron.sample_weights(pattern.neuron_ids, pattern.times),
+                   np.full(pattern.spike_count, 5.0),
+                   rng.normal(0.0, 0.5, pattern.spike_count)][int(rng.integers(0, 3))]
+        try:
+            expected = update_step(net, j, pattern, t_hat, weights)
+        except NoEligibleSpikes:
+            with pytest.raises(NoEligibleSpikes):
+                compute_update(net, j, pattern, t_hat, weights=weights)
+            seen["ineligible"] += 1
+            continue
+        got = _step_fields(compute_update(net, j, pattern, t_hat, weights=weights))
+        assert got.keys() == expected.keys()
+        for name, want in expected.items():
+            if isinstance(want, np.ndarray):
+                assert got[name].dtype == want.dtype and got[name].tobytes() == want.tobytes()
+            else:
+                assert type(got[name]) is type(want) and got[name] == want, name
+        assert math.copysign(1.0, got["dv"]) == math.copysign(1.0, expected["dv"])
+        seen["fallback" if got["used_fallback"] else "shared"] += 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("spoil", ["nan-delta", "inf-delta", "input-past-the-network",
+                                   "class-below", "class-past", "tick-past-31-bits"])
+def test_apply_update_rejects_what_add_terms_rejects_and_changes_nothing(spoil):
+    """``apply_update`` adds a pattern's terms on its own sorted keys, and
+    still raises InputError for every term ``add_terms`` would reject that a
+    pattern does not rule out, before it changes the network or the
+    sampled weights."""
+    net = network_of(6, [(0.8, [0, 2], [0.5, 1.0], [0.3, 0.2]), None], sigma=0.5, sim=SIM)
+    pattern = pattern_of([0, 2, 5], [0.5, 1.0, 1.2], n=6)
+    sampled = SampledWeights([pattern], net)
+    j = {"class-below": -1, "class-past": 2}.get(spoil, 0)
+    if spoil == "input-past-the-network":
+        pattern, sampled = pattern_of([0, 2, 6], [0.5, 1.0, 1.2], n=7), None
+    if spoil == "tick-past-31-bits":  # 3e6 ms is tick 3e9 >= 2**31
+        pattern, sampled = pattern_of([0, 2, 5], [0.5, 1.0, 3e6], n=6), None
+    t_hat = float(pattern.times.max()) + 1.0
+    step = compute_update(net, 0, pattern, t_hat, weights=np.zeros(3))
+    if spoil.endswith("delta"):
+        step.deltas[1] = np.nan if spoil == "nan-delta" else np.inf
+    before = [a.tobytes() for a in (net.keys, net.centers, net.amplitudes, net.thresholds,
+                                    net.initialized)]
+    values = None if sampled is None else sampled.values.tobytes()
+    with pytest.raises(InputError):
+        apply_update(net, j, step, 0.1, sampled)
+    assert [a.tobytes() for a in (net.keys, net.centers, net.amplitudes, net.thresholds,
+                                  net.initialized)] == before
+    assert values is None or sampled.values.tobytes() == values
 
 
 # --- apply_update ----------------------------------------------------------------

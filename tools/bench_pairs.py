@@ -16,11 +16,13 @@ ones.  Per workload and end-to-end metric it prints, and writes to ``--out``
 as JSON, the parent's and the change's median and quartiles, the change's
 median move, in how many pairs the change was better (by the metric's
 ``better`` in BENCHMARK.json) and a verdict against the metric's ``bound``
-(see ``verdict``); per pair, whether the report digests were equal and how
-many units failed.  It ends with one line naming every (workload, metric)
-whose verdict is not ``ok`` and every workload whose report digests
-differed in any pair or that had a failed unit; ``flagged`` in the JSON
-lists the same.  The JSON
+(see ``verdict``), and whether the change ``improved`` it (see
+``improved``); per pair, whether the report digests were equal and how
+many units failed.  It ends with one line naming every improved
+(workload, metric), ``improved`` in the JSON, and one naming every
+(workload, metric) whose verdict is not ``ok`` and every workload whose
+report digests differed in any pair or that had a failed unit; ``flagged``
+in the JSON lists the same.  The JSON
 also names both sides (the change by HEAD, its tree id, whether that tree
 differs from HEAD's, and the tree id of its ``src/``, which equals
 ``git rev-parse COMMIT:src`` for any commit holding the same source), the
@@ -134,6 +136,16 @@ def verdict(direction: str, bound: float, parent: list[float], change: list[floa
     return "ok"
 
 
+def improved(direction: str, wins: int, parent: list[float], change: list[float]) -> bool:
+    """Whether the change improved a metric: it was better in at least nine
+    pairs in ten, and its median moved the better way by more than the
+    parent's quartile spread (q3 - q1)."""
+    sign = 1 if direction == "higher" else -1
+    before, after = quartiles(parent), quartiles(change)
+    return (10 * wins >= 9 * len(parent)
+            and sign * (after["median"] - before["median"]) > before["q3"] - before["q1"])
+
+
 def summarize(workload: str, pairs: list[dict], declared: dict) -> dict:
     metrics = {}
     for name, (direction, bound) in declared.items():
@@ -147,6 +159,7 @@ def summarize(workload: str, pairs: list[dict], declared: dict) -> dict:
             "wins": wins, "pairs": len(pairs),
             "median_move": after["median"] / before["median"] - 1 if before["median"] else None,
             "verdict": verdict(direction, bound, parent, change),
+            "improved": improved(direction, wins, parent, change),
         }
     return {
         "workload": workload, "metrics": metrics,
@@ -186,6 +199,16 @@ def flagged(workloads: list[dict]) -> list[list[str]]:
         if any(p["failed"]["parent"] or p["failed"]["change"] for p in w["pairs"]):
             out.append([w["workload"], "units", "failed"])
     return out
+
+
+def gains(workloads: list[dict]) -> list[list[str]]:
+    """Every [workload, metric] the change improved."""
+    return [[w["workload"], name] for w in workloads
+            for name, m in w["metrics"].items() if m["improved"]]
+
+
+def gains_line(improved: list[list[str]]) -> str:
+    return "improved: " + (", ".join(f"{w} {name}" for w, name in improved) or "none")
 
 
 def closing_line(flags: list[list[str]]) -> str:
@@ -229,10 +252,12 @@ def main(argv=None) -> int:
             summary = summarize(workload, pairs, bounds)
             print_summary(summary)
             doc["workloads"].append(summary)
+            doc["improved"] = gains(doc["workloads"])
             doc["flagged"] = flagged(doc["workloads"])
             if args.out:  # keep what is done if a later workload fails
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    print("\n" + closing_line(doc["flagged"]))
+    print("\n" + gains_line(doc["improved"]))
+    print(closing_line(doc["flagged"]))
     return 0
 
 
