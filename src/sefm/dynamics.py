@@ -16,7 +16,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -187,7 +187,9 @@ def efficacy(t: np.ndarray, centers, amplitudes, sigma: float) -> np.ndarray:
     over the float64 array ``t``; no other code computes a term."""
     t -= centers
     t /= sigma
-    np.square(t, out=t)
+    # the square overflows only for a tiny sigma, where exp(-inf) gives 0
+    with np.errstate(over="ignore"):
+        np.square(t, out=t)
     t *= -0.5
     np.exp(t, out=t)
     t *= amplitudes
@@ -303,59 +305,15 @@ class Network:
         return [OutputNeuron(self, j) if live else None
                 for j, live in enumerate(self.initialized.tolist())]
 
-    def add_terms(self, class_label, neuron_ids: Sequence[int],
-                  centers: Sequence[float], amplitudes: Sequence[float]) -> None:
-        """Add one Gaussian term per (input neuron, center, amplitude) triple
-        to class ``class_label``'s neuron (or, given one class per term, to
-        each term's class).
-
-        A center is snapped to the time grid; a term whose key is already
-        present adds its amplitude to the stored one, in arrival order.  A
-        new key is inserted once, its amplitude summed as
-        ``0.0 + a1 + a2 ...`` in arrival order, so no stored amplitude is
-        ever -0.0 and adding to one is adding to ``0.0 + stored``.  Stored
-        terms are found by binary search and left where they are.  A
-        non-finite term, or a center outside [0, 2**31) ticks, raises
-        InputError.
-        """
-        classes = np.asarray(class_label, dtype=np.int64)
-        if classes.size and (classes.min() < 0 or classes.max() >= self.class_count):
-            raise InputError(f"class outside [0, {self.class_count})")
-        ids = np.asarray(neuron_ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.input_count):
-            raise InputError(f"input neuron outside [0, {self.input_count})")
-        ticks = np.rint(np.asarray(centers, dtype=np.float64) / TIME_QUANTUM)
-        amplitudes = np.asarray(amplitudes, dtype=np.float64)
-        if not (((ticks >= 0) & (ticks < 2**31)).all() and np.isfinite(amplitudes).all()):
-            raise InputError("a term needs a finite amplitude and a center in [0, 2**31) ticks")
-        ticks = ticks.astype(np.int64)
-        keys = ((classes * self.input_count + ids) << 32) + ticks
-        at, new = self._add_to_stored(keys, amplitudes)
-        at, ticks, amplitudes, keys = at[new], ticks[new], amplitudes[new], keys[new]
-        if not keys.size:
-            return
-        # a stable sort keeps arrival order within a key and is linear on
-        # the already sorted keys of a checkpoint
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        head = np.ones(keys.size, dtype=bool)
-        head[1:] = keys[1:] != keys[:-1]
-        first = order[head]  # the first arrival of each new key
-        self._insert(at[first], keys[head], ticks[first] * TIME_QUANTUM,
-                     np.bincount(np.cumsum(head) - 1, weights=amplitudes[order]))
-
     def _add_pattern_terms(self, class_label: int, ids: np.ndarray, ticks: np.ndarray,
                            amplitudes: np.ndarray) -> None:
-        """``add_terms`` of one term per spike of a SpikePattern: class
-        ``class_label``, the pattern's ascending, distinct ``ids``, their
-        int64 ``ticks`` and one amplitude each.
+        """Add one term per spike of a SpikePattern to class ``class_label``:
+        the pattern's ascending, distinct ``ids``, their int64 ``ticks`` and
+        one amplitude each.
 
-        Its keys come sorted and distinct, so no center is snapped, sorted
-        or summed: a present key adds its amplitude in place, and a new one
-        is stored as ``0.0 + a`` at center ``tick * TIME_QUANTUM``, both as
-        ``add_terms`` would.  What a pattern does not already imply raises
-        InputError before anything changes: a class or an input out of
-        range, a non-finite amplitude, a tick of 2**31 or more.
+        What a pattern does not already imply raises InputError before
+        anything changes: a class or an input out of range, a non-finite
+        amplitude, a tick of 2**31 or more.
         """
         if not 0 <= class_label < self.class_count:
             raise InputError(f"class outside [0, {self.class_count})")
@@ -363,33 +321,30 @@ class Network:
             raise InputError(f"input neuron outside [0, {self.input_count})")
         if not (np.isfinite(amplitudes).all() and ticks.max(initial=0) < 2**31):
             raise InputError("a term needs a finite amplitude and a center in [0, 2**31) ticks")
-        keys = ((class_label * self.input_count + ids) << 32) + ticks
-        at, new = self._add_to_stored(keys, amplitudes)
-        if new.any():
-            self._insert(at[new], keys[new], ticks[new] * TIME_QUANTUM, 0.0 + amplitudes[new])
+        self._add_sorted(((class_label * self.input_count + ids) << 32) + ticks, ticks,
+                         amplitudes)
 
-    def _add_to_stored(self, keys: np.ndarray,
-                       amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Add each amplitude whose key is stored to the stored amplitude, in
-        arrival order; returns each key's ``searchsorted`` position among
-        the stored keys and the mask of the keys not stored."""
+    def _add_sorted(self, keys: np.ndarray, ticks: np.ndarray,
+                    amplitudes: np.ndarray) -> None:
+        """Add one term per strictly ascending key, the only way terms enter
+        a network: a stored key adds its amplitude in place, and a new one
+        is stored as ``0.0 + a`` (so never as -0.0) at center
+        ``tick * TIME_QUANTUM``.  Stored keys are found by binary search and
+        keep their order."""
         at = np.searchsorted(self.keys, keys)
-        if not self.keys.size:
-            return at, np.ones(keys.size, dtype=bool)
-        found = self.keys[np.minimum(at, self.keys.size - 1)] == keys
-        np.add.at(self.amplitudes, at[found], amplitudes[found])
-        return at, ~found
-
-    def _insert(self, at: np.ndarray, keys: np.ndarray, centers: np.ndarray,
-                amplitudes: np.ndarray) -> None:
-        """Store new terms: ascending keys, none stored yet, each going
-        before stored position ``at`` (its ``searchsorted`` position)."""
-        columns = (keys, centers, amplitudes)
+        found = np.zeros(keys.size, dtype=bool)
         if self.keys.size:
-            dest = at + np.arange(at.size)  # after the new keys before it
-            kept = np.ones(self.keys.size + at.size, dtype=bool)
+            found = self.keys[np.minimum(at, self.keys.size - 1)] == keys
+            self.amplitudes[at[found]] += amplitudes[found]
+        if found.all():
+            return
+        new = ~found
+        columns = (keys[new], ticks[new] * TIME_QUANTUM, 0.0 + amplitudes[new])
+        if self.keys.size:
+            dest = at[new] + np.arange(columns[0].size)  # after the new keys before it
+            kept = np.ones(self.keys.size + dest.size, dtype=bool)
             kept[dest] = False
-            columns = [_merged(old, kept, dest, new) for old, new in
+            columns = [_merged(old, kept, dest, column) for old, column in
                        zip((self.keys, self.centers, self.amplitudes), columns)]
         self.keys, self.centers, self.amplitudes = columns
 
@@ -531,7 +486,11 @@ def model_from_dict(doc: dict) -> tuple[Network, Optional[EncoderConfig]]:
     another position, a non-finite setting, threshold, center or
     amplitude, a center outside the spike window, and an encoder that is
     invalid or does not feed the network's inputs over its spike interval
-    all raise InputError.
+    all raise InputError.  So does any term not in the form
+    ``model_to_dict`` writes: each center a whole number of TIME_QUANTUM
+    ticks, and each synapse's centers strictly ascending.  The terms are
+    then stored as they stand, in one step; none is snapped, sorted or
+    merged.
     """
     try:
         if doc.get("format") != MODEL_FORMAT:
@@ -545,12 +504,17 @@ def model_from_dict(doc: dict) -> tuple[Network, Optional[EncoderConfig]]:
         sim = SimulationConfig(tau=s["tau"], t_max=s["t_max"], dt=s["dt"])
         net = Network(class_count, operator.index(doc["input_count"]),
                       doc["sigma"], sim, doc["spike_interval"])
-        # every class's terms go in through one sort
         terms = [_neuron_from_dict(j, entry, net)
                  for j, entry in enumerate(doc["neurons"]) if entry is not None]
         if terms:
             classes, ids, flat = (np.concatenate(column) for column in zip(*terms))
-            net.add_terms(classes, ids, flat[:, 0], flat[:, 1])
+            ticks = np.rint(flat[:, 0] / TIME_QUANTUM).astype(np.int64)
+            keys = ((classes * net.input_count + ids) << 32) + ticks
+            # the form the writer emits, stored as it stands
+            if not ((ticks * TIME_QUANTUM == flat[:, 0]).all() and (np.diff(keys) > 0).all()):
+                raise InputError(f"a center lies off the {TIME_QUANTUM} ms grid, or a "
+                                 f"synapse's centers do not strictly ascend")
+            net._add_sorted(keys, ticks, flat[:, 1])
         enc = None
         e = doc["encoder"]
         if e is not None:

@@ -6,6 +6,8 @@ import pytest
 from sefm.dynamics import Network, OutputNeuron, SimulationConfig
 from sefm.encoding import TIME_QUANTUM, SpikePattern
 
+from oracles import add_terms
+
 
 @pytest.fixture
 def rng():
@@ -33,12 +35,12 @@ def random_pattern(rng, neuron_count=12, spike_interval=3.0, max_spikes=8,
 def network_of(input_count, classes, sigma=0.5, sim=None, spike_interval=3.0) -> Network:
     """Network whose class j holds ``classes[j]``: None for a class never
     initialized, else a (threshold, ids, centers, amplitudes) tuple whose
-    terms go in through one ``add_terms`` call."""
+    terms go in through one call of the ``oracles.add_terms`` merge."""
     net = Network(len(classes), input_count, sigma, sim or SimulationConfig(), spike_interval)
     for j, neuron in enumerate(classes):
         if neuron is not None:
             threshold, ids, centers, amplitudes = neuron
-            net.add_terms(j, ids, centers, amplitudes)
+            add_terms(net, j, ids, centers, amplitudes)
             net.thresholds[j] = threshold
             net.initialized[j] = True
     return net

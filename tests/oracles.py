@@ -40,14 +40,17 @@ quantity computed by its own formula, as the package computed it before
 ``learning.compute_update`` shared its products: each ``UpdateStep``
 field must equal theirs bit for bit.
 
-``add_terms`` merges terms into one class's ``ClassTerms`` by one
-``unique`` + ``bincount`` over every stored and new term, and
-``PatternMajorSampledWeights`` keeps the training weights as (classes,
-patterns, inputs) with column updates, over the pattern-major
-``spike_time_matrix``.  Both are the straightforward forms of what
-``Network.add_terms`` and ``learning.SampledWeights`` do by binary search
-over network-wide arrays and contiguous rows, and must agree with them,
-class by class, bit for bit.  ``sampled_weights_per_term`` samples one
+``add_terms`` is the general merge of any terms into a ``Network``: it
+snaps their centers to the grid and sums repeated keys, by one ``unique``
++ ``bincount`` over every stored and new term.  It builds the tests'
+hand-made networks, and the package's one entry point for terms,
+``Network._add_sorted`` (strictly ascending keys, found by binary search),
+must leave the arrays it leaves bit for bit, for training's corrections
+and for a checkpoint load alike.  ``PatternMajorSampledWeights`` keeps
+the training weights as (classes, patterns, inputs) with column updates,
+over the pattern-major ``spike_time_matrix``: the straightforward form of
+what ``learning.SampledWeights`` does over contiguous rows, which must
+agree with it bit for bit.  ``sampled_weights_per_term`` samples one
 term at a time and adds each bin's terms in stored order from 0.0: the
 order ``Network.sample`` must keep.
 
@@ -268,36 +271,35 @@ def update_step(net: Network, class_label: int, pattern: SpikePattern, t_hat: fl
 
 # -- term merging and sampled training weights -----------------------------------
 
-@dataclass
-class ClassTerms:
-    """One class's (input, center, amplitude) terms, held apart from any Network."""
+def add_terms(net: Network, class_label, neuron_ids, centers, amplitudes) -> None:
+    """Add one Gaussian term per (input neuron, center, amplitude) triple to
+    class ``class_label`` of ``net`` (or, given one class per term, to each
+    term's class), by sorting every stored and new key together.
 
-    input_count: int
-    inputs: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    centers: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    amplitudes: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-
-def add_terms(terms: ClassTerms, neuron_ids, centers, amplitudes) -> None:
-    """``Network.add_terms`` on one class, by sorting every stored and new key
-    together.
-
-    Each distinct (input, tick) key keeps its first term's input and
-    center; its amplitude is ``0.0 + a1 + a2 ...`` over the stored and
-    new amplitudes in that order.
+    A center snaps to the time grid, and each distinct key's center is its
+    tick times TIME_QUANTUM; its amplitude is ``0.0 + a1 + a2 ...`` over the
+    stored and new amplitudes in that order.  A class or input out of
+    range, a non-finite amplitude, or a center outside [0, 2**31) ticks
+    raises InputError and changes nothing.
     """
+    classes = np.asarray(class_label, dtype=np.int64)
+    if classes.size and (classes.min() < 0 or classes.max() >= net.class_count):
+        raise InputError(f"class outside [0, {net.class_count})")
     ids = np.asarray(neuron_ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= terms.input_count):
-        raise InputError(f"input neuron outside [0, {terms.input_count})")
-    inputs = np.concatenate([terms.inputs, ids])
-    ticks = np.rint(np.concatenate([terms.centers, np.asarray(centers, dtype=np.float64)])
-                    / TIME_QUANTUM).astype(np.int64)
-    keys, first, slot = np.unique((inputs << 32) + ticks, return_index=True,
-                                  return_inverse=True)
-    terms.inputs = inputs[first]
-    terms.centers = ticks[first] * TIME_QUANTUM
-    terms.amplitudes = np.bincount(slot, minlength=keys.size, weights=np.concatenate(
-        [terms.amplitudes, np.asarray(amplitudes, dtype=np.float64)]))
+    if ids.size and (ids.min() < 0 or ids.max() >= net.input_count):
+        raise InputError(f"input neuron outside [0, {net.input_count})")
+    ticks = np.rint(np.asarray(centers, dtype=np.float64) / TIME_QUANTUM)
+    amplitudes = np.asarray(amplitudes, dtype=np.float64)
+    if not (((ticks >= 0) & (ticks < 2**31)).all() and np.isfinite(amplitudes).all()):
+        raise InputError("a term needs a finite amplitude and a center in [0, 2**31) ticks")
+    if not ids.size:  # (a bincount of nothing counts in int64)
+        return
+    keys, slot = np.unique(np.concatenate(
+        [net.keys, ((classes * net.input_count + ids) << 32) + ticks.astype(np.int64)]),
+        return_inverse=True)
+    net.keys, net.centers = keys, (keys & (2**32 - 1)) * TIME_QUANTUM
+    net.amplitudes = np.bincount(slot, minlength=keys.size,
+                                 weights=np.concatenate([net.amplitudes, amplitudes]))
 
 
 def sampled_weights_per_term(net: Network, patterns: list[SpikePattern]) -> np.ndarray:

@@ -25,7 +25,7 @@ from sefm.learning import NoEligibleSpikes, compute_update
 from sefm.training import Outcome, predict, train
 
 from conftest import random_neuron, random_pattern
-from oracles import predict_constant, process_sample, train_constant
+from oracles import add_terms, predict_constant, process_sample, train_constant
 
 SEED = 0
 RUNS = 10
@@ -179,8 +179,8 @@ def test_criterion_07_normalization(rng):
         pattern = random_pattern(rng, neuron_count=10, max_spikes=8)
         if checked % 3 == 0 and pattern.spike_count:
             # saturate the momentary weights so every excess clamps to zero
-            neuron.network.add_terms(0, pattern.neuron_ids, pattern.times,
-                                     np.full(pattern.spike_count, 10.0))
+            add_terms(neuron.network, 0, pattern.neuron_ids, pattern.times,
+                      np.full(pattern.spike_count, 10.0))
         t_hat = float(rng.uniform(0.0, 8.0))
         try:
             step = compute_update(neuron.network, neuron.class_label, pattern, t_hat)

@@ -124,3 +124,24 @@ def test_a_gain_needs_nine_wins_in_ten_and_a_move_past_the_parents_spread(
     assert gains == ([["iris-protocol", "rate"]] if expected else [])
     assert bench_pairs.gains_line(gains) == (
         "improved: iris-protocol rate" if expected else "improved: none")
+
+
+@pytest.mark.parametrize("line, expected", [
+    ("4 failed, 465 passed, 3 skipped in 34.03s", (465, 4, 3)),
+    ("======= 3 failed, 219 passed in 111.74s (0:01:51) =======", (219, 3, 0)),
+    ("12 passed in 1.20s", (12, 0, 0)),
+    ("1 failed, 2 passed, 1 skipped, 2 warnings, 1 error in 5.00s", (2, 1, 1)),
+    ("no tests ran in 0.01s", (0, 0, 0)),
+    ("", (0, 0, 0)),
+], ids=["quiet", "banner", "passed-only", "warnings-and-errors", "none-ran", "empty"])
+def test_tier1_counts_come_from_the_summary_line(bench_pairs, line, expected):
+    counts = bench_pairs.summary_counts(line)
+    assert counts == dict(zip(("passed", "failed", "skipped"), expected))
+
+
+def test_tier1_line_names_both_sides(bench_pairs):
+    runs = {"parent": {"seconds": 34.96, "passed": 465, "failed": 4, "skipped": 3},
+            "change": {"seconds": 35.04, "passed": 469, "failed": 4, "skipped": 3}}
+    assert bench_pairs.tier1_line(runs) == (
+        "tier-1: parent 465 passed, 4 failed, 3 skipped in 35.0 s; "
+        "change 469 passed, 4 failed, 3 skipped in 35.0 s")

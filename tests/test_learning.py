@@ -20,7 +20,7 @@ from sefm.learning import (
 )
 
 from conftest import all_terms, network_of, random_neuron, random_pattern, scalar_weight, terms_of
-from oracles import fire_time, modulation_factors, potential, update_step
+from oracles import add_terms, fire_time, modulation_factors, potential, update_step
 
 SIM = SimulationConfig(tau=3.0, t_max=8.0, dt=0.01)
 
@@ -252,9 +252,9 @@ def test_update_step_equals_the_separate_formulas_bitwise(rng):
                                    "class-below", "class-past", "tick-past-31-bits"])
 def test_apply_update_rejects_what_add_terms_rejects_and_changes_nothing(spoil):
     """``apply_update`` adds a pattern's terms on its own sorted keys, and
-    still raises InputError for every term ``add_terms`` would reject that a
-    pattern does not rule out, before it changes the network or the
-    sampled weights."""
+    still raises InputError for every term the oracle merge ``add_terms``
+    rejects that a pattern does not rule out, before it changes the network
+    or the sampled weights."""
     net = network_of(6, [(0.8, [0, 2], [0.5, 1.0], [0.3, 0.2]), None], sigma=0.5, sim=SIM)
     pattern = pattern_of([0, 2, 5], [0.5, 1.0, 1.2], n=6)
     sampled = SampledWeights([pattern], net)
@@ -270,6 +270,8 @@ def test_apply_update_rejects_what_add_terms_rejects_and_changes_nothing(spoil):
     before = [a.tobytes() for a in (net.keys, net.centers, net.amplitudes, net.thresholds,
                                     net.initialized)]
     values = None if sampled is None else sampled.values.tobytes()
+    with pytest.raises(InputError):
+        add_terms(net, j, step.neuron_ids, step.times, 0.1 * step.deltas)
     with pytest.raises(InputError):
         apply_update(net, j, step, 0.1, sampled)
     assert [a.tobytes() for a in (net.keys, net.centers, net.amplitudes, net.thresholds,

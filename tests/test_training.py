@@ -31,8 +31,8 @@ from sefm.training import (
 )
 
 from conftest import all_terms, blobs_dataset, network_of, random_pattern, random_terms
-from oracles import (PatternMajorSampledWeights, crossings, direct_response, evaluate_pattern,
-                     grid, process_sample, race_end, sampled_weights_per_term)
+from oracles import (PatternMajorSampledWeights, add_terms, crossings, direct_response,
+                     evaluate_pattern, grid, process_sample, race_end, sampled_weights_per_term)
 
 
 CFG = NetworkConfig(sigma=0.5)
@@ -141,7 +141,7 @@ def test_punctual_sample_with_safe_rivals_is_skipped():
 def test_on_time_branch_pushes_crowding_rival_only():
     net, a, _ = two_class_net()
     # give the rival strong weight on class 0's inputs so it fires early
-    net.add_terms(1, [0, 1], [0.3, 0.6], [2.0, 2.0])
+    add_terms(net, 1, [0, 1], [0.3, 0.6], [2.0, 2.0])
     correct_terms = all_terms(net.neurons[0])
     correct_threshold = net.neurons[0].threshold
     rival_terms = all_terms(net.neurons[1])
@@ -168,7 +168,7 @@ def test_late_branch_corrects_labeled_class():
 def test_late_branch_also_pushes_crowding_rival():
     net, a, _ = two_class_net()
     net.thresholds[0] = 50.0          # silent -> actual 8.0, anchor 7.6
-    net.add_terms(1, [0, 1], [0.3, 0.6], [0.9, 0.9])
+    add_terms(net, 1, [0, 1], [0.3, 0.6], [0.9, 0.9])
     t1 = evaluate_pattern(net, a).fire_times[1]
     assert not math.isnan(t1) and t1 - 7.6 < 0.3
     res = process_sample(net, a, 0, CFG)

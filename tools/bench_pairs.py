@@ -28,6 +28,11 @@ differs from HEAD's, and the tree id of its ``src/``, which equals
 ``git rev-parse COMMIT:src`` for any commit holding the same source), the
 ``wc -l src/sefm/*.py`` total of both sides, and the machine: nproc, CPU
 model, Python, numpy and OpenBLAS versions and the OpenBLAS core type in use.
+
+After the pairs it runs the tier-1 suite once in each copy, ``python -m
+pytest -q -p no:cacheprovider --continue-on-collection-errors`` with
+``PYTHONPATH=src``, and prints and writes (``tier1`` in the JSON) each
+side's wall seconds and its passed, failed and skipped counts.
 """
 
 from __future__ import annotations
@@ -38,9 +43,11 @@ import glob
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +95,34 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                            f"{proc.returncode}:\n{proc.stderr[-2000:]}")
     details, result = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
     return {"details": details["details"], "result": result}
+
+
+TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+
+
+def summary_counts(summary: str) -> dict:
+    """The passed, failed and skipped counts of pytest's closing summary
+    line, such as ``4 failed, 465 passed, 3 skipped in 34.03s``; 0 for an
+    outcome it does not name."""
+    counts = {word: int(n) for n, word in
+              re.findall(r"(\d+) (passed|failed|skipped)\b", summary)}
+    return {word: counts.get(word, 0) for word in ("passed", "failed", "skipped")}
+
+
+def tier1(checkout: Path) -> dict:
+    """One tier-1 run in an exported tree: its wall seconds and counts."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": "src"})
+    seconds = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    return {"seconds": seconds, **summary_counts(lines[-1] if lines else "")}
+
+
+def tier1_line(runs: dict) -> str:
+    return "tier-1: " + "; ".join(
+        f"{side} {r['passed']} passed, {r['failed']} failed, {r['skipped']} skipped "
+        f"in {r['seconds']:.1f} s" for side, r in runs.items())
 
 
 def quartiles(values: list[float]) -> dict:
@@ -256,7 +291,11 @@ def main(argv=None) -> int:
             doc["flagged"] = flagged(doc["workloads"])
             if args.out:  # keep what is done if a later workload fails
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    print("\n" + gains_line(doc["improved"]))
+        doc["tier1"] = {side: tier1(copy) for side, copy in copies.items()}
+        if args.out:
+            args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    print("\n" + tier1_line(doc["tier1"]))
+    print(gains_line(doc["improved"]))
     print(closing_line(doc["flagged"]))
     return 0
 
