@@ -182,13 +182,25 @@ class OutputNeuron:
         return self.network.sample(spike_times)[self.class_label, ids, 0]
 
 
+# The sigma below which a term's ((t - c) / sigma)^2 can overflow.  A spike
+# time t and a center c lie on ticks in [0, 2**31), so |t - c| < 2**31 *
+# TIME_QUANTUM, about 2.2e6 ms; the square overflows only above 1.34e154
+# (the root of the largest float64), so only a sigma under 2.2e6 / 1.34e154,
+# about 1.6e-148, can reach it, and the divide only one under 1.2e-302.
+_OVERFLOW_SIGMA = 1e-140
+
+
 def efficacy(t: np.ndarray, centers, amplitudes, sigma: float) -> np.ndarray:
     """Weight terms ``amplitudes * exp(-(t - centers)^2 / (2 sigma^2))``, written
     over the float64 array ``t``; no other code computes a term."""
     t -= centers
-    t /= sigma
-    # the square overflows only for a tiny sigma, where exp(-inf) gives 0
-    with np.errstate(over="ignore"):
+    if sigma < _OVERFLOW_SIGMA:
+        # an overflow gives inf, and exp(-inf) gives 0
+        with np.errstate(over="ignore"):
+            t /= sigma
+            np.square(t, out=t)
+    else:
+        t /= sigma
         np.square(t, out=t)
     t *= -0.5
     np.exp(t, out=t)
@@ -223,14 +235,14 @@ def responses(sim: SimulationConfig) -> np.ndarray:
                       strides=(-row.itemsize, step * row.itemsize), writeable=False)
 
 
-def response_matrix(pattern: SpikePattern, sim: SimulationConfig, lo: int,
+def response_matrix(pattern: SpikePattern, net: Network, lo: int,
                     hi: int) -> np.ndarray:
     """Kernel response of each spike at grid columns lo..hi-1: (spikes,
-    hi - lo), the rows of the pattern's ticks in ``responses(sim)``, which
-    training and ``predict`` both read this way.  ``learning.SampledWeights``
-    has rejected any spike after ``sim.t_max``.
+    hi - lo), the rows of the pattern's ticks in the network's
+    ``response_rows``, which training and ``predict`` both read this way.
+    ``learning.SampledWeights`` has rejected any spike after ``t_max``.
     """
-    return responses(sim)[pattern.ticks, lo:hi]
+    return net.response_rows[pattern.ticks, lo:hi]
 
 
 # Cells of each temporary of a ``Network.sample`` block: 2.6 MB of float64,
@@ -244,7 +256,6 @@ SAMPLE_CELLS = 32 * 10_240
 RACE_BLOCK = 256
 
 
-@functools.cache
 def race_blocks(sim: SimulationConfig) -> tuple[tuple[int, int], ...]:
     """The (lo, hi) column blocks, in time order, in which the activity
     kernel computes a potential over the grid: RACE_BLOCK columns
@@ -252,6 +263,7 @@ def race_blocks(sim: SimulationConfig) -> tuple[tuple[int, int], ...]:
     it: numpy hands a one-column product to gemv, whose sums need not
     equal those of the full product, while every block of two or more
     columns goes to gemm and equals the full product's columns bit for bit.
+    A ``Network`` computes them once, as its ``blocks``.
     """
     columns = sim.columns()
     starts = list(range(0, columns, RACE_BLOCK))
@@ -272,6 +284,10 @@ class Network:
     ``keys = ((class * input_count + input) << 32) + tick`` for a center
     on tick ``tick`` of the time grid.  ``neurons`` gives a read-only
     OutputNeuron view of each initialized class.
+
+    ``sim`` is fixed when the network is built, and so is the race plan
+    read from it: ``response_rows`` (``responses(sim)``), the race
+    ``blocks`` and the grid ``step`` in ticks.
     """
 
     def __init__(self, class_count: int, input_count: int, sigma: float,
@@ -292,6 +308,9 @@ class Network:
         self.input_count = input_count
         self.sigma = float(sigma)
         self.sim = sim
+        self.response_rows = responses(sim)
+        self.blocks = race_blocks(sim)
+        self.step = sim.ticks()[1]
         self.spike_interval = float(spike_interval)
         self.thresholds = np.zeros(class_count)
         self.initialized = np.zeros(class_count, dtype=bool)
@@ -389,7 +408,7 @@ class Network:
         np.copyto(out, 0.0, where=np.isnan(spike_times))
         return out
 
-    def evaluate_pattern(self, weights: np.ndarray,
+    def evaluate_pattern(self, weights: np.ndarray, live: list[int],
                          responses: Callable[[int, int], np.ndarray],
                          label: Optional[int] = None,
                          margin: float = 0.0) -> tuple[dict[int, float], int]:
@@ -397,15 +416,16 @@ class Network:
         times and winning class.
 
         ``weights`` are the pattern's (classes, spikes) weights, of which
-        the initialized (live) classes race, each against its threshold;
-        ``responses(lo, hi)`` are the (spikes, hi - lo) responses at grid
+        the ``live`` classes race, each against its threshold: the
+        initialized ones, ascending, which the caller reads from the
+        network; ``responses(lo, hi)`` are the (spikes, hi - lo) responses at grid
         columns lo..hi-1.  A neuron fires at the first grid index where its
         potential reaches its threshold, times dt (in whole ticks, so never
         after t_max).  The earliest firing class wins, ties going to the
         lowest; if none fires, the highest peak does, and with no live
         class, class 0.
 
-        The potential is computed in the ``race_blocks`` of the grid, in
+        The potential is computed in the network's race ``blocks``, in
         time order, and the race stops once its answer is fixed: after the
         first block in which any class fires, or, given a ``label``, once
         that class has fired and the blocks reach its fire time plus
@@ -414,7 +434,6 @@ class Network:
         every block.  Returns the fire time, in class order, of each class
         that fires in the blocks computed, and the winner.
         """
-        live = self.initialized.nonzero()[0].tolist()
         if not live:
             return {}, 0
         thresholds = self.thresholds
@@ -428,7 +447,7 @@ class Network:
         held = None if label is None else live.index(label)
         reach = 0 if label is None else math.ceil(margin / self.sim.dt) + 1
         peaks = None
-        for lo, hi in race_blocks(self.sim):
+        for lo, hi in self.blocks:
             v = weights @ responses(lo, hi)
             # argmax gives index 0 when nothing crosses, so check the potential there
             for i, k in enumerate((v >= column).argmax(axis=1).tolist()):
@@ -442,8 +461,7 @@ class Network:
                 top = v.max(axis=1)
                 peaks = top if peaks is None else np.maximum(peaks, top)
         if fired:
-            step = self.sim.ticks()[1]
-            times = {j: k * step * TIME_QUANTUM for j, k in zip(live, first) if k is not None}
+            times = {j: k * self.step * TIME_QUANTUM for j, k in zip(live, first) if k is not None}
             return times, min(times, key=times.__getitem__)
         peaks = peaks.tolist()
         return {}, live[peaks.index(max(peaks))]

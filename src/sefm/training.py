@@ -108,7 +108,7 @@ def process_sample(state: TrainingState, s: int, label: int) -> SampleResult:
     pattern = state.patterns[s]
     if pattern.spike_count == 0:
         return SampleResult(Outcome.NO_SPIKES)
-    net, cfg, sampled, sim = state.net, state.cfg, state.sampled, state.net.sim
+    net, cfg, sampled = state.net, state.cfg, state.sampled
 
     if not net.initialized[label]:
         try:
@@ -118,12 +118,12 @@ def process_sample(state: TrainingState, s: int, label: int) -> SampleResult:
             return SampleResult(Outcome.SKIPPED, ineligible_classes=(label,))
         return SampleResult(Outcome.INITIALIZED, updated_classes=(label,))
 
-    live, t_max = net.initialized.nonzero()[0].tolist(), sim.t_max
+    live, t_max = net.initialized.nonzero()[0].tolist(), net.sim.t_max
     weights = sampled.values[:, pattern.neuron_ids, s]
     # a rival firing ``margin`` or more after the label fails the margin
     # test below whatever its time, so the race stops short of it
     fired, predicted = net.evaluate_pattern(
-        weights, lambda lo, hi: response_matrix(pattern, sim, lo, hi), label=label,
+        weights, live, lambda lo, hi: response_matrix(pattern, net, lo, hi), label=label,
         margin=state.margin)
 
     # the margin is held from the correct neuron's time, or from its
@@ -133,8 +133,10 @@ def process_sample(state: TrainingState, s: int, label: int) -> SampleResult:
     anchor = (actual if punctual
               else ref_time_correct(actual, cfg.reference_rate, cfg.desired_time))
     t_wrong = ref_time_wrong(anchor, state.margin, t_max)
-    targets = [(j, t_wrong) for j in live
-               if j != label and fired.get(j, t_max) - anchor < state.margin]
+    # a silent rival (t_max) is inside the margin exactly when t_max is
+    crowded = t_max - anchor < state.margin
+    targets = [(j, t_wrong) for j in live if j != label
+               and (fired[j] - anchor < state.margin if j in fired else crowded)]
     if not punctual:
         targets.insert(0, (label, anchor))
     elif not targets:
@@ -172,8 +174,7 @@ class EpochStats:
 
     def count(self, result: SampleResult, label: int) -> None:
         """Tally one sample: its branch, updates, dropped corrections and answer."""
-        branch = result.outcome.value
-        setattr(self, branch, getattr(self, branch) + 1)
+        self.__dict__[result.outcome.value] += 1
         corrected = int(label in result.updated_classes)
         self.updates_correct += corrected
         self.updates_wrong += len(result.updated_classes) - corrected
@@ -265,13 +266,14 @@ def predict(net: Network, patterns: list[SpikePattern]) -> np.ndarray:
     """
     labels = np.zeros(len(patterns), dtype=np.int64)
     size = predict_chunk(net)
+    live = net.initialized.nonzero()[0].tolist()  # the network is fixed during the call
     for start in range(0, len(patterns), size):
         chunk = patterns[start:start + size]
         values = learning.SampledWeights(chunk, net).values
         for r, pattern in enumerate(chunk):
             labels[start + r] = net.evaluate_pattern(
-                values[:, pattern.neuron_ids, r],
-                lambda lo, hi: response_matrix(pattern, net.sim, lo, hi))[1]
+                values[:, pattern.neuron_ids, r], live,
+                lambda lo, hi: response_matrix(pattern, net, lo, hi))[1]
     return labels
 
 

@@ -450,13 +450,14 @@ def test_response_matrix_shape_and_content(rng):
     """The rows of the pattern's ticks, over the columns asked for: the
     whole grid, or one race block, bit for bit as the tick oracle has them."""
     s = sim()
+    net = network_of(6, [None], 0.5, s)
     times = grid(s)
     for _ in range(5):
         pattern = random_pattern(rng, neuron_count=6, max_spikes=5)
-        m = response_matrix(pattern, s, 0, times.size)
+        m = response_matrix(pattern, net, 0, times.size)
         assert m.shape == (pattern.spike_count, times.size)
         assert m.tobytes() == direct_response(pattern.times, s).tobytes()
-        assert response_matrix(pattern, s, 256, 512).tobytes() == m[:, 256:512].tobytes()
+        assert response_matrix(pattern, net, 256, 512).tobytes() == m[:, 256:512].tobytes()
         if pattern.spike_count:
             k = pattern.spike_count - 1
             assert m[k, -1] == pytest.approx(float(epsilon(times[-1] - pattern.times[k], s.tau)))
@@ -511,7 +512,7 @@ def test_response_matrix_rejects_a_spike_after_t_max(rng):
     with pytest.raises(InputError, match="t_max"):
         train([at_end, late], np.array([0, 1]), NetworkConfig(), class_count=2)
     assert at_end.ticks.tolist() == [round(s.t_max / TIME_QUANTUM)]
-    assert response_matrix(at_end, s, 0, grid(s).size).tobytes() == \
+    assert response_matrix(at_end, net, 0, grid(s).size).tobytes() == \
         direct_response([s.t_max], s).tobytes()
     assert predict(net, [at_end]).shape == (1,)
 
@@ -580,7 +581,7 @@ def test_grid_ends_at_or_before_t_max(t_max, dt, columns):
     net = Network(1, 1, 1.0, s, spike_interval=t_max / 2)
     net.initialized[0], net.thresholds[0] = True, 0.5
     fired, _ = net.evaluate_pattern(
-        np.ones((1, 1)), lambda lo, hi: (np.arange(lo, hi) == columns - 1)[None, :] * 1.0)
+        np.ones((1, 1)), [0], lambda lo, hi: (np.arange(lo, hi) == columns - 1)[None, :] * 1.0)
     assert fired == {0: (columns - 1) * step * TIME_QUANTUM}
     assert fired[0] <= t_max
     if (columns - 1) * step == last:
@@ -706,7 +707,7 @@ def test_evaluate_pattern_kernel_matches_crossings(rng):
         for label in [None, *live]:
             asked = []
             fired, winner = net.evaluate_pattern(
-                weights, blocks_of(response_matrix(pattern, net.sim, 0, columns), asked),
+                weights, live, blocks_of(response_matrix(pattern, net, 0, columns), asked),
                 label=label, margin=margin)
             end = race_end(net, activity.fire_times, label, margin)
             assert asked == [b for b in race_blocks(net.sim) if b[0] < end]
@@ -722,7 +723,7 @@ def test_evaluate_pattern_kernel_matches_crossings(rng):
 
 
 def test_evaluate_pattern_kernel_breaks_ties_toward_the_lowest_live_class():
-    """Live classes [0, 2], read from the network: a shared crossing index
+    """Live classes [0, 2], as the network's callers read them: a shared crossing index
     and equal silent peaks both go to class 0, class ids, not live
     positions, name the winner, class 1's weights and threshold never race,
     and with no live class the answer is class 0, with no product at all."""
@@ -735,7 +736,7 @@ def test_evaluate_pattern_kernel_breaks_ties_toward_the_lowest_live_class():
 
     def race(weights, thresholds):
         net.thresholds[:] = thresholds
-        return net.evaluate_pattern(np.array(weights)[:, None], responses)
+        return net.evaluate_pattern(np.array(weights)[:, None], [0, 2], responses)
     # class 1 would cross first and peak highest if it raced
     same = [1.0, 3.0, 1.0]
     assert race(same, [0.5, 0.0, 0.5]) == ({0: dt, 2: dt}, 0)
@@ -746,7 +747,7 @@ def test_evaluate_pattern_kernel_breaks_ties_toward_the_lowest_live_class():
     assert race([1.0, 3.0, 1.5], [2.0, 0.0, 2.0]) == ({}, 2)
     asked = []
     net.initialized[:] = False
-    assert net.evaluate_pattern(np.zeros((3, 1)), blocks_of(eps_matrix, asked)) == ({}, 0)
+    assert net.evaluate_pattern(np.zeros((3, 1)), [], blocks_of(eps_matrix, asked)) == ({}, 0)
     assert asked == []
 
 
@@ -832,13 +833,13 @@ checked, disagree, differ, ends = 0, 0, 0, set()
 for _ in range(200):
     pattern = random_pattern(rng, neuron_count=16, max_spikes=16)
     weights = sample_weights(net, pattern)
-    eps_matrix = response_matrix(pattern, net.sim, 0, grid(net.sim).size)
+    eps_matrix = response_matrix(pattern, net, 0, grid(net.sim).size)
     activity = evaluate_pattern(net, pattern, eps_matrix=eps_matrix)
     blocked = [weights[live] @ eps_matrix[:, lo:hi].copy() for lo, hi in race_blocks(net.sim)]
     differ += np.hstack(blocked).tobytes() != (weights[live] @ eps_matrix).tobytes()
     for label in [None, *live]:
         fired, winner = net.evaluate_pattern(
-            weights, lambda lo, hi: eps_matrix[:, lo:hi].copy(), label=label, margin=0.3)
+            weights, live, lambda lo, hi: eps_matrix[:, lo:hi].copy(), label=label, margin=0.3)
         end = race_end(net, activity.fire_times, label, 0.3)
         expected = [(j, t) for j, t in enumerate(activity.fire_times.tolist())
                     if not math.isnan(t) and round(t / net.sim.dt) < end]
@@ -887,7 +888,7 @@ def test_evaluate_pattern_given_weights_match_fresh(rng):
         pattern = random_pattern(rng, neuron_count=net.input_count, max_spikes=6)
         plain = evaluate_pattern(net, pattern)
         given = evaluate_pattern(net, pattern, sample_weights(net, pattern),
-                                 eps_matrix=response_matrix(pattern, net.sim, 0,
+                                 eps_matrix=response_matrix(pattern, net, 0,
                                                             grid(net.sim).size))
         assert np.array_equal(plain.peaks, given.peaks, equal_nan=True)
         assert np.array_equal(plain.fire_times, given.fire_times, equal_nan=True)
@@ -960,10 +961,24 @@ def test_a_tiny_sigma_samples_and_predicts_without_a_warning():
     """With sigma 1e-300 a spike's scaled distance to any term off its own
     tick overflows when squared; that term's weight is exp(-inf) = 0 all
     the same, and no RuntimeWarning is raised."""
+    _samples_and_predicts_without_a_warning(1e-300)
+
+
+@pytest.mark.parametrize("sigma", [1e-310, 5e-324, 1e-139])
+def test_a_subnormal_sigma_samples_and_predicts_without_a_warning(sigma):
+    """A subnormal sigma, which Network accepts, overflows already in the
+    divide by sigma, and warns no more than 1e-300 does; 1e-139, just above
+    the floor below which ``efficacy`` ignores overflow, overflows nowhere."""
+    _samples_and_predicts_without_a_warning(sigma)
+
+
+def _samples_and_predicts_without_a_warning(sigma):
+    """The model-v1 checkpoint under ``sigma`` samples and predicts with every
+    warning an error, and a spike sees only a term on its own tick."""
     from sefm.encoding import encode_dataset
     from conftest import blobs_dataset
     doc = json.loads((DATA / "model-v1.json").read_text())
-    doc["sigma"] = 1e-300
+    doc["sigma"] = sigma
     net, encoder = model_from_dict(doc)
     x, _ = blobs_dataset(np.random.default_rng(7), classes=3, per_class=10,
                          features=2, spread=0.2)

@@ -11,8 +11,8 @@ import pytest
 import sefm
 from sefm.config import NetworkConfig
 from sefm.data import confusion_matrix
-from sefm.dynamics import (epsilon, load_model, model_to_json_bytes, race_blocks,
-                           response_matrix, responses, save_model)
+from sefm.dynamics import (SimulationConfig, epsilon, load_model, model_to_json_bytes,
+                           race_blocks, response_matrix, responses, save_model)
 from sefm.encoding import TIME_QUANTUM, SpikePattern, encode_dataset, fit_ranges
 from sefm.errors import ConfigError, InputError
 from sefm import learning, training
@@ -257,9 +257,9 @@ def test_training_table_holds_one_row_per_distinct_tick(rng, monkeypatch):
             direct_response(pattern.times, sim).tobytes()
     gathered = []
 
-    def recorded(pattern, sim, lo, hi):
+    def recorded(pattern, net, lo, hi):
         gathered.append((pattern, (lo, hi)))
-        return response_matrix(pattern, sim, lo, hi)
+        return response_matrix(pattern, net, lo, hi)
     monkeypatch.setattr(training, "response_matrix", recorded)
     train(patterns, labels, CFG.with_overrides(max_epochs=1), class_count=3)
     assert gathered and {id(p) for p, _ in gathered} <= {id(p) for p in patterns}
@@ -600,6 +600,49 @@ def one_at_a_time(net, pattern):
     return label, np.array(fire), np.array(peaks)
 
 
+def test_a_network_holds_its_race_plan(rng, monkeypatch):
+    """A network reads its race plan from its ``sim`` once, when it is built:
+    ``response_rows``, ``blocks`` and the grid ``step`` are ``responses``,
+    ``race_blocks`` and the tick step of that ``sim``.  Training
+    presentations and a ``predict`` call then read the plan from the
+    network: they call neither function and hash no SimulationConfig, and
+    give the results, fire times, labels and model of a run that may."""
+    # class 1 starts uninitialized, so the presentations initialize it too
+    terms = [None if j == 1 else random_terms(rng, 12) for j in range(3)]
+    nets = [network_of(12, terms, CFG.sigma, CFG.simulation(), CFG.spike_interval)
+            for _ in range(2)]
+    for net in nets:
+        assert net.response_rows is responses(net.sim)
+        assert net.blocks == race_blocks(net.sim)
+        assert net.step == net.sim.ticks()[1] == 10
+    patterns = [random_pattern(rng, neuron_count=12, max_spikes=10) for _ in range(60)]
+    labels = rng.integers(0, 3, size=len(patterns)).tolist()
+
+    def run(net):
+        raced, kernel = [], net.evaluate_pattern
+
+        def recorded(*args, **kwargs):
+            raced.append(kernel(*args, **kwargs))
+            return raced[-1]
+        net.evaluate_pattern = recorded
+        state = training.TrainingState(net, patterns, CFG)
+        results = [training.process_sample(state, s, label) for s, label in enumerate(labels)]
+        return results, predict(net, patterns).tolist(), raced, model_to_json_bytes(net)
+
+    expected = run(nets[0])
+    for name in ("responses", "race_blocks"):
+        monkeypatch.setattr(f"sefm.dynamics.{name}",
+                            lambda *args, name=name: pytest.fail(f"called {name}"))
+    monkeypatch.setattr(SimulationConfig, "__hash__",
+                        lambda self: pytest.fail("hashed a SimulationConfig"))
+    got = run(nets[1])
+    monkeypatch.undo()
+    assert got == expected
+    results, _, raced, _ = expected
+    assert {r.outcome for r in results} >= {Outcome.INITIALIZED, Outcome.SKIPPED}
+    assert any(fired for fired, _ in raced)
+
+
 def test_batched_predict_matches_one_at_a_time(rng, monkeypatch):
     # class 2 stays uninitialized; 128 inputs keep a chunk to a few hundred patterns
     net = network_of(128, [None if j == 2 else random_terms(rng, 128) for j in range(4)],
@@ -612,7 +655,8 @@ def test_batched_predict_matches_one_at_a_time(rng, monkeypatch):
     captured, chunks = [], []
     kernel = net.evaluate_pattern
 
-    def recorded(weights, responses):
+    def recorded(weights, live, responses):
+        assert live == np.flatnonzero(net.initialized).tolist() == [0, 1, 3]
         asked = []
 
         def logged(lo, hi):
@@ -620,7 +664,7 @@ def test_batched_predict_matches_one_at_a_time(rng, monkeypatch):
             return responses(lo, hi)
         whole = weights[net.initialized] @ np.hstack([responses(lo, hi)
                                                       for lo, hi in race_blocks(net.sim)])
-        captured.append((whole, kernel(weights, logged), asked))
+        captured.append((whole, kernel(weights, live, logged), asked))
         return captured[-1][1]
 
     class Chunked(learning.SampledWeights):
@@ -710,11 +754,11 @@ def presented_both_ways(cfg, crossings, label, pattern=None):
     state = training.TrainingState(net, [pattern], cfg)
     asked, kernel = [], net.evaluate_pattern
 
-    def recorded(weights, responses, *args, **kwargs):
+    def recorded(weights, live, responses, *args, **kwargs):
         def logged(lo, hi):
             asked.append((lo, hi))
             return responses(lo, hi)
-        return kernel(weights, logged, *args, **kwargs)
+        return kernel(weights, live, logged, *args, **kwargs)
 
     net.evaluate_pattern = recorded
     got = training.process_sample(state, 0, label)
