@@ -11,6 +11,7 @@ fires at the first grid time where its potential reaches the threshold
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -188,18 +189,17 @@ class OutputNeuron:
 # (the root of the largest float64), so only a sigma under 2.2e6 / 1.34e154,
 # about 1.6e-148, can reach it, and the divide only one under 1.2e-302.
 _OVERFLOW_SIGMA = 1e-140
+# Entered in place of np.errstate at or above that floor; it holds no state,
+# so one instance serves every call.
+_NO_GUARD = contextlib.nullcontext()
 
 
 def efficacy(t: np.ndarray, centers, amplitudes, sigma: float) -> np.ndarray:
     """Weight terms ``amplitudes * exp(-(t - centers)^2 / (2 sigma^2))``, written
     over the float64 array ``t``; no other code computes a term."""
     t -= centers
-    if sigma < _OVERFLOW_SIGMA:
-        # an overflow gives inf, and exp(-inf) gives 0
-        with np.errstate(over="ignore"):
-            t /= sigma
-            np.square(t, out=t)
-    else:
+    # an overflow gives inf, and exp(-inf) gives 0
+    with np.errstate(over="ignore") if sigma < _OVERFLOW_SIGMA else _NO_GUARD:
         t /= sigma
         np.square(t, out=t)
     t *= -0.5
@@ -217,7 +217,7 @@ def _merged(old: np.ndarray, kept: np.ndarray, dest: np.ndarray,
     return out
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def responses(sim: SimulationConfig) -> np.ndarray:
     """Kernel response of a spike on each tick 0..K of [0, t_max] at each
     grid time: a read-only (K + 1, columns) view whose row k, column g reads
@@ -226,7 +226,11 @@ def responses(sim: SimulationConfig) -> np.ndarray:
     A response depends only on the tick difference ``g * R - k``, so every
     row is a window of one kernel row ``a[m] = epsilon((m - K) *
     TIME_QUANTUM)``, read one tick back per row and R ticks on per column:
-    16,001 values (128 KB) on the default grid, computed once per setting.
+    16,001 values (128 KB) on the default grid.  A ``Network`` holds it as
+    its ``response_rows``; the cache keeps the last setting's view, so the
+    next network on that grid, as each ``load_model`` builds, shares it
+    instead of paying for the row again, and at most one row outlives the
+    networks that read it.
     """
     last, step = sim.ticks()
     row = _epsilon_consuming((np.arange(sim.kernel_row()) - last) * TIME_QUANTUM, sim.tau)
@@ -287,8 +291,13 @@ class Network:
 
     ``sim`` is fixed when the network is built, and so is the race plan
     read from it: ``response_rows`` (``responses(sim)``), the race
-    ``blocks`` and the grid ``step`` in ticks.
+    ``blocks`` and the grid ``step`` in ticks.  A pickle or copy leaves the
+    plan out and rebuilds it from ``sim``: numpy would write the strided
+    ``response_rows`` out whole, (K + 1) * columns cells (51 MB on the
+    default grid) for its 16,001 values.
     """
+
+    _PLAN = ("response_rows", "blocks", "step")
 
     def __init__(self, class_count: int, input_count: int, sigma: float,
                  sim: SimulationConfig, spike_interval: float):
@@ -308,15 +317,25 @@ class Network:
         self.input_count = input_count
         self.sigma = float(sigma)
         self.sim = sim
-        self.response_rows = responses(sim)
-        self.blocks = race_blocks(sim)
-        self.step = sim.ticks()[1]
+        self._plan()
         self.spike_interval = float(spike_interval)
         self.thresholds = np.zeros(class_count)
         self.initialized = np.zeros(class_count, dtype=bool)
         self.keys = np.zeros(0, dtype=np.int64)
         self.centers = np.zeros(0)
         self.amplitudes = np.zeros(0)
+
+    def _plan(self) -> None:
+        self.response_rows = responses(self.sim)
+        self.blocks = race_blocks(self.sim)
+        self.step = self.sim.ticks()[1]
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in self._PLAN}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._plan()
 
     @property
     def neurons(self) -> list[Optional[OutputNeuron]]:

@@ -2,7 +2,6 @@
 the gains it states."""
 
 import importlib.util
-import subprocess
 from pathlib import Path
 
 import pytest
@@ -146,32 +145,3 @@ def test_tier1_line_names_both_sides(bench_pairs):
     assert bench_pairs.tier1_line(runs) == (
         "tier-1: parent 465 passed, 4 failed, 3 skipped in 35.0 s; "
         "change 469 passed, 4 failed, 3 skipped in 35.0 s")
-
-
-def test_sweep_times_one_iris_sigma_sweep_over_criterion_5s_widths(bench_pairs, monkeypatch,
-                                                                     tmp_path):
-    """``sweep`` runs the iris sigma-sweep over 0.3, 0.5, 1, 2 and 1e6 in the
-    exported tree, its files outside it, and returns its wall seconds; a
-    sweep that fails raises.  No real sweep runs here."""
-    calls, clock, code = [], iter([10.0, 16.5, 20.0, 21.0]), [0]
-
-    def fake_run(argv, **kwargs):
-        calls.append((argv, kwargs))
-        return subprocess.CompletedProcess(argv, code[0], "", "boom")
-    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
-    monkeypatch.setattr(bench_pairs.time, "perf_counter", lambda: next(clock))
-    checkout, out = tmp_path / "change", tmp_path / "sweep-change"
-    assert bench_pairs.sweep(checkout, out) == 6.5
-    (argv, kwargs), = calls
-    assert argv[1:] == ["-m", "sefm.cli", "sigma-sweep", "--dataset", "iris", "--config",
-                        "configs/iris.json", "--sigmas", "0.3,0.5,1,2,1e6",
-                        "--output-dir", str(out)]
-    assert kwargs["cwd"] == checkout and kwargs["env"]["PYTHONPATH"] == "src"
-    code[0] = 2
-    with pytest.raises(RuntimeError, match="sigma-sweep exited 2"):
-        bench_pairs.sweep(checkout, out)
-
-
-def test_sweep_line_names_both_sides(bench_pairs):
-    assert bench_pairs.sweep_line({"parent": 6.54, "change": 6.12}) == (
-        "sigma-sweep: parent 6.5 s; change 6.1 s")

@@ -1,8 +1,10 @@
 """Kernel, weight sampling, potentials, firing, model serialization."""
 
+import copy
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -473,7 +475,7 @@ def test_responses_view_equals_the_tick_oracle_bitwise(s):
     view = responses(s)
     assert view.shape == (ticks.size, grid(s).size)
     assert view.tobytes() == direct_response(ticks * TIME_QUANTUM, s).tobytes()
-    assert responses(s) is view  # computed once per setting
+    assert responses(s) is view  # kept for the next network on the grid
 
 
 def test_responses_view_stays_within_1e_15_of_the_float_grid_form():
@@ -518,16 +520,20 @@ def test_response_matrix_rejects_a_spike_after_t_max(rng):
 
 
 def test_threads_predicting_on_a_cold_table_get_the_serial_labels(rng):
-    from sefm.training import predict
-    net = network_of(12, [random_terms(rng, 12) for _ in range(3)], 0.5, sim())
+    """Threads that each build a network on an emptied ``responses`` cache,
+    and so fill it at once, then predict one row at a time, give the labels
+    of a serial run."""
+    terms = [random_terms(rng, 12) for _ in range(3)]
     patterns = [random_pattern(rng, neuron_count=12, max_spikes=12) for _ in range(150)]
     responses.cache_clear()
-    serial = predict(net, patterns).tolist()
+    serial = predict(network_of(12, terms, 0.5, sim()), patterns).tolist()
     responses.cache_clear()
     orders = [rng.permutation(len(patterns)) for _ in range(4)]  # more threads than cores
     labels = [[None] * len(patterns) for _ in orders]
+    nets = [None] * len(orders)
 
     def work(k):
+        nets[k] = net = network_of(12, terms, 0.5, sim())
         for p in orders[k]:
             labels[k][p] = int(predict(net, [patterns[p]])[0])
 
@@ -544,8 +550,27 @@ def test_threads_predicting_on_a_cold_table_get_the_serial_labels(rng):
     assert not any(t.is_alive() for t in threads)
     assert all(got == serial for got in labels)
     times = np.unique(np.concatenate([p.times for p in patterns]))
-    assert responses(net.sim)[np.rint(times / TIME_QUANTUM).astype(np.int64)].tobytes() == \
-        direct_response(times, net.sim).tobytes()
+    for net in nets:
+        assert net.response_rows[np.rint(times / TIME_QUANTUM).astype(np.int64)].tobytes() == \
+            direct_response(times, net.sim).tobytes()
+
+
+@pytest.mark.parametrize("clone", [lambda net: pickle.loads(pickle.dumps(net)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_pickled_or_copied_network_rebuilds_its_race_plan(rng, clone):
+    """A pickle holds a network's terms, not its strided ``response_rows``,
+    which numpy would write out whole ((K + 1) * columns cells, 51 MB on the
+    default grid): it stays within a few KB, and the copy rebuilds the plan
+    from its ``sim``, sharing the original's rows, and predicts the
+    original's labels."""
+    net = network_of(12, [random_terms(rng, 12) for _ in range(3)], 0.5, SimulationConfig())
+    assert len(pickle.dumps(net)) < 16_384
+    twin = clone(net)
+    assert twin.sim == net.sim and twin.blocks == net.blocks and twin.step == net.step
+    assert twin.response_rows is net.response_rows is responses(net.sim)
+    assert model_to_json_bytes(twin) == model_to_json_bytes(net)
+    patterns = [random_pattern(rng, neuron_count=12, max_spikes=12) for _ in range(40)]
+    assert predict(twin, patterns).tolist() == predict(net, patterns).tolist()
 
 
 def test_simulation_grid_endpoints():

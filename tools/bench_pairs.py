@@ -32,10 +32,7 @@ model, Python, numpy and OpenBLAS versions and the OpenBLAS core type in use.
 After the pairs it runs the tier-1 suite once in each copy, ``python -m
 pytest -q -p no:cacheprovider --continue-on-collection-errors`` with
 ``PYTHONPATH=src``, and prints and writes (``tier1`` in the JSON) each
-side's wall seconds and its passed, failed and skipped counts.  Then it
-runs one iris ``sefm sigma-sweep`` in each copy, over criterion 5's widths
-(``SWEEP``), and prints on the same line and writes (``sweep`` in the
-JSON) each side's wall seconds.
+side's wall seconds and its passed, failed and skipped counts.
 """
 
 from __future__ import annotations
@@ -120,28 +117,6 @@ def tier1(checkout: Path) -> dict:
     seconds = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     return {"seconds": seconds, **summary_counts(lines[-1] if lines else "")}
-
-
-SWEEP = ["-m", "sefm.cli", "sigma-sweep", "--dataset", "iris", "--config",
-         "configs/iris.json", "--sigmas", "0.3,0.5,1,2,1e6"]
-
-
-def sweep(checkout: Path, output_dir: Path) -> float:
-    """Wall seconds of one iris sigma-sweep in an exported tree, its files
-    written to ``output_dir``."""
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, *SWEEP, "--output-dir", str(output_dir)],
-                          cwd=checkout, capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": "src"})
-    seconds = time.perf_counter() - start
-    if proc.returncode != 0:
-        raise RuntimeError(f"{checkout.name} sigma-sweep exited {proc.returncode}:\n"
-                           f"{proc.stderr[-2000:]}")
-    return seconds
-
-
-def sweep_line(seconds: dict) -> str:
-    return "sigma-sweep: " + "; ".join(f"{side} {s:.1f} s" for side, s in seconds.items())
 
 
 def tier1_line(runs: dict) -> str:
@@ -317,11 +292,9 @@ def main(argv=None) -> int:
             if args.out:  # keep what is done if a later workload fails
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")
         doc["tier1"] = {side: tier1(copy) for side, copy in copies.items()}
-        doc["sweep"] = {side: sweep(copy, Path(tmp) / f"sweep-{side}")
-                        for side, copy in copies.items()}
         if args.out:
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    print("\n" + tier1_line(doc["tier1"]) + "; " + sweep_line(doc["sweep"]))
+    print("\n" + tier1_line(doc["tier1"]))
     print(gains_line(doc["improved"]))
     print(closing_line(doc["flagged"]))
     return 0
