@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .encoding import TIME_QUANTUM, EncoderConfig, SpikePattern
+from .encoding import TIME_QUANTUM, EncoderConfig, SpikePattern, _is_count
 from .errors import ConfigError, InputError
 
 MODEL_FORMAT = "sefm-model/1"
@@ -184,8 +184,8 @@ class OutputNeuron:
 
 
 # The sigma below which a term's ((t - c) / sigma)^2 can overflow.  A spike
-# time t and a center c lie on ticks in [0, 2**31), so |t - c| < 2**31 *
-# TIME_QUANTUM, about 2.2e6 ms; the square overflows only above 1.34e154
+# time t and a center c lie on non-negative int32 ticks (``encoding._snap``),
+# so |t - c| is under 2.2e6 ms; the square overflows only above 1.34e154
 # (the root of the largest float64), so only a sigma under 2.2e6 / 1.34e154,
 # about 1.6e-148, can reach it, and the divide only one under 1.2e-302.
 _OVERFLOW_SIGMA = 1e-140
@@ -301,10 +301,9 @@ class Network:
 
     def __init__(self, class_count: int, input_count: int, sigma: float,
                  sim: SimulationConfig, spike_interval: float):
-        if class_count < 1:
-            raise ConfigError("class_count must be >= 1")
-        if input_count < 1:
-            raise ConfigError("input_count must be >= 1")
+        for name, count in (("class_count", class_count), ("input_count", input_count)):
+            if not (_is_count(count) and count >= 1):
+                raise ConfigError(f"{name} must be an integer >= 1")
         # MAX_CELLS also keeps a term key's class * input_count + input in 31 bits
         if class_count * input_count > MAX_CELLS:
             raise ConfigError(f"class_count * input_count must stay within "
@@ -313,8 +312,8 @@ class Network:
             raise ConfigError("sigma must be positive and finite")
         if not 0 < spike_interval < sim.t_max:
             raise ConfigError("the presynaptic interval must lie in (0, t_max)")
-        self.class_count = class_count
-        self.input_count = input_count
+        self.class_count = int(class_count)
+        self.input_count = int(input_count)
         self.sigma = float(sigma)
         self.sim = sim
         self._plan()
@@ -346,29 +345,28 @@ class Network:
     def _add_pattern_terms(self, class_label: int, ids: np.ndarray, ticks: np.ndarray,
                            amplitudes: np.ndarray) -> None:
         """Add one term per spike of a SpikePattern to class ``class_label``:
-        the pattern's ascending, distinct ``ids``, their int64 ``ticks`` and
-        one amplitude each.
+        the pattern's ascending, distinct int64 ``ids``, their int32 ``ticks``
+        and one amplitude each.
 
         What a pattern does not already imply raises InputError before
         anything changes: a class or an input out of range, a non-finite
-        amplitude, a tick of 2**31 or more.
+        amplitude.
         """
         if not 0 <= class_label < self.class_count:
             raise InputError(f"class outside [0, {self.class_count})")
         if ids.size and (ids[0] < 0 or ids[-1] >= self.input_count):
             raise InputError(f"input neuron outside [0, {self.input_count})")
-        if not (np.isfinite(amplitudes).all() and ticks.max(initial=0) < 2**31):
-            raise InputError("a term needs a finite amplitude and a center in [0, 2**31) ticks")
-        self._add_sorted(((class_label * self.input_count + ids) << 32) + ticks, ticks,
-                         amplitudes)
+        if not np.isfinite(amplitudes).all():
+            raise InputError("a term needs a finite amplitude")
+        # int64 ids widen the ticks, whose 31 bits ``_snap`` has checked
+        self._add_sorted(((class_label * self.input_count + ids) << 32) + ticks, amplitudes)
 
-    def _add_sorted(self, keys: np.ndarray, ticks: np.ndarray,
-                    amplitudes: np.ndarray) -> None:
+    def _add_sorted(self, keys: np.ndarray, amplitudes: np.ndarray) -> None:
         """Add one term per strictly ascending key, the only way terms enter
         a network: a stored key adds its amplitude in place, and a new one
-        is stored as ``0.0 + a`` (so never as -0.0) at center
-        ``tick * TIME_QUANTUM``.  Stored keys are found by binary search and
-        keep their order."""
+        is stored as ``0.0 + a`` (so never as -0.0) at center ``tick *
+        TIME_QUANTUM``, the tick read from the key's low 32 bits.  Stored
+        keys are found by binary search and keep their order."""
         at = np.searchsorted(self.keys, keys)
         found = np.zeros(keys.size, dtype=bool)
         if self.keys.size:
@@ -377,7 +375,8 @@ class Network:
         if found.all():
             return
         new = ~found
-        columns = (keys[new], ticks[new] * TIME_QUANTUM, 0.0 + amplitudes[new])
+        keys = keys[new]
+        columns = (keys, (keys & 0xFFFFFFFF) * TIME_QUANTUM, 0.0 + amplitudes[new])
         if self.keys.size:
             dest = at[new] + np.arange(columns[0].size)  # after the new keys before it
             kept = np.ones(self.keys.size + dest.size, dtype=bool)
@@ -551,7 +550,7 @@ def model_from_dict(doc: dict) -> tuple[Network, Optional[EncoderConfig]]:
             if not ((ticks * TIME_QUANTUM == flat[:, 0]).all() and (np.diff(keys) > 0).all()):
                 raise InputError(f"a center lies off the {TIME_QUANTUM} ms grid, or a "
                                  f"synapse's centers do not strictly ascend")
-            net._add_sorted(keys, ticks, flat[:, 1])
+            net._add_sorted(keys, flat[:, 1])
         enc = None
         e = doc["encoder"]
         if e is not None:

@@ -9,7 +9,8 @@ F-feature problem becomes F*M input neurons each firing at most once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -22,6 +23,11 @@ from .errors import ConfigError, InputError
 TIME_QUANTUM = 0.001
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer other than a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     """Fitted settings of the population encoder.
@@ -29,7 +35,7 @@ class EncoderConfig:
     Attributes
     ----------
     receptive_field_count : int
-        Fields per feature (M).  Must be >= 3: center/width formulas
+        Fields per feature (M), an integer >= 3: center/width formulas
         divide by M - 2.
     overlap : float
         Overlap constant gamma controlling field width; positive and finite.
@@ -49,8 +55,9 @@ class EncoderConfig:
     feature_ranges: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if self.receptive_field_count < 3:
-            raise ConfigError("receptive_field_count must be >= 3 (width formula divides by M-2)")
+        if not (_is_count(self.receptive_field_count) and self.receptive_field_count >= 3):
+            raise ConfigError("receptive_field_count must be an integer >= 3 "
+                              "(width formula divides by M-2)")
         if not 0 < self.overlap < np.inf:
             raise ConfigError("overlap must be positive and finite")
         if not 0.0 <= self.response_cutoff < 1.0:
@@ -91,71 +98,74 @@ class EncoderConfig:
 
 
 def _snap(ts: np.ndarray) -> np.ndarray:
-    """Snap float64 spike times in place to the TIME_QUANTUM grid and make
-    them read-only; returns the read-only int64 tick of each.
+    """The read-only int32 tick of each float64 spike time on the
+    TIME_QUANTUM grid; ``ts`` is overwritten.
 
-    A NaN, infinite or negative time raises InputError, and so does one of
-    2**62 ticks or more, which an int64 tick could not hold with room to spare.
+    A NaN, infinite or negative time raises InputError, and so does one
+    whose tick is 2**31 or more: a term key holds a tick in 31 bits.
     """
-    if ts.size and not (ts.min() >= 0.0 and float(ts.max()) / TIME_QUANTUM < 2.0**62):
-        raise InputError("spike times must be finite and non-negative, and below 2**62 ticks")
+    # rint(x) < 2**31 exactly when x < 2**31 - 0.5 (a half rounds to even)
+    if ts.size and not (ts.min() >= 0.0 and float(ts.max()) / TIME_QUANTUM < 2**31 - 0.5):
+        raise InputError("spike times must be finite and non-negative, and below 2**31 ticks")
     ts /= TIME_QUANTUM
-    np.rint(ts, out=ts)
-    ticks = ts.astype(np.int64)
-    ts *= TIME_QUANTUM
-    ts.setflags(write=False)
+    ticks = np.rint(ts, out=ts).astype(np.int32)
     ticks.setflags(write=False)
     return ticks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SpikePattern:
-    """Presynaptic spike times of one encoded sample.
+    """Presynaptic spikes of one encoded sample.
 
-    ``neuron_ids[k]`` fires at ``times[k]``, ids ascending.  Each input
-    neuron fires at most once (the encoder never emits a second spike).
-    Times are snapped to the TIME_QUANTUM grid, ``ticks`` holding the int64
-    tick of each; a time ``_snap`` rejects raises InputError.
+    ``neuron_ids[k]`` fires on tick ``ticks[k]`` of the TIME_QUANTUM grid,
+    ids ascending; ``times`` derives each spike's time in ms from its tick.
+    Each input neuron fires at most once (the encoder never emits a second
+    spike).  The constructor sorts by id, validates and snaps its times; a
+    time ``_snap`` rejects raises InputError.
     """
 
     neuron_count: int
     neuron_ids: np.ndarray
-    times: np.ndarray
-    ticks: np.ndarray = field(init=False)
+    ticks: np.ndarray
 
-    def __post_init__(self):
-        ids = np.asarray(self.neuron_ids, dtype=np.int64)
-        ts = np.asarray(self.times, dtype=np.float64)
+    def __init__(self, neuron_count: int, neuron_ids, times):
+        if not (_is_count(neuron_count) and neuron_count >= 0):
+            raise InputError("neuron_count must be a non-negative integer")
+        ids = np.asarray(neuron_ids, dtype=np.int64)
+        ts = np.asarray(times, dtype=np.float64)
         if ids.shape != ts.shape or ids.ndim != 1:
             raise InputError("neuron_ids and times must be 1-d arrays of equal length")
         order = np.argsort(ids, kind="stable")
         ids = ids[order]
-        ts = ts[order]
-        if ids.size and (ids[0] < 0 or ids[-1] >= self.neuron_count):
+        if ids.size and (ids[0] < 0 or ids[-1] >= neuron_count):
             raise InputError("neuron id outside [0, neuron_count)")
         if np.any(ids[1:] == ids[:-1]):
             raise InputError("a neuron id repeats; each input neuron fires at most once")
         ids.setflags(write=False)
+        object.__setattr__(self, "neuron_count", int(neuron_count))
         object.__setattr__(self, "neuron_ids", ids)
-        object.__setattr__(self, "ticks", _snap(ts))  # ts[order] is a copy
-        object.__setattr__(self, "times", ts)
+        object.__setattr__(self, "ticks", _snap(ts[order]))  # ts[order] is a copy
 
     @classmethod
-    def _trusted(cls, neuron_count: int, ids: np.ndarray, times: np.ndarray,
-                 ticks: np.ndarray) -> SpikePattern:
+    def _trusted(cls, neuron_count: int, ids: np.ndarray, ticks: np.ndarray) -> SpikePattern:
         """A pattern from read-only ids that are ascending, distinct and in
-        range, and read-only times and ticks from ``_snap``; nothing is
-        checked again."""
+        range, and their read-only ticks from ``_snap``; nothing is checked
+        again."""
         pattern = object.__new__(cls)
         object.__setattr__(pattern, "neuron_count", neuron_count)
         object.__setattr__(pattern, "neuron_ids", ids)
-        object.__setattr__(pattern, "times", times)
         object.__setattr__(pattern, "ticks", ticks)
         return pattern
 
     @property
+    def times(self) -> np.ndarray:
+        """The time of each spike in ms, ``ticks * TIME_QUANTUM``: a new array
+        on every read."""
+        return self.ticks * TIME_QUANTUM
+
+    @property
     def spike_count(self) -> int:
-        return int(self.times.size)
+        return int(self.ticks.size)
 
 
 def fit_ranges(
@@ -215,8 +225,8 @@ def encode_dataset(features_matrix, cfg: EncoderConfig) -> list[SpikePattern]:
     All (row, feature, field) responses come from one broadcast, and the
     fired times of all rows are checked and snapped in one pass.  A NaN
     feature leaves its fields silent, and an infinite one responds 0.  Each
-    pattern's ids, times and ticks are read-only slices of one flat triple
-    shared by the batch.
+    pattern's ids and ticks are read-only slices of one flat pair shared by
+    the batch.
     """
     x = np.asarray(features_matrix, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != cfg.feature_count:
@@ -237,6 +247,6 @@ def encode_dataset(features_matrix, cfg: EncoderConfig) -> list[SpikePattern]:
     ids %= n  # ascending within a row
     ids.setflags(write=False)
     ends = fired.sum(axis=1).cumsum().tolist()
-    return [SpikePattern._trusted(n, ids[a:b], times[a:b], ticks[a:b])
+    return [SpikePattern._trusted(n, ids[a:b], ticks[a:b])
             for a, b in zip([0, *ends], ends)]
 

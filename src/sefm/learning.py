@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Network, OutputNeuron, _epsilon_consuming, efficacy
-from .encoding import SpikePattern
+from .encoding import TIME_QUANTUM, SpikePattern
 from .errors import InputError, SefmError
 
 
@@ -57,15 +57,15 @@ class SampledWeights:
         self.sigma = net.sigma
         self.spike_times = np.full((net.input_count, len(patterns)), np.nan)
         for p, pattern in enumerate(patterns):
-            self.spike_times[pattern.neuron_ids, p] = pattern.times
+            self.spike_times[pattern.neuron_ids, p] = pattern.ticks
+        self.spike_times *= TIME_QUANTUM  # the bits of each pattern's times
         self.values = net.sample(self.spike_times)
 
-    def add(self, class_label: int, neuron_ids: np.ndarray, centers: np.ndarray,
+    def add(self, class_label: int, neuron_ids: np.ndarray, ticks: np.ndarray,
             amplitudes: np.ndarray) -> None:
         """Add the Gaussians of terms just added to class ``class_label``'s
-        neuron (distinct inputs, SpikePattern times as centers, so already
-        on the grid)."""
-        gauss = efficacy(self.spike_times[neuron_ids], centers[:, None],
+        neuron (distinct inputs, centered on the SpikePattern ``ticks``)."""
+        gauss = efficacy(self.spike_times[neuron_ids], (ticks * TIME_QUANTUM)[:, None],
                          amplitudes[:, None], self.sigma)
         np.copyto(gauss, 0.0, where=np.isnan(gauss))
         self.values[class_label, neuron_ids] += gauss
@@ -101,10 +101,9 @@ def momentary_deltas(m: np.ndarray, dv: float, eps_vals: np.ndarray) -> np.ndarr
 @dataclass
 class UpdateStep:
     """One computed (not yet applied) update for a single neuron, on the
-    spikes of one pattern: its ids, times and ticks."""
+    spikes of one pattern: its ids and ticks."""
 
     neuron_ids: np.ndarray
-    times: np.ndarray
     ticks: np.ndarray
     eps_vals: np.ndarray
     normalized: np.ndarray
@@ -137,20 +136,19 @@ def compute_update(net: Network, class_label: int, pattern: SpikePattern, t_hat:
     total = weighted.sum()
     used_fallback = bool(total <= 0.0)
     m = u.copy() if used_fallback else weighted / total
-    return UpdateStep(neuron_ids=pattern.neuron_ids, times=times, ticks=pattern.ticks,
+    return UpdateStep(neuron_ids=pattern.neuron_ids, ticks=pattern.ticks,
                       eps_vals=eps_vals, normalized=u, shares=m,
                       deltas=momentary_deltas(m, dv, eps_vals), dv=dv,
                       used_fallback=used_fallback)
 
 
 def _add_terms(net: Network, class_label: int, sampled: SampledWeights | None,
-               neuron_ids: np.ndarray, ticks: np.ndarray, centers: np.ndarray,
-               amplitudes: np.ndarray) -> None:
-    """Add one term per spike of a pattern (its ids, ticks and times) to
-    the network, then to ``sampled``."""
+               neuron_ids: np.ndarray, ticks: np.ndarray, amplitudes: np.ndarray) -> None:
+    """Add one term per spike of a pattern (its ids and ticks) to the
+    network, then to ``sampled``."""
     net._add_pattern_terms(class_label, neuron_ids, ticks, amplitudes)
     if sampled is not None:
-        sampled.add(class_label, neuron_ids, centers, amplitudes)
+        sampled.add(class_label, neuron_ids, ticks, amplitudes)
 
 
 def apply_update(net: Network, class_label: int, step: UpdateStep, learning_rate: float,
@@ -167,8 +165,7 @@ def apply_update(net: Network, class_label: int, step: UpdateStep, learning_rate
     if not keep.any():
         return 0
     ids = step.neuron_ids[keep]
-    _add_terms(net, class_label, sampled, ids, step.ticks[keep], step.times[keep],
-               scaled[keep])
+    _add_terms(net, class_label, sampled, ids, step.ticks[keep], scaled[keep])
     return ids.size
 
 
@@ -186,6 +183,6 @@ def initialize(net: Network, class_label: int, pattern: SpikePattern, t_hat: flo
     u = _normalized(eps_vals, t_hat)
     keep = u != 0.0
     _add_terms(net, class_label, sampled, pattern.neuron_ids[keep], pattern.ticks[keep],
-               pattern.times[keep], u[keep])
+               u[keep])
     net.thresholds[class_label] = float(u @ eps_vals)
     net.initialized[class_label] = True

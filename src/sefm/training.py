@@ -225,13 +225,13 @@ def train(patterns: list[SpikePattern], labels: np.ndarray, cfg: NetworkConfig,
         raise InputError("cannot train on an empty pattern list")
     if len(patterns) != len(labels):
         raise InputError("patterns and labels differ in length")
+    net = build_network(cfg, class_count, patterns[0].neuron_count)  # checks the counts
     labels = np.asarray(labels)
     present = np.unique(labels).tolist()
-    if present != list(range(class_count)):
-        raise ConfigError(f"training labels {present} are not exactly 0..{class_count - 1}")
+    if present != list(range(net.class_count)):
+        raise ConfigError(f"training labels {present} are not exactly 0..{net.class_count - 1}")
     labels = labels.astype(np.int64).tolist()  # Python ints, cast once per fit
-    state = TrainingState(build_network(cfg, class_count, patterns[0].neuron_count),
-                          patterns, cfg)
+    state = TrainingState(net, patterns, cfg)
     stats_log: list[EpochStats] = []
     converged = False
     warned_empty: set[int] = set()

@@ -264,7 +264,7 @@ def update_step(net: Network, class_label: int, pattern: SpikePattern, t_hat: fl
     deltas = np.zeros_like(m)
     mask = m != 0.0
     deltas[mask] = m[mask] * dv / eps_vals[mask]
-    return {"neuron_ids": pattern.neuron_ids, "times": pattern.times, "ticks": pattern.ticks,
+    return {"neuron_ids": pattern.neuron_ids, "ticks": pattern.ticks,
             "eps_vals": eps_vals, "normalized": u, "shares": m, "deltas": deltas, "dv": dv,
             "used_fallback": float((z * eps_vals).sum()) <= 0.0}
 
@@ -338,8 +338,8 @@ class PatternMajorSampledWeights:
     """``learning.SampledWeights`` laid out as (classes, patterns, inputs).
 
     ``add`` takes the class, the width and the terms one
-    ``SampledWeights.add`` call received, and adds their Gaussians to the
-    columns of their inputs.
+    ``SampledWeights.add`` call received (ids, ticks and amplitudes), and
+    adds their Gaussians to the columns of their inputs.
     """
 
     def __init__(self, patterns: list[SpikePattern], class_count: int):
@@ -347,9 +347,8 @@ class PatternMajorSampledWeights:
         self.values = np.zeros((class_count, *self.spike_times.shape))
 
     def add(self, class_label: int, sigma: float, neuron_ids: np.ndarray,
-            centers: np.ndarray, amplitudes: np.ndarray) -> None:
-        centers = np.rint(centers / TIME_QUANTUM) * TIME_QUANTUM
-        d = self.spike_times[:, neuron_ids] - centers
+            ticks: np.ndarray, amplitudes: np.ndarray) -> None:
+        d = self.spike_times[:, neuron_ids] - ticks.astype(np.float64) * TIME_QUANTUM
         gauss = amplitudes * np.exp(-0.5 * (d / sigma) ** 2)
         gauss[np.isnan(gauss)] = 0.0
         self.values[class_label][:, neuron_ids] += gauss

@@ -123,7 +123,7 @@ def test_empty_efficacy_samples_zero():
 
 def _pattern_terms(net, class_label, ids, ticks, amplitudes):
     net._add_pattern_terms(class_label, np.asarray(ids, dtype=np.int64),
-                           np.asarray(ticks, dtype=np.int64),
+                           np.asarray(ticks, dtype=np.int32),
                            np.asarray(amplitudes, dtype=np.float64))
 
 
@@ -182,9 +182,10 @@ def test_add_terms_rejects_a_term_its_key_cannot_hold(center, amplitude):
 
 def test_pattern_terms_equal_the_reference_bitwise(rng):
     """Random correction sequences through ``Network._add_pattern_terms``,
-    the path of ``learning.apply_update`` and ``initialize``, leave the
-    keys, centers and amplitude bits that the oracle merge ``add_terms``
-    leaves given the same terms.
+    the path of ``learning.apply_update`` and ``initialize``, and through
+    ``Network._add_sorted`` on the same keys, leave the keys, centers and
+    amplitude bits that the oracle merge ``add_terms`` leaves given the
+    same terms.
 
     Each call adds one term per spike of a random pattern to a random class
     of a network of one to three; ticks come from a small range, so calls
@@ -194,7 +195,8 @@ def test_pattern_terms_equal_the_reference_bitwise(rng):
     seen = dict(inserted=0, repeated=0, cancel=0, negzero=0, classes=0)
     for _ in range(40):
         n, count = int(rng.integers(1, 6)), int(rng.integers(1, 4))
-        core, full = (network_of(n, [(0.0, [], [], [])] * count, sigma=1.0) for _ in "ab")
+        core, keyed, full = (network_of(n, [(0.0, [], [], [])] * count, sigma=1.0)
+                             for _ in "abc")
         touched = set()
         for _ in range(int(rng.integers(1, 12))):
             j = int(rng.integers(0, count))
@@ -213,10 +215,39 @@ def test_pattern_terms_equal_the_reference_bitwise(rng):
             seen["inserted"] += sum(key not in stored for key in keys)
             touched.add(j)
             core._add_pattern_terms(j, pattern.neuron_ids, pattern.ticks, amps)
+            keyed._add_sorted(np.array(keys, dtype=np.int64), amps)
             add_terms(full, j, pattern.neuron_ids, pattern.times, amps)
+            want = [a.tobytes() for a in (full.keys, full.centers, full.amplitudes)]
+            for net in (core, keyed):
+                assert [a.tobytes() for a in (net.keys, net.centers, net.amplitudes)] == want
+        seen["classes"] += len(touched) > 1
+    assert all(seen.values()), seen
+
+
+def test_add_sorted_equals_the_oracle_merge_bitwise(rng):
+    """``Network._add_sorted(keys, amplitudes)`` stores a new key's center
+    as the tick in its low 32 bits times TIME_QUANTUM.  Strictly ascending
+    keys across classes and inputs, on ticks from a small range (so later
+    calls add to stored keys) or from all of [0, 2**31), added in several
+    calls, leave the keys, centers and amplitude bits the oracle merge
+    ``add_terms`` leaves given each key's class, input and center."""
+    seen = dict(repeated=0, wide=0)
+    for _ in range(40):
+        n, count = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        core, full = (network_of(n, [(0.0, [], [], [])] * count, sigma=1.0) for _ in "ab")
+        for _ in range(int(rng.integers(1, 6))):
+            size = int(rng.integers(0, 10))
+            classes, ids = rng.integers(0, count, size), rng.integers(0, n, size)
+            top = 2**31 if rng.random() < 0.3 else 40
+            ticks = rng.integers(0, top, size)
+            keys, first = np.unique(((classes * n + ids) << 32) + ticks, return_index=True)
+            amps = rng.normal(size=keys.size)
+            seen["repeated"] += int(np.isin(keys, core.keys).sum())
+            seen["wide"] += int((ticks >= 2**30).sum())
+            core._add_sorted(keys, amps)
+            add_terms(full, classes[first], ids[first], ticks[first] * TIME_QUANTUM, amps)
             assert [a.tobytes() for a in (core.keys, core.centers, core.amplitudes)] == \
                 [a.tobytes() for a in (full.keys, full.centers, full.amplitudes)]
-        seen["classes"] += len(touched) > 1
     assert all(seen.values()), seen
 
 
@@ -663,6 +694,24 @@ def test_network_validation():
         Network(2, 0, 1.0, sim(), spike_interval=3.0)
     with pytest.raises(ConfigError):
         Network(2, 4, 1.0, SimulationConfig(t_max=3.0), spike_interval=3.0)
+    net = Network(np.int64(2), np.int32(4), 1.0, sim(), spike_interval=3.0)
+    assert type(net.class_count) is int and type(net.input_count) is int
+
+
+@pytest.mark.parametrize("field", ["class_count", "input_count"])
+@pytest.mark.parametrize("count", [4.0, 2.5, math.nan, True, np.float64(2.0), "2"],
+                         ids=["float", "fraction", "nan", "bool", "np-float", "str"])
+def test_a_network_count_that_is_not_an_integer_is_rejected(field, count):
+    """Neither count builds a network unless it is an integer, so no float
+    count reaches the update rule's key shifts or ``predict``, and
+    ``train`` names a bad class count before it compares the labels."""
+    counts = {"class_count": 2, "input_count": 4, field: count}
+    with pytest.raises(ConfigError, match=f"{field} must be an integer >= 1"):
+        Network(counts["class_count"], counts["input_count"], 1.0, sim(), spike_interval=3.0)
+    if field == "class_count":
+        pattern = SpikePattern(4, [0, 1], [0.5, 1.0])
+        with pytest.raises(ConfigError, match="class_count must be an integer >= 1"):
+            train([pattern, pattern], np.array([0, 1]), NetworkConfig(), class_count=count)
 
 
 def test_network_rejects_counts_its_term_keys_cannot_hold():

@@ -20,16 +20,15 @@ from conftest import loop_encode
 from oracles import encode_rows
 
 
-def rounded_ticks(pattern: SpikePattern) -> np.ndarray:
-    """The tick of each of ``pattern``'s times, computed again from them."""
-    return np.rint(pattern.times / TIME_QUANTUM).astype(np.int64)
-
-
 def assert_ticks_of_its_times(pattern: SpikePattern) -> None:
-    """``pattern.ticks`` is read-only and holds the tick of each time, bit for bit."""
+    """``pattern.ticks`` is read-only int32, and ``pattern.times`` is each
+    tick times TIME_QUANTUM, bit for bit, whose rounded ticks are the ticks."""
     assert not pattern.ticks.flags.writeable
-    assert pattern.ticks.dtype == np.int64
-    assert pattern.ticks.tobytes() == rounded_ticks(pattern).tobytes()
+    assert pattern.ticks.dtype == np.int32
+    times = pattern.times
+    assert times.dtype == np.float64
+    assert times.tobytes() == (pattern.ticks.astype(np.float64) * TIME_QUANTUM).tobytes()
+    assert np.rint(times / TIME_QUANTUM).astype(np.int32).tobytes() == pattern.ticks.tobytes()
 
 
 def unit_config(m=6, overlap=0.7, cutoff=0.1):
@@ -196,6 +195,17 @@ def test_encode_cutoff_silences_weak_fields():
     assert encode([0.0], lax).spike_count == 6
 
 
+@pytest.mark.parametrize("count", [4.0, 4.5, math.nan, True, np.float64(6.0), "6"],
+                         ids=["float", "fraction", "nan", "bool", "np-float", "str"])
+def test_a_field_count_that_is_not_an_integer_is_rejected(count):
+    x = np.array([[0.0, 1.0], [1.0, 3.0]])
+    with pytest.raises(ConfigError, match="receptive_field_count must be an integer"):
+        fit_ranges(x, receptive_field_count=count)
+    with pytest.raises(ConfigError, match="receptive_field_count must be an integer"):
+        EncoderConfig(count, 0.7, 3.0, 0.1, ((0.0, 1.0),))
+    assert fit_ranges(x, receptive_field_count=np.int64(4)).neuron_count == 8
+
+
 def test_encode_rejects_wrong_feature_count():
     with pytest.raises(InputError):
         encode([0.1, 0.2], unit_config())
@@ -251,7 +261,7 @@ def test_encode_dataset_matches_the_per_row_oracle():
             assert g.neuron_ids.tobytes() == w.neuron_ids.tobytes()
             assert g.times.dtype == w.times.dtype
             assert g.times.tobytes() == w.times.tobytes()
-            assert not g.neuron_ids.flags.writeable and not g.times.flags.writeable
+            assert not g.neuron_ids.flags.writeable and not g.ticks.flags.writeable
             assert g.ticks.tobytes() == w.ticks.tobytes()
             assert_ticks_of_its_times(g)
             assert_ticks_of_its_times(w)
@@ -277,15 +287,15 @@ def test_encode_dataset_is_silent_on_huge_and_non_finite_features():
 
 def test_encode_dataset_never_revalidates_a_pattern(monkeypatch):
     # per-row validation cost about a third of a batch classify on iris;
-    # the batch pass checks every time once, so no pattern runs __post_init__
+    # the batch pass checks every time once, so no pattern runs __init__
     calls = []
-    validate = SpikePattern.__post_init__
+    validate = SpikePattern.__init__
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         calls.append(self)
-        validate(self)
+        validate(self, *args, **kwargs)
 
-    monkeypatch.setattr(SpikePattern, "__post_init__", counted)
+    monkeypatch.setattr(SpikePattern, "__init__", counted)
     SpikePattern(neuron_count=1, neuron_ids=[0], times=[0.5])
     assert len(calls) == 1  # the counter sees the public constructor
     calls.clear()
@@ -323,12 +333,65 @@ def test_pattern_sorts_by_neuron_then_time():
 
 def test_pattern_arrays_read_only():
     p = SpikePattern(neuron_count=2, neuron_ids=[0], times=[1.0])
-    for array in (p.neuron_ids, p.times, p.ticks):
+    for array in (p.neuron_ids, p.ticks):
         with pytest.raises(ValueError):
             array[0] = 0
+    # the times are derived afresh on each read, so writing one changes nothing
+    p.times[0] = 5.0
+    assert p.times.tolist() == [1.0] and p.ticks.tolist() == [1000]
+    with pytest.raises(AttributeError):
+        p.times = np.array([5.0])
     # the ticks are derived from the times, never passed in
     with pytest.raises(TypeError):
         SpikePattern(neuron_count=2, neuron_ids=[0], times=[1.0], ticks=[1000])
+
+
+def _stored_arrays(pattern: SpikePattern) -> dict:
+    return {name: v for name, v in vars(pattern).items() if isinstance(v, np.ndarray)}
+
+
+def test_a_pattern_stores_one_int32_tick_per_spike():
+    """A pattern stores its ids and read-only int32 ticks and no float
+    array; its times are derived from the ticks, bit for bit, on each read,
+    whether it came from the public constructor or a batch."""
+    cfg = fit_ranges(np.array([[0.0, -3.0], [1.0, 7.0]]))
+    rows = np.random.default_rng(13).uniform([-0.2, -4.0], [1.2, 8.0], size=(50, 2))
+    built = SpikePattern(neuron_count=4, neuron_ids=[3, 0], times=[0.7, 2.3])
+    for pattern in [built, *encode_dataset(rows, cfg)]:
+        arrays = _stored_arrays(pattern)
+        assert sorted(arrays) == ["neuron_ids", "ticks"]
+        assert arrays["neuron_ids"].dtype == np.int64 and arrays["ticks"].dtype == np.int32
+        assert_ticks_of_its_times(pattern)
+        times = pattern.times
+        assert times is not pattern.times
+        times += 1.0
+        assert_ticks_of_its_times(pattern)
+    assert built.ticks.tolist() == [2300, 700]
+
+
+def test_an_encoded_batch_holds_twelve_bytes_per_spike():
+    """The patterns of one batch hold an int64 id and an int32 tick per
+    spike, and nothing else per spike."""
+    cfg = fit_ranges(np.array([[0.0, -3.0, 5.0], [1.0, 7.0, 6.0]]), response_cutoff=0.0)
+    rows = np.random.default_rng(19).uniform([-0.5, -5.0, 4.0], [1.5, 9.0, 7.0], size=(300, 3))
+    batch = encode_dataset(rows, cfg)
+    spikes = sum(p.spike_count for p in batch)
+    assert spikes == 300 * cfg.neuron_count
+    held = sum(a.nbytes for p in batch for a in _stored_arrays(p).values())
+    assert held == 12 * spikes
+
+
+@pytest.mark.parametrize("count", [-1, 4.0, 2.5, math.nan, True, np.float64(3.0), "3"],
+                         ids=["negative", "float", "fraction", "nan", "bool", "np-float",
+                              "str"])
+def test_a_pattern_count_that_is_not_a_non_negative_integer_is_rejected(count):
+    with pytest.raises(InputError, match="neuron_count must be a non-negative integer"):
+        SpikePattern(count, [], [])
+
+
+def test_a_pattern_count_may_be_a_numpy_integer():
+    p = SpikePattern(np.int32(3), [2], [0.5])
+    assert type(p.neuron_count) is int and p.neuron_count == 3
 
 
 def test_pattern_rejects_bad_ids_and_shapes():
@@ -361,25 +424,34 @@ def test_pattern_snaps_times_to_the_grid():
     assert_ticks_of_its_times(p)
     assert SpikePattern(neuron_count=1, neuron_ids=[0], times=[0.0004]).times.tolist() == [0.0]
     empty = SpikePattern(neuron_count=1, neuron_ids=[], times=[])
-    assert empty.ticks.shape == (0,)
+    assert empty.ticks.shape == (0,) and empty.times.shape == (0,)
     assert_ticks_of_its_times(empty)
 
 
-def test_a_time_whose_tick_an_int64_cannot_hold_is_rejected():
-    """A time of 2**62 ticks or more raises InputError; cast to int64 it
-    could wrap to a negative tick and read a wrapped row of the responses.
-    An EncoderConfig with a spike interval of 1e300 ms is legal, and its
-    late spikes are rejected when a batch is encoded."""
-    for bad in (1e300, 2.0**62 * TIME_QUANTUM, 2.0**64 * TIME_QUANTUM):
-        with pytest.raises(InputError, match="2\\*\\*62 ticks"):
+def test_a_time_whose_tick_an_int32_cannot_hold_is_rejected():
+    """A time whose tick is 2**31 or more raises InputError: an int32 tick
+    could not hold it, nor could the 31-bit tick field of a term key.  Near
+    the bound, a time either raises or keeps its exact, positive rounded
+    tick.  An EncoderConfig with a spike interval of 1e300 ms is legal, and
+    its late spikes are rejected when a batch is encoded."""
+    for bad in (1e300, 2.0**31 * TIME_QUANTUM, 2.0**64 * TIME_QUANTUM):
+        with pytest.raises(InputError, match="2\\*\\*31 ticks"):
             SpikePattern(1, [0], [bad])
     # the largest allowed time keeps a positive, exact tick
-    top = SpikePattern(1, [0], [2.0**61 * TIME_QUANTUM])
-    assert top.ticks.tolist() == [2**61]
+    top = SpikePattern(1, [0], [(2.0**31 - 1) * TIME_QUANTUM])
+    assert top.ticks.tolist() == [2**31 - 1]
+    half = (2.0**31 - 0.5) * TIME_QUANTUM
+    for t in (np.nextafter(half, 0.0), half, np.nextafter(half, np.inf)):
+        tick = np.rint(t / TIME_QUANTUM)
+        if tick < 2**31:
+            assert SpikePattern(1, [0], [t]).ticks.tolist() == [int(tick)]
+        else:
+            with pytest.raises(InputError, match="2\\*\\*31 ticks"):
+                SpikePattern(1, [0], [t])
     huge = EncoderConfig(6, 0.7, 1e300, 0.1, ((0.0, 1.0),))
-    with pytest.raises(InputError, match="2\\*\\*62 ticks"):
+    with pytest.raises(InputError, match="2\\*\\*31 ticks"):
         encode_dataset(np.array([[0.0], [0.5]]), huge)
-    with pytest.raises(InputError, match="2\\*\\*62 ticks"):
+    with pytest.raises(InputError, match="2\\*\\*31 ticks"):
         encode([0.5], huge)
 
 

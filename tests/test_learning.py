@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sefm.dynamics import SimulationConfig, epsilon
-from sefm.encoding import SpikePattern
+from sefm.encoding import TIME_QUANTUM, SpikePattern
 from sefm.errors import InputError
 from sefm.learning import (
     NoEligibleSpikes,
@@ -261,8 +261,10 @@ def test_apply_update_rejects_what_add_terms_rejects_and_changes_nothing(spoil):
     j = {"class-below": -1, "class-past": 2}.get(spoil, 0)
     if spoil == "input-past-the-network":
         pattern, sampled = pattern_of([0, 2, 6], [0.5, 1.0, 1.2], n=7), None
-    if spoil == "tick-past-31-bits":  # 3e6 ms is tick 3e9 >= 2**31
-        pattern, sampled = pattern_of([0, 2, 5], [0.5, 1.0, 3e6], n=6), None
+    if spoil == "tick-past-31-bits":  # 3e6 ms is tick 3e9 >= 2**31: no pattern holds it
+        with pytest.raises(InputError, match="2\\*\\*31 ticks"):
+            pattern_of([0, 2, 5], [0.5, 1.0, 3e6], n=6)
+        return
     t_hat = float(pattern.times.max()) + 1.0
     step = compute_update(net, 0, pattern, t_hat, weights=np.zeros(3))
     if spoil.endswith("delta"):
@@ -271,7 +273,7 @@ def test_apply_update_rejects_what_add_terms_rejects_and_changes_nothing(spoil):
                                     net.initialized)]
     values = None if sampled is None else sampled.values.tobytes()
     with pytest.raises(InputError):
-        add_terms(net, j, step.neuron_ids, step.times, 0.1 * step.deltas)
+        add_terms(net, j, step.neuron_ids, step.ticks * TIME_QUANTUM, 0.1 * step.deltas)
     with pytest.raises(InputError):
         apply_update(net, j, step, 0.1, sampled)
     assert [a.tobytes() for a in (net.keys, net.centers, net.amplitudes, net.thresholds,

@@ -456,10 +456,10 @@ def test_sampled_weights_equal_a_pattern_major_replay_bitwise(rng, monkeypatch):
             super().__init__(*args)
             captured.append(self)
 
-        def add(self, class_label, neuron_ids, centers, amplitudes):
+        def add(self, class_label, neuron_ids, ticks, amplitudes):
             adds.append((class_label, self.sigma, neuron_ids.copy(),
-                         centers.copy(), amplitudes.copy()))
-            super().add(class_label, neuron_ids, centers, amplitudes)
+                         ticks.copy(), amplitudes.copy()))
+            super().add(class_label, neuron_ids, ticks, amplitudes)
 
     monkeypatch.setattr(learning, "SampledWeights", Recorded)
     x, y = blobs_dataset(rng)
