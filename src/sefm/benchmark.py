@@ -224,9 +224,6 @@ class GridCell:
     val_mean: float
     val_sd: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class GridSearchResult:

@@ -5,10 +5,10 @@ learning and scheduling knobs, checked when built, naming every bad field.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 
-from .dynamics import SimulationConfig
+from .dynamics import Network, SimulationConfig
+from .encoding import EncoderConfig, _is_count
 from .errors import ConfigError
 
 
@@ -37,34 +37,27 @@ class NetworkConfig:
     max_epochs: int = 100
 
     def __post_init__(self):
-        """Raise ConfigError naming every field out of range.
-
-        Each check is written so that NaN fails it.
-        """
+        """Raise one ConfigError naming every bad field: the encoder's, the
+        network's and the simulation's by their owners' rules, the fields only
+        training reads here.  Each check is written so that NaN fails it."""
         bad = []
-        for name in ("sigma", "spike_interval", "learning_rate", "overlap"):
-            if not 0 < getattr(self, name) < math.inf:
-                bad.append(f"{name} must be positive and finite")
-        try:  # tau, t_max and dt
-            self.simulation()
-        except ConfigError as exc:
-            bad.append(str(exc))
+        for owner in (self.simulation,
+                      lambda: EncoderConfig(self.receptive_field_count, self.overlap,
+                                            self.spike_interval, self.response_cutoff, ()),
+                      lambda: Network._check_settings(self.sigma, self.spike_interval, self.t_max)):
+            try:
+                owner()
+            except ConfigError as exc:
+                bad.append(str(exc))
+        if not 0 < self.learning_rate < math.inf:
+            bad.append("learning_rate must be positive and finite")
         for name in ("reference_rate", "margin_rate", "deadline_rate"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
+            if not 0.0 < getattr(self, name) < 1.0:
                 bad.append(f"{name} must lie in (0, 1)")
         if not 0.0 < self.desired_time < self.spike_interval:
             bad.append("desired_time must lie in (0, spike_interval)")
-        if not self.t_max > self.spike_interval:
-            bad.append("t_max must exceed spike_interval")
-        for name, least in (("receptive_field_count", 3), ("max_epochs", 0)):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral):
-                bad.append(f"{name} must be an integer")
-            elif v < least:
-                bad.append(f"{name} must be >= {least}")
-        if not 0.0 <= self.response_cutoff < 1.0:
-            bad.append("response_cutoff must lie in [0, 1)")
+        if not (_is_count(self.max_epochs) and self.max_epochs >= 0):
+            bad.append("max_epochs must be an integer >= 0")
         if bad:
             raise ConfigError("; ".join(bad))
 
@@ -83,7 +76,8 @@ class NetworkConfig:
         unknown = sorted(set(doc) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        ints = {"receptive_field_count", "max_epochs"}
+        # the counts, by annotation: a string under ``from __future__ import annotations``
+        ints = {f.name for f in fields(cls) if f.type == "int"}
         kwargs = {}
         for key, value in doc.items():
             try:

@@ -283,6 +283,13 @@ DATASETS: dict[str, DatasetSpec] = {
 }
 
 
+def _registered(name: str) -> DatasetSpec:
+    """The registry's entry for ``name``; an unknown name raises DataError."""
+    if name not in DATASETS:
+        raise DataError(f"unknown dataset {name!r} (have: {', '.join(sorted(DATASETS))})")
+    return DATASETS[name]
+
+
 def data_dir(override=None) -> Path:
     if override is not None:
         return Path(override)
@@ -309,9 +316,7 @@ def prepare_dataset(name: str, directory=None) -> dict:
     Downloads record a sha256 next to the file on first fetch and verify
     against it on every later call.
     """
-    if name not in DATASETS:
-        raise DataError(f"unknown dataset {name!r} (have: {', '.join(sorted(DATASETS))})")
-    spec = DATASETS[name]
+    spec = _registered(name)
     if spec.source.startswith("package:"):
         return {"dataset": name, "status": "bundled", "path": None, "sha256": None,
                 "where": "ships in the package"}
@@ -371,9 +376,7 @@ def _csv_path(spec: DatasetSpec, directory) -> Path:
 def load_dataset(name: str, directory=None) -> TabularDataset:
     """Load a registered benchmark dataset (prepare-data must have run for
     the downloadable ones)."""
-    if name not in DATASETS:
-        raise DataError(f"unknown dataset {name!r} (have: {', '.join(sorted(DATASETS))})")
-    spec = DATASETS[name]
+    spec = _registered(name)
     if spec.source.startswith("sklearn:"):
         ds = _load_sklearn(spec.source.split(":", 1)[1], name)
     else:

@@ -308,10 +308,7 @@ class Network:
         if class_count * input_count > MAX_CELLS:
             raise ConfigError(f"class_count * input_count must stay within "
                               f"MAX_CELLS = {MAX_CELLS:,}")
-        if not 0 < sigma < np.inf:
-            raise ConfigError("sigma must be positive and finite")
-        if not 0 < spike_interval < sim.t_max:
-            raise ConfigError("the presynaptic interval must lie in (0, t_max)")
+        self._check_settings(sigma, spike_interval, sim.t_max)
         self.class_count = int(class_count)
         self.input_count = int(input_count)
         self.sigma = float(sigma)
@@ -323,6 +320,15 @@ class Network:
         self.keys = np.zeros(0, dtype=np.int64)
         self.centers = np.zeros(0)
         self.amplitudes = np.zeros(0)
+
+    @staticmethod
+    def _check_settings(sigma: float, spike_interval: float, t_max: float) -> None:
+        """Raise one ConfigError naming each bad setting; NetworkConfig asks too."""
+        bad = [] if 0 < sigma < np.inf else ["sigma must be positive and finite"]
+        if not 0 < spike_interval < t_max:
+            bad.append("spike_interval must lie in (0, t_max)")
+        if bad:
+            raise ConfigError("; ".join(bad))
 
     def _plan(self) -> None:
         self.response_rows = responses(self.sim)

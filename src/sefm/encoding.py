@@ -55,19 +55,20 @@ class EncoderConfig:
     feature_ranges: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        bad = []  # every bad field, named in one ConfigError; NaN fails each check
         if not (_is_count(self.receptive_field_count) and self.receptive_field_count >= 3):
-            raise ConfigError("receptive_field_count must be an integer >= 3 "
-                              "(width formula divides by M-2)")
-        if not 0 < self.overlap < np.inf:
-            raise ConfigError("overlap must be positive and finite")
+            bad.append("receptive_field_count must be an integer >= 3 "
+                       "(width formula divides by M-2)")
+        bad += [f"{name} must be positive and finite" for name in ("overlap", "spike_interval")
+                if not 0 < getattr(self, name) < np.inf]
         if not 0.0 <= self.response_cutoff < 1.0:
-            raise ConfigError("response_cutoff must lie in [0, 1)")
-        if not 0 < self.spike_interval < np.inf:
-            raise ConfigError("spike_interval must be positive and finite")
-        bad = [f for f, (lo, hi) in enumerate(self.feature_ranges)
-               if not -np.inf < lo < hi < np.inf]
+            bad.append("response_cutoff must lie in [0, 1)")
+        ranges = [f for f, (lo, hi) in enumerate(self.feature_ranges)
+                  if not -np.inf < lo < hi < np.inf]
+        if ranges:
+            bad.append(f"feature range(s) {ranges} must be finite with lo < hi")
         if bad:
-            raise ConfigError(f"feature range(s) {bad} must be finite with lo < hi")
+            raise ConfigError("; ".join(bad))
 
     @property
     def feature_count(self) -> int:

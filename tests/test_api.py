@@ -75,6 +75,26 @@ def test_every_import_is_read_in_its_module():
     assert not unused, "imported and never read: " + ", ".join(unused)
 
 
+def test_only_is_count_tests_for_an_integral():
+    """``encoding._is_count`` is the package's one test for an integer count,
+    and it turns a bool away; a second ``isinstance(v, numbers.Integral)``
+    lets a bool through, as ``NetworkConfig``'s once let ``max_epochs=True``."""
+    def integral_tests(node):
+        return [call for call in ast.walk(node)
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "isinstance"
+                and any(getattr(n, "attr", getattr(n, "id", None)) == "Integral"
+                        for arg in call.args[1:] for n in ast.walk(arg))]
+    shared, stray = [], []
+    for path in sorted(Path(sefm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owned = {id(call) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                 and f"{path.stem}.{fn.name}" == "encoding._is_count"
+                 for call in integral_tests(fn)}
+        for call in integral_tests(tree):
+            (shared if id(call) in owned else stray).append(f"{path.stem}:{call.lineno}")
+    assert shared and not stray, "an Integral test outside _is_count: " + ", ".join(stray)
+
+
 def test_perfbench_hook_targets_resolve(monkeypatch):
     """Every module attribute perfbench/spans.py wraps still exists, so a
     traced benchmark run times every layer instead of counting hooks absent."""

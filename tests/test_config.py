@@ -1,10 +1,13 @@
 """NetworkConfig validation, serialization, overrides."""
 
+import inspect
 from dataclasses import replace
 
 import pytest
 
 from sefm.config import NetworkConfig
+from sefm.dynamics import Network, SimulationConfig
+from sefm.encoding import EncoderConfig, fit_ranges
 from sefm.errors import ConfigError
 
 
@@ -22,12 +25,14 @@ def test_defaults_are_valid():
 
 
 def test_validate_names_every_bad_field():
+    """Faults in the simulation, the encoder, the network and training's own
+    fields all land in one ConfigError."""
     with pytest.raises(ConfigError) as err:
-        NetworkConfig(sigma=-1.0, margin_rate=2.0, receptive_field_count=1)
-    msg = str(err.value)
-    assert "sigma" in msg
-    assert "margin_rate" in msg
-    assert "receptive_field_count" in msg
+        NetworkConfig(sigma=-1.0, margin_rate=2.0, receptive_field_count=1, tau=0.0,
+                      overlap=-1.0, max_epochs=True)
+    for name in ("sigma", "margin_rate", "receptive_field_count", "tau", "overlap",
+                 "max_epochs"):
+        assert name in str(err.value)
 
 
 @pytest.mark.parametrize("bad", [
@@ -76,7 +81,8 @@ def test_counts_must_be_integers_however_the_config_is_built():
         NetworkConfig(max_epochs=2.5, receptive_field_count=4.5)
     assert "max_epochs must be an integer" in str(err.value)
     assert "receptive_field_count must be an integer" in str(err.value)
-    for bad in ({"max_epochs": 2.5}, {"receptive_field_count": 4.5}, {"max_epochs": 3.0}):
+    for bad in ({"max_epochs": 2.5}, {"receptive_field_count": 4.5}, {"max_epochs": 3.0},
+                {"max_epochs": True}, {"receptive_field_count": True}):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             NetworkConfig(**bad)
         with pytest.raises(ConfigError, match=next(iter(bad))):
@@ -86,6 +92,58 @@ def test_counts_must_be_integers_however_the_config_is_built():
     cfg = NetworkConfig.from_dict({"max_epochs": 3.0, "receptive_field_count": 4})
     assert (cfg.max_epochs, cfg.receptive_field_count) == (3, 4)
     assert isinstance(cfg.max_epochs, int)
+
+
+@pytest.mark.parametrize("owner, bad", [
+    ("encoder", {"receptive_field_count": 2}),
+    ("encoder", {"receptive_field_count": True}),
+    ("encoder", {"overlap": 0.0}),
+    ("encoder", {"response_cutoff": 1.0}),
+    ("encoder", {"spike_interval": float("inf")}),
+    ("network", {"sigma": float("nan")}),
+    ("network", {"spike_interval": 9.0}),   # ends after t_max = 8
+], ids=["count", "bool-count", "overlap", "cutoff", "interval", "sigma", "window"])
+def test_a_bad_field_is_reported_in_its_owners_words(owner, bad):
+    """Each encoder and network rule is stated once, by the object that
+    uses the setting, and a config reports the owner's own message for the
+    same bad value, which names the field."""
+    s = {**NetworkConfig().to_dict(), **bad}
+    build = {
+        "encoder": lambda: EncoderConfig(s["receptive_field_count"], s["overlap"],
+                                         s["spike_interval"], s["response_cutoff"],
+                                         ((0.0, 1.0),)),
+        "network": lambda: Network(2, 4, s["sigma"],
+                                   SimulationConfig(s["tau"], s["t_max"], s["dt"]),
+                                   s["spike_interval"]),
+    }[owner]
+    with pytest.raises(ConfigError) as owned:
+        build()
+    assert next(iter(bad)) in str(owned.value)
+    with pytest.raises(ConfigError) as err:
+        NetworkConfig(**bad)
+    assert str(owned.value) in str(err.value)
+
+
+def test_a_config_checks_its_network_fields_without_building_a_network(monkeypatch):
+    """A network computes its kernel row when built, so a config asks
+    Network's rules without building one."""
+    def plan(self):
+        raise AssertionError("a config built a network")
+
+    monkeypatch.setattr(Network, "_plan", plan)
+    assert NetworkConfig(sigma=0.5).sigma == 0.5
+    with pytest.raises(ConfigError, match="sigma must be positive and finite"):
+        NetworkConfig(sigma=-1.0)
+
+
+def test_fit_ranges_defaults_are_the_config_defaults():
+    """``fit_ranges`` and ``NetworkConfig`` default the encoder's four
+    settings alike (6, 0.7, 3.0, 0.1)."""
+    params = inspect.signature(fit_ranges).parameters
+    defaults = {name: p.default for name, p in params.items()
+                if p.default is not inspect.Parameter.empty}
+    assert len(defaults) == 4
+    assert defaults == {name: getattr(NetworkConfig(), name) for name in defaults}
 
 
 def test_replace_checks_the_new_config():

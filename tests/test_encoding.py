@@ -134,6 +134,13 @@ def test_encoder_config_validates_its_fields():
             EncoderConfig(6, 0.7, interval, 0.1, ranges)
 
 
+def test_encoder_config_names_every_bad_field_in_one_error():
+    with pytest.raises(ConfigError) as err:
+        EncoderConfig(2, -1.0, math.nan, 1.5, ())
+    for name in ("receptive_field_count", "overlap", "spike_interval", "response_cutoff"):
+        assert name in str(err.value)
+
+
 # --- latency mapping ------------------------------------------------------
 
 def test_encode_latency_is_interval_times_one_minus_response():
