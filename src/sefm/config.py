@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .dynamics import Network, SimulationConfig
-from .encoding import EncoderConfig, _is_count
+from .encoding import EncoderConfig, _is_count, _is_real
 from .errors import ConfigError
 
 
@@ -49,12 +49,13 @@ class NetworkConfig:
                 owner()
             except ConfigError as exc:
                 bad.append(str(exc))
-        if not 0 < self.learning_rate < math.inf:
+        if not (_is_real(self.learning_rate) and 0 < self.learning_rate < math.inf):
             bad.append("learning_rate must be positive and finite")
         for name in ("reference_rate", "margin_rate", "deadline_rate"):
-            if not 0.0 < getattr(self, name) < 1.0:
+            if not (_is_real(rate := getattr(self, name)) and 0.0 < rate < 1.0):
                 bad.append(f"{name} must lie in (0, 1)")
-        if not 0.0 < self.desired_time < self.spike_interval:
+        if not (_is_real(self.desired_time) and _is_real(self.spike_interval)
+                and 0.0 < self.desired_time < self.spike_interval):
             bad.append("desired_time must lie in (0, spike_interval)")
         if not (_is_count(self.max_epochs) and self.max_epochs >= 0):
             bad.append("max_epochs must be an integer >= 0")

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .encoding import TIME_QUANTUM, EncoderConfig, SpikePattern, _is_count
+from .encoding import TIME_QUANTUM, EncoderConfig, SpikePattern, _is_count, _is_real
 from .errors import ConfigError, InputError
 
 MODEL_FORMAT = "sefm-model/1"
@@ -53,12 +53,12 @@ class SimulationConfig:
 
     def __post_init__(self):
         bad = [f"{name} must be positive and finite" for name in ("tau", "t_max", "dt")
-               if not 0 < getattr(self, name) < np.inf]  # NaN fails too
+               if not (_is_real(value := getattr(self, name)) and 0 < value < np.inf)]
         # whole up to rounding (0.043 / 0.001 is 42.99999999999999); a time
         # under half a tick rounds to 0, which no positive time is close to
         bad += [f"{name} must be a whole number of {TIME_QUANTUM} ms ticks"
-                for name in ("t_max", "dt")
-                if 0 < (ticks := getattr(self, name) / TIME_QUANTUM) < np.inf
+                for name in ("t_max", "dt") if _is_real(value := getattr(self, name))
+                and 0 < (ticks := value / TIME_QUANTUM) < np.inf
                 and not math.isclose(ticks, round(ticks), rel_tol=1e-9)]
         # compared as floats first, so that no tick count overflows
         if not bad and (max(self.t_max, self.dt) / TIME_QUANTUM > MAX_KERNEL_ROW
@@ -249,9 +249,54 @@ def response_matrix(pattern: SpikePattern, net: Network, lo: int,
     return net.response_rows[pattern.ticks, lo:hi]
 
 
-# Cells of each temporary of a ``Network.sample`` block: 2.6 MB of float64,
-# 32 columns of a ten-thousand-term model.
+# Cells of each temporary of a ``Network.sample`` block (its tiled spike
+# times, its gathered terms, their per-row sums): 2.6 MB of float64, 32
+# columns of a ten-thousand-term model.  A block of two or more columns sums
+# its terms rank by rank, a one-column block in one bincount by the terms'
+# rows.
 SAMPLE_CELLS = 32 * 10_240
+
+
+class _RankMajor:
+    """The terms of one ``Network.sample`` call in rank-major order.
+
+    A term's rank is its place within its (class, input) row.  Rank-major
+    order holds rank 0 of every occupied row, then rank 1, and so on, the
+    rows deepest first (a stable sort), so the rows that hold rank k are
+    the first ``held[k]`` of that row order.  ``order`` lists the stored
+    terms in rank-major order; ``place`` gives each of the ``bins`` rows
+    its place in the row order, an empty row the place after the last
+    occupied one.  Built from each term's rank, each row's place and one
+    offset per rank, in O(terms + bins) memory: nothing of ranks x bins.
+    """
+
+    __slots__ = ("order", "held", "place")
+
+    def __init__(self, rows: np.ndarray, bins: int):
+        firsts = np.flatnonzero(np.diff(rows, prepend=-1))  # each occupied row's first term
+        depth = np.diff(firsts, append=rows.size)
+        seat = np.empty_like(firsts)  # each occupied row's place, deepest first
+        seat[np.argsort(-depth, kind="stable")] = np.arange(firsts.size)
+        self.place = np.full(bins, firsts.size)
+        self.place[rows[firsts]] = seat
+        held = firsts.size - np.cumsum(np.bincount(depth))[:-1]  # rows deeper than k
+        position = np.arange(rows.size) - np.repeat(firsts, depth)  # each term's rank
+        position = (np.cumsum(held) - held)[position]  # its rank's first position
+        position += np.repeat(seat, depth)
+        self.order = np.empty_like(position)
+        self.order[position] = np.arange(rows.size)
+        self.held = held.tolist()
+
+    def sum(self, terms: np.ndarray) -> np.ndarray:
+        """The (bins, columns) row sums of (terms, columns) values in
+        rank-major order.  Each row starts from 0.0 and adds its terms one
+        rank at a time, so in stored order, as a bincount does."""
+        acc = np.zeros((self.held[0] + 1, terms.shape[1]))  # the last row stays 0.0
+        at = 0
+        for k in self.held:
+            acc[:k] += terms[at:at + k]
+            at += k
+        return acc.take(self.place, axis=0)
 
 
 # Grid columns per block of the activity kernel's potential.  A race is
@@ -324,8 +369,10 @@ class Network:
     @staticmethod
     def _check_settings(sigma: float, spike_interval: float, t_max: float) -> None:
         """Raise one ConfigError naming each bad setting; NetworkConfig asks too."""
-        bad = [] if 0 < sigma < np.inf else ["sigma must be positive and finite"]
-        if not 0 < spike_interval < t_max:
+        bad = []
+        if not (_is_real(sigma) and 0 < sigma < np.inf):
+            bad.append("sigma must be positive and finite")
+        if not (_is_real(spike_interval) and _is_real(t_max) and 0 < spike_interval < t_max):
             bad.append("spike_interval must lie in (0, t_max)")
         if bad:
             raise ConfigError("; ".join(bad))
@@ -403,11 +450,15 @@ class Network:
 
         The columns go ``sample_block`` at a time, each block in one pass
         over every class's terms: one gather puts each term next to its
-        input's spike times, ``efficacy`` evaluates it, and one bincount
-        sums the terms per (class, input, pattern) bin in term order from
-        0.0.  The bincount index is built for the first block and rebuilt
-        only for a shorter last one; a call of one block returns that
-        block's sums.  Silent inputs and uninitialized classes read 0.
+        input's spike times, ``efficacy`` evaluates it, and each (class,
+        input, pattern) bin sums its terms in stored order from 0.0.  A
+        call of one-column blocks sums each by one bincount over the terms'
+        rows; a wider call gathers its terms in ``_RankMajor`` order and
+        adds one rank at a time.  One numpy add per rank costs less than a
+        bincount's (terms, columns) index while no row holds more than a
+        few hundred terms; a row holds at most one term per distinct
+        training spike tick of its input.  A call of one block returns
+        that block's sums.  Silent inputs and uninitialized classes read 0.
         """
         shape = (self.class_count, self.input_count)
         cols = spike_times.shape[1]
@@ -415,15 +466,22 @@ class Network:
             return np.zeros(shape + (cols,))
         rows = self.keys >> 32  # each term's (class, input) row
         width = min(cols, self.sample_block())
+        if width > 1:
+            ranked = _RankMajor(rows, math.prod(shape))
+            gather, centers, amplitudes = (a[ranked.order] for a in
+                                           (rows, self.centers, self.amplitudes))
+            total = ranked.sum
+        else:  # each block is one column, summed by one bincount in stored order
+            gather, centers, amplitudes = rows, self.centers, self.amplitudes
+            total = lambda terms: np.bincount(rows, minlength=math.prod(shape),
+                                              weights=terms.ravel())
         out = np.empty(shape + (cols,)) if cols > width else None
         for lo in range(0, cols, width):
             n = min(width, cols - lo)
-            if lo == 0 or n < width:  # bin row * n + column of each term's row
-                index = ((rows * n)[:, None] + np.arange(n)).ravel()
             # the block's gathered terms live only inside this one expression
-            sums = np.bincount(index, minlength=math.prod(shape) * n, weights=efficacy(
-                np.take(np.tile(spike_times[:, lo:lo + n], (self.class_count, 1)), rows, axis=0),
-                self.centers[:, None], self.amplitudes[:, None], self.sigma).ravel())
+            sums = total(efficacy(
+                np.tile(spike_times[:, lo:lo + n], (self.class_count, 1)).take(gather, axis=0),
+                centers[:, None], amplitudes[:, None], self.sigma))
             if out is None:  # one block is the whole output
                 out = sums.reshape(shape + (n,))
             else:

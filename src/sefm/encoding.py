@@ -28,6 +28,21 @@ def _is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number other than a bool: what every rule
+    on a real setting asks first, so that it never compares a string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_range(pair) -> bool:
+    """Whether ``pair`` is a (lo, hi) pair of real numbers, finite, lo < hi."""
+    try:
+        lo, hi = pair
+    except (TypeError, ValueError):
+        return False
+    return _is_real(lo) and _is_real(hi) and -np.inf < lo < hi < np.inf
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     """Fitted settings of the population encoder.
@@ -60,13 +75,12 @@ class EncoderConfig:
             bad.append("receptive_field_count must be an integer >= 3 "
                        "(width formula divides by M-2)")
         bad += [f"{name} must be positive and finite" for name in ("overlap", "spike_interval")
-                if not 0 < getattr(self, name) < np.inf]
-        if not 0.0 <= self.response_cutoff < 1.0:
+                if not (_is_real(value := getattr(self, name)) and 0 < value < np.inf)]
+        if not (_is_real(self.response_cutoff) and 0.0 <= self.response_cutoff < 1.0):
             bad.append("response_cutoff must lie in [0, 1)")
-        ranges = [f for f, (lo, hi) in enumerate(self.feature_ranges)
-                  if not -np.inf < lo < hi < np.inf]
+        ranges = [f for f, pair in enumerate(self.feature_ranges) if not _is_range(pair)]
         if ranges:
-            bad.append(f"feature range(s) {ranges} must be finite with lo < hi")
+            bad.append(f"feature_ranges {ranges} must be (lo, hi) pairs, finite with lo < hi")
         if bad:
             raise ConfigError("; ".join(bad))
 

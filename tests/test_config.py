@@ -124,6 +124,26 @@ def test_a_bad_field_is_reported_in_its_owners_words(owner, bad):
     assert str(owned.value) in str(err.value)
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: NetworkConfig(sigma="a"), "sigma"),
+    (lambda: NetworkConfig(overlap=None), "overlap"),
+    (lambda: NetworkConfig(learning_rate="x"), "learning_rate"),
+    (lambda: NetworkConfig(margin_rate=True), "margin_rate"),
+    (lambda: SimulationConfig(tau="3"), "tau"),
+    (lambda: SimulationConfig(dt=[0.01]), "dt"),
+    (lambda: EncoderConfig(6, 0.7, 3.0, 0.1, ((0.0,),)), "feature_ranges"),
+    (lambda: EncoderConfig(6, 0.7, 3.0, "0.1", ((0.0, 1.0),)), "response_cutoff"),
+    (lambda: Network(3, 4, "1", SimulationConfig(), 3.0), "sigma"),
+], ids=["config-sigma", "config-overlap", "config-rate", "config-bool-rate", "sim-tau",
+        "sim-dt", "range-not-a-pair", "cutoff", "network-sigma"])
+def test_a_setting_that_is_not_a_number_is_named_in_a_config_error(build, field):
+    """A string, None, a list or a bool where a real setting belongs fails
+    the owner's rule and is named in its one ConfigError, instead of
+    escaping as the TypeError or ValueError of a comparison or an unpacking."""
+    with pytest.raises(ConfigError, match=field):
+        build()
+
+
 def test_a_config_checks_its_network_fields_without_building_a_network(monkeypatch):
     """A network computes its kernel row when built, so a config asks
     Network's rules without building one."""

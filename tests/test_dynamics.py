@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sefm import dynamics
 from sefm.config import NetworkConfig
 from sefm.dynamics import (
     MAX_CELLS,
@@ -351,29 +352,151 @@ def test_blocked_sample_equals_per_column_and_per_term_sampling(rng):
     assert not oracle[1].any() and np.isnan(times).any()
 
 
+def sample_peak(net, times):
+    """``net.sample(times)`` and the bytes it allocated at its peak beyond its
+    output and the mask of the silent inputs, under ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        values = net.sample(times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return values, peak - start - values.nbytes - times.size
+
+
+def sample_temporaries(net, block):
+    """The bound on what ``Network.sample`` holds besides its output: per
+    call, the terms' rows and their rank-major order, rows, centers and
+    amplitudes, plus each (class, input) row's place (8 bytes each, with a
+    term's rank and position while the order is built); per block, its
+    (classes * inputs, block) tiled spike times, its (terms, block) gathered
+    terms, one (occupied rows + 1, block) sum and the (classes * inputs,
+    block) sums in row order."""
+    rows = net.class_count * net.input_count
+    occupied = np.unique(net.keys >> 32).size
+    return 48 * net.keys.size + 8 * rows + 8 * block * (net.keys.size + occupied + 1 + rows)
+
+
 def test_blocked_sample_peaks_at_one_blocks_temporaries(rng):
     """Sampling half a block, one block or 20 blocks of columns, with or
-    without a one-column tail, allocates the output plus at most one
-    block's (terms, block) gather and bincount index, its (classes *
-    inputs, block) tile and sums, and a mask of the silent inputs: nothing
-    grows with the column count."""
+    without a one-column tail, allocates the output, a mask of the silent
+    inputs and at most ``sample_temporaries``: nothing grows with the
+    column count."""
     net = blocked_net(rng)
-    block, rows = net.sample_block(), net.class_count * net.input_count
-    temporaries = 8 * block * (2 * net.keys.size + 2 * rows)
+    block = net.sample_block()
+    temporaries = sample_temporaries(net, block)
     for count in (block // 2, block, 20 * block, 20 * block + 1):
         patterns = [random_pattern(rng, neuron_count=128, max_spikes=12) for _ in range(count)]
-        times = spike_times_of(patterns, 128)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            values = net.sample(times)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - start <= values.nbytes + temporaries + times.size + 16 * net.keys.size
+        values, extra = sample_peak(net, spike_times_of(patterns, 128))
+        assert extra <= temporaries
         # one (terms, columns) array of 20 blocks' columns would not fit
         assert count < 20 * block or 8 * net.keys.size * count > values.nbytes + temporaries
+
+
+def test_a_deep_row_among_many_samples_in_memory_linear_in_terms_and_rows(rng):
+    """One (class, input) row of 2,000 terms among 2**16 rows: the rank-major
+    sum of a block adds 2,000 ranks, but no array of ranks x rows (1 GB of
+    float64 here) is built, and the peak stays within
+    ``sample_temporaries``, linear in terms + rows."""
+    net = Network(1, 2**16, 0.5, SimulationConfig(), 3.0)
+    ticks = np.sort(rng.choice(3001, 2000, replace=False)).astype(np.int64)
+    net._add_sorted((12_345 << 32) + ticks, rng.normal(size=2000))
+    net.initialized[0] = True
+    block = net.sample_block()
+    assert 1 < block < 8
+    times = rng.uniform(0.0, 3.0, size=(2**16, 2 * block + 1))
+    times[rng.random(times.shape) < 0.5] = np.nan
+    values, extra = sample_peak(net, times)
+    assert extra <= sample_temporaries(net, block) < 8 * 2000 * 2**16 // 100
+    alone = [net.sample(times[:, [p]]) for p in range(times.shape[1])]
+    assert values.tobytes() == np.concatenate(alone, axis=2).tobytes()
+
+
+# --- the rank-major sum of a sample block ------------------------------------
+
+def as_bits(values):
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+def force_block(monkeypatch, net, width):
+    """Make ``net.sample_block()`` ``width`` columns by resizing SAMPLE_CELLS."""
+    monkeypatch.setattr(dynamics, "SAMPLE_CELLS",
+                        width * max(net.keys.size, net.class_count * net.input_count))
+    assert net.sample_block() == width
+
+
+def deep_row_net(sigma=0.5):
+    """Three classes over six inputs, class 1 never initialized.  Class 0's
+    input 0 holds 45 terms, input 1 one and input 2 none; class 2's inputs
+    hold 3, 0, 7, 1, 0 and 2."""
+    rng = np.random.default_rng(7)
+    def terms(depths):
+        ids = np.repeat(np.arange(6), depths)
+        centers = np.concatenate([np.sort(rng.choice(3001, d, replace=False)) for d in depths])
+        return (0.5, ids, centers * TIME_QUANTUM, rng.normal(0.0, 0.6, ids.size))
+    net = network_of(6, [terms([45, 1, 0, 4, 2, 5]), None, terms([3, 0, 7, 1, 0, 2])],
+                     sigma=sigma)
+    assert np.bincount(net.keys >> 32).max() == 45
+    return net
+
+
+@pytest.mark.parametrize("width", [2, 3, 17])
+def test_rank_major_sum_equals_the_per_term_oracle_bitwise(monkeypatch, rng, width):
+    """A row of 45 terms beside empty and one-term rows, an uninitialized
+    class and silent inputs: sampled in blocks of ``width`` columns, with a
+    shorter last block, and one column alone, every (class, input, pattern)
+    weight has the bits of the per-term oracle's stored-order sum."""
+    net = deep_row_net()
+    force_block(monkeypatch, net, width)
+    patterns = [random_pattern(rng, neuron_count=6, max_spikes=6) for _ in range(2 * width + 1)]
+    patterns[0] = SpikePattern(neuron_count=6, neuron_ids=np.arange(6), times=np.full(6, 1.5))
+    times = spike_times_of(patterns, 6)
+    assert np.isnan(times).any()
+    oracle = as_bits(sampled_weights_per_term(net, patterns))
+    assert (as_bits(net.sample(times)) == oracle).all()
+    assert (as_bits(net.sample(times[:, :1])) == oracle[..., :1]).all()
+    assert not oracle[1].any()
+
+
+@pytest.mark.parametrize("width", [1, 2, 17])
+def test_a_bin_of_underflowed_negative_terms_reads_positive_zero(monkeypatch, width):
+    """With sigma = 0.01 a term 1 ms from the spike is exp(-5000) = 0, so a
+    negative amplitude makes it -0.0.  A bin of only such terms starts from
+    0.0 and reads +0.0 in a one-column bincount and in the rank-major sum
+    alike, as the oracle does."""
+    net = network_of(2, [(0.5, [0, 0, 0, 1], [0.5, 1.0, 2.5, 0.5],
+                          [-0.3, -0.7, -0.2, 0.4])], sigma=0.01)
+    force_block(monkeypatch, net, width)
+    pattern = SpikePattern(neuron_count=2, neuron_ids=[0, 1], times=[1.75, 0.5])
+    assert np.signbit(dynamics.efficacy(np.full(3, 1.75), net.centers[:3],
+                                        net.amplitudes[:3], net.sigma)).all()
+    values = net.sample(spike_times_of([pattern] * width, 2))
+    assert not np.signbit(values).any()
+    assert values[0, 0].tolist() == [0.0] * width and (values[0, 1] == 0.4).all()
+    assert (as_bits(values) == as_bits(sampled_weights_per_term(net, [pattern] * width))).all()
+
+
+def test_rank_major_sum_sweep_of_random_layouts(monkeypatch):
+    """Seeded random networks (one to four classes, some uninitialized, rows
+    of up to 60 terms or none) and random patterns, sampled in blocks of 2,
+    3 and 17 columns: every call equals the per-term oracle bit for bit."""
+    rng = np.random.default_rng(30)
+    for _ in range(12):
+        inputs, classes = int(rng.integers(1, 10)), int(rng.integers(1, 5))
+        net = network_of(inputs, [None if rng.random() < 0.25 else
+                                  random_terms(rng, inputs, max_terms=int(rng.integers(1, 61)))
+                                  for _ in range(classes)], sigma=float(rng.uniform(0.05, 2.0)))
+        if not net.keys.size:
+            continue
+        patterns = [random_pattern(rng, neuron_count=inputs, max_spikes=inputs)
+                    for _ in range(int(rng.integers(1, 40)))]
+        times = spike_times_of(patterns, inputs)
+        oracle = as_bits(sampled_weights_per_term(net, patterns))
+        for width in (2, 3, 17):
+            force_block(monkeypatch, net, width)
+            assert (as_bits(net.sample(times)) == oracle).all()
 
 
 # --- postsynaptic potential and firing ---------------------------------------
