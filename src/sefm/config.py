@@ -54,8 +54,10 @@ class NetworkConfig:
         for name in ("reference_rate", "margin_rate", "deadline_rate"):
             if not (_is_real(rate := getattr(self, name)) and 0.0 < rate < 1.0):
                 bad.append(f"{name} must lie in (0, 1)")
-        if not (_is_real(self.desired_time) and _is_real(self.spike_interval)
-                and 0.0 < self.desired_time < self.spike_interval):
+        # a spike_interval that fails its own rule is no bound to hold desired_time to
+        bound = (self.spike_interval if _is_real(self.spike_interval)
+                 and 0 < self.spike_interval < math.inf else math.inf)
+        if not (_is_real(self.desired_time) and 0.0 < self.desired_time < bound):
             bad.append("desired_time must lie in (0, spike_interval)")
         if not (_is_count(self.max_epochs) and self.max_epochs >= 0):
             bad.append("max_epochs must be an integer >= 0")

@@ -90,7 +90,7 @@ def epsilon(t, tau: float):
     Unit peak exactly at t = tau.  The gate is strict: a contribution at
     its own spike instant (t = 0) is zero.  Accepts scalars or arrays.
     """
-    if not 0 < tau < np.inf:  # NaN fails too
+    if not (_is_real(tau) and 0 < tau < np.inf):  # NaN fails too
         raise InputError("tau must be positive and finite")
     out = _epsilon_consuming(np.array(t, dtype=np.float64, ndmin=1), tau)
     if np.ndim(t) == 0:
@@ -115,13 +115,10 @@ def _epsilon_consuming(t: np.ndarray, tau: float) -> np.ndarray:
 
 
 class OutputNeuron:
-    """Read-only view of one class's output neuron in a Network.
+    """Sampler of one class's momentary weights in a Network.
 
-    Its threshold and terms are the class's entries in the network's
-    arrays: term k adds ``amplitudes[k] * exp(-(t - centers[k])^2 / (2 sigma^2))``
-    to the weight of input neuron ``inputs[k]``, and the terms are sorted
-    by (input, center).  The view stores nothing of its own, so it always
-    shows the network as it is now.
+    It stores only the network and the class, so it always samples the
+    network as it is now.
     """
 
     __slots__ = ("network", "class_label")
@@ -130,43 +127,6 @@ class OutputNeuron:
         self.network = network
         self.class_label = class_label
 
-    @property
-    def input_count(self) -> int:
-        return self.network.input_count
-
-    @property
-    def sigma(self) -> float:
-        return self.network.sigma
-
-    @property
-    def threshold(self) -> float:
-        return float(self.network.thresholds[self.class_label])
-
-    def _terms(self, column: np.ndarray) -> np.ndarray:
-        net, j = self.network, self.class_label
-        out = column[slice(*np.searchsorted(net.keys, [(j * net.input_count) << 32,
-                                                       ((j + 1) * net.input_count) << 32]))]
-        out.flags.writeable = False
-        return out
-
-    @property
-    def inputs(self) -> np.ndarray:
-        return (self._terms(self.network.keys) >> 32) - self.class_label * self.input_count
-
-    @property
-    def centers(self) -> np.ndarray:
-        return self._terms(self.network.centers)
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return self._terms(self.network.amplitudes)
-
-    def synapses(self) -> list[list[list[float]]]:
-        """Per input neuron, its [center, amplitude] pairs sorted by center."""
-        pairs = [[c, a] for c, a in zip(self.centers.tolist(), self.amplitudes.tolist())]
-        bounds = np.searchsorted(self.inputs, np.arange(self.input_count + 1)).tolist()
-        return [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
     def sample_weights(self, neuron_ids: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Momentary weight of each (input neuron, time) spike.
 
@@ -174,11 +134,11 @@ class OutputNeuron:
         the ids must be distinct inputs, as in a SpikePattern.
         """
         ids = np.asarray(neuron_ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.input_count):
-            raise InputError(f"input neuron outside [0, {self.input_count})")
+        if ids.size and (ids.min() < 0 or ids.max() >= self.network.input_count):
+            raise InputError(f"input neuron outside [0, {self.network.input_count})")
         if np.unique(ids).size != ids.size:
             raise InputError("an input neuron is repeated")
-        spike_times = np.full((self.input_count, 1), np.nan)
+        spike_times = np.full((self.network.input_count, 1), np.nan)
         spike_times[ids, 0] = times
         return self.network.sample(spike_times)[self.class_label, ids, 0]
 
@@ -331,8 +291,7 @@ class Network:
     class live in parallel ``keys``, ``centers`` and ``amplitudes`` arrays
     sorted by (class, input, center), with
     ``keys = ((class * input_count + input) << 32) + tick`` for a center
-    on tick ``tick`` of the time grid.  ``neurons`` gives a read-only
-    OutputNeuron view of each initialized class.
+    on tick ``tick`` of the time grid.
 
     ``sim`` is fixed when the network is built, and so is the race plan
     read from it: ``response_rows`` (``responses(sim)``), the race
@@ -368,11 +327,13 @@ class Network:
 
     @staticmethod
     def _check_settings(sigma: float, spike_interval: float, t_max: float) -> None:
-        """Raise one ConfigError naming each bad setting; NetworkConfig asks too."""
+        """Raise one ConfigError naming each bad setting; NetworkConfig asks
+        too, and a t_max that fails its own rule blames no spike_interval."""
         bad = []
         if not (_is_real(sigma) and 0 < sigma < np.inf):
             bad.append("sigma must be positive and finite")
-        if not (_is_real(spike_interval) and _is_real(t_max) and 0 < spike_interval < t_max):
+        if (_is_real(t_max) and 0 < t_max < np.inf
+                and not (_is_real(spike_interval) and 0 < spike_interval < t_max)):
             bad.append("spike_interval must lie in (0, t_max)")
         if bad:
             raise ConfigError("; ".join(bad))
@@ -388,12 +349,6 @@ class Network:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._plan()
-
-    @property
-    def neurons(self) -> list[Optional[OutputNeuron]]:
-        """A view of each class's neuron, None for an uninitialized class."""
-        return [OutputNeuron(self, j) if live else None
-                for j, live in enumerate(self.initialized.tolist())]
 
     def _add_pattern_terms(self, class_label: int, ids: np.ndarray, ticks: np.ndarray,
                            amplitudes: np.ndarray) -> None:
@@ -554,12 +509,16 @@ class Network:
 # ---------------------------------------------------------------------------
 
 def model_to_dict(net: Network, encoder: Optional[EncoderConfig] = None) -> dict:
-    neurons = [None if neuron is None else {
-        "class_label": neuron.class_label,
-        "threshold": neuron.threshold,
-        "synapses": neuron.synapses(),
-    } for neuron in net.neurons]
-    doc = {
+    """The checkpoint of a network: per initialized class (None for another) its
+    threshold and each input's [center, amplitude] pairs, in stored order."""
+    pairs = [[c, a] for c, a in zip(net.centers.tolist(), net.amplitudes.tolist())]
+    bounds = np.searchsorted(net.keys >> 32, np.arange(net.class_count * net.input_count + 1))
+    rows = [pairs[lo:hi] for lo, hi in zip(bounds.tolist(), bounds[1:].tolist())]
+    k = net.input_count
+    neurons = [{"class_label": j, "threshold": threshold, "synapses": rows[j * k:(j + 1) * k]}
+               if live else None for j, (live, threshold) in
+               enumerate(zip(net.initialized.tolist(), net.thresholds.tolist()))]
+    return {
         "format": MODEL_FORMAT,
         "sigma": net.sigma,
         "spike_interval": net.spike_interval,
@@ -575,7 +534,6 @@ def model_to_dict(net: Network, encoder: Optional[EncoderConfig] = None) -> dict
             "feature_ranges": [list(r) for r in encoder.feature_ranges],
         },
     }
-    return doc
 
 
 def model_from_dict(doc: dict) -> tuple[Network, Optional[EncoderConfig]]:

@@ -29,9 +29,16 @@ def _is_count(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    """Whether ``value`` is a real number other than a bool: what every rule
-    on a real setting asks first, so that it never compares a string."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Whether ``value`` is a real number other than a bool that a float64
+    holds (10**400 overflows it): what every rule on a real setting asks
+    first, so that it never compares a string or divides a huge int."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _is_range(pair) -> bool:

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sefm.dynamics import Network, OutputNeuron, SimulationConfig
+from sefm.dynamics import Network, SimulationConfig
 from sefm.encoding import TIME_QUANTUM, SpikePattern
 
-from oracles import add_terms
+from oracles import NeuronView, add_terms, neurons
 
 
 @pytest.fixture
@@ -59,9 +59,10 @@ def random_terms(rng, input_count=12, max_terms=4, spike_interval=3.0):
     return threshold, ids, centers, amps
 
 
-def random_neuron(rng, input_count=12, sigma=0.5, max_terms=4) -> OutputNeuron:
-    """The neuron of a one-class network with ``random_terms``."""
-    return network_of(input_count, [random_terms(rng, input_count, max_terms)], sigma).neurons[0]
+def random_neuron(rng, input_count=12, sigma=0.5, max_terms=4) -> NeuronView:
+    """The neuron view of a one-class network with ``random_terms``."""
+    net = network_of(input_count, [random_terms(rng, input_count, max_terms)], sigma)
+    return neurons(net)[0]
 
 
 def scalar_weight(neuron, i, t) -> float:

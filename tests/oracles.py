@@ -13,6 +13,13 @@ pair at once, each computed on its integer tick difference ``g * R - k``
 of the package's ``dynamics.responses`` view, which must equal it bit for
 bit.
 
+``neurons(net)`` gives a read-only ``NeuronView`` of each initialized
+class's slice of a network's arrays (None for an uninitialized class):
+its threshold, inputs, centers and amplitudes, its ``synapses()`` grouped
+by input as a checkpoint stores them, which ``dynamics.model_to_dict``
+must write from the arrays alike, and ``sample_weights``, the package's
+``OutputNeuron`` sampler.
+
 ``potential`` and ``fire_time`` evaluate one neuron on one pattern with a
 1-d ``w @ eps`` product.  They are a per-neuron oracle for the shared
 activity kernel, ``Network.evaluate_pattern``, whose (neurons, spikes)
@@ -79,6 +86,80 @@ from sefm.training import (Outcome, SampleResult, epoch_order, margin_window,
                            on_time_deadline, ref_time_correct, ref_time_wrong)
 
 
+class NeuronView:
+    """Read-only view of one class's output neuron in a Network.
+
+    Its threshold and terms are the class's entries in the network's
+    arrays: term k adds ``amplitudes[k] * exp(-(t - centers[k])^2 / (2 sigma^2))``
+    to the weight of input neuron ``inputs[k]``, and the terms are sorted
+    by (input, center).  The view stores nothing of its own, so it always
+    shows the network as it is now.
+    """
+
+    __slots__ = ("network", "class_label")
+
+    def __init__(self, network: Network, class_label: int):
+        self.network = network
+        self.class_label = class_label
+
+    @property
+    def input_count(self) -> int:
+        return self.network.input_count
+
+    @property
+    def sigma(self) -> float:
+        return self.network.sigma
+
+    @property
+    def threshold(self) -> float:
+        return float(self.network.thresholds[self.class_label])
+
+    def _terms(self, column: np.ndarray) -> np.ndarray:
+        net, j = self.network, self.class_label
+        out = column[slice(*np.searchsorted(net.keys, [(j * net.input_count) << 32,
+                                                       ((j + 1) * net.input_count) << 32]))]
+        out.flags.writeable = False
+        return out
+
+    @property
+    def inputs(self) -> np.ndarray:
+        return (self._terms(self.network.keys) >> 32) - self.class_label * self.input_count
+
+    @property
+    def centers(self) -> np.ndarray:
+        return self._terms(self.network.centers)
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        return self._terms(self.network.amplitudes)
+
+    def synapses(self) -> list[list[list[float]]]:
+        """Per input neuron, its [center, amplitude] pairs sorted by center."""
+        pairs = [[c, a] for c, a in zip(self.centers.tolist(), self.amplitudes.tolist())]
+        bounds = np.searchsorted(self.inputs, np.arange(self.input_count + 1)).tolist()
+        return [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    def sample_weights(self, neuron_ids: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Momentary weight of each (input neuron, time) spike, from the
+        package's ``OutputNeuron.sample_weights``."""
+        return OutputNeuron(self.network, self.class_label).sample_weights(neuron_ids, times)
+
+
+def neurons(net: Network) -> list[Optional[NeuronView]]:
+    """A view of each class's neuron, None for an uninitialized class."""
+    return [NeuronView(net, j) if live else None
+            for j, live in enumerate(net.initialized.tolist())]
+
+
+def checkpoint_neurons(net: Network) -> list[Optional[dict]]:
+    """The ``neurons`` list of a checkpoint, written class by class from the views."""
+    return [None if neuron is None else {
+        "class_label": neuron.class_label,
+        "threshold": neuron.threshold,
+        "synapses": neuron.synapses(),
+    } for neuron in neurons(net)]
+
+
 def grid(sim: SimulationConfig) -> np.ndarray:
     """Search grid {0, dt, 2dt, ...} of ``sim.columns()`` times up to t_max."""
     return np.arange(sim.columns(), dtype=np.float64) * sim.dt
@@ -92,7 +173,7 @@ def direct_response(times, sim: SimulationConfig) -> np.ndarray:
     return epsilon(cells * TIME_QUANTUM, sim.tau)
 
 
-def potential(neuron: OutputNeuron, pattern: SpikePattern, t: float,
+def potential(neuron: NeuronView, pattern: SpikePattern, t: float,
               sim: SimulationConfig) -> float:
     """Postsynaptic potential v(t) = sum over spikes of w(t_k) * eps(t - t_k)."""
     if pattern.spike_count == 0:
@@ -101,7 +182,7 @@ def potential(neuron: OutputNeuron, pattern: SpikePattern, t: float,
     return float(w @ epsilon(t - pattern.times, sim.tau))
 
 
-def fire_time(neuron: OutputNeuron, pattern: SpikePattern,
+def fire_time(neuron: NeuronView, pattern: SpikePattern,
               sim: SimulationConfig) -> Optional[float]:
     """Earliest grid time with v(t) >= threshold, or None if never crossed."""
     if pattern.spike_count == 0:
@@ -120,7 +201,7 @@ def sample_weights(net: Network, pattern: SpikePattern) -> np.ndarray:
     """(classes, spikes) momentary weights sampled afresh, one neuron at a
     time; zero rows for uninitialized neurons."""
     weights = np.zeros((net.class_count, pattern.spike_count))
-    for j, neuron in enumerate(net.neurons):
+    for j, neuron in enumerate(neurons(net)):
         if neuron is not None:
             weights[j] = neuron.sample_weights(pattern.neuron_ids, pattern.times)
     return weights
@@ -147,7 +228,7 @@ def crossings(net: Network, v: np.ndarray, live: np.ndarray) -> PatternActivity:
     ``live`` masking the initialized neurons: a neuron fires at its first
     index at or above its threshold times dt iff its peak reaches the
     threshold.  Leading axes, if any, index patterns."""
-    thresholds = np.array([n.threshold for n in net.neurons if n is not None])
+    thresholds = np.array([n.threshold for n in neurons(net) if n is not None])
     first = (v >= thresholds[:, None]).argmax(axis=-1)
     top = v.max(axis=-1)
     fire_times = np.full(top.shape[:-1] + live.shape, np.nan)
@@ -184,7 +265,7 @@ def evaluate_pattern(net: Network, pattern: SpikePattern,
         weights = sample_weights(net, pattern)
     if eps_matrix is None:
         eps_matrix = direct_response(pattern.times, net.sim)
-    live = np.array([n is not None for n in net.neurons])
+    live = np.array([n is not None for n in neurons(net)])
     return crossings(net, weights[live] @ eps_matrix, live)
 
 
@@ -197,7 +278,7 @@ def process_sample(net: Network, pattern: SpikePattern, label: int,
     if pattern.spike_count == 0:
         return SampleResult(Outcome.NO_SPIKES)
     sim = net.sim
-    if net.neurons[label] is None:
+    if neurons(net)[label] is None:
         try:
             learning.initialize(net, label, pattern, cfg.desired_time)
         except learning.NoEligibleSpikes:
@@ -215,7 +296,7 @@ def process_sample(net: Network, pattern: SpikePattern, label: int,
               else ref_time_correct(actual[label], cfg.reference_rate, cfg.desired_time))
     t_wrong = ref_time_wrong(anchor, margin, sim.t_max)
     targets = [(j, t_wrong) for j in range(net.class_count)
-               if j != label and net.neurons[j] is not None and actual[j] - anchor < margin]
+               if j != label and neurons(net)[j] is not None and actual[j] - anchor < margin]
     if not punctual:
         targets.insert(0, (label, anchor))
     elif not targets:
@@ -310,7 +391,7 @@ def sampled_weights_per_term(net: Network, patterns: list[SpikePattern]) -> np.n
     terms in stored order, so any other summation order shows in the bits.
     """
     values = np.zeros((net.class_count, net.input_count, len(patterns)))
-    for j, neuron in enumerate(net.neurons):
+    for j, neuron in enumerate(neurons(net)):
         if neuron is None:
             continue
         terms = [[] for _ in range(net.input_count)]

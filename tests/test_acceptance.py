@@ -25,7 +25,7 @@ from sefm.learning import NoEligibleSpikes, compute_update
 from sefm.training import Outcome, predict, train
 
 from conftest import random_neuron, random_pattern
-from oracles import add_terms, predict_constant, process_sample, train_constant
+from oracles import add_terms, neurons, predict_constant, process_sample, train_constant
 
 SEED = 0
 RUNS = 10
@@ -219,7 +219,7 @@ def test_criterion_08_constant_weight_equivalence():
     for pattern in train_patts + test_patts:
         if pattern.spike_count == 0:
             continue
-        for j, neuron in enumerate(fit.network.neurons):
+        for j, neuron in enumerate(neurons(fit.network)):
             sampled = neuron.sample_weights(pattern.neuron_ids, pattern.times)
             constant = const.weights[j, pattern.neuron_ids]
             worst = max(worst, float(np.abs(sampled - constant).max()))
@@ -271,7 +271,7 @@ def test_criterion_10_skip_sample_soundness(rng):
             label = int(rng.integers(0, 3))
             if pattern.spike_count:
                 pool.append((pattern, label))
-        was_initialized = net.neurons[label] is not None
+        was_initialized = neurons(net)[label] is not None
         before = model_to_json_bytes(net)
         result = process_sample(net, pattern, label, cfg)
         after = model_to_json_bytes(net)
@@ -283,7 +283,7 @@ def test_criterion_10_skip_sample_soundness(rng):
             assert after == before, "skip branch must not touch the model"
             assert result.updated_classes == ()
         if result.outcome is Outcome.INITIALIZED:
-            assert not was_initialized and net.neurons[label] is not None
+            assert not was_initialized and neurons(net)[label] is not None
         if result.outcome in (Outcome.ON_TIME, Outcome.LATE):
             assert was_initialized
             if not result.updated_classes:

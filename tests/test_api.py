@@ -22,6 +22,15 @@ def test_public_api_is_pinned():
     assert len(sefm.__all__) == len(set(sefm.__all__))
 
 
+def test_a_model_has_no_per_class_view():
+    """A network is its arrays: it lists no per-class views, and
+    ``OutputNeuron`` only samples a class's weights.  The view the tests
+    inspect a class through lives in ``tests/oracles.py``."""
+    assert not hasattr(sefm.Network, "neurons")
+    public = {name for name in dir(sefm.OutputNeuron) if not name.startswith("_")}
+    assert public == {"network", "class_label", "sample_weights"}
+
+
 def test_every_public_name_resolves():
     for name in sefm.__all__:
         assert getattr(sefm, name) is not None

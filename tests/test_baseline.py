@@ -10,7 +10,7 @@ from sefm.encoding import SpikePattern, encode_dataset, fit_ranges
 from sefm.training import accuracy_score, predict, train
 
 from conftest import blobs_dataset
-from oracles import ConstantModel, _kernel, predict_constant, train_constant
+from oracles import ConstantModel, _kernel, neurons, predict_constant, train_constant
 
 
 def encoded_blobs(seed=2024, classes=3, per_class=20):
@@ -67,7 +67,7 @@ def test_wide_gaussian_limit_matches_constant_path_smoke():
     fit = train(patterns, labels, cfg, class_count=2, seed=13)
     const = train_constant(patterns, labels, cfg, class_count=2, seed=13)
 
-    for j, neuron in enumerate(fit.network.neurons):
+    for j, neuron in enumerate(neurons(fit.network)):
         assert neuron is not None and const.initialized[j]
         summed = np.bincount(neuron.inputs, weights=neuron.amplitudes,
                              minlength=neuron.input_count)

@@ -1,7 +1,8 @@
 """NetworkConfig validation, serialization, overrides."""
 
 import inspect
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import pytest
 
@@ -142,6 +143,39 @@ def test_a_setting_that_is_not_a_number_is_named_in_a_config_error(build, field)
     escaping as the TypeError or ValueError of a comparison or an unpacking."""
     with pytest.raises(ConfigError, match=field):
         build()
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(NetworkConfig) if f.type == "float"]
+                         + ["feature_ranges"])
+def test_a_real_setting_no_float64_holds_is_named_in_a_config_error(field):
+    """10**400 passes every exact range test of an int, but ``float()``
+    overflows on it, as the encoder, ``Network`` and the kernel row would
+    later: each real field of a config, and an encoder's feature range,
+    names it in its one ConfigError instead."""
+    for huge in (10**400, -10**400):
+        with pytest.raises(ConfigError, match=field):
+            if field == "feature_ranges":
+                EncoderConfig(6, 0.7, 3.0, 0.1, (tuple(sorted((0.0, huge))),))
+            else:
+                NetworkConfig(**{field: huge})
+
+
+@pytest.mark.parametrize("bad, sound", [
+    ({"spike_interval": "3"}, "desired_time"),
+    ({"spike_interval": float("nan")}, "desired_time"),
+    ({"t_max": 10**400}, "spike_interval"),
+    ({"t_max": "8"}, "spike_interval"),
+], ids=["str-interval", "nan-interval", "huge-t-max", "str-t-max"])
+def test_a_rule_against_a_bad_field_does_not_blame_a_sound_one(bad, sound):
+    """A rule that bounds one field by another is skipped once the other has
+    failed its own rule, so the message names only what is at fault; a
+    ``desired_time`` that is bad in itself is still named."""
+    with pytest.raises(ConfigError) as err:
+        NetworkConfig(**bad)
+    assert next(iter(bad)) in str(err.value) and sound not in str(err.value)
+    for desired in (-1.0, math.inf, "2"):
+        with pytest.raises(ConfigError, match="desired_time"):
+            NetworkConfig(**bad, desired_time=desired)
 
 
 def test_a_config_checks_its_network_fields_without_building_a_network(monkeypatch):

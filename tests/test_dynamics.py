@@ -40,8 +40,9 @@ from sefm.training import predict, predict_chunk, train
 
 from conftest import (all_terms, network_of, random_neuron, random_pattern, random_terms,
                       scalar_weight, terms_of)
-from oracles import (add_terms, direct_response, evaluate_pattern, fire_time, grid, potential,
-                     race_end, sample_weights, sampled_weights_per_term, spike_time_matrix)
+from oracles import (add_terms, checkpoint_neurons, direct_response, evaluate_pattern, fire_time,
+                     grid, neurons, potential, race_end, sample_weights,
+                     sampled_weights_per_term, spike_time_matrix)
 
 
 # --- spike response kernel --------------------------------------------------
@@ -94,7 +95,9 @@ def test_epsilon_far_below_zero_is_zero_without_warning():
 
 
 def test_epsilon_rejects_bad_tau():
-    for tau in (0.0, -1.0, math.nan, math.inf):
+    """A tau that is not a real number, or that no float64 holds, is as bad
+    as one out of range."""
+    for tau in (0.0, -1.0, math.nan, math.inf, True, "3", 10**400):
         with pytest.raises(InputError):
             epsilon(1.0, tau)
 
@@ -106,7 +109,7 @@ def sample_at(neuron, i, t):
 
 
 def test_single_term_sample_closed_form():
-    neuron = network_of(2, [(0.0, [1], [1.0], [0.5])], sigma=0.5).neurons[0]
+    neuron = neurons(network_of(2, [(0.0, [1], [1.0], [0.5])], sigma=0.5))[0]
     # one width from center: amplitude * exp(-1/2)
     assert sample_at(neuron, 1, 1.5) == pytest.approx(0.5 * math.exp(-0.5), rel=1e-12)
     assert sample_at(neuron, 1, 1.5) == pytest.approx(0.303265, abs=5e-7)
@@ -115,7 +118,7 @@ def test_single_term_sample_closed_form():
 
 
 def test_empty_efficacy_samples_zero():
-    neuron = network_of(3, [(0.0, [], [], [])], sigma=1.0).neurons[0]
+    neuron = neurons(network_of(3, [(0.0, [], [], [])], sigma=1.0))[0]
     assert sample_at(neuron, 2, 1.7) == 0.0
     assert neuron.sample_weights(np.array([2]), np.array([1.7])).dtype == np.float64
     assert neuron.amplitudes.size == 0
@@ -132,7 +135,7 @@ def test_terms_merge_at_same_quantized_center():
     net = network_of(2, [(0.0, [0], [0.25], [0.4])], sigma=1.0)
     for amplitude in (0.1, -0.2):  # two terms on the stored tick 250
         _pattern_terms(net, 0, [0], [250], [amplitude])
-    neuron = net.neurons[0]
+    neuron = neurons(net)[0]
     assert neuron.amplitudes.size == 1
     assert terms_of(neuron, 0) == [(0.25, pytest.approx(0.3))]
     # merged in arrival order, exactly as sequential float additions
@@ -145,7 +148,7 @@ def test_terms_sorted_by_input_then_center(rng):
         pattern = random_pattern(rng, neuron_count=5, max_spikes=5)
         _pattern_terms(net, 0, pattern.neuron_ids, pattern.ticks,
                        rng.normal(size=pattern.spike_count))
-    neuron = net.neurons[0]
+    neuron = neurons(net)[0]
     keys = list(zip(neuron.inputs.tolist(), neuron.centers.tolist()))
     assert keys == sorted(set(keys))
 
@@ -174,7 +177,7 @@ def test_add_terms_rejects_a_term_its_key_cannot_hold(center, amplitude):
     net = network_of(2, [(0.0, [1], [0.5], [0.25])], sigma=1.0)
     with pytest.raises(InputError):
         add_terms(net, 0, [0], [center], [amplitude])
-    assert net.neurons[0].synapses() == [[], [[0.5, 0.25]]]
+    assert neurons(net)[0].synapses() == [[], [[0.5, 0.25]]]
     doc = model_to_dict(net)
     doc["neurons"][0]["synapses"][0] = [[center, amplitude]]
     with pytest.raises(InputError):
@@ -256,7 +259,7 @@ def test_sample_is_sum_of_gaussians(rng):
     net = network_of(1, [(0.0, [], [], [])], sigma=0.8)
     for _ in range(6):
         add_terms(net, 0, [0], [float(rng.uniform(0, 3))], [float(rng.normal())])
-    neuron = net.neurons[0]
+    neuron = neurons(net)[0]
     merged = terms_of(neuron, 0)
     for t in rng.uniform(-1, 4, size=20):
         brute = sum(a * math.exp(-0.5 * ((t - c) / 0.8) ** 2) for c, a in merged)
@@ -272,7 +275,7 @@ def test_huge_sigma_gives_constant_weight(rng):
     net = network_of(1, [(0.0, [], [], [])], sigma=1e6)
     for _ in range(5):
         add_terms(net, 0, [0], [float(rng.uniform(0, 3))], [float(rng.normal())])
-    neuron = net.neurons[0]
+    neuron = neurons(net)[0]
     vals = np.array([sample_at(neuron, 0, t) for t in np.linspace(0, 3, 61)])
     scale = max(abs(vals).max(), 1e-30)
     assert np.ptp(vals) <= 1e-9 * scale
@@ -298,7 +301,7 @@ def test_network_sample_equals_per_pattern_sampling(rng):
 
 
 def test_sampling_empty_inputs():
-    neuron = network_of(4, [(0.0, [], [], [])], sigma=1.0).neurons[0]
+    neuron = neurons(network_of(4, [(0.0, [], [], [])], sigma=1.0))[0]
     assert neuron.sample_weights(np.zeros(0, dtype=np.int64), np.zeros(0)).size == 0
     out = neuron.sample_weights(np.array([1, 2]), np.array([0.5, 1.0]))
     assert np.array_equal(out, np.zeros(2))
@@ -308,7 +311,7 @@ def test_sample_weights_rejects_an_id_out_of_range_or_repeated():
     """An id of -1 would read input ``input_count - 1`` and a repeated id
     the later spike's weight for both spikes; both, and an id past the
     last input, raise InputError."""
-    neuron = network_of(5, [(0.0, [3, 4], [2.0, 0.5], [0.7, 0.4])], sigma=0.5).neurons[0]
+    neuron = neurons(network_of(5, [(0.0, [3, 4], [2.0, 0.5], [0.7, 0.4])], sigma=0.5))[0]
     for ids in ([-1], [5], [0, 5]):
         with pytest.raises(InputError, match=r"input neuron outside \[0, 5\)"):
             neuron.sample_weights(np.array(ids), np.full(len(ids), 1.0))
@@ -552,7 +555,7 @@ def test_potential_is_linear_in_spikes(rng):
 
 def unit_drive_neuron(threshold):
     """One input, weight exactly 1 at its own spike time t=0."""
-    return network_of(1, [(threshold, [0], [0.0], [1.0])], sigma=0.5).neurons[0]
+    return neurons(network_of(1, [(threshold, [0], [0.0], [1.0])], sigma=0.5))[0]
 
 
 def one_spike_pattern():
@@ -855,7 +858,7 @@ def test_evaluate_pattern_agrees_with_fire_time(rng):
     for _ in range(15):
         pattern = random_pattern(rng, neuron_count=net.input_count)
         activity = evaluate_pattern(net, pattern)
-        for j, neuron in enumerate(net.neurons):
+        for j, neuron in enumerate(neurons(net)):
             expected = fire_time(neuron, pattern, net.sim)
             if expected is None:
                 assert math.isnan(activity.fire_times[j])
@@ -1101,11 +1104,26 @@ def test_model_round_trip_exact(rng, tmp_path):
     loaded, enc2 = load_model(path)
     assert model_to_json_bytes(loaded, enc2) == model_to_json_bytes(net, encoder)
     assert enc2 == encoder
-    assert loaded.neurons[2] is None
+    assert neurons(loaded)[2] is None
     for j in (0, 1):
-        a, b = net.neurons[j], loaded.neurons[j]
+        a, b = neurons(net)[j], neurons(loaded)[j]
         assert b.threshold == a.threshold
         assert all_terms(b) == all_terms(a)
+
+
+@pytest.mark.parametrize("classes", [
+    [None, None],
+    [(0.5, [0, 3], [0.2, 1.0], [0.4, -0.1]), None, (0.7, [1], [2.0], [0.3])],
+    [(0.5, [1], [0.2], [0.4]), (0.9, [], [], [])],
+    [(0.5, [1, 1, 2], [0.2, 0.6, 1.0], [0.4, 0.2, -0.3]), (0.6, [0], [0.1], [0.2])],
+    [random_terms(np.random.default_rng(seed), 4) for seed in (1, 2, 3)],
+], ids=["empty", "uninitialized-between-live", "live-without-terms", "bare-first-and-last-input",
+        "random"])
+def test_model_to_dict_writes_what_the_neuron_views_write(classes):
+    """``model_to_dict`` groups the network's arrays into synapses itself:
+    every neuron entry equals the one the oracle's per-class view writes."""
+    net = network_of(4, classes, sigma=1.0)
+    assert model_to_dict(net)["neurons"] == checkpoint_neurons(net)
 
 
 def test_model_bytes_deterministic(rng):

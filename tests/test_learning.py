@@ -20,7 +20,7 @@ from sefm.learning import (
 )
 
 from conftest import all_terms, network_of, random_neuron, random_pattern, scalar_weight, terms_of
-from oracles import add_terms, fire_time, modulation_factors, potential, update_step
+from oracles import add_terms, fire_time, modulation_factors, neurons, potential, update_step
 
 SIM = SimulationConfig(tau=3.0, t_max=8.0, dt=0.01)
 
@@ -33,7 +33,7 @@ def normalized_psp(times, t_hat):
     """Normalized responses u at t_hat of spikes at ``times``, one per input,
     as training computes them: ``compute_update(...).normalized``."""
     pattern = pattern_of(np.arange(len(times)), times)
-    neuron = network_of(12, [(0.0, [], [], [])], sigma=0.5, sim=SIM).neurons[0]
+    neuron = neurons(network_of(12, [(0.0, [], [], [])], sigma=0.5, sim=SIM))[0]
     return compute_update(neuron.network, neuron.class_label, pattern, t_hat).normalized
 
 
@@ -201,7 +201,7 @@ def test_compute_update_raises_without_eligible_spikes(rng):
 
 def test_fallback_flag_set_when_weights_cover_responses():
     # all momentary weights far above u -> every excess clamps to zero
-    neuron = network_of(3, [(0.4, [0, 1], [0.5, 1.0], [5.0, 5.0])], sigma=0.5).neurons[0]
+    neuron = neurons(network_of(3, [(0.4, [0, 1], [0.5, 1.0], [5.0, 5.0])], sigma=0.5))[0]
     pattern = pattern_of([0, 1], [0.5, 1.0], n=3)
     step = compute_update(neuron.network, neuron.class_label, pattern, 2.0)
     assert step.used_fallback
@@ -316,8 +316,8 @@ def test_apply_zero_step_leaves_neuron_untouched(rng):
 def test_apply_full_rate_closes_gap_when_spikes_are_far_apart():
     # distinct input neurons and a tiny sigma: each spike's weight change
     # equals its delta exactly, so v(t_hat) lands on the threshold.
-    neuron = network_of(4, [(0.9, [0, 1, 2], [0.2, 0.9, 1.6], [0.2, 0.1, 0.3])],
-                        sigma=0.005).neurons[0]
+    neuron = neurons(network_of(4, [(0.9, [0, 1, 2], [0.2, 0.9, 1.6], [0.2, 0.1, 0.3])],
+                                sigma=0.005))[0]
     pattern = pattern_of([0, 1, 2], [0.2, 0.9, 1.6], n=4)
     t_hat = 2.0
     step = compute_update(neuron.network, neuron.class_label, pattern, t_hat)
@@ -330,7 +330,7 @@ def test_sampled_weights_follow_every_added_term(rng):
     net = network_of(12, [None, None], sigma=0.4, sim=SIM)
     sampled = SampledWeights(patterns, net)
     initialize(net, 1, pattern_of([3, 7], [0.5, 1.25]), 2.0, sampled)
-    neuron = net.neurons[1]
+    neuron = neurons(net)[1]
     for pattern in patterns:
         try:
             step = compute_update(net, 1, pattern, 1.5)
@@ -353,7 +353,7 @@ def test_initialize_threshold_equals_response_weighted_sum():
     net = network_of(5, [None], sigma=0.3, sim=SIM)
     pattern = pattern_of([0, 3], [0.5, 1.0], n=5)
     initialize(net, 0, pattern, 2.0)
-    neuron = net.neurons[0]
+    neuron = neurons(net)[0]
     e1 = 0.5 * math.exp(0.5)
     e2 = (1.0 / 3.0) * math.exp(2.0 / 3.0)
     u1, u2 = e1 / (e1 + e2), e2 / (e1 + e2)
@@ -366,7 +366,7 @@ def test_initialize_single_spike():
     net = network_of(2, [None, None], sigma=0.5, sim=SIM)
     pattern = pattern_of([1], [0.4], n=2)
     initialize(net, 1, pattern, 2.0)
-    neuron = net.neurons[1]
+    neuron = neurons(net)[1]
     assert terms_of(neuron, 1) == [(0.4, 1.0)]
     assert neuron.threshold == pytest.approx(float(epsilon(1.6, 3.0)), rel=1e-14)
 
@@ -381,7 +381,7 @@ def test_initialize_gap_is_zero_at_desired_time(rng):
         net = network_of(12, [None], sigma=float(rng.uniform(0.05, 2.0)), sim=SIM)
         pattern = pattern_of(ids, times, n=12)
         initialize(net, 0, pattern, 2.0)
-        neuron = net.neurons[0]
+        neuron = neurons(net)[0]
         v = potential(neuron, pattern, 2.0, SIM)
         assert neuron.threshold - v == pytest.approx(0.0, abs=1e-12)
 
@@ -394,7 +394,7 @@ def test_initialize_fires_at_desired_time(rng):
         net = network_of(12, [None], sigma=0.5, sim=SIM)
         pattern = pattern_of(ids, times, n=12)
         initialize(net, 0, pattern, 2.0)
-        neuron = net.neurons[0]
+        neuron = neurons(net)[0]
         t = fire_time(neuron, pattern, SIM)
         assert t is not None
         # v(2.0) = threshold, so the crossing happens by then (allow one
@@ -406,7 +406,7 @@ def test_initialize_ignores_ineligible_and_skips_zero_terms():
     net = network_of(4, [None], sigma=0.5, sim=SIM)
     pattern = pattern_of([0, 2], [0.5, 2.5], n=4)
     initialize(net, 0, pattern, 2.0)
-    neuron = net.neurons[0]
+    neuron = neurons(net)[0]
     assert terms_of(neuron, 0) == [(0.5, 1.0)]
     assert terms_of(neuron, 2) == []
 
@@ -416,4 +416,4 @@ def test_initialize_without_eligible_spikes_raises():
     pattern = pattern_of([0], [2.0], n=2)
     with pytest.raises(NoEligibleSpikes):
         initialize(net, 0, pattern, 2.0)
-    assert net.neurons == [None] and net.keys.size == 0
+    assert neurons(net) == [None] and net.keys.size == 0

@@ -32,7 +32,8 @@ from sefm.training import (
 
 from conftest import all_terms, blobs_dataset, network_of, random_pattern, random_terms
 from oracles import (PatternMajorSampledWeights, add_terms, crossings, direct_response,
-                     evaluate_pattern, grid, process_sample, race_end, sampled_weights_per_term)
+                     evaluate_pattern, grid, neurons, process_sample, race_end,
+                     sampled_weights_per_term)
 
 
 CFG = NetworkConfig(sigma=0.5)
@@ -120,10 +121,10 @@ def test_initialization_with_no_eligible_spike_waits():
     res = process_sample(net, late_only, 0, cfg)
     assert res.outcome is Outcome.SKIPPED
     assert res.ineligible_classes == (0,)
-    assert net.neurons[0] is None  # still waiting for a usable first pattern
+    assert neurons(net)[0] is None  # still waiting for a usable first pattern
     ok = process_sample(net, pattern_of([0], [0.5], n=2), 0, cfg)
     assert ok.outcome is Outcome.INITIALIZED
-    assert net.neurons[0] is not None
+    assert neurons(net)[0] is not None
 
 
 def test_punctual_sample_with_safe_rivals_is_skipped():
@@ -142,16 +143,16 @@ def test_on_time_branch_pushes_crowding_rival_only():
     net, a, _ = two_class_net()
     # give the rival strong weight on class 0's inputs so it fires early
     add_terms(net, 1, [0, 1], [0.3, 0.6], [2.0, 2.0])
-    correct_terms = all_terms(net.neurons[0])
-    correct_threshold = net.neurons[0].threshold
-    rival_terms = all_terms(net.neurons[1])
+    correct_terms = all_terms(neurons(net)[0])
+    correct_threshold = neurons(net)[0].threshold
+    rival_terms = all_terms(neurons(net)[1])
     res = process_sample(net, a, 0, CFG)
     assert res.outcome is Outcome.ON_TIME
     assert res.updated_classes == (1,)
     # rival got pushed back, labeled class untouched
-    assert all_terms(net.neurons[1]) != rival_terms
-    assert all_terms(net.neurons[0]) == correct_terms
-    assert net.neurons[0].threshold == correct_threshold
+    assert all_terms(neurons(net)[1]) != rival_terms
+    assert all_terms(neurons(net)[0]) == correct_terms
+    assert neurons(net)[0].threshold == correct_threshold
 
 
 def test_late_branch_corrects_labeled_class():
@@ -288,7 +289,7 @@ def test_train_zero_epochs_touches_nothing(rng):
     result = train(patterns, labels, CFG.with_overrides(max_epochs=0), 3, seed=1)
     assert result.epochs_run == 0
     assert not result.converged
-    assert all(n is None for n in result.network.neurons)
+    assert all(n is None for n in neurons(result.network))
 
 
 def test_train_converges_on_separable_blobs(rng):
@@ -350,8 +351,8 @@ def test_train_matches_uncached_manual_loop(rng):
               Outcome.LATE: st.late}, st.updates_correct + st.updates_wrong)
             for st in fast.epoch_stats] == slow_stats
     assert np.array_equal(predict(fast.network, patterns), predict(slow, patterns))
-    assert ([n.amplitudes.size for n in fast.network.neurons]
-            == [n.amplitudes.size for n in slow.neurons])
+    assert ([n.amplitudes.size for n in neurons(fast.network)]
+            == [n.amplitudes.size for n in neurons(slow)])
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1e6])
@@ -388,7 +389,7 @@ def test_every_presentation_matches_the_fresh_sampling_step(sigma, monkeypatch):
     for epoch in range(cfg.max_epochs):
         for s in epoch_order(0, epoch, len(patterns)):
             pattern, label = patterns[s], labels[s]
-            if pattern.spike_count and net.neurons[label] is not None:
+            if pattern.spike_count and neurons(net)[label] is not None:
                 silent += bool(np.isnan(evaluate_pattern(net, pattern).fire_times).all())
             expected.append((s, process_sample(net, pattern, label, cfg)))
         if not any(r.updated_classes for _, r in expected[-len(patterns):]):
@@ -418,7 +419,7 @@ def test_incremental_weights_match_fresh_sampling_after_training(sigma, rng, mon
     fit = train(patterns, labels, CFG.with_overrides(sigma=sigma, max_epochs=30), 3, seed=4)
     assert fit.epoch_stats[0].updates_correct + fit.epoch_stats[0].updates_wrong > 0
     (sampled,) = captured
-    for j, neuron in enumerate(fit.network.neurons):
+    for j, neuron in enumerate(neurons(fit.network)):
         for p, pattern in enumerate(patterns):
             fresh = neuron.sample_weights(pattern.neuron_ids, pattern.times)
             assert np.allclose(sampled.values[j, pattern.neuron_ids, p], fresh,
@@ -433,7 +434,7 @@ def test_sampled_weights_of_a_trained_network_equal_per_pattern_sampling(rng):
     trained = train(patterns, labels, CFG.with_overrides(max_epochs=10), 3, seed=3).network
     net = network_of(trained.input_count, [
         None if j == 1 else (n.threshold, n.inputs, n.centers, n.amplitudes)
-        for j, n in enumerate(trained.neurons)], trained.sigma, trained.sim,
+        for j, n in enumerate(neurons(trained))], trained.sigma, trained.sim,
         trained.spike_interval)
     sampled = learning.SampledWeights(patterns, net)
     assert sampled.values.shape == (3, net.input_count, len(patterns))
@@ -441,7 +442,7 @@ def test_sampled_weights_of_a_trained_network_equal_per_pattern_sampling(rng):
     for p, pattern in enumerate(patterns):
         silent = np.setdiff1d(np.arange(net.input_count), pattern.neuron_ids)
         for j in (0, 2):
-            alone = net.neurons[j].sample_weights(pattern.neuron_ids, pattern.times)
+            alone = neurons(net)[j].sample_weights(pattern.neuron_ids, pattern.times)
             assert sampled.values[j, pattern.neuron_ids, p].tobytes() == alone.tobytes()
             assert not sampled.values[j, silent, p].any()
     assert any(pattern.spike_count < net.input_count for pattern in patterns)
@@ -507,7 +508,7 @@ def test_a_class_never_initialized_reads_zero_saves_null_and_never_wins(rng):
             if labels[s] != 1:
                 training.process_sample(state, s, int(labels[s]))
     assert net.initialized.tolist() == [True, False, True]
-    assert net.neurons[1] is None and net.keys.size
+    assert neurons(net)[1] is None and net.keys.size
     values = learning.SampledWeights(patterns, net).values
     assert values.dtype == np.float64 and not values[1].any()
     assert values.tobytes() == sampled_weights_per_term(net, patterns).tobytes()
@@ -528,7 +529,7 @@ def test_term_keys_rise_strictly_after_training_and_after_loading(rng, tmp_path)
         assert net.keys.tobytes() == np.concatenate([
             ((j * net.input_count + n.inputs) << 32)
             + np.rint(n.centers / TIME_QUANTUM).astype(np.int64)
-            for j, n in enumerate(net.neurons)]).tobytes()
+            for j, n in enumerate(neurons(net))]).tobytes()
     assert loaded.keys.tobytes() == trained.keys.tobytes()
 
 
@@ -581,15 +582,15 @@ def one_at_a_time(net, pattern):
     scalar loops.
     """
     count = net.class_count
-    live = [j for j, neuron in enumerate(net.neurons) if neuron is not None]
-    weights = np.array([net.neurons[j].sample_weights(pattern.neuron_ids, pattern.times)
+    live = [j for j, neuron in enumerate(neurons(net)) if neuron is not None]
+    weights = np.array([neurons(net)[j].sample_weights(pattern.neuron_ids, pattern.times)
                         for j in live]).reshape(len(live), pattern.spike_count)
     v = weights @ direct_response(pattern.times, net.sim)
     fire, peaks = [math.nan] * count, [-math.inf] * count
     for j, row in zip(live, v.tolist()):
         peaks[j] = max(row)
         for k, value in enumerate(row):
-            if value >= net.neurons[j].threshold:
+            if value >= neurons(net)[j].threshold:
                 fire[j] = k * net.sim.dt
                 break
     fired = [j for j in range(count) if not math.isnan(fire[j])]
@@ -679,7 +680,7 @@ def test_batched_predict_matches_one_at_a_time(rng, monkeypatch):
     assert chunks == [chunk, chunk, 5]
     assert len(captured) == len(patterns)
     activity = crossings(net, np.stack([v for v, _, _ in captured]),
-                         np.array([n is not None for n in net.neurons]))
+                         np.array([n is not None for n in neurons(net)]))
     fire, peaks = activity.fire_times, activity.peaks
     silent = np.isnan(fire).all(axis=1)
     assert silent.any() and not silent.all()  # both the race and the fallback decide
