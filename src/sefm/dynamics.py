@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,6 +27,8 @@ from .encoding import TIME_QUANTUM, EncoderConfig, SpikePattern, _is_count, _is_
 from .errors import ConfigError, InputError
 
 MODEL_FORMAT = "sefm-model/1"
+# The Network settings at a checkpoint's top level, named as Network names them
+_NETWORK_SETTINGS = ("class_count", "input_count", "sigma", "spike_interval")
 
 # The size limits of a model, checked where SimulationConfig and Network are
 # built, before anything is allocated for them: a ConfigError from a config,
@@ -518,103 +521,93 @@ def model_to_dict(net: Network, encoder: Optional[EncoderConfig] = None) -> dict
     neurons = [{"class_label": j, "threshold": threshold, "synapses": rows[j * k:(j + 1) * k]}
                if live else None for j, (live, threshold) in
                enumerate(zip(net.initialized.tolist(), net.thresholds.tolist()))]
-    return {
-        "format": MODEL_FORMAT,
-        "sigma": net.sigma,
-        "spike_interval": net.spike_interval,
-        "simulation": {"tau": net.sim.tau, "t_max": net.sim.t_max, "dt": net.sim.dt},
-        "input_count": net.input_count,
-        "class_count": net.class_count,
-        "neurons": neurons,
-        "encoder": None if encoder is None else {
-            "receptive_field_count": encoder.receptive_field_count,
-            "overlap": encoder.overlap,
-            "spike_interval": encoder.spike_interval,
-            "response_cutoff": encoder.response_cutoff,
-            "feature_ranges": [list(r) for r in encoder.feature_ranges],
-        },
-    }
+    return {"format": MODEL_FORMAT, **{name: getattr(net, name) for name in _NETWORK_SETTINGS},
+            "simulation": asdict(net.sim), "neurons": neurons,
+            "encoder": None if encoder is None else asdict(encoder)}
 
 
 def model_from_dict(doc: dict) -> tuple[Network, Optional[EncoderConfig]]:
-    """Rebuild a network from its checkpoint, rejecting any inconsistency.
-
-    A missing key, a count that is not an integer, a neuron or synapse
-    count that disagrees with the declared shape, a neuron stored under
-    another position, a non-finite setting, threshold, center or
-    amplitude, a center outside the spike window, and an encoder that is
-    invalid or does not feed the network's inputs over its spike interval
-    all raise InputError.  So does any term not in the form
-    ``model_to_dict`` writes: each center a whole number of TIME_QUANTUM
-    ticks, and each synapse's centers strictly ascending.  The terms are
-    then stored as they stand, in one step; none is snapped, sorted or
-    merged.
-    """
+    """Rebuild a network from its checkpoint, in the form ``model_to_dict``
+    writes and no other: a missing or unknown key, a count, label or shape
+    that disagrees, a value that is not a finite JSON number, a center off the
+    TIME_QUANTUM grid or outside the spike window, a synapse whose centers do
+    not strictly ascend, and an encoder that is invalid or does not feed the
+    network all raise InputError.  One pass over the neurons collects every
+    term, and one step stores them as they stand."""
     try:
         if doc.get("format") != MODEL_FORMAT:
             raise InputError(f"unsupported model format: {doc.get('format')!r}")
+        _check_keys("checkpoint", doc, {"format", "simulation", "neurons", "encoder",
+                                        *_NETWORK_SETTINGS})
         class_count = operator.index(doc["class_count"])
         # compared before anything is allocated for the declared count
         if len(doc["neurons"]) != class_count:
             raise InputError(f"model has {len(doc['neurons'])} neurons for "
                              f"{class_count} classes")
-        s = doc["simulation"]
-        sim = SimulationConfig(tau=s["tau"], t_max=s["t_max"], dt=s["dt"])
-        net = Network(class_count, operator.index(doc["input_count"]),
-                      doc["sigma"], sim, doc["spike_interval"])
-        terms = [_neuron_from_dict(j, entry, net)
-                 for j, entry in enumerate(doc["neurons"]) if entry is not None]
-        if terms:
-            classes, ids, flat = (np.concatenate(column) for column in zip(*terms))
-            ticks = np.rint(flat[:, 0] / TIME_QUANTUM).astype(np.int64)
-            keys = ((classes * net.input_count + ids) << 32) + ticks
-            # the form the writer emits, stored as it stands
-            if not ((ticks * TIME_QUANTUM == flat[:, 0]).all() and (np.diff(keys) > 0).all()):
-                raise InputError(f"a center lies off the {TIME_QUANTUM} ms grid, or a "
-                                 f"synapse's centers do not strictly ascend")
-            net._add_sorted(keys, flat[:, 1])
+        net = Network(sim=_config_from_block(SimulationConfig, doc["simulation"]),
+                      **{name: doc[name] for name in _NETWORK_SETTINGS})
+        k = net.input_count
+        lengths, pairs = [], []  # each (class, input) row's term count; every term
+        for j, entry in enumerate(doc["neurons"]):
+            if entry is None:
+                lengths += [0] * k
+                continue
+            _check_keys(f"neuron {j}", entry, {"class_label", "threshold", "synapses"})
+            if not (_is_count(entry["class_label"]) and entry["class_label"] == j):
+                raise InputError(f"neuron {j} is labeled {entry['class_label']!r}")
+            synapses = entry["synapses"]
+            if len(synapses) != k:
+                raise InputError(f"neuron {j} has {len(synapses)} synapses for {k} inputs")
+            threshold = entry["threshold"]
+            if not (_is_real(threshold) and math.isfinite(threshold)):
+                raise InputError(f"neuron {j} has a threshold that is not a finite number")
+            net.thresholds[j] = threshold
+            net.initialized[j] = True
+            lengths += map(len, synapses)
+            pairs += itertools.chain.from_iterable(synapses)
+        values = list(itertools.chain.from_iterable(pairs))
+        # reals by the threshold's rule, not float64's; json.loads's int and float skip it
+        if set(map(len, pairs)) - {2} or not (set(map(type, values)) <= {int, float}
+                                               or all(map(_is_real, values))):
+            raise InputError("a term is not a [center, amplitude] pair of JSON numbers")
+        flat = np.array(values, dtype=np.float64).reshape(-1, 2)
+        centers, amplitudes = flat.T
+        if not np.isfinite(flat).all():
+            raise InputError("a term has a non-finite center or amplitude")
+        if np.any((centers < 0.0) | (centers > net.spike_interval)):
+            raise InputError(f"a term has a center outside [0, {net.spike_interval}]")
+        ticks = np.rint(centers / TIME_QUANTUM).astype(np.int64)
+        keys = (np.repeat(np.arange(class_count * k), lengths) << 32) + ticks
+        # the form the writer emits, stored as it stands
+        if not ((ticks * TIME_QUANTUM == centers).all() and (np.diff(keys) > 0).all()):
+            raise InputError(f"a center lies off the {TIME_QUANTUM} ms grid, or a "
+                             f"synapse's centers do not strictly ascend")
+        net._add_sorted(keys, amplitudes)
         enc = None
-        e = doc["encoder"]
-        if e is not None:
-            enc = EncoderConfig(
-                receptive_field_count=operator.index(e["receptive_field_count"]),
-                overlap=e["overlap"],
-                spike_interval=e["spike_interval"],
-                response_cutoff=e["response_cutoff"],
-                feature_ranges=tuple((float(lo), float(hi)) for lo, hi in e["feature_ranges"]),
-            )
+        if doc["encoder"] is not None:
+            enc = _config_from_block(EncoderConfig, doc["encoder"])
             if enc.neuron_count != net.input_count or enc.spike_interval != net.spike_interval:
                 raise InputError(f"encoder feeds {enc.neuron_count} inputs over "
                                  f"{enc.spike_interval} ms; the network has "
                                  f"{net.input_count} over {net.spike_interval} ms")
-    except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise InputError(f"malformed model checkpoint: {type(exc).__name__} {exc}") from exc
     return net, enc
 
 
-def _neuron_from_dict(j: int, entry: dict, net: Network) -> tuple:
-    """Validate neuron ``j``'s entry and set its threshold; returns its class,
-    input and (center, amplitude) per term."""
-    if operator.index(entry["class_label"]) != j:
-        raise InputError(f"neuron {j} is labeled {entry['class_label']!r}")
-    synapses = entry["synapses"]
-    if len(synapses) != net.input_count:
-        raise InputError(f"neuron {j} has {len(synapses)} synapses for "
-                         f"{net.input_count} inputs")
-    threshold = float(entry["threshold"])
-    pairs = [pair for terms in synapses for pair in terms]
-    flat = np.array(pairs, dtype=np.float64).reshape(-1, 2)
-    if len(flat) != len(pairs):
-        raise InputError(f"neuron {j} has a term that is not a (center, amplitude) pair")
-    if not (np.isfinite(threshold) and np.isfinite(flat).all()):
-        raise InputError(f"neuron {j} has a non-finite threshold, center or amplitude")
-    centers = flat[:, 0]
-    if np.any((centers < 0.0) | (centers > net.spike_interval)):
-        raise InputError(f"neuron {j} has a center outside [0, {net.spike_interval}]")
-    net.thresholds[j] = threshold
-    net.initialized[j] = True
-    return (np.full(len(flat), j), np.repeat(np.arange(net.input_count),
-                                             [len(t) for t in synapses]), flat)
+def _check_keys(what: str, holder: dict, keys: set) -> None:
+    """Raise InputError unless ``holder`` has exactly ``keys``."""
+    if odd := sorted(holder.keys() ^ keys):
+        raise InputError(f"{what}'s keys differ from {sorted(keys)} by {odd}")
+
+
+def _config_from_block(cls, block: dict):
+    """A SimulationConfig or EncoderConfig from exactly its fields (each
+    SimulationConfig field has a default, so a missing one would load), every
+    JSON list a tuple of tuples, as a frozen config holds its feature ranges."""
+    _check_keys(f"{cls.__name__} block", block, {f.name for f in fields(cls)})
+    return cls(**{name: tuple(map(tuple, value)) if isinstance(value, list) else value
+                  for name, value in block.items()})
 
 
 def model_to_json_bytes(net: Network, encoder: Optional[EncoderConfig] = None) -> bytes:

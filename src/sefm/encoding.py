@@ -67,7 +67,8 @@ class EncoderConfig:
     response_cutoff : float
         Responses below this value, in [0, 1), emit no spike.
     feature_ranges : tuple[tuple[float, float], ...]
-        Per-feature (min, max) taken from training data.
+        Per-feature (min, max) taken from training data, each giving its
+        fields finite centers and positive, finite widths.
     """
 
     receptive_field_count: int
@@ -86,8 +87,16 @@ class EncoderConfig:
         if not (_is_real(self.response_cutoff) and 0.0 <= self.response_cutoff < 1.0):
             bad.append("response_cutoff must lie in [0, 1)")
         ranges = [f for f, pair in enumerate(self.feature_ranges) if not _is_range(pair)]
+        if not (bad or ranges) and _is_real(self.receptive_field_count):
+            # nor may a field overflow or have width 0; fields 1 and M bound the
+            # rest, so nothing M long is built before a network checks M's size
+            with np.errstate(over="ignore", invalid="ignore"):
+                centers, widths = self._fields(np.array([1.0, self.receptive_field_count]))
+            held = np.isfinite(centers).all(axis=1) & (0 < widths) & (widths < np.inf)
+            ranges = np.flatnonzero(~held).tolist()
         if ranges:
-            bad.append(f"feature_ranges {ranges} must be (lo, hi) pairs, finite with lo < hi")
+            bad.append(f"feature_ranges {ranges} must be (lo, hi) pairs, finite with lo < hi, "
+                       "whose field centers and widths are finite, widths above 0")
         if bad:
             raise ConfigError("; ".join(bad))
 
@@ -112,11 +121,13 @@ class EncoderConfig:
         The outermost centers fall slightly outside [lo, hi] so the boundary
         values are still covered by a strong response.
         """
+        return self._fields(np.arange(1, self.receptive_field_count + 1, dtype=np.float64))
+
+    def _fields(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (features, len(h)) centers of fields ``h``, and the widths."""
         lo, hi = np.array(self.feature_ranges, dtype=np.float64).reshape(-1, 2).T
         span = (hi - lo) / (self.receptive_field_count - 2)
-        h = np.arange(1, self.receptive_field_count + 1, dtype=np.float64)
-        centers = lo[:, None] + (2.0 * h - 3.0) / 2.0 * span[:, None]
-        return centers, span / self.overlap
+        return lo[:, None] + (2.0 * h - 3.0) / 2.0 * span[:, None], span / self.overlap
 
 
 def _snap(ts: np.ndarray) -> np.ndarray:
@@ -216,13 +227,8 @@ def fit_ranges(
         if lo == hi:
             lo, hi = lo - 0.5, hi + 0.5
         ranges.append((lo, hi))
-    return EncoderConfig(
-        receptive_field_count=receptive_field_count,
-        overlap=overlap,
-        spike_interval=spike_interval,
-        response_cutoff=response_cutoff,
-        feature_ranges=tuple(ranges),
-    )
+    return EncoderConfig(receptive_field_count, overlap, spike_interval, response_cutoff,
+                         tuple(ranges))
 
 
 def encode(features, cfg: EncoderConfig) -> SpikePattern:

@@ -104,6 +104,30 @@ def test_only_is_count_tests_for_an_integral():
     assert shared and not stray, "an Integral test outside _is_count: " + ", ".join(stray)
 
 
+def test_the_checkpoint_code_names_no_config_field():
+    """A checkpoint's ``simulation`` and ``encoder`` blocks are their
+    dataclasses' fields, stated once by the dataclasses: neither
+    ``model_to_dict`` nor ``model_from_dict``, nor a function of
+    ``dynamics`` that either calls, holds a string naming a field of
+    ``SimulationConfig`` or ``EncoderConfig``.  (The network's own
+    ``spike_interval`` at the top level comes from ``_NETWORK_SETTINGS``,
+    which the writer and the reader share.)"""
+    from dataclasses import fields
+
+    from sefm import dynamics
+
+    names = {f.name for cls in (dynamics.SimulationConfig, sefm.EncoderConfig)
+             for f in fields(cls)}
+    defs = {fn.name: fn for fn in ast.parse(Path(dynamics.__file__).read_text()).body
+            if isinstance(fn, ast.FunctionDef)}
+    checked = {"model_to_dict", "model_from_dict"}
+    checked |= {node.func.id for name in checked for node in ast.walk(defs[name])
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in defs}
+    named = sorted(f"{name}: {node.value!r}" for name in checked for node in ast.walk(defs[name])
+                   if isinstance(node, ast.Constant) and node.value in names)
+    assert not named, "config fields named by hand: " + ", ".join(named)
+
+
 def test_perfbench_hook_targets_resolve(monkeypatch):
     """Every module attribute perfbench/spans.py wraps still exists, so a
     traced benchmark run times every layer instead of counting hooks absent."""

@@ -5,6 +5,7 @@ import importlib.metadata
 import json
 import shutil
 import subprocess
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,23 @@ def test_infinite_csv_cell_exits_3_and_writes_nothing(tmp_path, capsys):
                  "--output-dir", str(out)])
     assert code == EXIT_DATA
     assert "row 2 column 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_column_whose_fields_overflow_exits_2_with_one_line_and_no_warning(tmp_path, capsys):
+    """A column of -1e308 and 1e308 holds finite cells, but its range's
+    width overflows a float: `sefm train` names the feature and exits 2,
+    where it once warned twice, trained on and dropped that feature."""
+    path = tmp_path / "huge.csv"
+    path.write_text("".join(f"{(-1) ** r * 1e308},{0.1 * r},{r % 2}\n" for r in range(20)))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--csv", str(path), "--train-size", "18", "--seed", "1",
+                     "--output-dir", str(out)])
+    assert code == EXIT_CONFIG and not caught
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "feature_ranges [0]" in err, err
     assert not out.exists()
 
 

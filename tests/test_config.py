@@ -2,6 +2,8 @@
 
 import inspect
 import math
+import re
+import warnings
 from dataclasses import fields, replace
 
 import pytest
@@ -10,6 +12,7 @@ from sefm.config import NetworkConfig
 from sefm.dynamics import Network, SimulationConfig
 from sefm.encoding import EncoderConfig, fit_ranges
 from sefm.errors import ConfigError
+from sefm.training import build_network
 
 
 def test_defaults_are_valid():
@@ -158,6 +161,36 @@ def test_a_real_setting_no_float64_holds_is_named_in_a_config_error(field):
                 EncoderConfig(6, 0.7, 3.0, 0.1, (tuple(sorted((0.0, huge))),))
             else:
                 NetworkConfig(**{field: huge})
+
+
+@pytest.mark.parametrize("ranges, overlap", [
+    (((-1e308, 1e308),), 0.7),
+    # a finite width, but the outer center lies 9/8 of it past lo at M = 6
+    (((0.0, 1.0), (0.0, 1.7e308)), 0.7),
+    (((0.0, 1.0),), 5e-324),
+    (((0.0, 5e-324),), 0.7),
+], ids=["width-overflows", "outer-center-overflows", "field-width-overflows", "zero-field-width"])
+def test_a_range_whose_field_geometry_overflows_is_named_in_a_config_error(ranges, overlap):
+    """A range of finite bounds can still give fields no float holds, which
+    once silenced the feature with two RuntimeWarnings; it is named, with no
+    warning.  The widest range at M = 6 whose fields fit still builds."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=re.escape(f"feature_ranges [{len(ranges) - 1}]")):
+            EncoderConfig(6, overlap, 3.0, 0.1, ranges)
+        assert EncoderConfig(6, 0.7, 3.0, 0.1, ((0.0, 1.5e308),)).field_geometry[1][0] < math.inf
+
+
+@pytest.mark.parametrize("m", [2**40, 10**400], ids=["2**40", "10**400"])
+def test_a_huge_field_count_is_left_to_the_networks_size_bound(m):
+    """The range check reads only each range's outer two fields, so a field
+    count far past MAX_CELLS, or one no float64 holds, builds its encoder
+    and its NetworkConfig without an M-long array or an OverflowError; the
+    network built from them rejects it."""
+    assert EncoderConfig(m, 0.7, 3.0, 0.1, ((0.0, 1.0),)).receptive_field_count == m
+    cfg = NetworkConfig(receptive_field_count=m)
+    with pytest.raises(ConfigError, match="MAX_CELLS"):
+        build_network(cfg, 2, 4 * cfg.receptive_field_count)
 
 
 @pytest.mark.parametrize("bad, sound", [

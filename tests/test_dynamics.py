@@ -5,11 +5,13 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -1253,6 +1255,11 @@ def _drop_key(doc, rng):
     del holder[sorted(holder)[int(rng.integers(len(holder)))]]
 
 
+def _extra_key(doc, rng):
+    holders = [doc, doc["simulation"], doc["encoder"], doc["neurons"][0]]
+    holders[int(rng.integers(len(holders)))]["unknown"] = 1.0
+
+
 def _extra_synapse(doc, rng):
     doc["neurons"][int(rng.integers(3))]["synapses"].append([])
 
@@ -1289,6 +1296,45 @@ def _float_class_label(doc, rng):
     doc["neurons"][j]["class_label"] = float(j)
 
 
+def _not_a_number(value, rng):
+    """``value`` written as a JSON string or a bool, which float() would take."""
+    return [str(value), bool(value)][int(rng.integers(2))]
+
+
+def _non_number_threshold(doc, rng):
+    neuron = doc["neurons"][int(rng.integers(3))]
+    neuron["threshold"] = _not_a_number(neuron["threshold"], rng)
+
+
+def _non_number_term(doc, rng):
+    terms = _some_terms(doc, rng)
+    term = terms[int(rng.integers(len(terms)))]
+    k = int(rng.integers(2))  # its center or its amplitude
+    term[k] = _not_a_number(term[k], rng)
+
+
+def _non_number_range_bound(doc, rng):
+    bounds = doc["encoder"]["feature_ranges"][int(rng.integers(2))]
+    k = int(rng.integers(2))
+    bounds[k] = _not_a_number(bounds[k], rng)
+
+
+def _huge_integer_value(doc, rng):
+    """A JSON integer no float64 holds, as a threshold, a center or an amplitude."""
+    terms = _first_terms(doc)
+    target = int(rng.integers(3))
+    if target == 0:
+        doc["neurons"][0]["threshold"] = 10**400
+    else:
+        terms[int(rng.integers(len(terms)))][target - 1] = 10**400
+
+
+def _bool_class_label(doc, rng):
+    """Neuron 0 or 1 labeled false or true, which equal 0 and 1."""
+    j = int(rng.integers(2))
+    doc["neurons"][j]["class_label"] = bool(j)
+
+
 def _center_outside_window(doc, rng):
     terms = _first_terms(doc)
     terms[int(rng.integers(len(terms)))][0] = float(rng.choice([-0.001, 3.001, 50.0]))
@@ -1318,9 +1364,10 @@ def _reversed_terms(doc, rng):
 
 
 @pytest.mark.parametrize("mutate", [
-    _drop_key, _extra_synapse, _missing_synapse, _extra_neuron, _missing_neuron,
-    _relabeled_neuron, _float_class_label, _non_finite_value, _center_outside_window,
-    _off_grid_center, _duplicated_term, _reversed_terms,
+    _drop_key, _extra_key, _extra_synapse, _missing_synapse, _extra_neuron, _missing_neuron,
+    _relabeled_neuron, _float_class_label, _bool_class_label, _non_finite_value,
+    _non_number_threshold, _non_number_term, _non_number_range_bound, _huge_integer_value,
+    _center_outside_window, _off_grid_center, _duplicated_term, _reversed_terms,
 ])
 def test_load_model_rejects_mutated_checkpoint(mutate, rng, tmp_path):
     original = json.loads((DATA / "model-v1.json").read_text())
@@ -1331,6 +1378,34 @@ def test_load_model_rejects_mutated_checkpoint(mutate, rng, tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(InputError):
             load_model(path)
+
+
+def test_model_from_dict_reads_a_term_by_the_thresholds_rule():
+    """A library caller's numpy reals load as the JSON numbers they equal,
+    in a term as in a threshold; a numpy bool is no number in either."""
+    raw = (DATA / "model-v1.json").read_bytes()
+    doc = json.loads(raw)
+    for neuron in doc["neurons"]:
+        neuron["threshold"] = np.float64(neuron["threshold"])
+        neuron["synapses"] = [[[np.float64(c), np.float64(a)] for c, a in terms]
+                              for terms in neuron["synapses"]]
+    assert model_to_json_bytes(*model_from_dict(doc)) == raw
+    next(terms for terms in doc["neurons"][0]["synapses"] if terms)[0][1] = np.True_
+    with pytest.raises(InputError, match="JSON numbers"):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(SimulationConfig)])
+def test_load_model_rejects_a_simulation_block_that_lacks_a_key(key, tmp_path):
+    """Every SimulationConfig field has a default, so a block read as the
+    dataclass's keyword arguments would load without one; the reader
+    compares the block's keys with the fields first."""
+    doc = json.loads((DATA / "model-v1.json").read_text())
+    del doc["simulation"][key]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match=re.escape(f"by ['{key}']")):
+        load_model(path)
 
 
 @pytest.mark.parametrize("changes", [
@@ -1434,7 +1509,10 @@ def checkpoint(classes, inputs, t_max=8.0, neurons=None):
 CASES = {"cells_over": (checkpoint(2**15, 2**15), 2**15),
          "cells_at": (checkpoint(1, MAX_CELLS), MAX_CELLS),
          "row_over": (checkpoint(1, 1, t_max=1e7, neurons=LIVE), 1),
-         "row_at": (checkpoint(1, 1, t_max=2097.0, neurons=LIVE), 1)}
+         "row_at": (checkpoint(1, 1, t_max=2097.0, neurons=LIVE), 1),
+         "encoder_fields": ({**checkpoint(1, 1, neurons=LIVE), "encoder": {
+             "receptive_field_count": 2**40, "overlap": 0.7, "spike_interval": 3.0,
+             "response_cutoff": 0.1, "feature_ranges": [[0.0, 1.0]]}}, 1)}
 out = {}
 with tempfile.TemporaryDirectory() as tmp:
     for name, (doc, width) in CASES.items():
@@ -1447,7 +1525,8 @@ with tempfile.TemporaryDirectory() as tmp:
         except (InputError, MemoryError) as exc:
             out[name] = f"{type(exc).__name__}: {exc}"
     for name, fields in (("config", {"t_max": 1e7}),
-                         ("fields", {"receptive_field_count": 2**20})):
+                         ("fields", {"receptive_field_count": 2**20}),
+                         ("huge_fields", {"receptive_field_count": 2**40})):
         config = Path(tmp) / f"{name}.json"
         config.write_text(json.dumps(fields))
         stderr = io.StringIO()
@@ -1467,8 +1546,10 @@ def test_sizes_read_from_a_file_are_bounded_before_any_allocation():
     they exceed, and a config with that t_max exits 2 naming it, all
     under a 1 GiB address space.  So does a config of 2**20 receptive
     fields, whose iris encoding once asked for 2.34 GiB: `sefm train`
-    checks MAX_CELLS before it encodes.  A model at each limit loads and
-    predicts within it."""
+    checks MAX_CELLS before it encodes.  A config or a checkpoint encoder
+    of 2**40 fields is rejected the same way: the encoder's range check
+    builds nothing M long.  A model at each limit loads and predicts
+    within it."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
@@ -1484,8 +1565,11 @@ def test_sizes_read_from_a_file_are_bounded_before_any_allocation():
     assert out["cells_at"] == out["row_at"] == [0]
     code, stderr = out["config"]
     assert code == 2 and f"MAX_KERNEL_ROW = {MAX_KERNEL_ROW:,}" in stderr, stderr
-    code, stderr = out["fields"]
-    assert code == 2 and f"MAX_CELLS = {MAX_CELLS:,}" in stderr, stderr
+    for name in ("fields", "huge_fields"):
+        code, stderr = out[name]
+        assert code == 2 and f"MAX_CELLS = {MAX_CELLS:,}" in stderr, stderr
+    assert out["encoder_fields"].startswith("InputError: encoder feeds 1099511627776 inputs"), \
+        out["encoder_fields"]
     assert SimulationConfig(t_max=2097.0).kernel_row() <= MAX_KERNEL_ROW
 
 

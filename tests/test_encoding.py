@@ -1,6 +1,7 @@
 """Population encoding: field geometry, latency mapping, pattern invariants."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -119,6 +120,14 @@ def test_fit_ranges_validation():
         fit_ranges(np.array([[np.nan], [np.nan]]))
     with pytest.raises(ConfigError):
         fit_ranges(np.ones((3, 2)), response_cutoff=1.0)
+
+
+def test_fit_ranges_names_a_feature_whose_fields_overflow():
+    """Feature 1's range, -1e308 to 1e308, has a width no float holds."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=re.escape("feature_ranges [1]")):
+            fit_ranges(np.array([[0.0, -1e308], [1.0, 1e308]]))
 
 
 def test_encoder_config_validates_its_fields():
